@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .errors import BadBudget
+
 _ENV_PREFIX = "PUMPKIT_BUDGET_"
 
 
@@ -27,13 +29,17 @@ class EnumBudget:
     def __post_init__(self):
         for f in fields(self):
             if getattr(self, f.name) < 1:
-                raise ValueError(f"budget {f.name} must be >= 1")
+                raise BadBudget(f"budget {f.name} must be >= 1")
 
     @classmethod
     def from_env(cls, **overrides) -> "EnumBudget":
         values = dict(overrides)
         for f in fields(cls):
-            env = os.environ.get(_ENV_PREFIX + f.name.upper())
+            var = _ENV_PREFIX + f.name.upper()
+            env = os.environ.get(var)
             if env is not None and f.name not in values:
-                values[f.name] = int(env)
+                try:
+                    values[f.name] = int(env)
+                except ValueError:
+                    raise BadBudget(f"{var}={env!r} is not an integer") from None
         return cls(**values)

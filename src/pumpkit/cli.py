@@ -2,8 +2,9 @@
 
 Exit codes for the deciding commands follow the convention: 0 for a
 pumping certificate, 1 for a blocking certificate, 2 when no shield was
-found, and anything above 2 for errors.  Budgets honor the
-``PUMPKIT_BUDGET_*`` environment variables.
+found, 3 for usage errors and 4 for other errors, such as an unreadable
+input file.  Budgets honor the ``PUMPKIT_BUDGET_*`` environment variables;
+a value that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 
 from . import driver, formats, oracle, shield as engine, svgout, tam, visibility
 from .budgets import EnumBudget
-from .errors import PumpkitError
+from .errors import BadBudget, PumpkitError
 from .tam import PumpingSpec
 
 EXIT_PUMPABLE = 0
@@ -292,9 +293,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PumpkitError as e:
+    except (PumpkitError, OSError) as e:
         _sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
-        return EXIT_ERROR
+        return EXIT_USAGE if isinstance(e, BadBudget) else EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -134,7 +134,7 @@ class CanonicalForm:
 
     def restore_position(self, pos: Pos) -> Pos:
         x, y = pos[0] - self.post_translation[0], pos[1] - self.post_translation[1]
-        for _ in range((4 - self.rotations) % 4):
+        for _ in range(self.rotations % 4):
             x, y = y, -x
         return (x - self.pre_translation[0], y - self.pre_translation[1])
 
@@ -291,7 +291,6 @@ class _Flipped:
 
 def _run_shield(sys: TileSystem, p: Path, sh: Shield, trail: list[str],
                 budget: EnumBudget) -> AnalysisResult:
-    engine.check_shield(sys, p, sh.i, sh.j, sh.k)
     out = engine.pump_or_block(sys, p, sh, budget)
     return _outcome_to_result(out, trail)
 

@@ -107,6 +107,10 @@ class BudgetExceeded(PumpkitError):
     pass
 
 
+class BadBudget(PumpkitError, ValueError):
+    """A budget value, or its ``PUMPKIT_BUDGET_*`` variable, is not a positive integer."""
+
+
 # -- driver ----------------------------------------------------------------
 
 class BadCounts(PumpkitError):

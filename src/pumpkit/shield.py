@@ -159,25 +159,56 @@ def check_shield(sys: TileSystem, p: Path, i: int, j: int, k: int,
 
 
 def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
-    """All shields for the path, in lexicographic (i, j, k) order."""
+    """All shields for the path, in lexicographic (i, j, k) order.
+
+    Equivalent to running :func:`check_shield` on every triple, without
+    building a curve per triple.  The translated exit ray starts at
+    ``gk.midpoint + 2 * (pos_i - pos_j)``, which lies on an odd (glue)
+    column.  The only lattice points of segment ``i..k`` on an odd column
+    are the midpoints of its east/west glues ``s`` in ``[i, k-1]``, and
+    path positions are distinct.  So a triple that passes the label,
+    pointing and visibility filters is a shield exactly when no such glue
+    on the ray's column lies above the ray start.  For each ``i`` the
+    highest glue midpoint per column over ``i..k-1`` grows as ``k``
+    advances and does not depend on ``j``; each ``j`` then costs one
+    lookup.
+    """
     view = GlueView(sys, p)
-    south_east = [g.index for g in view.south_visible() if g.pointing == "east"]
-    north_vis = [g.index for g in view.north_visible()]
-    out = []
-    for a, i in enumerate(south_east):
-        for j in south_east[a + 1:]:
-            if view.glues[i].label != view.glues[j].label:
+    glues = view.glues
+    south_east = [g for g in view.south_visible() if g.pointing == "east"]
+    north_vis = view.north_visible()
+    found = []
+    for a, gi in enumerate(south_east):
+        ix, iy = gi.midpoint
+        # Both glues point east, so their midpoints differ by the doubled
+        # displacement between tiles i and j.
+        partners = [(gj.index, ix - gj.midpoint[0], iy - gj.midpoint[1])
+                    for gj in south_east[a + 1:] if gj.label == gi.label]
+        if not partners:
+            continue
+        i = gi.index
+        top: dict[int, int] = {}  # glue column -> highest midpoint, glues i..k-1
+        s = i
+        for gk in north_vis:
+            k = gk.index
+            if k < partners[0][0]:
                 continue
-            for k in north_vis:
-                if k < j:
-                    continue
-                try:
-                    check_shield(sys, p, i, j, k, view)
-                except NotAShield:
-                    continue
-                out.append(Shield(i, j, k))
-    out.sort()
-    return out
+            for g in glues[s:k]:
+                if g.horizontal:
+                    x, y = g.midpoint
+                    h = top.get(x)
+                    if h is None or y > h:
+                        top[x] = y
+            s = k
+            kx, ky = gk.midpoint
+            for j, dx, dy in partners:
+                if j > k:
+                    break
+                h = top.get(kx + dx)
+                if h is None or h <= ky + dy:
+                    found.append((i, j, k))
+    found.sort()
+    return [Shield(i, j, k) for i, j, k in found]
 
 
 # -- workspace ----------------------------------------------------------------

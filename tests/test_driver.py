@@ -82,6 +82,38 @@ def test_canonicalize_restores_positions(unit):
         assert canon.restore_position(canon.path.pos(idx)) == p.pos(idx)
 
 
+@pytest.mark.parametrize("rotations, cells", [
+    (1, [(1, 0), (2, 0), (2, -1), (2, -2), (2, -3), (2, -4)]),  # leaves south
+    (2, [(0, 1), (-1, 1), (-2, 1), (-2, 2), (-3, 2), (-4, 2)]),  # leaves west
+    (3, [(1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (2, 4)]),  # leaves north
+])
+def test_canonicalize_restores_rotated_positions(rotations, cells):
+    sys_ = system_of([("Z", "z", "z", "z", "z")], {(0, 0): "Z"})
+    p = path_of(sys_, *[(x, y, "Z") for x, y in cells])
+    canon = canonicalize(sys_, p, bound_override=3)
+    assert canon.rotations == rotations
+    assert canon.truncated_at == len(p) - 1
+    for idx in range(len(p)):
+        assert canon.restore_position(canon.path.pos(idx)) == p.pos(idx)
+
+
+def test_analyze_fragile_after_odd_rotation():
+    # The path first meets the bound square on its north side, so the
+    # canonical form turns it three quarter turns; the blocking
+    # certificate is found in that frame and must come back unrotated.
+    sys_ = system_of([("A", "c", "c", "c", "b"), ("B", None, "c", None, "b"),
+                      ("C", "c", "a", None, "a"), ("D", "a", None, "c", "a"),
+                      ("E", "a", "a", "a", None)],
+                     {(0, 0): "B", (1, 0): "C"})
+    p = path_of(sys_, (1, 1, "A"), (1, 2, "A"), (1, 3, "A"), (1, 4, "D"),
+                (0, 4, "C"), (-1, 4, "E"), (-1, 3, "D"), (-1, 2, "C"),
+                (-2, 2, "E"), (-2, 3, "E"), (-2, 4, "E"), (-2, 5, "E"))
+    res = analyze(sys_, p, bound_override=2)
+    assert res.trail[0].startswith("canonical(rot=3,")
+    assert res.kind == "fragile"
+    assert verify_fragile_cert(sys_, p, res.fragile).ok
+
+
 def test_canonicalize_random_corpus(rng):
     budget = EnumBudget(max_path_len=9, max_nodes=300)
     checked = 0

@@ -276,6 +276,22 @@ def test_cli_budget_env(unit_file, tmp_path, _run, monkeypatch):
     assert "4 producible path(s)" in r.stdout
 
 
+def test_cli_bad_budget_env_is_usage_error(unit_file, tmp_path, _run, monkeypatch):
+    monkeypatch.setenv("PUMPKIT_BUDGET_MAX_NODES", "x")
+    r = _run(["oracle", "enumerate", str(unit_file)], tmp_path)
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert "PUMPKIT_BUDGET_MAX_NODES" in r.stderr
+
+
+@pytest.mark.parametrize("target", ["missing.tiles", "."])
+def test_cli_unreadable_input_is_error(tmp_path, _run, target):
+    # A file that does not exist, and a directory in place of a file.
+    r = _run(["validate", target], tmp_path)
+    assert r.returncode == 4
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
 def test_cli_module_entry_point(unit_file, tmp_path):
     """``python -m pumpkit.cli`` works from any directory without an install."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -1,5 +1,7 @@
 """The engine: shield recognition, workspace claims, routes, certificates."""
 
+import math
+import time
 
 import pytest
 
@@ -37,17 +39,42 @@ def test_no_repeat_no_shield():
 
 
 def test_shields_revalidate(rng):
-    # Every enumerated triple passes an independent hypothesis check.
+    # The enumerated shields are exactly the triples that the one-triple
+    # definition, check_shield, accepts.
     budget = EnumBudget(max_path_len=9, max_nodes=400)
     n = 0
     for _ in range(60):
         sys_ = oracle.random_system(rng)
         for p in oracle.PathEnumeration(sys_, budget, max_paths=60):
             view = GlueView(sys_, p)
-            for sh in enumerate_shields(sys_, p):
-                check_shield(sys_, p, sh.i, sh.j, sh.k, view)
-                n += 1
+            m = len(p) - 1
+            expected = []
+            for i in range(m):
+                for j in range(i + 1, m):
+                    for k in range(j, m):
+                        try:
+                            check_shield(sys_, p, i, j, k, view)
+                        except NotAShield:
+                            continue
+                        expected.append(Shield(i, j, k))
+            assert enumerate_shields(sys_, p) == expected
+            n += len(expected)
     assert n > 50
+
+
+STRAIGHT_LINE_SECONDS = 5.0
+
+
+def test_straight_line_shield_count(unit):
+    # On a straight east line every triple of glues i < j <= k is a shield.
+    n = 100
+    p = path_of(unit, *[(x, 0, "A") for x in range(1, n + 1)])
+    start = time.perf_counter()
+    shields = enumerate_shields(unit, p)
+    elapsed = time.perf_counter() - start
+    assert len(shields) == math.comb(n - 1, 3) + math.comb(n - 1, 2) == 161_700
+    assert shields[0] == Shield(0, 1, 1) and shields[-1] == Shield(n - 3, n - 2, n - 2)
+    assert elapsed < STRAIGHT_LINE_SECONDS, f"{elapsed:.2f}s"
 
 
 def test_check_shield_rejects_bad_triples(unit, unit_path):
