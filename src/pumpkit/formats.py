@@ -9,7 +9,7 @@ canonical, so ``parse(print(x)) == x``.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .driver import AnalysisResult
 from .errors import BadSystem, DisconnectedSeed, DuplicateTile, ParseError
@@ -139,6 +139,13 @@ def emit_certificate(outcome: Union[ShieldOutcome, AnalysisResult,
     return "\n".join(lines) + "\n"
 
 
+def _ints(lineno: int, words: Sequence[str], what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(w) for w in words)
+    except ValueError:
+        raise ParseError(lineno, f"{what} must be integers")
+
+
 def parse_certificate(text: str, sys: TileSystem,
                       path: Optional[Path] = None) -> Certificate:
     """Parse a certificate file back into a verifiable object.
@@ -162,12 +169,15 @@ def parse_certificate(text: str, sys: TileSystem,
             raise ParseError(no, "pumpable line needs i=<int> j=<int>")
         if path is None:
             raise ParseError(no, "pumping certificate needs the path")
-        spec = PumpingSpec(path, i, j)
+        try:
+            spec = PumpingSpec(path, i, j)
+        except ValueError as e:
+            raise ParseError(no, str(e))
         for no2, l in lines[1:]:
             words = l.split()
             if words[0] != "vector" or len(words) != 3:
                 raise ParseError(no2, f"unexpected line {l!r}")
-            if (int(words[1]), int(words[2])) != spec.vector:
+            if _ints(no2, words[1:], "vector components") != spec.vector:
                 raise ParseError(no2, "vector does not match the index pair")
         return spec
     if words[1] == "fragile":
@@ -179,11 +189,11 @@ def parse_certificate(text: str, sys: TileSystem,
                 t = sys.by_name.get(words[3])
                 if t is None:
                     raise ParseError(no2, f"unknown tile {words[3]!r}")
-                attachments.append(((int(words[1]), int(words[2])), t))
+                attachments.append((_ints(no2, words[1:3], "attach coordinates"), t))
             elif words[0] == "conflict" and len(words) == 3:
                 if conflict is not None:
                     raise ParseError(no2, "two conflict lines")
-                conflict = (int(words[1]), int(words[2]))
+                conflict = _ints(no2, words[1:], "conflict coordinates")
             else:
                 raise ParseError(no2, f"unexpected line {l!r}")
         if conflict is None:

@@ -11,14 +11,20 @@ The central object is :class:`PolyCurve`: an axis-aligned polyline on the
 doubled lattice, optionally extended by an infinite vertical ray to the
 south at its first vertex and one to the north at its last vertex.  A
 simple curve with both rays cuts the plane into a left and a right
-component; :func:`classify_side` decides membership by counting how often
-a diagonal ray from the query point crosses the curve, which needs no
-clipping window and no floating point.
+component; :func:`classify_side` decides membership by the parity of the
+crossings between the curve and the south-west diagonal ray from the query
+point, which needs no clipping window and no floating point.  Each curve
+sorts, once, the x-coordinates where its finite part crosses every diagonal
+line ``y - x = d``, so a query is one binary search in that line's list
+plus a constant-time test per infinite ray (the slab idea behind planar
+point location).
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -68,14 +74,12 @@ def rot_cw(v: Displacement) -> Displacement:
 
 
 class VRay:
-    """Symbolic infinite ray from an anchor point.
+    """Symbolic infinite vertical ray from an anchor point.
 
-    Vertical and horizontal headings cover visibility rays and curve ends;
-    the two diagonal headings only ever appear inside the crossing-parity
-    computation of :func:`classify_side`.
+    Visibility rays of glues and the infinite ends of curves.
     """
 
-    HEADINGS = ("north", "south", "east", "west", "diag-ne", "diag-sw")
+    HEADINGS = ("north", "south")
 
     __slots__ = ("start", "heading")
 
@@ -103,16 +107,7 @@ class VRay:
         x, y = p
         if self.heading == "north":
             return x == x0 and y >= y0
-        if self.heading == "south":
-            return x == x0 and y <= y0
-        if self.heading == "east":
-            return y == y0 and x >= x0
-        if self.heading == "west":
-            return y == y0 and x <= x0
-        d = x - x0
-        if self.heading == "diag-ne":
-            return y - y0 == d and d >= 0
-        return y - y0 == d and d <= 0
+        return x == x0 and y <= y0
 
     def translate(self, v: Displacement) -> "VRay":
         return VRay(add(self.start, v), self.heading)
@@ -142,9 +137,14 @@ class PolyCurve:
     (half or full tile edge) for curves built from paths and glues.
     ``south_ray``/``north_ray`` extend the curve to infinity below the
     first vertex / above the last vertex.
+
+    Derived data is built once, on first use: the lattice points (as a
+    tuple and as a set), the simplicity flag, the bounding box and the
+    diagonal table of :meth:`diagonal_table` that side queries search.
     """
 
-    __slots__ = ("points", "south_ray", "north_ray", "_lattice", "_simple", "_bbox")
+    __slots__ = ("points", "south_ray", "north_ray", "_lattice", "_lattice_set",
+                 "_simple", "_bbox", "_diagonals")
 
     def __init__(self, points: Sequence[Point], south_ray: bool = False,
                  north_ray: bool = False):
@@ -159,8 +159,10 @@ class PolyCurve:
         self.south_ray = south_ray
         self.north_ray = north_ray
         self._lattice = None
+        self._lattice_set = None
         self._simple = None
         self._bbox = None
+        self._diagonals = None
 
     def __repr__(self):
         ray = ("S" if self.south_ray else "") + ("N" if self.north_ray else "")
@@ -189,7 +191,9 @@ class PolyCurve:
         return self._lattice
 
     def lattice_set(self) -> frozenset[Point]:
-        return frozenset(self.lattice_points())
+        if self._lattice_set is None:
+            self._lattice_set = frozenset(self.lattice_points())
+        return self._lattice_set
 
     @property
     def is_almost_vertical(self) -> bool:
@@ -203,9 +207,8 @@ class PolyCurve:
         self-intersection test.
         """
         if self._simple is None:
-            pts = self.lattice_points()
-            seen = set(pts)
-            ok = len(seen) == len(pts)
+            seen = self.lattice_set()
+            ok = len(seen) == len(self.lattice_points())
             if ok and self.south_ray:
                 sx, sy = self.points[0]
                 ok = not any(x == sx and y < sy for x, y in seen)
@@ -225,6 +228,33 @@ class PolyCurve:
             ys = [p[1] for p in self.points]
             self._bbox = (min(xs), min(ys), max(xs), max(ys))
         return self._bbox
+
+    def diagonal_table(self) -> dict[int, list[int]]:
+        """For each ``d``, the sorted x where the finite part crosses ``y - x = d``.
+
+        With ``e = y - x`` at a vertex, the segment from vertex a to vertex
+        b counts for every ``d`` in ``[min(e_a, e_b), max(e_a, e_b))``.  A
+        vertex the line passes through is then counted once, and a vertex
+        it only grazes twice or not at all, always at one x, so the parity
+        of the crossings on either side of any x off the curve is exact.
+        Segments are axis-aligned, so every crossing is a lattice point.
+        Lines the finite part misses have no key.
+        """
+        if self._diagonals is None:
+            table: dict[int, list[int]] = defaultdict(list)
+            for (ax, ay), (bx, by) in zip(self.points, self.points[1:]):
+                ea, eb = ay - ax, by - bx
+                lo, hi = (ea, eb) if ea < eb else (eb, ea)
+                if ax == bx:
+                    for d in range(lo, hi):
+                        table[d].append(ax)
+                else:
+                    for d in range(lo, hi):
+                        table[d].append(ay - d)
+            for xs in table.values():
+                xs.sort()
+            self._diagonals = dict(table)
+        return self._diagonals
 
     def contains(self, p: Point) -> bool:
         if p in self.lattice_set():
@@ -246,15 +276,6 @@ class PolyCurve:
     def scaled(self, factor: int) -> "PolyCurve":
         return PolyCurve([(factor * x, factor * y) for x, y in self.points],
                          self.south_ray, self.north_ray)
-
-    def concat(self, other: "PolyCurve") -> "PolyCurve":
-        """Join two curves whose endpoint/startpoint coincide."""
-        if self.north_ray or other.south_ray:
-            raise ValueError("cannot concatenate through an infinite ray")
-        if self.points[-1] != other.points[0]:
-            raise ValueError("curves do not share an endpoint")
-        return PolyCurve(self.points + other.points[1:],
-                         self.south_ray, other.north_ray)
 
 
 def embed_path(positions: Sequence[Point]) -> PolyCurve:
@@ -278,59 +299,31 @@ def embed_path(positions: Sequence[Point]) -> PolyCurve:
 
 # -- side classification ----------------------------------------------------
 
-def _diag_crossing_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
+def _diagonal_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
     """Parity of crossings between the curve and a diagonal ray from p.
 
     The ray has direction (1, 1) when ``toward_ne`` else (-1, -1).  The
-    point p must not lie on the curve.  A crossing is a sign change of the
-    vertex sequence relative to the diagonal line through p; a vertex the
-    line merely grazes (both neighbours on the same side) does not count.
-    Because curve segments are axis-aligned and the diagonal is not, every
-    meeting point is an exact lattice point, and no two consecutive
-    vertices can both lie on the line.
+    curve must have both infinite rays, and p must not lie on it.  The
+    finite part's crossings come from one binary search in the curve's
+    :meth:`~PolyCurve.diagonal_table`; the south ray meets the line
+    ``y - x = d`` at its own x iff ``d`` is below ``y - x`` at the first
+    vertex, and the north ray iff ``d`` is at least ``y - x`` at the last
+    vertex (the same half-open rule as the table).  No crossing lies at
+    p's own x, since it would be p itself.
     """
     px, py = p
-    verts = list(curve.points)
-    if curve.south_ray:
-        sx, sy = verts[0]
-        reach = abs(sy - py) + abs(sx - px) + 2
-        verts.insert(0, (sx, sy - reach))
-    if curve.north_ray:
-        nx, ny = verts[-1]
-        reach = abs(ny - py) + abs(nx - px) + 2
-        verts.append((nx, ny + reach))
-
-    def on_ray(q: Point) -> bool:
-        t = q[0] - px
-        return t > 0 if toward_ne else t < 0
-
-    crossings = 0
-    last_sign = 0
-    pending_zero: Optional[Point] = None
-    for q in verts:
-        s = (q[1] - py) - (q[0] - px)
-        if s == 0:
-            pending_zero = q
-            continue
-        sign = 1 if s > 0 else -1
-        if last_sign != 0 and sign != last_sign:
-            if pending_zero is not None:
-                if on_ray(pending_zero):
-                    crossings += 1
-            else:
-                # The meeting point is interior to the last segment; its
-                # coordinates follow from the segment's fixed axis.
-                a = prev_vert
-                b = q
-                if a[1] == b[1]:
-                    meet = (px + (a[1] - py), a[1])
-                else:
-                    meet = (a[0], py + (a[0] - px))
-                if on_ray(meet):
-                    crossings += 1
-        last_sign = sign
-        pending_zero = None
-        prev_vert = q
+    d = py - px
+    xs = curve.diagonal_table().get(d, ())
+    if toward_ne:
+        crossings = len(xs) - bisect_right(xs, px)
+    else:
+        crossings = bisect_left(xs, px)
+    sx, sy = curve.points[0]
+    if d < sy - sx and (sx > px if toward_ne else sx < px):
+        crossings += 1
+    nx, ny = curve.points[-1]
+    if d >= ny - nx and (nx > px if toward_ne else nx < px):
+        crossings += 1
     return crossings & 1
 
 
@@ -340,7 +333,9 @@ def classify_side(curve: PolyCurve, p: Point) -> Side:
     Points of the curve itself answer ``Side.ON``; otherwise the parity of
     crossings of the south-west diagonal ray decides (odd means RIGHT, as
     the far east is reachable from the right component).  Points east of
-    the curve's easternmost extent therefore classify RIGHT.
+    the curve's easternmost extent therefore classify RIGHT.  The first
+    query builds the curve's diagonal table in O(|curve|); each query after
+    that costs O(log |curve|).
     """
     if not curve.is_almost_vertical:
         raise NotAlmostVertical("side classification needs both infinite rays")
@@ -348,15 +343,17 @@ def classify_side(curve: PolyCurve, p: Point) -> Side:
         raise NonSimpleCurve("side classification needs a simple curve")
     if curve.contains(p):
         return Side.ON
-    parity = _diag_crossing_parity(curve, p, toward_ne=False)
+    parity = _diagonal_parity(curve, p, toward_ne=False)
     return Side.RIGHT if parity else Side.LEFT
 
 
 def crossing_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
     """Exposed for tests: parity of diagonal-ray crossings (0 or 1)."""
+    if not curve.is_almost_vertical:
+        raise NotAlmostVertical("crossing parity needs both infinite rays")
     if curve.contains(p):
         raise NotOnCurve("parity undefined for points on the curve")
-    return _diag_crossing_parity(curve, p, toward_ne)
+    return _diagonal_parity(curve, p, toward_ne)
 
 
 class Region:
@@ -406,7 +403,13 @@ class SideCache:
         return got
 
     def side_half(self, p2: Point) -> Side:
-        """Side of a half-lattice point given in *quadrupled* coordinates."""
+        """Side of a half-lattice point given in *quadrupled* coordinates.
+
+        The doubled copy of the curve builds its own diagonal table on its
+        first query.  Its diagonals of odd ``d`` have no counterpart among
+        the curve's own, and this query only runs for unit steps with both
+        ends on the curve, so sharing one table would buy little.
+        """
         got = self._memo2.get(p2)
         if got is None:
             if self._scaled is None:
@@ -414,12 +417,6 @@ class SideCache:
             got = classify_side(self._scaled, p2)
             self._memo2[p2] = got
         return got
-
-    def in_right_closed(self, p: Point) -> bool:
-        return self.side(p) is not Side.LEFT
-
-    def in_left_closed(self, p: Point) -> bool:
-        return self.side(p) is not Side.RIGHT
 
 
 def curve_in_closed_right(sub: PolyCurve, cache: SideCache) -> Optional[Point]:

@@ -22,7 +22,7 @@ from .errors import (
     OrientationMismatch,
     PrefixAmbiguity,
 )
-from .geometry import Point, Turn, VRay, turn_right_of_path
+from .geometry import Point, Turn, turn_right_of_path
 from .tam import Path, TileSystem
 
 POINTING = {(1, 0): "east", (-1, 0): "west", (0, 1): "north", (0, -1): "south"}
@@ -160,12 +160,6 @@ class GlueView:
 def visible(sys: TileSystem, p: Path, i: int, direction: str) -> bool:
     """Whether glue ``i`` of the path is visible from the given direction."""
     return GlueView(sys, p).visible(i, direction)
-
-
-def glue_ray(p: Path, i: int, direction: str) -> VRay:
-    """The witness visibility ray of glue ``i`` (symbolic)."""
-    g = glue_refs(p)[i]
-    return VRay(g.midpoint, direction)
 
 
 # -- spans --------------------------------------------------------------------

@@ -1,10 +1,26 @@
 """Shared fixtures: small engineered systems exercising each engine branch."""
 
+import os
 import random
 
 import pytest
 
 from pumpkit import Assembly, Path, TileSystem, TileType
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def src_env():
+    """Environment for a child Python that imports pumpkit from this checkout.
+
+    ``PYTHONPATH`` gets the absolute ``src`` directory first, so the child
+    finds the package from any working directory without an install.
+    """
+    src = os.path.join(REPO, "src")
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
 
 
 def system_of(tile_specs, seed_cells):

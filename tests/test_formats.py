@@ -18,7 +18,7 @@ from pumpkit.formats import (
 from pumpkit.shield import Shield
 from pumpkit.svgout import render_svg
 
-from conftest import path_of, system_of
+from conftest import path_of, src_env, system_of
 
 UNIT_TEXT = """\
 tile A north=- east=g south=- west=g
@@ -292,14 +292,24 @@ def test_cli_unreadable_input_is_error(tmp_path, _run, target):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("cert,line", [
+    ("kind pumpable i=1 j=0\n", 1),
+    ("kind pumpable i=0 j=1\nvector x 0\n", 2),
+    ("kind fragile\nattach x 0 A\nconflict 1 0\n", 2),
+    ("kind fragile\nconflict 1 y\n", 2),
+], ids=["pair-out-of-order", "vector", "attach", "conflict"])
+def test_cli_verify_malformed_certificate(unit_file, tmp_path, _run, cert, line):
+    f = tmp_path / "bad.cert"
+    f.write_text(cert)
+    r = _run(["verify", str(unit_file), str(f)], tmp_path)
+    assert r.returncode == 4
+    assert r.stderr.startswith("error: ParseError: ") and r.stderr.count("\n") == 1
+    assert f"line {line}:" in r.stderr
+
+
 def test_cli_module_entry_point(unit_file, tmp_path):
     """``python -m pumpkit.cli`` works from any directory without an install."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
     r = subprocess.run(
         [_pysys.executable, "-m", "pumpkit.cli", "validate", str(unit_file)],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+        capture_output=True, text=True, cwd=tmp_path, env=src_env())
     assert r.returncode == 0 and "path ok" in r.stdout

@@ -1,13 +1,22 @@
 """Exact-geometry layer: embeddings, plane sides, turns, translate disjointness."""
 
 import random
+import time
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pumpkit import geometry
-from pumpkit.errors import EmptyPath, NonSimpleCurve, NotOnCurve, ZeroVector
+from pumpkit import geometry, oracle, shield
+from pumpkit.budgets import EnumBudget
+from pumpkit.errors import (
+    EmptyPath,
+    NonSimpleCurve,
+    NotAlmostVertical,
+    NotOnCurve,
+    ZeroVector,
+)
 from pumpkit.geometry import (
     PolyCurve,
     Side,
@@ -111,9 +120,172 @@ def test_parity_duality():
             assert ne != sw
 
 
+def walk_parity(curve, p, toward_ne):
+    """Reference: crossing parity from one walk over every vertex, O(|curve|).
+
+    The ray has direction (1, 1) when ``toward_ne`` else (-1, -1).  The
+    point p must not lie on the curve.  A crossing is a sign change of the
+    vertex sequence relative to the diagonal line through p; a vertex the
+    line merely grazes (both neighbours on the same side) does not count.
+    Because curve segments are axis-aligned and the diagonal is not, every
+    meeting point is an exact lattice point, and no two consecutive
+    vertices can both lie on the line.
+    """
+    px, py = p
+    verts = list(curve.points)
+    if curve.south_ray:
+        sx, sy = verts[0]
+        reach = abs(sy - py) + abs(sx - px) + 2
+        verts.insert(0, (sx, sy - reach))
+    if curve.north_ray:
+        nx, ny = verts[-1]
+        reach = abs(ny - py) + abs(nx - px) + 2
+        verts.append((nx, ny + reach))
+
+    def on_ray(q):
+        t = q[0] - px
+        return t > 0 if toward_ne else t < 0
+
+    crossings = 0
+    last_sign = 0
+    pending_zero: Optional[tuple[int, int]] = None
+    for q in verts:
+        s = (q[1] - py) - (q[0] - px)
+        if s == 0:
+            pending_zero = q
+            continue
+        sign = 1 if s > 0 else -1
+        if last_sign != 0 and sign != last_sign:
+            if pending_zero is not None:
+                if on_ray(pending_zero):
+                    crossings += 1
+            else:
+                # The meeting point is interior to the last segment; its
+                # coordinates follow from the segment's fixed axis.
+                a = prev_vert
+                b = q
+                if a[1] == b[1]:
+                    meet = (px + (a[1] - py), a[1])
+                else:
+                    meet = (a[0], py + (a[0] - px))
+                if on_ray(meet):
+                    crossings += 1
+        last_sign = sign
+        pending_zero = None
+        prev_vert = q
+    return crossings & 1
+
+
+def assert_parity_matches_walk(curve, margin=3):
+    """Table parity equals the walk at every off-curve point near the curve."""
+    x0, y0, x1, y1 = curve.bbox()
+    checked = 0
+    for x in range(x0 - margin, x1 + margin + 1):
+        for y in range(y0 - margin, y1 + margin + 1):
+            if curve.contains((x, y)):
+                continue
+            for toward_ne in (False, True):
+                assert (crossing_parity(curve, (x, y), toward_ne)
+                        == walk_parity(curve, (x, y), toward_ne)), (curve.points, (x, y))
+            checked += 1
+    return checked
+
+
+def test_table_parity_matches_walk_random_staircases():
+    rng = random.Random(13)
+    for _ in range(40):
+        assert_parity_matches_walk(random_curve(rng, corners=rng.randrange(1, 9)))
+
+
+# Simple curves that turn back south and west, with half steps; every
+# vertex sits on some window diagonal, so the windows exercise lines that
+# pass through a vertex and lines that only graze one.
+HAND_MADE = [
+    [(1, -4), (1, 0), (5, 0), (5, -6), (9, -6), (9, 4), (-3, 4), (-3, 8)],
+    [(0, 0), (2, 0), (2, 2)],            # graze at a minimum of y - x
+    [(0, 0), (0, 2), (2, 2)],            # graze at a maximum of y - x
+    [(0, 0), (2, 0), (2, -2), (4, -2)],  # pass-through vertices
+    [(3, 0), (3, 1), (2, 1), (2, 3), (-2, 3), (-2, 5), (4, 5), (4, 2), (6, 2),
+     (6, 9)],
+    [(0, 0)],
+]
+
+
+@pytest.mark.parametrize("pts", HAND_MADE)
+def test_table_parity_matches_walk_hand_made(pts):
+    curve = PolyCurve(pts, south_ray=True, north_ray=True)
+    assert curve.is_simple()
+    assert assert_parity_matches_walk(curve) > 0
+
+
+def test_table_parity_matches_walk_scaled():
+    # SideCache.side_half classifies quadrupled half-lattice points against
+    # curve.scaled(2), whose table is built separately.
+    rng = random.Random(17)
+    curves = [PolyCurve(pts, south_ray=True, north_ray=True) for pts in HAND_MADE]
+    curves += [random_curve(rng, corners=5) for _ in range(10)]
+    for curve in curves:
+        assert_parity_matches_walk(curve.scaled(2))
+
+
+def test_table_parity_matches_walk_on_engine_curves(monkeypatch):
+    # The curves pump_or_block cuts regions with, captured on corpus paths.
+    captured = []
+
+    class Recording(SideCache):
+        def __init__(self, curve):
+            super().__init__(curve)
+            captured.append(curve)
+
+    monkeypatch.setattr(shield, "SideCache", Recording)
+    rng = random.Random(29)
+    budget = EnumBudget(max_path_len=10, max_nodes=600)
+    decided = 0
+    while decided < 25:
+        sys_ = oracle.random_system(rng)
+        for p in oracle.PathEnumeration(sys_, budget, max_paths=40):
+            late = [s for s in shield.enumerate_shields(sys_, p) if s.j < s.k]
+            if late:
+                shield.pump_or_block(sys_, p, late[0], budget)
+                decided += 1
+                break
+    assert len(captured) >= 25
+    for curve in set(captured):
+        assert_parity_matches_walk(curve)
+        assert_parity_matches_walk(curve.scaled(2), margin=2)
+
+
+LONG_CURVE_SECONDS = 1.0
+
+
+def test_long_curve_window_cost():
+    # A 41x41 window against a staircase of about 5,000 vertices.  Walking
+    # the whole curve per query takes seconds; one table per curve and a
+    # binary search per query stay well inside the budget.
+    rng = random.Random(43)
+    curve = random_curve(rng, corners=2500)
+    assert len(curve.points) > 5000
+    cx, cy = curve.points[len(curve.points) // 2]
+    window = [(x, y) for x in range(cx - 20, cx + 21) for y in range(cy - 20, cy + 21)]
+    start = time.perf_counter()
+    sides = {q: classify_side(curve, q) for q in window}
+    elapsed = time.perf_counter() - start
+    assert elapsed < LONG_CURVE_SECONDS, elapsed
+    assert {Side.LEFT, Side.RIGHT} <= set(sides.values())
+    for q in rng.sample(window, 60):
+        if sides[q] is not Side.ON:
+            want = Side.RIGHT if walk_parity(curve, q, toward_ne=False) else Side.LEFT
+            assert sides[q] is want
+
+
 def test_parity_on_curve_rejected():
     with pytest.raises(NotOnCurve):
         crossing_parity(vertical_line(), (1, 3), True)
+
+
+def test_parity_needs_rays():
+    with pytest.raises(NotAlmostVertical):
+        crossing_parity(PolyCurve([(0, 0), (2, 0)], south_ray=True), (1, 5), True)
 
 
 def test_components_nonempty_and_connected():
