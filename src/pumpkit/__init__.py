@@ -18,6 +18,7 @@ Layers, bottom up:
 ``shield``
     the engine: from a shield triple to a verified certificate.
 ``driver``
+    ``Frame`` (every rotation, mirror and translation of an instance),
     canonicalization, the explicit bounds, the span case analysis, and
     the reduction from the seedless two-handed model.
 ``oracle``
@@ -29,6 +30,7 @@ Layers, bottom up:
 from .budgets import EnumBudget
 from .driver import (
     AnalysisResult,
+    Frame,
     analyze,
     bound,
     bound_theorem1_extent,
@@ -37,7 +39,6 @@ from .driver import (
     canonicalize,
     reduce_2ham,
     transform,
-    transform_path,
 )
 from .geometry import (
     PolyCurve,
@@ -76,7 +77,7 @@ from .visibility import GlueView, Span, right_priority, spans, visible
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisResult", "Assembly", "EnumBudget", "FragilityCert", "GlueView",
+    "AnalysisResult", "Assembly", "EnumBudget", "FragilityCert", "Frame", "GlueView",
     "Path", "PolyCurve", "PumpingSpec", "Shield", "ShieldOutcome", "Side",
     "Span", "TileSystem", "TileType", "Turn", "VRay", "analyze", "bound",
     "bound_theorem1_extent", "bound_theorem1_square_half_side",
@@ -84,7 +85,7 @@ __all__ = [
     "classify_side", "embed_path", "enumerate_shields", "extract_path",
     "first_departure", "precious_check", "pump_or_block", "pumping_term",
     "reduce_2ham", "replay_assembly_sequence", "right_priority", "spans",
-    "transform", "transform_path", "turn_right_of_path",
+    "transform", "turn_right_of_path",
     "validate_producible_path", "verify_fragile_cert", "verify_pumpable_cert",
     "visible",
 ]

@@ -8,6 +8,10 @@ splitting on whether some span height outruns the cone bound.  Every
 shield found is handed to the engine; results are mapped back into the
 caller's frame and re-verified there.
 
+:class:`Frame` is the one place coordinate frames are handled: each
+rotation, mirror and translation the driver applies is a ``Frame``, and
+each branch restores its certificate through ``frame.inverse()``.
+
 The theorem-scale distance bounds are astronomically beyond desk scale
 even for one tile type, so ``analyze`` accepts an explicit override; run
 without one it computes the true bound with exact integers and reports
@@ -17,7 +21,8 @@ honestly that the path is too short.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import chain
+from typing import Optional
 
 from . import shield as engine
 from . import tam
@@ -67,54 +72,115 @@ def bound(tiles: int, seed: int) -> int:
     return bound_theorem_main_distance(tiles, seed)
 
 
-# -- rigid transforms ----------------------------------------------------------
+# -- rigid motions ---------------------------------------------------------------
 
-_SIDE_MAPS = {
-    # new side -> old side it takes its glue from
-    "rot90": {"north": "east", "east": "south", "south": "west", "west": "north"},
-    "flipH": {"north": "north", "east": "west", "south": "south", "west": "east"},
-    "flipV": {"north": "south", "east": "east", "south": "north", "west": "west"},
-}
-
-_POS_MAPS: dict[str, Callable[[Pos], Pos]] = {
-    "rot90": lambda p: (-p[1], p[0]),  # quarter turn counterclockwise
-    "flipH": lambda p: (-p[0], p[1]),
-    "flipV": lambda p: (p[0], -p[1]),
-}
-
-_INVERSE = {"flipH": ("flipH",), "flipV": ("flipV",),
-            "rot90": ("rot90", "rot90", "rot90")}
+# Row-major matrices of the counterclockwise quarter turns.
+_TURNS = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0))
 
 
-def transform_tile(t: TileType, op: str) -> TileType:
-    m = _SIDE_MAPS[op]
-    return TileType(t.name, *(t.glue(m[s]) for s in ("north", "east", "south", "west")))
+@dataclass(frozen=True)
+class Frame:
+    """A rigid motion of the grid, ``p -> M p + shift``, with ``M`` in D4.
+
+    ``M`` is one of the eight integer matrices that permute and negate the
+    axes (four quarter turns, each optionally mirrored), stored row-major.
+    Every coordinate change of the driver is a ``Frame``: a branch moves
+    its instance by a frame and maps its certificate back through
+    :meth:`inverse`.
+    """
+
+    m: tuple[int, int, int, int] = _TURNS[0]
+    shift: Pos = (0, 0)
+
+    @classmethod
+    def rotation(cls, k: int) -> "Frame":
+        """``k`` counterclockwise quarter turns about the origin."""
+        return cls(_TURNS[k % 4])
+
+    @classmethod
+    def translation(cls, d: Pos) -> "Frame":
+        return cls(shift=d)
+
+    @property
+    def turns(self) -> int:
+        """Counterclockwise quarter turns of an unmirrored frame."""
+        return _TURNS.index(self.m)
+
+    def compose(self, other: "Frame") -> "Frame":
+        """The motion that applies ``other`` first, then this one."""
+        a, b, c, d = self.m
+        e, f, g, h = other.m
+        return Frame((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
+                     self._point(other.shift))
+
+    def inverse(self) -> "Frame":
+        a, b, c, d = self.m
+        back = Frame((a, c, b, d))  # D4 matrices are orthogonal
+        sx, sy = back._point(self.shift)
+        return Frame(back.m, (-sx, -sy))
+
+    def apply(self, obj):
+        """Move a position, tile, system, path or certificate by this frame.
+
+        Tiles keep their names, and the identity returns ``obj`` itself.
+        Pumping certificates are index pairs, so only their path moves.
+        """
+        if self == IDENTITY:
+            return obj
+        if isinstance(obj, tuple):
+            return self._point(obj)
+        if isinstance(obj, TileType):
+            return self._tile(obj)
+        if isinstance(obj, TileSystem):
+            return transform(obj, self)
+        if isinstance(obj, Path):
+            return Path(self._placed(obj.entries))
+        if isinstance(obj, PumpingSpec):
+            return PumpingSpec(self.apply(obj.path), obj.i, obj.j)
+        if isinstance(obj, FragilityCert):
+            return FragilityCert(self._placed(obj.attachments),
+                                 self._point(obj.conflict))
+        raise TypeError(f"cannot move a {type(obj).__name__}")
+
+    def _point(self, p: Pos) -> Pos:
+        a, b, c, d = self.m
+        return (a * p[0] + b * p[1] + self.shift[0], c * p[0] + d * p[1] + self.shift[1])
+
+    def _tile(self, t: TileType) -> TileType:
+        a, b, c, d = self.m
+        # The side facing u after the motion is the side facing M^T u before.
+        return TileType(t.name, *(t.glue(tam.SIDE_OF_STEP[(a * ux + c * uy, b * ux + d * uy)])
+                                  for ux, uy in (tam.STEP[s] for s in tam.SIDES)))
+
+    def _placed(self, entries) -> list[tuple[Pos, TileType]]:
+        moved: dict[str, TileType] = {}
+        out = []
+        for pos, t in entries:
+            mt = moved.get(t.name)
+            if mt is None:
+                mt = moved[t.name] = self._tile(t)
+            out.append((self._point(pos), mt))
+        return out
 
 
-def transform_position(pos: Pos, op: str) -> Pos:
-    return _POS_MAPS[op](pos)
+IDENTITY = Frame()
+ROT90 = Frame.rotation(1)
+FLIP_H = Frame((-1, 0, 0, 1))  # east and west swap
+FLIP_V = Frame((1, 0, 0, -1))  # north and south swap
 
 
-def transform(sys: TileSystem, op: str) -> TileSystem:
-    """Rotate or mirror a whole system; names and producibility carry over."""
-    tiles = [transform_tile(t, op) for t in sys.tiles]
-    seed = Assembly({transform_position(p, op): transform_tile(t, op)
-                     for p, t in sys.seed.tiles.items()})
-    extra = [transform_tile(t, op) for t in sys.seed_only_types]
-    return TileSystem(tiles, seed, extra)
+def transform(sys: TileSystem, frame: Frame) -> TileSystem:
+    """Move a whole system by ``frame``; names and producibility carry over."""
+    tiles = {t.name: frame._tile(t) for t in sys.tiles}
+    seed = Assembly({frame._point(p): tiles[t.name] for p, t in sys.seed.tiles.items()})
+    return TileSystem(list(tiles.values()), seed)
 
 
-def transform_path(p: Path, sys_after: TileSystem, op: str) -> Path:
-    return Path([(transform_position(pos, op), sys_after.by_name[t.name])
-                 for pos, t in p.entries])
-
-
-def transform_fragility(cert: FragilityCert, sys_after: TileSystem,
-                        op: str) -> FragilityCert:
-    return FragilityCert(
-        tuple((transform_position(pos, op), sys_after.by_name[t.name])
-              for pos, t in cert.attachments),
-        transform_position(cert.conflict, op))
+def _to_margins(frame: Frame, sys: TileSystem, p: Path) -> Frame:
+    """``frame``, then the translation putting seed plus path on both axes."""
+    pts = [frame._point(q) for q in chain(sys.seed.tiles, p.positions)]
+    return Frame.translation((-min(x for x, _ in pts),
+                              -min(y for _, y in pts))).compose(frame)
 
 
 # -- canonical form --------------------------------------------------------------
@@ -122,44 +188,12 @@ def transform_fragility(cert: FragilityCert, sys_after: TileSystem,
 
 @dataclass
 class CanonicalForm:
-    """A rotated/translated/truncated instance plus the log to undo it."""
+    """A truncated instance moved into the canonical frame."""
 
     sys: TileSystem
     path: Path
-    rotations: int  # counterclockwise quarter turns applied
-    pre_translation: Pos  # applied first (start tile to the origin)
-    post_translation: Pos  # applied after rotating (west/south margins to zero)
+    frame: Frame  # caller's coordinates -> canonical coordinates
     truncated_at: int  # kept prefix length minus one
-    easternmost_column: int
-
-    def restore_position(self, pos: Pos) -> Pos:
-        x, y = pos[0] - self.post_translation[0], pos[1] - self.post_translation[1]
-        for _ in range(self.rotations % 4):
-            x, y = y, -x
-        return (x - self.pre_translation[0], y - self.pre_translation[1])
-
-    def restore_fragility(self, cert: FragilityCert,
-                          original: TileSystem) -> FragilityCert:
-        return FragilityCert(
-            tuple((self.restore_position(pos), original.by_name[t.name])
-                  for pos, t in cert.attachments),
-            self.restore_position(cert.conflict))
-
-
-def _translate_system(sys: TileSystem, d: Pos) -> TileSystem:
-    seed = Assembly({(x + d[0], y + d[1]): t for (x, y), t in sys.seed.tiles.items()})
-    return TileSystem(sys.tiles, seed, sys.seed_only_types)
-
-
-def _margins(sys: TileSystem, p: Path) -> Pos:
-    xs = [x for x, _ in list(sys.seed.tiles) + list(p.positions)]
-    ys = [y for _, y in list(sys.seed.tiles) + list(p.positions)]
-    return (-min(xs), -min(ys))
-
-
-def _easternmost_column(view_path: Path) -> int:
-    # The canonical last glue points east; its column is one west of the tile.
-    return max(x for x, _ in view_path.positions) - 1
 
 
 def canonicalize(sys: TileSystem, p: Path,
@@ -169,8 +203,10 @@ def canonicalize(sys: TileSystem, p: Path,
     The square's half side is the distance bound plus the seed size; the
     path is cut at its first tile on the square, rotated so that tile is
     the unique easternmost of path plus seed, and translated so the
-    westernmost/southernmost coordinates are zero.  Raises
-    :class:`TooShort` when the path never reaches the square.
+    westernmost/southernmost coordinates are zero.  The rotation is read
+    off the side of the square the cut tile lies on, the east side first,
+    then north, west and south.  Raises :class:`TooShort` when the path
+    never reaches the square.
     """
     rep = tam.validate_producible_path(sys, p)
     if not rep:
@@ -180,54 +216,42 @@ def canonicalize(sys: TileSystem, p: Path,
     if dist < 1:
         raise BadCounts("bound override must be >= 1")
     half = dist + len(sys.seed)
-    pre = (-p.pos(0)[0], -p.pos(0)[1])
-    moved_path = p.translate(pre)
-    b = next((s for s, (pos, _) in enumerate(moved_path.entries)
-              if max(abs(pos[0]), abs(pos[1])) == half), None)
+    x0, y0 = p.pos(0)
+    b = next((s for s, ((x, y), _) in enumerate(p.entries)
+              if max(abs(x - x0), abs(y - y0)) == half), None)
     if b is None:
         raise TooShort(f"path never reaches the square of half side {half}")
-    moved_sys = _translate_system(sys, pre)
-    trunc = Path(moved_path.entries[: b + 1])
-    bx, by = trunc.pos(b)
-    if bx == half:
-        rotations = 0
-    elif by == half:
-        rotations = 3
-    elif bx == -half:
-        rotations = 2
-    else:
-        rotations = 1
-    cur_sys, cur_path = moved_sys, trunc
-    for _ in range(rotations):
-        cur_sys = transform(cur_sys, "rot90")
-        cur_path = transform_path(cur_path, cur_sys, "rot90")
-    post = _margins(cur_sys, cur_path)
-    cur_sys = _translate_system(cur_sys, post)
-    cur_path = cur_path.translate(post)
-    rep = tam.validate_producible_path(cur_sys, cur_path)
+    bx, by = p.pos(b)[0] - x0, p.pos(b)[1] - y0
+    turns = 0 if bx == half else 3 if by == half else 2 if bx == -half else 1
+    trunc = p.prefix(b)
+    frame = _to_margins(Frame.rotation(turns).compose(Frame.translation((-x0, -y0))),
+                        sys, trunc)
+    csys, cpath = frame.apply(sys), frame.apply(trunc)
+    rep = tam.validate_producible_path(csys, cpath)
     if not rep:
         raise ClaimViolation("canonical-revalidates",
                              f"canonical form broke producibility: {rep.code}")
-    xs = [x for x, _ in list(cur_sys.seed.tiles) + list(cur_path.positions)]
-    last_x = cur_path.pos(len(cur_path) - 1)[0]
+    xs = [x for x, _ in chain(csys.seed.tiles, cpath.positions)]
+    last_x = xs[-1]
     if xs.count(last_x) != 1 or last_x != max(xs):
         raise ClaimViolation("canonical-east", "last tile is not unique easternmost")
-    return CanonicalForm(cur_sys, cur_path, rotations, pre, post, b,
-                         _easternmost_column(cur_path))
+    return CanonicalForm(csys, cpath, frame, b)
 
 
-def _rotate_to_east(sys: TileSystem, p: Path):
-    """Best-effort orientation for paths below the bound: try all four."""
-    cur_sys, cur_path = sys, p
-    for rotations in range(4):
-        xs = [x for x, _ in list(cur_sys.seed.tiles) + list(cur_path.positions)]
-        last_x = cur_path.pos(len(cur_path) - 1)[0]
-        if xs.count(last_x) == 1 and last_x == max(xs):
-            post = _margins(cur_sys, cur_path)
-            return (_translate_system(cur_sys, post), cur_path.translate(post),
-                    rotations, post)
-        cur_sys = transform(cur_sys, "rot90")
-        cur_path = transform_path(cur_path, cur_sys, "rot90")
+def _orient_east(sys: TileSystem, p: Path,
+                 frame: Frame = IDENTITY) -> Optional[Frame]:
+    """Best-effort orientation for paths below the bound.
+
+    After ``frame``, try the four quarter turns in order and keep the
+    first that makes the last tile of ``p`` the unique easternmost of
+    path plus seed; the result also moves the margins to zero.
+    """
+    pts = [frame._point(q) for q in chain(sys.seed.tiles, p.positions)]
+    for k in range(4):
+        turn = Frame.rotation(k)
+        xs = [turn._point(q)[0] for q in pts]
+        if xs.count(xs[-1]) == 1 and xs[-1] == max(xs):
+            return _to_margins(turn.compose(frame), sys, p)
     return None
 
 
@@ -245,6 +269,13 @@ class AnalysisResult:
     def exit_code(self) -> int:
         return {"pumpable": 0, "fragile": 1, "no_shield": 2}[self.kind]
 
+    def moved(self, frame: Frame) -> "AnalysisResult":
+        """This result with its certificate moved by ``frame``."""
+        return AnalysisResult(
+            self.kind, self.trail,
+            pumpable=None if self.pumpable is None else frame.apply(self.pumpable),
+            fragile=None if self.fragile is None else frame.apply(self.fragile))
+
 
 def _outcome_to_result(out: ShieldOutcome, trail: list[str]) -> AnalysisResult:
     trail = trail + [f"engine:{out.branch}"]
@@ -253,55 +284,17 @@ def _outcome_to_result(out: ShieldOutcome, trail: list[str]) -> AnalysisResult:
     return AnalysisResult("fragile", trail, fragile=out.fragile)
 
 
-class _Flipped:
-    """Run a sub-analysis in a mirrored or rotated frame and map results back.
-
-    Only fragility certificates need mapping (their coordinates live in
-    the transformed frame); pumpable results are index pairs into the
-    same path and transfer unchanged.
-    """
-
-    def __init__(self, sys: TileSystem, p: Path, ops: list[str]):
-        self.ops = ops
-        for op in ops:
-            sys = transform(sys, op)
-            p = transform_path(p, sys, op)
-        self.sys, self.path = sys, p
-
-    def restore(self, res: AnalysisResult, original_sys: TileSystem,
-                original_path: Path) -> AnalysisResult:
-        if res.kind == "fragile":
-            cert = res.fragile
-            for op in reversed(self.ops):
-                for inv in _INVERSE[op]:
-                    cert = FragilityCert(
-                        tuple((transform_position(pos, inv), t)
-                              for pos, t in cert.attachments),
-                        transform_position(cert.conflict, inv))
-            cert = FragilityCert(
-                tuple((pos, original_sys.by_name[t.name])
-                      for pos, t in cert.attachments),
-                cert.conflict)
-            res = AnalysisResult("fragile", res.trail, fragile=cert)
-        elif res.kind == "pumpable":
-            spec = PumpingSpec(original_path, res.pumpable.i, res.pumpable.j)
-            res = AnalysisResult("pumpable", res.trail, pumpable=spec)
-        return res
-
-
 def _run_shield(sys: TileSystem, p: Path, sh: Shield, trail: list[str],
                 budget: EnumBudget) -> AnalysisResult:
     out = engine.pump_or_block(sys, p, sh, budget)
     return _outcome_to_result(out, trail)
 
 
-def _sub_analysis(sys: TileSystem, p: Path, ops: list[str],
-                  runner) -> Optional[AnalysisResult]:
-    flipped = _Flipped(sys, p, ops)
-    res = runner(flipped.sys, flipped.path)
-    if res is None or res.kind == "no_shield":
-        return res
-    return flipped.restore(res, sys, p)
+def _within(frame: Frame, sys: TileSystem, p: Path,
+            runner) -> Optional[AnalysisResult]:
+    """Run ``runner`` on the instance moved by ``frame``; map its result back."""
+    res = runner(frame.apply(sys), frame.apply(p))
+    return None if res is None else res.moved(frame.inverse())
 
 
 # -- the decision tree ---------------------------------------------------------------
@@ -334,7 +327,7 @@ def _west_pigeonhole_shield(sys: TileSystem, p: Path, view: GlueView,
             trail.append(f"west-pigeonhole-invalid:{e}")
             return None
 
-    return _sub_analysis(sys, p, ["flipH"], runner)
+    return _within(FLIP_H, sys, p, runner)
 
 
 @dataclass
@@ -409,9 +402,9 @@ def _couple_use(sys: TileSystem, p: Path, sa: Span, sb: Span, trail: list[str],
                 budget: EnumBudget) -> Optional[AnalysisResult]:
     """Hand a repeated-span pair to the engine (mirrored upright if needed)."""
     trail.append(f"equal-span-pair(cols {sa.coordinate},{sb.coordinate})")
-    ops = []
+    frame = IDENTITY
     if sa.orientation == "down":
-        ops = ["flipV"]
+        frame = FLIP_V
         trail.append("flip-vertical(down spans)")
 
     def runner(fsys, fpath):
@@ -424,7 +417,7 @@ def _couple_use(sys: TileSystem, p: Path, sa: Span, sb: Span, trail: list[str],
             trail.append(f"span-pair-invalid:{e}")
             return None
 
-    return _sub_analysis(sys, p, ops, runner)
+    return _within(frame, sys, p, runner)
 
 
 def _case_tall_span(sys: TileSystem, p: Path, ledger: _Ledger, c: int,
@@ -434,16 +427,16 @@ def _case_tall_span(sys: TileSystem, p: Path, ledger: _Ledger, c: int,
     col = ledger.columns[c] if c < len(ledger.columns) else ledger.x_last
     span_c = ledger.by_column[col]
     trail.append(f"tall-span(col={col},h={span_c.height})")
-    ops = []
+    frame = IDENTITY
     if span_c.orientation == "down":
-        ops = ["flipV"]
+        frame = FLIP_V
         trail.append("flip-vertical(down span)")
 
     def runner(fsys, fpath):
         fspan = {s.coordinate: s for s in spans(fsys, fpath, "vertical")}[col]
         return _case_tall_span_upright(fsys, fpath, fspan, trail, budget, depth)
 
-    return _sub_analysis(sys, p, ops, runner)
+    return _within(frame, sys, p, runner)
 
 
 def _case_tall_span_upright(sys: TileSystem, p: Path, span_c: Span,
@@ -502,13 +495,13 @@ def _case_tall_prefix(sys: TileSystem, q: Path, span_c: Span, x_prime: int,
         target = max(seed_ys) + needed
         b = next((s for s, (pos, _) in enumerate(q.entries)
                   if pos[1] == target), None)
-        ops = ["rot90", "rot90", "rot90"]  # clockwise: north faces east
+        turn = Frame.rotation(3)  # clockwise: north faces east
         trail.append(f"tall-prefix(north,rows={top_rows})")
     elif bot_rows >= needed:
         target = min(seed_ys) - needed
         b = next((s for s, (pos, _) in enumerate(q.entries)
                   if pos[1] == target), None)
-        ops = ["flipV", "rot90", "rot90", "rot90"]
+        turn = Frame.rotation(3).compose(FLIP_V)
         trail.append(f"tall-prefix(south,rows={bot_rows})")
     else:
         trail.append("tall-prefix-too-flat")
@@ -517,16 +510,13 @@ def _case_tall_prefix(sys: TileSystem, q: Path, span_c: Span, x_prime: int,
         raise ClaimViolation("tall-prefix-row",
                              "no tile on the target row despite the extent")
     qq = q.prefix(b)
-
-    def runner(fsys, fpath):
-        oriented = _rotate_to_east(fsys, fpath)
-        if oriented is None:
-            trail.append("tall-prefix-not-orientable")
-            return None
-        osys, opath, _, _ = oriented
-        return _spans_pipeline(osys, opath, trail, budget, depth + 1)
-
-    return _sub_analysis(sys, qq, ops, runner)
+    frame = _orient_east(sys, qq, turn)
+    if frame is None:
+        trail.append("tall-prefix-not-orientable")
+        return None
+    return _within(frame, sys, qq,
+                   lambda fsys, fpath: _spans_pipeline(fsys, fpath, trail, budget,
+                                                       depth + 1))
 
 
 def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
@@ -547,8 +537,8 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
             raise ClaimViolation("visible-side",
                                  "west glues visible on both banks")
         trail.append("flip-vertical(orient visible bank)")
-        return _sub_analysis(
-            sys, p, ["flipV"],
+        return _within(
+            FLIP_V, sys, p,
             lambda fsys, fpath: _spans_pipeline(fsys, fpath, trail, budget,
                                                 depth + 1))
     res = _west_pigeonhole_shield(sys, p, view, trail, budget)
@@ -602,35 +592,30 @@ def analyze(sys: TileSystem, p: Path, bound_override: Optional[int] = None,
     is below the effective bound and no case fires.
     """
     budget = budget or EnumBudget.from_env()
-    rep = tam.validate_producible_path(sys, p)
-    if not rep:
-        raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
     trail: list[str] = []
     try:
         canon = canonicalize(sys, p, bound_override)
-        trail.append(f"canonical(rot={canon.rotations},cut={canon.truncated_at})")
-        csys, cpath = canon.sys, canon.path
-        restore = canon
+        trail.append(f"canonical(rot={canon.frame.turns},cut={canon.truncated_at})")
+        frame, csys, cpath = canon.frame, canon.sys, canon.path
     except TooShort:
         trail.append("below-bound(no truncation)")
-        oriented = _rotate_to_east(sys, p)
-        if oriented is None:
+        frame = _orient_east(sys, p)
+        if frame is None:
             trail.append("not-orientable")
             return AnalysisResult("no_shield", trail)
-        csys, cpath, rotations, post = oriented
-        restore = CanonicalForm(csys, cpath, rotations, (0, 0), post,
-                                len(p) - 1, _easternmost_column(cpath))
+        csys, cpath = frame.apply(sys), frame.apply(p)
     res = _spans_pipeline(csys, cpath, trail, budget, 0)
     if res is None:
         return AnalysisResult("no_shield", trail)
     if res.kind == "pumpable":
+        # An index pair needs no moving; it is read on the caller's whole path.
         spec = PumpingSpec(p, res.pumpable.i, res.pumpable.j)
         check = tam.verify_pumpable_cert(sys, spec)
         if not check:
             raise ClaimViolation("certificate-verifies",
                                  f"restored pumping rejected: {check.reason}")
         return AnalysisResult("pumpable", res.trail, pumpable=spec)
-    cert = restore.restore_fragility(res.fragile, sys)
+    cert = frame.inverse().apply(res.fragile)
     check = tam.verify_fragile_cert(sys, p, cert)
     if not check:
         raise ClaimViolation("certificate-verifies",
@@ -664,10 +649,8 @@ def reduce_2ham(tiles, p: Path, target_width: Optional[int] = None) -> Reduction
     ys = [pos[1] for pos, _ in entries]
     tiles = list(tiles)
     if max(ys) - min(ys) > max(xs) - min(xs):
-        tiles = [transform_tile(t, "rot90") for t in tiles]
-        by = {t.name: t for t in tiles}
-        entries = [(transform_position(pos, "rot90"), by[t.name])
-                   for pos, t in entries]
+        tiles = [ROT90.apply(t) for t in tiles]
+        entries = list(ROT90.apply(Path(entries)).entries)
         notes.append("rotated upright")
     if target_width is not None:
         best = None

@@ -121,10 +121,6 @@ class TooShort(PumpkitError):
     pass
 
 
-class AmbiguousWesternmost(PumpkitError):
-    pass
-
-
 # -- file formats ----------------------------------------------------------
 
 class ParseError(PumpkitError):

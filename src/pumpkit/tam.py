@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 from . import geometry
 from .errors import BadSystem, BadTarget, IllegalAttachment, Occupied
-from .geometry import Displacement
 
 Position = tuple[int, int]
 
@@ -71,10 +70,6 @@ class Assembly:
     def positions(self) -> frozenset[Position]:
         return frozenset(self.tiles)
 
-    def translate(self, v: Position) -> "Assembly":
-        return Assembly({(x + v[0], y + v[1]): t for (x, y), t in self.tiles.items()},
-                        require_connected=False)
-
 
 def _connected(positions: Iterable[Position]) -> bool:
     todo = set(positions)
@@ -97,8 +92,7 @@ class TileSystem:
 
     temperature = 1
 
-    def __init__(self, tiles: Sequence[TileType], seed: Assembly,
-                 seed_only_types: Sequence[TileType] = ()):
+    def __init__(self, tiles: Sequence[TileType], seed: Assembly):
         names = [t.name for t in tiles]
         if len(set(names)) != len(names):
             raise BadSystem("duplicate tile type names")
@@ -108,13 +102,10 @@ class TileSystem:
             raise BadSystem("seed is empty")
         self.tiles = tuple(sorted(tiles))  # canonical ordering: by name
         self.by_name = {t.name: t for t in self.tiles}
-        extra = {t.name: t for t in seed_only_types}
         for pos, t in seed.tiles.items():
-            known = self.by_name.get(t.name) or extra.get(t.name)
-            if known != t:
+            if self.by_name.get(t.name) != t:
                 raise BadSystem(f"seed tile at {pos} uses undeclared type {t.name!r}")
         self.seed = seed
-        self.seed_only_types = tuple(sorted(seed_only_types))
 
     def __repr__(self):
         return f"TileSystem({len(self.tiles)} tiles, seed of {len(self.seed)})"
@@ -173,17 +164,6 @@ class Path:
 
     def translate(self, v: Position) -> "Path":
         return Path([((p[0] + v[0], p[1] + v[1]), t) for p, t in self.entries])
-
-    def assembly(self) -> Assembly:
-        return Assembly({p: t for p, t in self.entries}, require_connected=False)
-
-    def embed(self) -> geometry.PolyCurve:
-        return geometry.embed_path(self.positions)
-
-    def glue_vector(self, i: int, j: int) -> Displacement:
-        """Doubled vector from tile i to tile j."""
-        (xi, yi), (xj, yj) = self.pos(i), self.pos(j)
-        return (2 * (xj - xi), 2 * (yj - yi))
 
 
 def seed_contacts(sys: TileSystem, tile: tuple[Position, TileType]) -> int:
@@ -363,7 +343,9 @@ def _bbox(positions: Iterable[Position]):
 def verify_pumpable_cert(sys: TileSystem, spec: PumpingSpec) -> VerifyResult:
     """Decide whether the pumping between ``i`` and ``j`` is producible.
 
-    Three finite checks suffice:
+    The path itself is trusted no further than the certificate needs: its
+    prefix ``0..j`` must be producible, which is checked first.  Then
+    three finite checks suffice:
 
     (a) the first repeated tile binds across the seam to tile ``j``;
     (b) one period avoids its own translate, which by the translate
@@ -373,6 +355,10 @@ def verify_pumpable_cert(sys: TileSystem, spec: PumpingSpec) -> VerifyResult:
         coming from the bounding boxes and the vector's dominant axis.
     """
     p, i, j = spec.path, spec.i, spec.j
+    rep = validate_producible_path(sys, p.prefix(j))
+    if not rep:
+        return VerifyResult(False, f"path prefix 0..{j} is not producible: "
+                                   f"{rep.code} at index {rep.index}")
     v = spec.vector
     # (a) seam interaction
     seam_from = p.pos(j)
@@ -437,21 +423,3 @@ def verify_fragile_cert(sys: TileSystem, p: Path,
         return VerifyResult(False, "NoConflict: same tile type at conflict position")
     return VerifyResult(True)
 
-
-# -- convenient constructors --------------------------------------------------
-
-def simple_system(tile_specs, seed_positions, seed_names=None) -> TileSystem:
-    """Build a system from ``(name, n, e, s, w)`` tuples and seed placements."""
-    tiles = [TileType(name, n or None, e or None, s or None, w or None)
-             for name, n, e, s, w in tile_specs]
-    by_name = {t.name: t for t in tiles}
-    if seed_names is None:
-        seed_names = [tiles[0].name] * len(seed_positions)
-    seed = Assembly({tuple(pos): by_name[nm]
-                     for pos, nm in zip(seed_positions, seed_names)})
-    return TileSystem(tiles, seed)
-
-
-def path_of(sys: TileSystem, *steps: tuple[int, int, str]) -> Path:
-    """Build a path from ``(x, y, tile_name)`` triples."""
-    return Path([((x, y), sys.by_name[nm]) for x, y, nm in steps])

@@ -8,6 +8,7 @@ pipeline through explicit bound overrides instead, as the engine- and
 lemma-level checks below.
 """
 
+import hashlib
 import random
 import time
 
@@ -23,9 +24,11 @@ from pumpkit import (
     verify_fragile_cert,
     verify_pumpable_cert,
 )
-from pumpkit import oracle, driver
+from pumpkit import oracle
 from pumpkit.budgets import EnumBudget
+from pumpkit.driver import ROT90
 from pumpkit.errors import ClaimViolation, NotEasternmost
+from pumpkit.formats import emit_certificate
 from pumpkit.geometry import Side
 from pumpkit.oracle import FloodFill
 from pumpkit.shield import Shield, build_workspace
@@ -38,6 +41,12 @@ CORPUS_SYSTEMS = 500
 CORPUS_MAX_TILES = 3
 CORPUS_MAX_SEED = 2
 CORPUS_PATH_CAP = 3000  # systems enumerating past this are not kept
+
+# SHA-256 over every trail and certificate criterion 9 produces.  Any
+# change to a decision branch or to a certificate byte changes it, so it
+# moves only with a deliberate change of output.
+ANALYZE_CORPUS_DIGEST = "bf597d33a6226ba336927cf79e48e3b61177b6be2a3d0a6a7edd16e8a283af60"
+ANALYZE_CORPUS_SECONDS = 30.0  # about 2.5 s on a 2-core machine
 
 
 def _timed(limit):
@@ -171,8 +180,7 @@ def test_criterion_5_lemma_property_suites():
                     side_checked += 1
                 except NotEasternmost:
                     pass
-                csys = driver.transform(csys, "rot90")
-                cpath = driver.transform_path(cpath, csys, "rot90")
+                csys, cpath = ROT90.apply(csys), ROT90.apply(cpath)
     assert east_checked > 500 and side_checked > 500
 
     # Shift identity to depth 200 on corpus-drawn pumping specs.
@@ -319,3 +327,33 @@ def test_criterion_8_roundtrips_and_goldens(tmp_path):
     print(f"\nPASS criterion 8: {files} system files and {certs} "
           f"certificates round-trip, 3 golden figures byte-identical "
           f"({elapsed:.1f}s)")
+
+
+def test_criterion_9_analyze_corpus():
+    done = _timed(ANALYZE_CORPUS_SECONDS)
+    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    digest = hashlib.sha256()
+    kinds = {"pumpable": 0, "fragile": 0, "no_shield": 0}
+    n_paths = violations = 0
+    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
+        for p in paths:
+            n_paths += 1
+            try:
+                res = analyze(sys_, p, bound_override=2, budget=budget)
+            except ClaimViolation:
+                violations += 1
+                continue
+            kinds[res.kind] += 1
+            digest.update("\n".join(res.trail).encode() + b"\n")
+            if res.kind != "no_shield":
+                digest.update(emit_certificate(res).encode())
+            digest.update(b"\0")
+    assert violations == 0
+    assert kinds["fragile"] > 0
+    assert digest.hexdigest() == ANALYZE_CORPUS_DIGEST
+    elapsed = done("criterion 9")
+    print(f"\nPASS criterion 9: analyze on {n_paths} corpus paths "
+          f"(200 systems, seed {CORPUS_SEED}, override 2): "
+          f"{kinds['pumpable']} pumpable / {kinds['fragile']} fragile / "
+          f"{kinds['no_shield']} no shield, 0 claim violations, trails and "
+          f"certificates match the pinned digest ({elapsed:.1f}s)")

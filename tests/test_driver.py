@@ -1,6 +1,8 @@
 """Pipeline: bounds, canonical form, decision tree, two-handed reduction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pumpkit import (
     Path,
@@ -10,14 +12,16 @@ from pumpkit import (
     bound_theorem1_square_half_side,
     bound_theorem_main_distance,
     canonicalize,
-    driver,
     oracle,
     reduce_2ham,
     verify_fragile_cert,
     verify_pumpable_cert,
 )
 from pumpkit.budgets import EnumBudget
-from pumpkit.errors import BadCounts, TooShort
+from pumpkit.driver import FLIP_H, FLIP_V, IDENTITY, ROT90, Frame
+from pumpkit.errors import BadCounts, BadSystem, TooShort
+from pumpkit.formats import parse_system
+from pumpkit.tam import SIDE_OF_STEP, STEP, TileType
 
 from conftest import path_of, system_of
 
@@ -48,7 +52,7 @@ def test_bound_rejects_zero():
 def test_canonicalize_east_line_is_identity(unit):
     p = path_of(unit, *[(x, 0, "A") for x in range(1, 6)])
     canon = canonicalize(unit, p, bound_override=3)
-    assert canon.rotations == 0
+    assert canon.frame.turns == 0
     assert canon.truncated_at == 4  # first tile on the half-side-4 square
     last = canon.path.pos(len(canon.path) - 1)
     xs = [x for x, _ in canon.path.positions] + \
@@ -63,7 +67,7 @@ def test_canonicalize_north_line_rotates():
     sys_ = system_of([("N", "g", None, "g", None)], {(0, 0): "N"})
     p = path_of(sys_, *[(0, y, "N") for y in range(1, 6)])
     canon = canonicalize(sys_, p, bound_override=3)
-    assert canon.rotations == 3
+    assert canon.frame.turns == 3
     last = canon.path.pos(len(canon.path) - 1)
     xs = [x for x, _ in canon.path.positions]
     assert last[0] == max(xs)
@@ -78,8 +82,9 @@ def test_canonicalize_too_short(unit):
 def test_canonicalize_restores_positions(unit):
     p = path_of(unit, *[(x, 0, "A") for x in range(1, 6)])
     canon = canonicalize(unit, p, bound_override=3)
+    back = canon.frame.inverse()
     for idx in range(canon.truncated_at + 1):
-        assert canon.restore_position(canon.path.pos(idx)) == p.pos(idx)
+        assert back.apply(canon.path.pos(idx)) == p.pos(idx)
 
 
 @pytest.mark.parametrize("rotations, cells", [
@@ -91,10 +96,11 @@ def test_canonicalize_restores_rotated_positions(rotations, cells):
     sys_ = system_of([("Z", "z", "z", "z", "z")], {(0, 0): "Z"})
     p = path_of(sys_, *[(x, y, "Z") for x, y in cells])
     canon = canonicalize(sys_, p, bound_override=3)
-    assert canon.rotations == rotations
+    assert canon.frame.turns == rotations
     assert canon.truncated_at == len(p) - 1
+    back = canon.frame.inverse()
     for idx in range(len(p)):
-        assert canon.restore_position(canon.path.pos(idx)) == p.pos(idx)
+        assert back.apply(canon.path.pos(idx)) == p.pos(idx)
 
 
 def test_analyze_fragile_after_odd_rotation():
@@ -112,6 +118,38 @@ def test_analyze_fragile_after_odd_rotation():
     assert res.trail[0].startswith("canonical(rot=3,")
     assert res.kind == "fragile"
     assert verify_fragile_cert(sys_, p, res.fragile).ok
+
+
+# -- frames ------------------------------------------------------------------------
+
+D4 = [Frame.rotation(k).compose(mirror) for k in range(4) for mirror in (IDENTITY, FLIP_H)]
+
+
+def test_d4_elements():
+    assert len({f.m for f in D4}) == 8
+    assert {FLIP_V.m, ROT90.m} <= {f.m for f in D4}
+    assert ROT90.apply((1, 0)) == (0, 1)  # counterclockwise
+    assert ROT90.compose(ROT90).compose(ROT90).compose(ROT90) == IDENTITY
+
+
+@given(st.sampled_from(D4), st.sampled_from(D4),
+       st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+       st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+       st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+@settings(max_examples=200)
+def test_frame_inverse_and_compose(m1, m2, d1, d2, q):
+    f = Frame.translation(d1).compose(m1)
+    g = Frame.translation(d2).compose(m2)
+    assert f.inverse().compose(f) == IDENTITY
+    assert f.compose(f.inverse()) == IDENTITY
+    assert f.inverse().apply(f.apply(q)) == q
+    assert f.compose(g).apply(q) == f.apply(g.apply(q))
+    # A tile with four distinct glues shows where each side ends up.
+    t = TileType("T", "n", "e", "s", "w")
+    assert f.compose(g).apply(t) == f.apply(g.apply(t))
+    assert f.inverse().apply(f.apply(t)) == t
+    for side, step in STEP.items():
+        assert f.apply(t).glue(SIDE_OF_STEP[Frame(f.m).apply(step)]) == t.glue(side)
 
 
 def test_canonicalize_random_corpus(rng):
@@ -173,10 +211,8 @@ def test_analyze_battlements_couple_use(battlements):
 def test_analyze_transform_outcome_kind(staircase):
     sys_, p = staircase
     base = analyze(sys_, p, bound_override=2).kind
-    for op in ("flipH", "flipV"):
-        tsys = driver.transform(sys_, op)
-        tpath = driver.transform_path(p, tsys, op)
-        assert analyze(tsys, tpath, bound_override=2).kind == base
+    for frame in (FLIP_H, FLIP_V):
+        assert analyze(frame.apply(sys_), frame.apply(p), bound_override=2).kind == base
 
 
 def test_analyze_corpus_certificates(rng):
@@ -199,6 +235,60 @@ def test_analyze_corpus_certificates(rng):
                 assert verify_fragile_cert(sys_, p, res.fragile).ok
     assert kinds["pumpable"] > 90
 
+
+TOWER_TEXT = """\
+tile A north=a east=a south=a west=a
+seed 0 0 A
+"""
+TWIN_TOWER_TEXT = TOWER_TEXT + "tile B north=a east=a south=a west=a\n"
+
+
+def _climb(runs):
+    """Cells from (1, 0) along runs such as ``"E1 N50"``: a heading, a length."""
+    cells = [(1, 0)]
+    for run in runs.split():
+        dx, dy = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}[run[0]]
+        for _ in range(int(run[1:])):
+            cells.append((cells[-1][0] + dx, cells[-1][1] + dy))
+    return cells
+
+
+def test_analyze_reaches_tall_branches():
+    # The 51-row column beside the seed is taller than the cone allows,
+    # so the ledger takes the tall-span case.  The prefix up to that span
+    # is far taller than wide, so it is turned on its side (tall-prefix)
+    # and the span pipeline runs again there and pumps.
+    sys_, _ = parse_system(TOWER_TEXT)
+    p = Path([(c, sys_.by_name["A"]) for c in _climb("E1 N50 W1 N1 E60")])
+    res = analyze(sys_, p, bound_override=55)
+    assert "tall-span(col=1,h=51)" in res.trail
+    assert "tall-prefix(north,rows=51)" in res.trail
+    assert res.kind == "pumpable"
+    assert verify_pumpable_cert(sys_, res.pumpable).ok
+
+
+def test_analyze_fragile_through_tall_prefix():
+    # Two interchangeable tile types and a 185-row climb, below the true
+    # bound.  The tall prefix is turned on its side, oriented east,
+    # mirrored and blocked there; the blocking certificate must come back
+    # through all three motions, the orienting one included.
+    sys_, _ = parse_system(TWIN_TOWER_TEXT)
+    cells = _climb("S2 E1 N175 W1 N10 E5")
+    p = Path([(c, sys_.by_name["B" if n == 2 else "A"]) for n, c in enumerate(cells)])
+    res = analyze(sys_, p)
+    assert "tall-prefix(north,rows=183)" in res.trail
+    assert "tall-span-fallthrough" not in res.trail  # decided inside the prefix
+    assert res.kind == "fragile"
+    assert verify_fragile_cert(sys_, p, res.fragile).ok
+
+
+
+@pytest.mark.parametrize("override", [None, 2])
+def test_analyze_rejects_unproducible_path(unit, override):
+    # Validated once, in canonicalize, before the bound can cut anything.
+    floating = path_of(unit, (5, 5, "A"), (6, 5, "A"))
+    with pytest.raises(BadSystem, match="SeedDetached"):
+        analyze(unit, floating, bound_override=override)
 
 def test_analyze_without_override_reports_below_bound(unit, unit_path):
     # Without an override the true bound applies; a three-tile path falls

@@ -236,6 +236,17 @@ def test_cli_pump_or_block_and_verify(unit_file, tmp_path, _run):
     assert r2.returncode == 0 and "valid" in r2.stdout
 
 
+def test_cli_verify_rejects_floating_path(tmp_path, _run):
+    # A pumping pair on a path that never touches the seed certifies nothing.
+    f = tmp_path / "float.tiles"
+    f.write_text("tile A north=- east=g south=- west=g\nseed 0 0 A\n"
+                 "path 5 5 A ; 6 5 A ; 7 5 A\n")
+    cert = tmp_path / "cert.txt"
+    cert.write_text("kind pumpable i=0 j=1\nvector 1 0\n")
+    r = _run(["verify", str(f), str(cert)], tmp_path)
+    assert r.returncode == 4 and "certificate: INVALID" in r.stdout
+
+
 def test_cli_shields_spans_render_bound(unit_file, tmp_path, _run):
     assert "shield 0 1 1" in _run(["shields", str(unit_file)], tmp_path).stdout
     spans_out = _run(["spans", str(unit_file)], tmp_path).stdout

@@ -215,16 +215,31 @@ def test_engine_certificates_verify_on_corpus(rng):
     assert n > 80 and "pumpable" in kinds
 
 
-def test_certificates_survive_transforms(blocker):
+def test_certificates_survive_transforms(blocker, unit, unit_path):
     # Shields are orientation-specific, but verifier verdicts travel with
-    # any rotation or mirror of system, path, and certificate together.
+    # any rigid motion of system, path, and certificate together, and the
+    # inverse motion brings the certificate back unchanged.  The last
+    # frame is the one the tall-prefix case builds: a mirror and a
+    # clockwise turn, then the orienting turn and margin shift.
     from pumpkit import driver
+    from pumpkit.driver import FLIP_H, FLIP_V, ROT90, Frame
 
     sys_, p = blocker
     out = pump_or_block(sys_, p, Shield(0, 1, 2))
     assert out.kind == "fragile"
-    for op in ("flipH", "flipV", "rot90"):
-        tsys = driver.transform(sys_, op)
-        tpath = driver.transform_path(p, tsys, op)
-        tcert = driver.transform_fragility(out.fragile, tsys, op)
-        assert verify_fragile_cert(tsys, tpath, tcert).ok, op
+    pump = pump_or_block(unit, unit_path, Shield(0, 1, 1))
+    assert pump.kind == "pumpable"
+    turned = Frame.rotation(3).compose(FLIP_V)
+    tall_prefix = driver._orient_east(sys_, p, turned)
+    assert tall_prefix not in (None, turned)  # the orienting part is not trivial
+    frames = [FLIP_H, FLIP_V, ROT90,
+              Frame.translation((3, -7)).compose(ROT90).compose(FLIP_H),
+              FLIP_V.compose(Frame.translation((-2, 5))).compose(Frame.rotation(2)),
+              tall_prefix]
+    for frame in frames:
+        tsys, tpath, tcert = frame.apply(sys_), frame.apply(p), frame.apply(out.fragile)
+        assert verify_fragile_cert(tsys, tpath, tcert).ok, frame
+        assert frame.inverse().apply(tcert) == out.fragile
+        tspec = frame.apply(pump.pumpable)
+        assert verify_pumpable_cert(frame.apply(unit), tspec).ok, frame
+        assert frame.inverse().apply(tspec) == pump.pumpable

@@ -15,6 +15,7 @@ from pumpkit import (
 )
 from pumpkit import driver, oracle
 from pumpkit.budgets import EnumBudget
+from pumpkit.driver import FLIP_H, FLIP_V, ROT90
 from pumpkit.errors import BadSystem, BadTarget, IllegalAttachment, Occupied
 from pumpkit.tam import FragilityCert
 
@@ -163,6 +164,15 @@ def test_verify_pumpable_unit(unit, unit_path):
     assert verify_pumpable_cert(unit, PumpingSpec(unit_path, 0, 1)).ok
 
 
+def test_verify_pumpable_checks_the_prefix(unit):
+    # The claim needs tiles 0..j producible, and nothing past j.
+    floating = path_of(unit, (5, 5, "A"), (6, 5, "A"), (7, 5, "A"))
+    res = verify_pumpable_cert(unit, PumpingSpec(floating, 0, 1))
+    assert not res.ok and "SeedDetached" in res.reason
+    broken_tail = path_of(unit, (1, 0, "A"), (2, 0, "A"), (9, 9, "A"))
+    assert verify_pumpable_cert(unit, PumpingSpec(broken_tail, 0, 1)).ok
+
+
 def test_verify_pumpable_rejects_overlapping_period():
     # A U-turn period overlaps its own translate.
     sys_ = system_of([("U", "u", "u", "u", "u")], {(0, 0): "U"})
@@ -221,11 +231,11 @@ def test_verify_fragile(blocker):
 
 
 def test_transform_identities(unit):
-    flipped = driver.transform(driver.transform(unit, "flipH"), "flipH")
+    flipped = driver.transform(driver.transform(unit, FLIP_H), FLIP_H)
     assert flipped.tiles == unit.tiles and flipped.seed.tiles == unit.seed.tiles
     rotated = unit
     for _ in range(4):
-        rotated = driver.transform(rotated, "rot90")
+        rotated = driver.transform(rotated, ROT90)
     assert rotated.tiles == unit.tiles and rotated.seed.tiles == unit.seed.tiles
 
 
@@ -240,8 +250,7 @@ def test_verifier_verdicts_transform_invariant(rng):
             i = rng.randrange(len(p) - 1)
             j = rng.randrange(i + 1, len(p))
             base = bool(verify_pumpable_cert(sys_, PumpingSpec(p, i, j)))
-            for op in ("rot90", "flipH", "flipV"):
-                tsys = driver.transform(sys_, op)
-                tpath = driver.transform_path(p, tsys, op)
+            for frame in (ROT90, FLIP_H, FLIP_V):
+                tsys, tpath = frame.apply(sys_), frame.apply(p)
                 assert bool(verify_pumpable_cert(tsys, PumpingSpec(tpath, i, j))) == base
             checked += 1

@@ -3,8 +3,9 @@
 
 import pytest
 
-from pumpkit import GlueView, Path, driver, oracle, right_priority, spans, visible
+from pumpkit import GlueView, Path, oracle, right_priority, spans, visible
 from pumpkit.budgets import EnumBudget
+from pumpkit.driver import ROT90
 from pumpkit.errors import (
     NotCanonical,
     NotEasternmost,
@@ -89,8 +90,7 @@ def test_horizontal_spans_by_rotation_equivariance(battlements):
     # east pointing becomes north, and heights carry over as widths.
     sys_, p = battlements
     vert = spans(sys_, p, "vertical")
-    rsys = driver.transform(sys_, "rot90")
-    rpath = driver.transform_path(p, rsys, "rot90")
+    rsys, rpath = ROT90.apply(sys_), ROT90.apply(p)
     horiz = spans(rsys, rpath, "horizontal")
 
     def flip_orient(s):
@@ -232,8 +232,7 @@ def test_checkers_hold_on_corpus(rng):
                     checked_side += 1
                 except NotEasternmost:
                     pass
-                csys = driver.transform(csys, "rot90")
-                cpath = driver.transform_path(cpath, csys, "rot90")
+                csys, cpath = ROT90.apply(csys), ROT90.apply(cpath)
     assert checked_east > 200 and checked_side > 200
 
 
