@@ -12,6 +12,14 @@ caller's frame and re-verified there.
 rotation, mirror and translation the driver applies is a ``Frame``, and
 each branch restores its certificate through ``frame.inverse()``.
 
+Each frame builds one :class:`~pumpkit.visibility.GlueView` and passes
+it down: the pigeonhole search, the span ledger, the pair search and the
+engine's shield check all read that one view, and its spans are computed
+once.  A branch that moves into a new frame (a vertical or horizontal
+flip, a turned prefix) builds the one view of that frame; the prefix
+below a tall span is a new path and gets its own view.  The engine
+reuses the view it is handed, even when it works on a shorter prefix.
+
 The theorem-scale distance bounds are astronomically beyond desk scale
 even for one tile type, so ``analyze`` accepts an explicit override; run
 without one it computes the true bound with exact integers and reports
@@ -37,7 +45,7 @@ from .errors import (
 )
 from .shield import Shield, ShieldOutcome
 from .tam import Assembly, FragilityCert, Path, PumpingSpec, TileSystem, TileType
-from .visibility import GlueView, Span, spans
+from .visibility import GlueView, Span
 
 Pos = tuple[int, int]
 
@@ -284,9 +292,9 @@ def _outcome_to_result(out: ShieldOutcome, trail: list[str]) -> AnalysisResult:
     return AnalysisResult("fragile", trail, fragile=out.fragile)
 
 
-def _run_shield(sys: TileSystem, p: Path, sh: Shield, trail: list[str],
+def _run_shield(view: GlueView, sh: Shield, trail: list[str],
                 budget: EnumBudget) -> AnalysisResult:
-    out = engine.pump_or_block(sys, p, sh, budget)
+    out = engine.pump_or_block(view.sys, view.path, sh, budget, view=view)
     return _outcome_to_result(out, trail)
 
 
@@ -300,8 +308,7 @@ def _within(frame: Frame, sys: TileSystem, p: Path,
 # -- the decision tree ---------------------------------------------------------------
 
 
-def _west_pigeonhole_shield(sys: TileSystem, p: Path, view: GlueView,
-                            trail: list[str],
+def _west_pigeonhole_shield(view: GlueView, trail: list[str],
                             budget: EnumBudget) -> Optional[AnalysisResult]:
     """Two same-type west glues visible from the south give a mirrored shield."""
     west = [g for g in view.south_visible() if g.pointing == "west"]
@@ -317,17 +324,17 @@ def _west_pigeonhole_shield(sys: TileSystem, p: Path, view: GlueView,
     if pair is None:
         return None
     i, j = pair
-    k = len(p) - 2
+    k = len(view.path) - 2
     trail.append(f"west-pigeonhole(i={i},j={j},k={k})")
 
     def runner(fsys, fpath):
         try:
-            return _run_shield(fsys, fpath, Shield(i, j, k), trail, budget)
+            return _run_shield(GlueView(fsys, fpath), Shield(i, j, k), trail, budget)
         except NotAShield as e:
             trail.append(f"west-pigeonhole-invalid:{e}")
             return None
 
-    return _within(FLIP_H, sys, p, runner)
+    return _within(FLIP_H, view.sys, view.path, runner)
 
 
 @dataclass
@@ -339,9 +346,9 @@ class _Ledger:
     x_last: int  # the easternmost glue column, appended as the final entry
 
 
-def _build_ledger(sys: TileSystem, p: Path, trail: list[str]) -> Optional[_Ledger]:
+def _build_ledger(view: GlueView, trail: list[str]) -> Optional[_Ledger]:
     try:
-        all_spans = {s.coordinate: s for s in spans(sys, p, "vertical")}
+        all_spans = {s.coordinate: s for s in view.vertical_spans()}
     except NotCanonical as e:
         # Short paths can end beside seed glues on the same column; the
         # span bookkeeping is then undefined and no case can fire.
@@ -368,7 +375,7 @@ def _build_ledger(sys: TileSystem, p: Path, trail: list[str]) -> Optional[_Ledge
             first_seen[sig] = col
             columns.append(col)
             heights.append(s.height)
-    tiles = len(sys.tiles)
+    tiles = len(view.sys.tiles)
     if len(columns) > 2 * tiles:
         raise ClaimViolation("ledger-size",
                              f"{len(columns)} span signatures for {tiles} tile types")
@@ -376,10 +383,12 @@ def _build_ledger(sys: TileSystem, p: Path, trail: list[str]) -> Optional[_Ledge
 
 
 def _find_couple_pair(ledger: _Ledger) -> Optional[tuple[Span, Span]]:
-    """Westernmost pair of same-signature spans with non-decreasing height."""
-    cols = sorted(ledger.by_column)
-    cols = [c for c in cols if ledger.x0 <= c <= ledger.x_last]
-    best = None
+    """Westernmost pair of same-signature spans with non-decreasing height.
+
+    Columns ascend and each ``a`` stops at its first partner ``b``, so
+    the first pair found is the lexicographically least.
+    """
+    cols = [c for c in sorted(ledger.by_column) if ledger.x0 <= c <= ledger.x_last]
     for ai, a in enumerate(cols):
         sa = ledger.by_column[a]
         if sa.pointing != "east":
@@ -389,16 +398,11 @@ def _find_couple_pair(ledger: _Ledger) -> Optional[tuple[Span, Span]]:
             if (sb.pointing == "east" and sb.glue_type == sa.glue_type
                     and sb.orientation == sa.orientation
                     and sb.height >= sa.height):
-                cand = (a, b)
-                if best is None or cand < best:
-                    best = cand
-                break  # later b only increases the pair lexicographically
-    if best is None:
-        return None
-    return ledger.by_column[best[0]], ledger.by_column[best[1]]
+                return sa, sb
+    return None
 
 
-def _couple_use(sys: TileSystem, p: Path, sa: Span, sb: Span, trail: list[str],
+def _couple_use(view: GlueView, sa: Span, sb: Span, trail: list[str],
                 budget: EnumBudget) -> Optional[AnalysisResult]:
     """Hand a repeated-span pair to the engine (mirrored upright if needed)."""
     trail.append(f"equal-span-pair(cols {sa.coordinate},{sb.coordinate})")
@@ -408,19 +412,20 @@ def _couple_use(sys: TileSystem, p: Path, sa: Span, sb: Span, trail: list[str],
         trail.append("flip-vertical(down spans)")
 
     def runner(fsys, fpath):
-        fspans = {s.coordinate: s for s in spans(fsys, fpath, "vertical")}
+        fview = view if frame == IDENTITY else GlueView(fsys, fpath)
+        fspans = {s.coordinate: s for s in fview.vertical_spans()}
         fa, fb = fspans[sa.coordinate], fspans[sb.coordinate]
         sh = Shield(fa.s, fb.s, fb.n)
         try:
-            return _run_shield(fsys, fpath, sh, trail, budget)
+            return _run_shield(fview, sh, trail, budget)
         except NotAShield as e:
             trail.append(f"span-pair-invalid:{e}")
             return None
 
-    return _within(frame, sys, p, runner)
+    return _within(frame, view.sys, view.path, runner)
 
 
-def _case_tall_span(sys: TileSystem, p: Path, ledger: _Ledger, c: int,
+def _case_tall_span(view: GlueView, ledger: _Ledger, c: int,
                     trail: list[str], budget: EnumBudget,
                     depth: int) -> Optional[AnalysisResult]:
     """A span taller than the cone allows: work inside the prefix below it."""
@@ -433,10 +438,11 @@ def _case_tall_span(sys: TileSystem, p: Path, ledger: _Ledger, c: int,
         trail.append("flip-vertical(down span)")
 
     def runner(fsys, fpath):
-        fspan = {s.coordinate: s for s in spans(fsys, fpath, "vertical")}[col]
+        fview = view if frame == IDENTITY else GlueView(fsys, fpath)
+        fspan = {s.coordinate: s for s in fview.vertical_spans()}[col]
         return _case_tall_span_upright(fsys, fpath, fspan, trail, budget, depth)
 
-    return _within(frame, sys, p, runner)
+    return _within(frame, view.sys, view.path, runner)
 
 
 def _case_tall_span_upright(sys: TileSystem, p: Path, span_c: Span,
@@ -449,19 +455,18 @@ def _case_tall_span_upright(sys: TileSystem, p: Path, span_c: Span,
     x_prime = max((g.column for g in viewq.glues if g.horizontal), default=0)
     narrow = span_c.height < 4 * tiles * (x_prime + 2) + 3 * seed + 1
     if narrow:
-        res = _case_narrow_prefix(sys, q, viewq, span_c, x_prime, trail, budget)
+        res = _case_narrow_prefix(viewq, span_c, trail, budget)
         if res is not None:
             return res
         trail.append("narrow-prefix-fallthrough")
     return _case_tall_prefix(sys, q, span_c, x_prime, trail, budget, depth)
 
 
-def _case_narrow_prefix(sys: TileSystem, q: Path, viewq: GlueView, span_c: Span,
-                        x_prime: int, trail: list[str],
+def _case_narrow_prefix(viewq: GlueView, span_c: Span, trail: list[str],
                         budget: EnumBudget) -> Optional[AnalysisResult]:
     """Wide prefix: many same-type south glues exist; shift the exit ray clear."""
     west_limit = min(x for x, _ in
-                     list(sys.seed.tiles) + list(q.positions))
+                     list(viewq.sys.seed.tiles) + list(viewq.path.positions))
     candidates = [g for g in viewq.south_visible() if g.pointing == "east"]
     by_label: dict[str, list] = {}
     for g in candidates:
@@ -476,7 +481,7 @@ def _case_narrow_prefix(sys: TileSystem, q: Path, viewq: GlueView, span_c: Span,
         if spread >= col_c + 1 - west_limit and i < j <= span_c.n:
             trail.append(f"narrow-prefix(i={i},j={j},k={span_c.n})")
             try:
-                return _run_shield(sys, q, Shield(i, j, span_c.n), trail, budget)
+                return _run_shield(viewq, Shield(i, j, span_c.n), trail, budget)
             except NotAShield as e:
                 trail.append(f"narrow-prefix-invalid:{e}")
     return None
@@ -541,10 +546,10 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
             FLIP_V, sys, p,
             lambda fsys, fpath: _spans_pipeline(fsys, fpath, trail, budget,
                                                 depth + 1))
-    res = _west_pigeonhole_shield(sys, p, view, trail, budget)
+    res = _west_pigeonhole_shield(view, trail, budget)
     if res is not None:
         return res
-    ledger = _build_ledger(sys, p, trail)
+    ledger = _build_ledger(view, trail)
     if ledger is None:
         return None
     tiles, seed_n = len(sys.tiles), len(sys.seed)
@@ -554,7 +559,7 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
                    if heights_all[c] > 4 * tiles * tiles * (cols_all[c] + 4 * seed_n + 6)),
                   None)
     if tall_c is not None:
-        res = _case_tall_span(sys, p, ledger, tall_c, trail, budget, depth)
+        res = _case_tall_span(view, ledger, tall_c, trail, budget, depth)
         if res is not None:
             return res
         trail.append("tall-span-fallthrough")
@@ -580,7 +585,7 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
     if pair is None:
         trail.append("no-span-pair")
         return None
-    return _couple_use(sys, p, pair[0], pair[1], trail, budget)
+    return _couple_use(view, pair[0], pair[1], trail, budget)
 
 
 def analyze(sys: TileSystem, p: Path, bound_override: Optional[int] = None,

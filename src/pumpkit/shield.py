@@ -72,6 +72,8 @@ class Workspace:
     exit_ray: VRay  # northward ray of glue k
     entry_ray: VRay  # southward ray of glue i
     vector: Point  # doubled displacement from tile i to tile j
+    fam1: dict[Point, int]  # doubled position -> index, segment tiles i+1..k
+    fam2: dict[Point, int]  # the same for tiles j+1..k moved west by ``vector``
 
 
 @dataclass
@@ -262,8 +264,11 @@ def build_workspace(sys: TileSystem, p: Path, sh: Shield,
                 "shifted-exit-ray-touch",
                 f"translated exit ray enters the workspace at {q}")
         y += 1
+    fam1 = {_dbl(p.pos(n)): n for n in range(i + 1, k + 1)}
+    fam2 = {sub(_dbl(p.pos(n)), vec): n for n in range(j + 1, k + 1)}
     return Workspace(sh, cut, cache, Region(cut, Side.RIGHT, _window(sys, p)),
-                     VRay(gk.midpoint, "north"), VRay(gi.midpoint, "south"), vec)
+                     VRay(gk.midpoint, "north"), VRay(gi.midpoint, "south"), vec,
+                     fam1, fam2)
 
 
 # -- the dominant anchor tile ---------------------------------------------------
@@ -384,17 +389,14 @@ class _RouteGraph:
 
     def __init__(self, p: Path, sh: Shield, ws: Workspace):
         i, j, k = sh.i, sh.j, sh.k
-        vbar = neg(ws.vector)
-        self.fam1 = {_dbl(p.pos(n)): n for n in range(i + 1, k + 1)}
-        self.fam2 = {add(_dbl(p.pos(n)), vbar): n for n in range(j + 1, k + 1)}
-        self.vertices = set(self.fam1) | set(self.fam2)
+        self.vertices = set(ws.fam1) | set(ws.fam2)
         cache = ws.cache
         self.adj: dict[Point, list[Point]] = {u: [] for u in self.vertices}
         edges = set()
-        for fam, lo, hi in ((self.fam1, i + 1, k), (self.fam2, j + 1, k)):
-            fam_rev = {n: u for u, n in fam.items()}
-            for n in range(lo, hi):
-                edges.add(frozenset((fam_rev[n], fam_rev[n + 1])))
+        for lo, shift in ((i + 1, (0, 0)), (j + 1, ws.vector)):
+            for n in range(lo, k):
+                edges.add(frozenset((sub(_dbl(p.pos(n)), shift),
+                                     sub(_dbl(p.pos(n + 1)), shift))))
         for e in edges:
             u, w = tuple(e)
             mid = ((u[0] + w[0]) // 2, (u[1] + w[1]) // 2)
@@ -514,8 +516,8 @@ def _assert_route_claims(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
                          route: tuple[Point, ...],
                          view: GlueView) -> Optional[PolyCurve]:
     """Order and translate-containment claims on the selected route."""
-    i, j, k = sh.i, sh.j, sh.k
-    fam1 = {_dbl(p.pos(n)): n for n in range(i + 1, k + 1)}
+    j, k = sh.j, sh.k
+    fam1 = ws.fam1
     last_idx = None
     for u in route:
         n = fam1.get(u)
@@ -553,11 +555,9 @@ def build_R(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
     the other copy's tile there blocks the path.  Without a conflict the
     fully tiled route grows in both translations.
     """
-    i, j, k = sh.i, sh.j, sh.k
-    vbar2 = neg(ws.vector)
+    i, j = sh.i, sh.j
     v_tiles = (ws.vector[0] // 2, ws.vector[1] // 2)
-    fam1 = {_dbl(p.pos(n)): n for n in range(i + 1, k + 1)}
-    fam2 = {add(_dbl(p.pos(n)), vbar2): n for n in range(j + 1, k + 1)}
+    fam1, fam2 = ws.fam1, ws.fam2
 
     s0 = len(route)
     for s, u in enumerate(route):
@@ -629,9 +629,9 @@ def initial_uv(p: Path, sh: Shield, ws: Workspace, dom: DominantInfo,
     equal tile types, containment of the translated stretch in the upper
     part, and uniqueness of the meeting point.
     """
-    i, j, k = sh.i, sh.j, sh.k
+    i = sh.i
     vec = ws.vector
-    fam1 = {_dbl(p.pos(n)): n for n in range(i + 1, k + 1)}
+    fam1 = ws.fam1
     b = next((s for s in range(len(tiled))
               if _dbl(tiled.pos(s)) == _dbl(p.pos(dom.m0))), None)
     if b is None:
@@ -753,10 +753,9 @@ def _check_step(p: Path, sh: Shield, ws: Workspace,
         f"translated stretch meets cut at {sorted(inter_c)}, frontier at {sorted(inter_g)}")
 
 
-def _find_next_anchor(p: Path, sh: Shield, u: int, m: int, vec: Point):
+def _find_next_anchor(p: Path, ws: Workspace, u: int, m: int):
     """Largest pair (a, t), ordered by a then t, landing back on the segment."""
-    i, k = sh.i, sh.k
-    fam1 = {_dbl(p.pos(n)): n for n in range(i + 1, k + 1)}
+    fam1, vec = ws.fam1, ws.vector
     max_x = max(x for x, _ in fam1)
     for a in range(m, u - 1, -1):
         base = _dbl(p.pos(a))
@@ -771,7 +770,8 @@ def _find_next_anchor(p: Path, sh: Shield, u: int, m: int, vec: Point):
 
 def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
                   budget: Optional[EnumBudget] = None,
-                  collect_trace: bool = False) -> ShieldOutcome:
+                  collect_trace: bool = False,
+                  view: Optional[GlueView] = None) -> ShieldOutcome:
     """Decide a shield: produce a verified pumping or blocking certificate.
 
     The shield is re-validated first.  When ``j == k`` the two glues line
@@ -781,10 +781,15 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
     workspace, anchor, route and tiled route, and iterates the anchor
     advance until it stalls (pumpable) or a conflict materializes
     (fragile).  Both certificate kinds are passed through the matching
-    independent verifier before being returned.
+    independent verifier before being returned.  ``view``, when given,
+    is a prebuilt :class:`GlueView` of ``(sys, p)``; it serves the shield
+    check and the engine, which reads only the glues up to ``k`` and so
+    sees the same midpoints in the full path's view as in the prefix's.
     """
     budget = budget or EnumBudget.from_env()
-    check_shield(sys, p, sh.i, sh.j, sh.k)
+    if view is None:
+        view = GlueView(sys, p)
+    check_shield(sys, p, sh.i, sh.j, sh.k, view)
     trace = ShieldTrace(sh)
     i, j, k = sh.i, sh.j, sh.k
 
@@ -801,7 +806,6 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
         return pumpable(i, j, "repeat-at-exit")
 
     pt = p.prefix(k + 1)
-    view = GlueView(sys, pt)
     ws = build_workspace(sys, pt, sh, view)
     dom = dominant(sys, pt, sh, ws, view)
     trace.m0 = dom.m0
@@ -831,14 +835,13 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
     m = dom.m0
     shift = 0
     vec = ws.vector
-    fam1_tiles = {_dbl(pt.pos(n)): n for n in range(i + 1, k + 1)}
 
     for _ in range(budget.max_steps):
         g, h, status = _check_step(pt, sh, ws, u, m, v_, f)
         trace.history.append(InductionStep(u, m, v_, shift, f, g, h))
         if status == "special":
             return pumpable(u, v_, "exit-seam")
-        a, t, m_next = _find_next_anchor(pt, sh, u, m, vec)
+        a, t, m_next = _find_next_anchor(pt, ws, u, m)
         if m_next == m:
             if not (m == v_ and t == 1 and a == u):
                 raise ClaimViolation("pump-case-degenerate",
@@ -856,13 +859,13 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
         if b is None:
             raise ClaimViolation("induction-anchor", "route misses the new anchor")
         d = next((s for s in range(b, -1, -1)
-                  if add(_dbl(tiled.pos(s)), vec) in fam1_tiles), None)
+                  if add(_dbl(tiled.pos(s)), vec) in ws.fam1), None)
         if d is None:
             raise ClaimViolation("induction-anchor", "no route tile translates onto the segment")
-        u_next = fam1_tiles.get(_dbl(tiled.pos(d)))
+        u_next = ws.fam1.get(_dbl(tiled.pos(d)))
         if u_next is None:
             raise ClaimViolation("induction-anchor", "new pair start is off the segment")
-        v_next = fam1_tiles[add(_dbl(tiled.pos(d)), vec)]
+        v_next = ws.fam1[add(_dbl(tiled.pos(d)), vec)]
         if p.type(u_next) != p.type(v_next):
             raise ClaimViolation("induction-anchor", "new pair tiles differ in type")
         if not (u_next <= m_next <= v_next):

@@ -64,6 +64,28 @@ def glue_refs(p: Path) -> list[GlueRef]:
     return refs
 
 
+def _widen(ends: dict[int, tuple[GlueRef, GlueRef]], key: int, g: GlueRef,
+           axis: int) -> None:
+    """Widen ``ends[key]``, the lowest and highest glue along ``axis``.
+
+    Ties keep the first glue as the lowest and the last as the highest,
+    as a stable sort of the glues in path order would.
+    """
+    old = ends.get(key)
+    if old is None:
+        ends[key] = (g, g)
+        return
+    lo, hi = old
+    c = g.midpoint[axis]
+    ends[key] = (g if c < lo.midpoint[axis] else lo, g if c >= hi.midpoint[axis] else hi)
+
+
+def _reach(ends: dict[int, tuple[int, int]], key: int, c: int) -> None:
+    """Widen ``ends[key]``, the lowest and highest coordinate seen, to ``c``."""
+    old = ends.get(key)
+    ends[key] = (c, c) if old is None else (min(old[0], c), max(old[1], c))
+
+
 class GlueView:
     """Precomputed per-column/per-row glue and blocking data for one path.
 
@@ -71,36 +93,37 @@ class GlueView:
     that straddles it strictly beyond its start, whether or not the pair
     interacts and whichever of the two assemblies each tile comes from.
     Consecutive path pairs (the glues themselves, and with them every
-    crossing of the path's embedding) are such pairs, so one midpoint map
-    per column/row answers every visibility query; the stronger rule is
-    what keeps the engine's workspace free of the seed and the retained
-    prefix in every case.
+    crossing of the path's embedding) are such pairs, so the lowest and
+    highest pair midpoint on each column/row answer every visibility
+    query in O(1); the stronger rule is what keeps the engine's workspace
+    free of the seed and the retained prefix in every case.
+
+    A view holds ``sys`` and ``path``, so it is the per-frame context the
+    driver hands down: each frame builds one and shares it.
     """
 
     def __init__(self, sys: TileSystem, p: Path):
         self.sys = sys
         self.path = p
         self.glues = glue_refs(p)
-        self.cols: dict[int, list[GlueRef]] = {}
-        self.rows: dict[int, list[GlueRef]] = {}
+        # Lowest and highest glue on each glue column (row): a span joins them.
+        self.cols: dict[int, tuple[GlueRef, GlueRef]] = {}
+        self.rows: dict[int, tuple[GlueRef, GlueRef]] = {}
         for g in self.glues:
             if g.horizontal:
-                self.cols.setdefault(g.midpoint[0], []).append(g)
+                _widen(self.cols, g.midpoint[0], g, 1)
             else:
-                self.rows.setdefault(g.midpoint[1], []).append(g)
-        for lst in self.cols.values():
-            lst.sort(key=lambda g: g.midpoint[1])
-        for lst in self.rows.values():
-            lst.sort(key=lambda g: g.midpoint[0])
-        # Midpoints of all adjacent tile pairs in seed + path.
-        self.pair_cols: dict[int, list[int]] = {}
-        self.pair_rows: dict[int, list[int]] = {}
+                _widen(self.rows, g.midpoint[1], g, 0)
+        # Lowest and highest midpoint of the adjacent tile pairs of seed +
+        # path straddling each glue column (row); only these two can block.
+        self.pair_cols: dict[int, tuple[int, int]] = {}
+        self.pair_rows: dict[int, tuple[int, int]] = {}
         tiles = set(sys.seed.tiles) | {pos for pos, _ in p.entries}
         for (x, y) in tiles:
             if (x + 1, y) in tiles:
-                self.pair_cols.setdefault(2 * x + 1, []).append(2 * y)
+                _reach(self.pair_cols, 2 * x + 1, 2 * y)
             if (x, y + 1) in tiles:
-                self.pair_rows.setdefault(2 * y + 1, []).append(2 * x)
+                _reach(self.pair_rows, 2 * y + 1, 2 * x)
         # Columns/rows carrying a labelled seed glue are ineligible for spans.
         self.seed_glue_cols: set[int] = set()
         self.seed_glue_rows: set[int] = set()
@@ -113,6 +136,7 @@ class GlueView:
                 self.seed_glue_rows.add(2 * y + 1)
             if t.south is not None:
                 self.seed_glue_rows.add(2 * y - 1)
+        self._vertical_spans: Optional[tuple[Span, ...]] = None
 
     # -- visibility ---------------------------------------------------------
 
@@ -123,19 +147,15 @@ class GlueView:
                 raise OrientationMismatch(
                     f"glue {i} points {g.pointing}; no {direction} ray from it")
             gx, gy = g.midpoint
-            blockers = self.pair_cols.get(gx, ())
-            if direction == "south":
-                return not any(sy < gy for sy in blockers)
-            return not any(sy > gy for sy in blockers)
+            lo, hi = self.pair_cols[gx]  # holds at least the glue's own pair
+            return lo >= gy if direction == "south" else hi <= gy
         if direction in ("east", "west"):
             if g.horizontal:
                 raise OrientationMismatch(
                     f"glue {i} points {g.pointing}; no {direction} ray from it")
             gx, gy = g.midpoint
-            blockers = self.pair_rows.get(gy, ())
-            if direction == "west":
-                return not any(sx < gx for sx in blockers)
-            return not any(sx > gx for sx in blockers)
+            lo, hi = self.pair_rows[gy]
+            return lo >= gx if direction == "west" else hi <= gx
         raise ValueError(f"unknown direction {direction!r}")
 
     def south_visible(self) -> list[GlueRef]:
@@ -143,6 +163,16 @@ class GlueView:
 
     def north_visible(self) -> list[GlueRef]:
         return [g for g in self.glues if g.horizontal and self.visible(g.index, "north")]
+
+    def vertical_spans(self) -> tuple[Span, ...]:
+        """``spans(sys, path, "vertical")``, computed on first use and kept.
+
+        A path whose spans are undefined raises :class:`NotCanonical` on
+        every call, exactly as :func:`spans` does.
+        """
+        if self._vertical_spans is None:
+            self._vertical_spans = tuple(spans(self.sys, self.path, "vertical", view=self))
+        return self._vertical_spans
 
     def seed_glue_midpoints(self) -> list[Point]:
         """Midpoints of the seed's labelled glues (doubled coordinates)."""
@@ -196,19 +226,16 @@ def _axis_spans(view: GlueView, vertical: bool) -> list[Span]:
     p = view.path
     groups = view.cols if vertical else view.rows
     seed_glue = view.seed_glue_cols if vertical else view.seed_glue_rows
-    pair_segs = view.pair_cols if vertical else view.pair_rows
+    pair_ends = view.pair_cols if vertical else view.pair_rows
+    axis_idx = 1 if vertical else 0
     out = []
     for key in sorted(groups):
         if key in seed_glue:
             continue
-        glues = groups[key]
-        lo, hi = glues[0], glues[-1]  # sorted by the running coordinate
-        segs = pair_segs.get(key, ())
-        axis_idx = 1 if vertical else 0
-        if any(c < lo.midpoint[axis_idx] for c in segs):
-            continue  # a straddling tile pair blocks the low ray
-        if any(c > hi.midpoint[axis_idx] for c in segs):
-            continue
+        lo, hi = groups[key]
+        low_pair, high_pair = pair_ends[key]
+        if low_pair < lo.midpoint[axis_idx] or high_pair > hi.midpoint[axis_idx]:
+            continue  # a straddling tile pair blocks an extremal ray
         s, n = lo.index, hi.index
         if vertical:
             orientation = "up" if s <= n else "down"
@@ -222,20 +249,23 @@ def _axis_spans(view: GlueView, vertical: bool) -> list[Span]:
     return out
 
 
-def spans(sys: TileSystem, p: Path, axis: str = "vertical") -> list[Span]:
+def spans(sys: TileSystem, p: Path, axis: str = "vertical",
+          view: Optional[GlueView] = None) -> list[Span]:
     """One span per eligible glue column (row), sorted by coordinate.
 
     Requires the path's last glue to be the unique easternmost glue of
     path and seed for the vertical axis (unique highest for horizontal);
     this guarantees each column's extremal glues really are visible.
     Columns carrying labelled seed glues are skipped, as are columns where
-    an unlabelled seed edge blocks the extremal ray.
+    an unlabelled seed edge blocks the extremal ray.  ``view``, when
+    given, is a prebuilt :class:`GlueView` of ``(sys, p)``.
     """
     if axis not in ("vertical", "horizontal"):
         raise ValueError("axis must be 'vertical' or 'horizontal'")
     if len(p) < 2:
         raise NotCanonical("path has no glues")
-    view = GlueView(sys, p)
+    if view is None:
+        view = GlueView(sys, p)
     last = view.glues[-1]
     coord = 0 if axis == "vertical" else 1
     rest = [g.midpoint for g in view.glues[:-1]] + view.seed_glue_midpoints()

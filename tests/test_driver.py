@@ -19,9 +19,10 @@ from pumpkit import (
 )
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_H, FLIP_V, IDENTITY, ROT90, Frame
-from pumpkit.errors import BadCounts, BadSystem, TooShort
+from pumpkit.errors import BadCounts, BadSystem, NotCanonical, TooShort
 from pumpkit.formats import parse_system
 from pumpkit.tam import SIDE_OF_STEP, STEP, TileType
+from pumpkit.visibility import GlueView, spans
 
 from conftest import path_of, system_of
 
@@ -297,6 +298,93 @@ def test_analyze_without_override_reports_below_bound(unit, unit_path):
     res = analyze(unit, unit_path)
     assert any("below-bound" in t for t in res.trail)
     assert res.kind == "pumpable"
+
+
+# -- one glue view per frame ---------------------------------------------------------
+
+
+@pytest.fixture
+def unit_instance(unit, unit_path):
+    return unit, unit_path
+
+
+@pytest.fixture
+def bank_flip():
+    # West glues visible from the north: the pipeline mirrors vertically
+    # first, then the west pigeonhole mirrors horizontally.
+    sys_ = system_of([("A", "d", "b", None, None), ("B", "c", None, "c", "c"),
+                      ("C", "c", "d", "b", "d")],
+                     {(0, 0): "B", (0, -1): "B"})
+    p = path_of(sys_, (0, -2, "B"), (0, -3, "B"), (0, -4, "C"), (1, -4, "C"),
+                (1, -3, "B"), (1, -2, "B"), (1, -1, "B"), (1, 0, "B"), (1, 1, "B"))
+    return sys_, p
+
+
+@pytest.fixture
+def down_spans():
+    # East along the top, back west through the middle, east along the
+    # bottom: columns 2-4 carry spans whose south glue comes last (down).
+    sys_ = system_of([("Z", "z", "z", "z", "z")], {(0, 0): "Z"})
+    cells = [(1, y) for y in range(5)] + [(x, 4) for x in range(2, 6)]
+    cells += [(5, 3), (5, 2), (4, 2), (3, 2), (2, 2), (2, 1), (2, 0)]
+    cells += [(x, 0) for x in range(3, 9)]
+    return sys_, path_of(sys_, *[(x, y, "Z") for x, y in cells])
+
+
+@pytest.mark.parametrize("instance, override, tags, views", [
+    ("unit_instance", 2, ["equal-span-pair(cols 1,2)"], 1),
+    ("analyze_fragile", 2, ["west-pigeonhole(i=0,j=1,k=7)"], 2),
+    ("bank_flip", None,
+     ["flip-vertical(orient visible bank)", "west-pigeonhole(i=0,j=1,k=7)"], 3),
+    # The mirrored frame's shield ends before the last glue: the engine
+    # works on a shorter prefix but reuses the frame's view.
+    ("down_spans", None, ["equal-span-pair(cols 2,3)", "flip-vertical(down spans)"], 2),
+])
+def test_analyze_builds_one_view_per_frame(request, monkeypatch, instance, override,
+                                           tags, views):
+    sys_, p = request.getfixturevalue(instance)
+    built = []
+    init = GlueView.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GlueView, "__init__", counting)
+    res = analyze(sys_, p, bound_override=override)
+    assert all(t in res.trail for t in tags), res.trail
+    assert res.kind != "no_shield"
+    assert len(built) == views
+
+
+def test_view_spans_match_fresh_spans(rng):
+    budget = EnumBudget(max_path_len=9, max_nodes=400)
+    checked = 0
+    while checked < 200:
+        sys_ = oracle.random_system(rng)
+        for p in oracle.PathEnumeration(sys_, budget, max_paths=60):
+            if len(p) < 2:
+                continue
+            view = GlueView(sys_, p)
+            try:
+                want = spans(sys_, p, "vertical")
+            except NotCanonical:
+                with pytest.raises(NotCanonical):
+                    view.vertical_spans()
+                continue
+            assert list(view.vertical_spans()) == want
+            assert view.vertical_spans() is view.vertical_spans()
+            checked += 1
+
+
+def test_view_spans_not_canonical():
+    # The last glue shares its column with an earlier glue: not extremal.
+    sys_ = system_of([("T", "t", "t", "t", "t")], {(0, 0): "T"})
+    p = path_of(sys_, (0, 1, "T"), (1, 1, "T"), (1, 2, "T"), (0, 2, "T"))
+    view = GlueView(sys_, p)
+    for _ in range(2):  # a failure is not cached as a result
+        with pytest.raises(NotCanonical):
+            view.vertical_spans()
 
 
 # -- two-handed reduction -------------------------------------------------------

@@ -1,6 +1,9 @@
 """Visibility, spans, right-priority, and the two executable lemma checkers."""
 
 
+import random
+from itertools import chain
+
 import pytest
 
 from pumpkit import GlueView, Path, oracle, right_priority, spans, visible
@@ -12,9 +15,10 @@ from pumpkit.errors import (
     OrientationMismatch,
     PrefixAmbiguity,
 )
-from pumpkit.visibility import check_glue_east, check_glue_side
+from pumpkit.visibility import Span, _axis_spans, check_glue_east, check_glue_side
 
 from conftest import path_of, system_of
+from test_acceptance import CORPUS_SEED, _corpus
 
 
 def test_unit_glue_visible_both_ways(unit):
@@ -121,6 +125,127 @@ def test_span_per_column_unique(rng):
             cols = [s.coordinate for s in got]
             assert len(cols) == len(set(cols))
             checked += 1
+
+
+# -- O(1) queries against the scanning definition --------------------------------
+
+
+def _blockers_by_scan(sys_, p):
+    """Every straddling tile pair's midpoint, listed per glue column and row."""
+    tiles = set(sys_.seed.tiles) | set(p.positions)
+    cols, rows = {}, {}
+    for (x, y) in tiles:
+        if (x + 1, y) in tiles:
+            cols.setdefault(2 * x + 1, []).append(2 * y)
+        if (x, y + 1) in tiles:
+            rows.setdefault(2 * y + 1, []).append(2 * x)
+    return cols, rows
+
+
+def _visible_by_scan(g, direction, cols, rows):
+    gx, gy = g.midpoint
+    if direction in ("south", "north"):
+        if not g.horizontal:
+            raise OrientationMismatch(direction)
+        segs = cols.get(gx, ())
+        if direction == "south":
+            return not any(sy < gy for sy in segs)
+        return not any(sy > gy for sy in segs)
+    if g.horizontal:
+        raise OrientationMismatch(direction)
+    segs = rows.get(gy, ())
+    if direction == "west":
+        return not any(sx < gx for sx in segs)
+    return not any(sx > gx for sx in segs)
+
+
+def _axis_spans_by_scan(view, vertical, cols, rows):
+    """Spans from per-column glue lists sorted in full and scanned with any()."""
+    p = view.path
+    axis_idx = 1 if vertical else 0
+    seed_glue = view.seed_glue_cols if vertical else view.seed_glue_rows
+    groups = {}
+    for g in view.glues:
+        if g.horizontal == vertical:
+            groups.setdefault(g.midpoint[1 - axis_idx], []).append(g)
+    out = []
+    for key in sorted(groups):
+        if key in seed_glue:
+            continue
+        glues = sorted(groups[key], key=lambda g: g.midpoint[axis_idx])
+        lo, hi = glues[0], glues[-1]
+        segs = (cols if vertical else rows).get(key, ())
+        if any(c < lo.midpoint[axis_idx] for c in segs):
+            continue
+        if any(c > hi.midpoint[axis_idx] for c in segs):
+            continue
+        s, n = lo.index, hi.index
+        if vertical:
+            orientation = "up" if s <= n else "down"
+        else:
+            orientation = "right" if s <= n else "left"
+        out.append(Span(s, n, (key - 1) // 2, "vertical" if vertical else "horizontal",
+                        orientation, lo.pointing if lo.pointing == hi.pointing else None,
+                        (lo if s <= n else hi).label,
+                        p.pos(n)[axis_idx] - p.pos(s)[axis_idx]))
+    return out
+
+
+def _long_walks(rng, count):
+    """Random self-avoiding walks of 40-150 tiles beside a small random seed.
+
+    Tile types are drawn per tile, so glue labels vary; visibility and
+    spans do not depend on the path binding.
+    """
+    made = 0
+    while made < count:
+        sys_ = oracle.random_system(rng, max_tiles=4, max_seed=3)
+        taken = set(sys_.seed.tiles)
+        x, y = rng.choice(sorted(taken))
+        cells = []
+        for _ in range(rng.randint(40, 150)):
+            free = [(x + dx, y + dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                    if (x + dx, y + dy) not in taken]
+            if not free:
+                break
+            x, y = rng.choice(free)
+            taken.add((x, y))
+            cells.append((x, y))
+        if len(cells) < 40:
+            continue
+        made += 1
+        yield sys_, Path([(c, rng.choice(sys_.tiles)) for c in cells])
+
+
+def _corpus_paths():
+    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
+        for p in paths:
+            yield sys_, p
+
+
+def test_glue_view_matches_scanning_definition():
+    instances = chain(_corpus_paths(), _long_walks(random.Random(7), 300))
+    n_paths = n_queries = n_spans = 0
+    for sys_, p in instances:
+        view = GlueView(sys_, p)
+        cols, rows = _blockers_by_scan(sys_, p)
+        for g in view.glues:
+            for direction in ("south", "north", "east", "west"):
+                try:
+                    want = _visible_by_scan(g, direction, cols, rows)
+                except OrientationMismatch:
+                    with pytest.raises(OrientationMismatch):
+                        view.visible(g.index, direction)
+                    continue
+                assert view.visible(g.index, direction) == want
+                n_queries += 1
+        for vertical in (True, False):
+            got = _axis_spans(view, vertical)
+            assert got == _axis_spans_by_scan(view, vertical, cols, rows)
+            n_spans += len(got)
+        n_paths += 1
+    assert n_paths > 5000 and n_queries > 50000 and n_spans > 10000
 
 
 # -- right priority -----------------------------------------------------------
