@@ -100,9 +100,9 @@ def cmd_pump_or_block(args) -> int:
     system, path = _load(args.file, need_path=True)
     i, j, k = args.shield
     out = engine.pump_or_block(system, path, engine.Shield(i, j, k),
-                               EnumBudget.from_env(), collect_trace=args.trace)
+                               EnumBudget.from_env())
     print(f"branch: {out.branch}")
-    if args.trace and out.trace is not None:
+    if args.trace:
         print(out.trace.dump())
     if out.kind == "pumpable":
         print(f"pumpable i={out.pumpable.i} j={out.pumpable.j} "
@@ -176,10 +176,9 @@ def cmd_oracle(args) -> int:
     i, j, k = args.shield
     sh = engine.Shield(i, j, k)
     engine.check_shield(system, path, i, j, k)
-    pt = path.prefix(k + 1)
-    ws = engine.build_workspace(system, pt, sh)
-    fast = engine.build_r(system, pt, sh, ws, budget)
-    slow = oracle.brute_right_priority(system, pt, sh, ws, budget)
+    ws = engine.build_workspace(system, path, sh)
+    fast = engine.build_r(ws, budget)
+    slow = oracle.brute_right_priority(ws, budget)
     print("engine route: " + " ".join(f"{x},{y}" for x, y in fast))
     print("oracle route: " + " ".join(f"{x},{y}" for x, y in slow))
     if fast != slow:
@@ -195,8 +194,7 @@ def cmd_render(args) -> int:
     overlays = set(args.overlays.split(",")) - {""} if args.overlays else set()
     trace = None
     if "trace" in overlays and sh is not None:
-        trace = engine.pump_or_block(system, path, sh, EnumBudget.from_env(),
-                                     collect_trace=True).trace
+        trace = engine.pump_or_block(system, path, sh, EnumBudget.from_env()).trace
     svg = svgout.render_svg(system, path, overlays, sh, trace=trace)
     _emit(svg, args.output)
     return 0

@@ -356,25 +356,6 @@ def crossing_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
     return _diagonal_parity(curve, p, toward_ne)
 
 
-class Region:
-    """One side of a plane cut, with the window holding all finite geometry.
-
-    The window is bookkeeping for renderers and flood fills; membership
-    itself is decided exactly by the boundary.
-    """
-
-    __slots__ = ("boundary", "side", "window")
-
-    def __init__(self, boundary: PolyCurve, side: Side,
-                 window: tuple[int, int, int, int]):
-        self.boundary = boundary
-        self.side = side
-        self.window = window
-
-    def __repr__(self):
-        return f"Region({self.side.value} of {self.boundary!r})"
-
-
 class SideCache:
     """Memoized side classification against one fixed curve.
 

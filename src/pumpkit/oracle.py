@@ -18,7 +18,7 @@ from . import tam, visibility
 from .budgets import EnumBudget
 from .errors import EmptyRouteSet, WindowTooSmall
 from .geometry import Point, PolyCurve, Side, add, sub
-from .shield import Shield, Workspace, _dbl, _goal_test, _RouteGraph
+from .shield import Workspace, _goal_test, _RouteGraph
 from .tam import Assembly, FragilityCert, Path, PumpingSpec, TileSystem, TileType
 
 
@@ -223,7 +223,7 @@ def floodfill_side(curve: PolyCurve, window: tuple[int, int, int, int],
 # -- exhaustive route selection ---------------------------------------------------
 
 
-def brute_right_priority(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
+def brute_right_priority(ws: Workspace,
                          budget: Optional[EnumBudget] = None) -> tuple[Point, ...]:
     """The selected route, by enumerating the whole candidate set.
 
@@ -234,12 +234,12 @@ def brute_right_priority(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
     maximum.  Exponential by nature; guarded by the vertex budget.
     """
     budget = budget or EnumBudget.from_env()
-    graph = _RouteGraph(p, sh, ws)
+    graph = _RouteGraph(ws)
     if len(graph.vertices) > budget.max_graph_vertices:
         raise WindowTooSmall(
             f"route graph has {len(graph.vertices)} vertices; "
             f"budget allows {budget.max_graph_vertices}")
-    start0, start1 = _dbl(p.pos(sh.i)), _dbl(p.pos(sh.i + 1))
+    start0, start1 = ws.pos2[ws.shield.i], ws.pos2[ws.shield.i + 1]
     is_goal = _goal_test(ws)
     candidates: list[tuple[Point, ...]] = []
 

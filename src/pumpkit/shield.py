@@ -12,6 +12,15 @@ strictly increasing anchor index forces one of two exits: an index pair
 witnessing an infinite periodic continuation (pumpable), or a replayable
 assembly sequence that places a wrong tile on the path (fragile).
 
+The :class:`Workspace` is the one per-shield context.
+:func:`build_workspace` fills it once, after the ``j == k`` exit (a repeat
+at the exit needs none of it): the system, the prefix ``0..k+1`` the
+engine works on, the :class:`GlueView`, the doubled positions of tiles
+``0..k+1``, the pumping vector, the cut with its side cache, the exit ray
+and the two translated copies of the segment.  Every later stage (the
+anchor, the route, the tiled route, the progress loop) takes the
+workspace and reads the shield's data from it.
+
 Every structural fact the construction relies on is re-checked at runtime
 and raises :class:`ClaimViolation` when broken; on producible inputs none
 of these can fire, so a violation marks a bug, not a property of the tile
@@ -30,7 +39,6 @@ from .geometry import (
     INFINITE_OVERLAP,
     Point,
     PolyCurve,
-    Region,
     Side,
     SideCache,
     VRay,
@@ -63,28 +71,32 @@ class Shield:
 
 @dataclass
 class Workspace:
-    """The cut through both visibility rays and its right-hand component."""
+    """Everything the engine derives from one shield, computed once.
 
+    ``view`` is a view of the caller's path or of ``path``; the engine reads
+    only the midpoints of glues up to ``k``, which are the same in both.
+    """
+
+    sys: TileSystem
+    path: Path  # the prefix 0..k+1 the engine works on
     shield: Shield
-    cut: PolyCurve
-    cache: SideCache
-    region: Region
-    exit_ray: VRay  # northward ray of glue k
-    entry_ray: VRay  # southward ray of glue i
+    view: GlueView
+    pos2: list[Point]  # doubled positions of tiles 0..k+1
     vector: Point  # doubled displacement from tile i to tile j
+    cut: PolyCurve  # up the entry ray, along tiles i+1..k, out the exit ray
+    cache: SideCache  # side classification against ``cut``
+    exit_ray: VRay  # northward ray of glue k
     fam1: dict[Point, int]  # doubled position -> index, segment tiles i+1..k
     fam2: dict[Point, int]  # the same for tiles j+1..k moved west by ``vector``
 
 
 @dataclass
 class DominantInfo:
-    """The anchor tile index on the lowest carrier ray, and the split it induces."""
+    """The anchor tile index on the lowest carrier ray, and the part past it."""
 
     m0: int
     carrier_num: int  # start height of the carrier ray on the entry column,
     carrier_den: int  # as the exact fraction carrier_num / carrier_den
-    ray: VRay  # south ray from the anchor tile
-    split: PolyCurve
     upper: SideCache  # right side of the split (the part past the anchor)
 
 
@@ -95,8 +107,6 @@ class InductionStep:
     v: int
     shift: int
     f: PolyCurve
-    g: PolyCurve
-    h: Optional[PolyCurve] = None
 
 
 @dataclass
@@ -104,11 +114,7 @@ class ShieldTrace:
     shield: Shield
     m0: Optional[int] = None
     carrier: Optional[tuple[int, int]] = None
-    anchor_ray: Optional[VRay] = None
-    split: Optional[PolyCurve] = None
-    inner: Optional[PolyCurve] = None
     route: Optional[tuple[Point, ...]] = None
-    tiled_route: Optional[Path] = None
     history: list[InductionStep] = field(default_factory=list)
 
     def dump(self) -> str:
@@ -127,10 +133,10 @@ class ShieldOutcome:
     kind: str  # "pumpable" | "fragile"
     shield: Shield
     branch: str
+    trace: ShieldTrace
     pumpable: Optional[PumpingSpec] = None
     fragile: Optional[FragilityCert] = None
     blocked_segment: Optional[tuple[int, int]] = None
-    trace: Optional[ShieldTrace] = None
 
 
 # -- shield recognition -------------------------------------------------------
@@ -216,46 +222,53 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
 # -- workspace ----------------------------------------------------------------
 
 
-def _window(sys: TileSystem, p: Path, margin: int = 2):
-    xs, ys = [], []
-    for (x, y) in list(sys.seed.tiles) + list(p.positions):
-        xs.append(2 * x)
-        ys.append(2 * y)
-    return (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
+def _cut(head: list[Point], pos2: list[Point], lo: int, exit2: Point) -> PolyCurve:
+    """``head``, then path tiles ``lo..k``, then the exit glue, with both rays.
+
+    ``pos2`` is a workspace's doubled positions of tiles ``0..k+1`` and
+    ``exit2`` the midpoint of glue ``k``.  The shield cut, the anchor
+    split, the inner cut and the progress loop's curves all have this form.
+    """
+    return PolyCurve(head + pos2[lo:-1] + [exit2], south_ray=True, north_ray=True)
 
 
 def build_workspace(sys: TileSystem, p: Path, sh: Shield,
                     view: Optional[GlueView] = None) -> Workspace:
-    """Assemble the cut for a shield and verify its structural claims.
+    """Assemble a shield's workspace and verify the cut's structural claims.
 
-    The cut runs up the entry ray, along the path segment ``i+1..k``, and
-    out the exit ray; its right-hand side is the component where the
-    engine is free to edit paths.  Verified here: the cut is simple, the
-    seed and the retained prefix lie strictly on the left, and the
-    west-translated exit ray touches the closed right side at most at its
-    start.
+    The engine works on the prefix ``0..k+1`` of ``p``; any certificate
+    for a prefix is one for the whole path.  ``view``, when given, is a
+    prebuilt :class:`GlueView` of ``(sys, p)``.  The cut runs up the entry
+    ray, along the path segment ``i+1..k``, and out the exit ray; its
+    right-hand side is the component where the engine is free to edit
+    paths.  Verified here: the cut is simple, the seed and the retained
+    prefix lie strictly on the left, and the west-translated exit ray
+    touches the closed right side at most at its start.
     """
     i, j, k = sh.i, sh.j, sh.k
+    pt = p.prefix(k + 1)
     if view is None:
-        view = GlueView(sys, p)
+        view = GlueView(sys, pt)
     gi, gk = view.glues[i], view.glues[k]
-    vec = sub(_dbl(p.pos(j)), _dbl(p.pos(i)))
+    positions = pt.positions
+    pos2 = [_dbl(q) for q in positions]
+    vec = sub(pos2[j], pos2[i])
     if vec[0] <= 0:
         raise ClaimViolation("pump-vector-east",
                              f"vector {vec} is not strictly east")
-    vertices = [gi.midpoint] + [_dbl(p.pos(s)) for s in range(i + 1, k + 1)]
-    vertices.append(gk.midpoint)
-    cut = PolyCurve(vertices, south_ray=True, north_ray=True)
+    cut = _cut([gi.midpoint], pos2, i + 1, gk.midpoint)
     if not cut.is_simple():
         raise ClaimViolation("cut-simple", "the shield cut self-intersects")
     cache = SideCache(cut)
-    for pos in list(sys.seed.tiles) + [p.pos(s) for s in range(0, i + 1)]:
+    for pos in list(sys.seed.tiles) + list(positions[: i + 1]):
         if cache.side(_dbl(pos)) is not Side.LEFT:
             raise ClaimViolation(
                 "prefix-outside-workspace",
                 f"seed/prefix tile at {pos} is not strictly left of the cut")
+    # The scan ends above the highest tile, where the cut is its exit ray
+    # alone and the side along the translated ray no longer changes.
     shifted = VRay(add(gk.midpoint, neg(vec)), "north")
-    top = _window(sys, p)[3] + 2
+    top = 2 * max(y for _, y in list(sys.seed.tiles) + list(positions)) + 4
     y = shifted.start[1]
     while y <= top:
         q = (shifted.start[0], y)
@@ -264,28 +277,28 @@ def build_workspace(sys: TileSystem, p: Path, sh: Shield,
                 "shifted-exit-ray-touch",
                 f"translated exit ray enters the workspace at {q}")
         y += 1
-    fam1 = {_dbl(p.pos(n)): n for n in range(i + 1, k + 1)}
-    fam2 = {sub(_dbl(p.pos(n)), vec): n for n in range(j + 1, k + 1)}
-    return Workspace(sh, cut, cache, Region(cut, Side.RIGHT, _window(sys, p)),
-                     VRay(gk.midpoint, "north"), VRay(gi.midpoint, "south"), vec,
-                     fam1, fam2)
+    fam1 = {pos2[n]: n for n in range(i + 1, k + 1)}
+    fam2 = {sub(pos2[n], vec): n for n in range(j + 1, k + 1)}
+    return Workspace(sys, pt, sh, view, pos2, vec, cut, cache,
+                     VRay(gk.midpoint, "north"), fam1, fam2)
 
 
 # -- the dominant anchor tile ---------------------------------------------------
 
 
-def _carrier_candidates(p: Path, sh: Shield, gi_mid: Point, vec: Point):
+def _carrier_candidates(ws: Workspace):
     """(numerator, x, index) of carrier-ray starts for segment tiles east of entry.
 
     A ray of direction ``vec`` through tile ``m`` starts on the entry
     column at height num/dx (doubled); it lies on the entry ray when the
     start is not above the glue midpoint.
     """
-    gx, gy = gi_mid
-    dx, dy = vec
+    sh = ws.shield
+    gx, gy = ws.view.glues[sh.i].midpoint
+    dx, dy = ws.vector
     out = []
     for m in range(sh.i + 1, sh.k + 1):
-        x2, y2 = _dbl(p.pos(m))
+        x2, y2 = ws.pos2[m]
         if x2 <= gx:
             continue
         num = y2 * dx - dy * (x2 - gx)
@@ -294,9 +307,7 @@ def _carrier_candidates(p: Path, sh: Shield, gi_mid: Point, vec: Point):
     return out
 
 
-def dominant(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
-             view: Optional[GlueView] = None,
-             _carrier_override=None) -> DominantInfo:
+def dominant(ws: Workspace, _carrier_override=None) -> DominantInfo:
     """Find the anchor tile on the lowest carrier ray and split the workspace.
 
     The carrier ray has the pumping vector's direction, starts on the
@@ -305,12 +316,9 @@ def dominant(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
     ray from the anchor splits the workspace into the part before and
     after the anchor.
     """
+    sh, pos2, vec = ws.shield, ws.pos2, ws.vector
     i, j, k = sh.i, sh.j, sh.k
-    if view is None:
-        view = GlueView(sys, p)
-    gi, gk = view.glues[i], view.glues[k]
-    vec = ws.vector
-    cands = _carrier_candidates(p, sh, gi.midpoint, vec)
+    cands = _carrier_candidates(ws)
     if not cands:
         raise ClaimViolation("anchor-exists", "no carrier ray hits the segment")
     if _carrier_override is None:
@@ -326,9 +334,9 @@ def dominant(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
     if m0 <= i + 1:
         raise ClaimViolation("anchor-past-start", f"anchor index {m0} <= i+1")
 
-    anchor2 = _dbl(p.pos(m0))
+    anchor2 = pos2[m0]
     ray = VRay(anchor2, "south")
-    segment = PolyCurve([_dbl(p.pos(s)) for s in range(i + 1, k + 1)])
+    segment = PolyCurve(pos2[i + 1:k + 1])
     seg_pts = segment.lattice_set()
     hits = {q for q in seg_pts if ray.contains(q)}
     if hits != {anchor2}:
@@ -347,8 +355,7 @@ def dominant(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
         raise ClaimViolation("anchor-ray-inside",
                              f"anchor ray leaves the workspace at {witness}")
     if m0 > j:
-        gj = view.glues[j]
-        if anchor2[0] <= gj.midpoint[0]:
+        if anchor2[0] <= ws.view.glues[j].midpoint[0]:
             raise ClaimViolation("anchor-ray-east",
                                  "anchor ray not strictly east of glue j")
         back = ray.translate(neg(vec))
@@ -357,9 +364,7 @@ def dominant(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
             raise ClaimViolation("anchor-ray-east",
                                  f"west-shifted anchor ray hits segment at {sorted(bhits)}")
 
-    split_pts = [anchor2] + [_dbl(p.pos(s)) for s in range(m0 + 1, k + 1)]
-    split_pts.append(gk.midpoint)
-    split = PolyCurve(split_pts, south_ray=True, north_ray=True)
+    split = _cut([anchor2], pos2, m0 + 1, ws.exit_ray.start)
     if not split.is_simple():
         raise ClaimViolation("split-simple", "workspace split self-intersects")
     upper = SideCache(split)
@@ -373,7 +378,7 @@ def dominant(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
                 "anchor-ray-shift-upper",
                 f"anchor ray shifted {n} periods leaves the upper part at {witness}")
         n += 1
-    return DominantInfo(m0, best, vec[0], ray, split, upper)
+    return DominantInfo(m0, best, vec[0], upper)
 
 
 # -- the binding route ----------------------------------------------------------
@@ -387,16 +392,15 @@ class _RouteGraph:
     and midpoint because the cut is axis-aligned at the same granularity.
     """
 
-    def __init__(self, p: Path, sh: Shield, ws: Workspace):
-        i, j, k = sh.i, sh.j, sh.k
+    def __init__(self, ws: Workspace):
+        sh, pos2 = ws.shield, ws.pos2
         self.vertices = set(ws.fam1) | set(ws.fam2)
         cache = ws.cache
         self.adj: dict[Point, list[Point]] = {u: [] for u in self.vertices}
         edges = set()
-        for lo, shift in ((i + 1, (0, 0)), (j + 1, ws.vector)):
-            for n in range(lo, k):
-                edges.add(frozenset((sub(_dbl(p.pos(n)), shift),
-                                     sub(_dbl(p.pos(n + 1)), shift))))
+        for lo, shift in ((sh.i + 1, (0, 0)), (sh.j + 1, ws.vector)):
+            for n in range(lo, sh.k):
+                edges.add(frozenset((sub(pos2[n], shift), sub(pos2[n + 1], shift))))
         for e in edges:
             u, w = tuple(e)
             mid = ((u[0] + w[0]) // 2, (u[1] + w[1]) // 2)
@@ -424,9 +428,7 @@ def _goal_test(ws: Workspace):
     return is_goal
 
 
-def build_r(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
-            budget: Optional[EnumBudget] = None,
-            graph: Optional[_RouteGraph] = None) -> tuple[Point, ...]:
+def build_r(ws: Workspace, budget: Optional[EnumBudget] = None) -> tuple[Point, ...]:
     """The most right-priority admissible route to the exit ray.
 
     Explores the route graph depth first, most-right-turning successor
@@ -437,12 +439,9 @@ def build_r(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
     positions are doubled and omit the entry tile ``i``.
     """
     budget = budget or EnumBudget.from_env()
-    if graph is None:
-        graph = _RouteGraph(p, sh, ws)
-    start0 = _dbl(p.pos(sh.i))
-    start1 = _dbl(p.pos(sh.i + 1))
+    adj = _RouteGraph(ws).adj
+    start0, start1 = ws.pos2[ws.shield.i], ws.pos2[ws.shield.i + 1]
     is_goal = _goal_test(ws)
-    adj = graph.adj
 
     def sorted_successors(prev: Point, cur: Point) -> list[Point]:
         ranked = clockwise_successors(prev, cur)
@@ -512,11 +511,8 @@ def build_r(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
     raise EmptyRouteSet("no admissible route survives the endpoint-height filter")
 
 
-def _assert_route_claims(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
-                         route: tuple[Point, ...],
-                         view: GlueView) -> Optional[PolyCurve]:
+def _assert_route_claims(ws: Workspace, route: tuple[Point, ...]) -> None:
     """Order and translate-containment claims on the selected route."""
-    j, k = sh.j, sh.k
     fam1 = ws.fam1
     last_idx = None
     for u in route:
@@ -529,24 +525,19 @@ def _assert_route_claims(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
         last_idx = n
 
     # Inner component: right side of the cut through glue j's ray.
-    gj, gk = view.glues[j], view.glues[k]
-    inner_pts = [gj.midpoint] + [_dbl(p.pos(s)) for s in range(j + 1, k + 1)]
-    inner_pts.append(gk.midpoint)
-    inner = PolyCurve(inner_pts, south_ray=True, north_ray=True)
+    j = ws.shield.j
+    inner = _cut([ws.view.glues[j].midpoint], ws.pos2, j + 1, ws.exit_ray.start)
     if not inner.is_simple():
         raise ClaimViolation("inner-cut-simple", "inner cut self-intersects")
-    inner_cache = SideCache(inner)
     moved = PolyCurve([add(u, ws.vector) for u in route])
-    witness = curve_in_closed_right(moved, inner_cache)
+    witness = curve_in_closed_right(moved, SideCache(inner))
     if witness is not None:
         raise ClaimViolation(
             "route-shift-inside-inner",
             f"east-shifted route leaves the inner component at {witness}")
-    return inner
 
 
-def build_R(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
-            route: tuple[Point, ...]):
+def build_R(ws: Workspace, route: tuple[Point, ...]):
     """Tile the route, or construct the blocking certificate.
 
     Walking the route, the first position where the two translated path
@@ -555,7 +546,7 @@ def build_R(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
     the other copy's tile there blocks the path.  Without a conflict the
     fully tiled route grows in both translations.
     """
-    i, j = sh.i, sh.j
+    p, i, j = ws.path, ws.shield.i, ws.shield.j
     v_tiles = (ws.vector[0] // 2, ws.vector[1] // 2)
     fam1, fam2 = ws.fam1, ws.fam2
 
@@ -577,7 +568,7 @@ def build_R(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
     if s0 == len(route):
         for prefix_end, piece in ((i, tiled), (j, tiled.translate(v_tiles))):
             grown = Path(p.entries[: prefix_end + 1] + piece.entries)
-            rep = tam.validate_producible_path(sys, grown)
+            rep = tam.validate_producible_path(ws.sys, grown)
             if not rep:
                 raise ClaimViolation(
                     "paired-growth",
@@ -619,47 +610,56 @@ def build_R(sys: TileSystem, p: Path, sh: Shield, ws: Workspace,
                          "conflict is reachable by neither translated copy")
 
 
-def initial_uv(p: Path, sh: Shield, ws: Workspace, dom: DominantInfo,
-               tiled: Path) -> tuple[int, int]:
-    """First anchor pair: matching indices one pumping period apart.
+def _anchor_pair(ws: Workspace, tiled: Path, m: int) -> tuple[int, int]:
+    """Anchor pair of anchor tile ``m``: matching indices one period apart.
 
     The tiled route passes through the anchor tile; scanning backwards
-    from there, the last route tile whose east translate is on the
-    segment gives the pair.  All four conclusions are re-checked: order,
-    equal tile types, containment of the translated stretch in the upper
-    part, and uniqueness of the meeting point.
+    from there, the first route tile whose east translate is on the
+    segment gives the pair ``(u, v)``.  Re-checked: the route carries the
+    anchor with its type, ``i+1 <= u <= m <= v``, and ``u`` and ``v`` have
+    equal tile types.  The scan starts at the anchor tile itself; the
+    first anchor cannot qualify, as :func:`dominant`'s ``anchor-ray-clear``
+    check keeps its translate off the segment.
     """
-    i = sh.i
-    vec = ws.vector
-    fam1 = ws.fam1
-    b = next((s for s in range(len(tiled))
-              if _dbl(tiled.pos(s)) == _dbl(p.pos(dom.m0))), None)
+    p, vec, fam1 = ws.path, ws.vector, ws.fam1
+    b = tiled.index_of(p.pos(m))
     if b is None:
-        raise ClaimViolation("anchor-on-route", "route misses the anchor tile")
-    if tiled.type(b) != p.type(dom.m0):
+        raise ClaimViolation("anchor-on-route", f"route misses anchor tile {m}")
+    if tiled.type(b) != p.type(m):
         raise ClaimViolation("anchor-on-route", "route retypes the anchor tile")
-    a = next((s for s in range(b - 1, -1, -1)
-              if add(_dbl(tiled.pos(s)), vec) in fam1), None)
-    if a is None:
+    for s in range(b, -1, -1):
+        start2 = _dbl(tiled.pos(s))
+        v = fam1.get(add(start2, vec))
+        if v is not None:
+            break
+    else:
         raise ClaimViolation("anchor-pair", "no route tile east-translates onto the segment")
-    u0 = fam1.get(_dbl(tiled.pos(a)))
-    if u0 is None:
+    u = fam1.get(start2)
+    if u is None:
         raise ClaimViolation("anchor-pair", "pair start is not a segment tile")
-    v0 = fam1[add(_dbl(tiled.pos(a)), vec)]
-    if not (i + 1 <= u0 <= dom.m0 <= v0):
+    if not (ws.shield.i + 1 <= u <= m <= v):
         raise ClaimViolation("anchor-pair",
-                             f"pair order broken: i+1={i + 1} u0={u0} m0={dom.m0} v0={v0}")
-    if p.type(u0) != p.type(v0):
+                             f"pair order broken: i+1={ws.shield.i + 1} u={u} m={m} v={v}")
+    if p.type(u) != p.type(v):
         raise ClaimViolation("anchor-pair", "pair tiles differ in type")
-    stretch = PolyCurve([add(_dbl(p.pos(s)), vec) for s in range(u0, dom.m0 + 1)])
+    return u, v
+
+
+def initial_uv(ws: Workspace, dom: DominantInfo, tiled: Path) -> tuple[int, int]:
+    """First anchor pair, with the stretch from its start to the anchor checked.
+
+    Beyond :func:`_anchor_pair`'s checks, the east translate of the path
+    stretch ``u0..m0`` stays in the upper part and meets the segment only
+    at tile ``v0``.
+    """
+    u0, v0 = _anchor_pair(ws, tiled, dom.m0)
+    stretch = PolyCurve([add(q, ws.vector) for q in ws.pos2[u0:dom.m0 + 1]])
     witness = curve_in_closed_right(stretch, dom.upper)
     if witness is not None:
         raise ClaimViolation("anchor-pair",
                              f"translated stretch leaves the upper part at {witness}")
-    seg_positions = set(fam1)
-    meet = {q for s in range(u0, dom.m0 + 1)
-            for q in [add(_dbl(p.pos(s)), vec)] if q in seg_positions}
-    if meet != {_dbl(p.pos(v0))}:
+    meet = {q for q in stretch.points if q in ws.fam1}
+    if meet != {ws.pos2[v0]}:
         raise ClaimViolation("anchor-pair",
                              f"translated stretch meets the segment at {sorted(meet)}")
     return u0, v0
@@ -675,25 +675,21 @@ def _x_separation_periods(a: PolyCurve, b: PolyCurve, dx: int) -> int:
     return max(0, (bx1 - ax0) // dx) + 2
 
 
-def _check_step(p: Path, sh: Shield, ws: Workspace,
-                u: int, m: int, v_: int, f: PolyCurve):
+def _check_step(ws: Workspace, u: int, m: int, v_: int, f: PolyCurve) -> str:
     """Verify the four induction conditions; detect the exit-seam escape.
 
-    Returns the curve through ``f`` and the tail of the cut ("ok"), or
-    the marker "special" when the translated stretch crosses the half
-    step between the last segment tile and the exit glue, which certifies
-    pumpability directly.
+    Returns "ok", or "special" when the translated stretch crosses the
+    half step between the last segment tile and the exit glue, which
+    certifies pumpability directly.
     """
-    i, j, k = sh.i, sh.j, sh.k
-    vec = ws.vector
-    cut = ws.cut
+    k, vec, cut, pos2 = ws.shield.k, ws.vector, ws.cut, ws.pos2
     if not f.is_simple():
         raise ClaimViolation("induction-h1", "frontier curve self-intersects")
     witness = curve_in_closed_right(f, ws.cache)
     if witness is not None:
         raise ClaimViolation("induction-h2",
                              f"frontier leaves the workspace at {witness}")
-    anchor2 = _dbl(p.pos(m))
+    anchor2 = pos2[m]
     inter = curve_intersection(f, cut)
     if inter is INFINITE_OVERLAP or inter != {anchor2}:
         raise ClaimViolation("induction-h2",
@@ -709,14 +705,13 @@ def _check_step(p: Path, sh: Shield, ws: Workspace,
                     f"frontier shifted {t} periods meets {'itself' if other is f else 'the cut'}")
     # H4 with the seam escape.
     gk = ws.exit_ray.start
-    g_pts = list(f.points) + [_dbl(p.pos(s)) for s in range(m + 1, k + 1)] + [gk]
-    g = PolyCurve(g_pts, south_ray=True, north_ray=True)
+    g = _cut(list(f.points), pos2, m + 1, gk)
     if not g.is_simple():
         raise ClaimViolation("induction-h4", "frontier extension self-intersects")
-    want = _dbl(p.pos(v_))
-    if add(_dbl(p.pos(u)), vec) != want:
+    want = pos2[v_]
+    if add(pos2[u], vec) != want:
         raise ClaimViolation("induction-h4", "anchor pair is not one period apart")
-    stretch = PolyCurve([add(_dbl(p.pos(s)), vec) for s in range(u, m + 1)])
+    stretch = PolyCurve([add(q, vec) for q in pos2[u:m + 1]])
     inter_c = curve_intersection(stretch, cut)
     inter_g = curve_intersection(stretch, g)
     if inter_c is INFINITE_OVERLAP or inter_g is INFINITE_OVERLAP:
@@ -727,38 +722,33 @@ def _check_step(p: Path, sh: Shield, ws: Workspace,
     # frontier's own points are significant.
     extra_g = inter_g - set(f.lattice_points())
 
-    def extension(strict: bool) -> PolyCurve:
-        # Runs down the shifted frontier, back along the shifted stretch to
-        # the pair's landing tile, then out the tail of the cut.
-        pts = [add(q, vec) for q in f.points]
-        pts += [add(_dbl(p.pos(s)), vec) for s in range(m - 1, u - 1, -1)]
-        pts += [_dbl(p.pos(s)) for s in range(v_ + 1, k + 1)] + [gk]
-        ext = PolyCurve(pts, south_ray=True, north_ray=True)
-        if strict and not ext.is_simple():
-            raise ClaimViolation("induction-h4", "frontier extension kinks")
-        return ext
-
     if inter_c == {want} and extra_g <= {want}:
-        return g, extension(strict=extra_g == inter_g), "ok"
+        if extra_g == inter_g:
+            # The extension runs down the shifted frontier, back along the
+            # shifted stretch to the pair's landing tile, then out the tail
+            # of the cut.
+            head = [add(q, vec) for q in f.points]
+            head += [add(q, vec) for q in reversed(pos2[u:m])]
+            if not _cut(head, pos2, v_ + 1, gk).is_simple():
+                raise ClaimViolation("induction-h4", "frontier extension kinks")
+        return "ok"
     seam = {want, gk}
-    if (v_ == k and want == _dbl(p.pos(k)) and u + 1 < len(p)
-            and add(_dbl(p.pos(u + 1)), vec) == _dbl(p.pos(k + 1))
+    if (v_ == k and u + 1 < len(pos2) and add(pos2[u + 1], vec) == pos2[k + 1]
             and inter_c <= seam and extra_g <= seam):
-        glue_step = sub(p.pos(k + 1), p.pos(k))
-        if glue_step != (1, 0):
+        if sub(pos2[k + 1], pos2[k]) != (2, 0):
             raise ClaimViolation("special-exit", "seam crossing without east exit glue")
-        return g, extension(strict=False), "special"
+        return "special"
     raise ClaimViolation(
         "induction-h4",
         f"translated stretch meets cut at {sorted(inter_c)}, frontier at {sorted(inter_g)}")
 
 
-def _find_next_anchor(p: Path, ws: Workspace, u: int, m: int):
+def _find_next_anchor(ws: Workspace, u: int, m: int):
     """Largest pair (a, t), ordered by a then t, landing back on the segment."""
     fam1, vec = ws.fam1, ws.vector
     max_x = max(x for x, _ in fam1)
     for a in range(m, u - 1, -1):
-        base = _dbl(p.pos(a))
+        base = ws.pos2[a]
         t_hi = (max_x - base[0]) // vec[0] if vec[0] else 0
         for t in range(t_hi, 0, -1):
             target = add(base, scale(vec, t))
@@ -770,21 +760,19 @@ def _find_next_anchor(p: Path, ws: Workspace, u: int, m: int):
 
 def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
                   budget: Optional[EnumBudget] = None,
-                  collect_trace: bool = False,
                   view: Optional[GlueView] = None) -> ShieldOutcome:
     """Decide a shield: produce a verified pumping or blocking certificate.
 
     The shield is re-validated first.  When ``j == k`` the two glues line
     up on one column and the segment between them repeats immediately.
-    Otherwise the engine works on the prefix ending one tile past ``k``
-    (any certificate for a prefix is one for the whole path), builds the
-    workspace, anchor, route and tiled route, and iterates the anchor
-    advance until it stalls (pumpable) or a conflict materializes
-    (fragile).  Both certificate kinds are passed through the matching
-    independent verifier before being returned.  ``view``, when given,
-    is a prebuilt :class:`GlueView` of ``(sys, p)``; it serves the shield
-    check and the engine, which reads only the glues up to ``k`` and so
-    sees the same midpoints in the full path's view as in the prefix's.
+    Otherwise the engine builds the shield's :class:`Workspace`, then the
+    anchor, route and tiled route, and iterates the anchor advance until
+    it stalls (pumpable) or a conflict materializes (fragile).  Both
+    certificate kinds are passed through the matching independent
+    verifier before being returned, together with the construction's
+    :class:`ShieldTrace`.  ``view``, when given, is a prebuilt
+    :class:`GlueView` of ``(sys, p)``; it serves the shield check and the
+    workspace.
     """
     budget = budget or EnumBudget.from_env()
     if view is None:
@@ -799,49 +787,43 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
         if not res:
             raise ClaimViolation("certificate-verifies",
                                  f"pumping ({u},{v_}) rejected: {res.reason}")
-        return ShieldOutcome("pumpable", sh, branch, pumpable=spec,
-                             trace=trace if collect_trace else None)
+        return ShieldOutcome("pumpable", sh, branch, trace, pumpable=spec)
 
     if j == k:
         return pumpable(i, j, "repeat-at-exit")
 
-    pt = p.prefix(k + 1)
-    ws = build_workspace(sys, pt, sh, view)
-    dom = dominant(sys, pt, sh, ws, view)
+    ws = build_workspace(sys, p, sh, view)
+    dom = dominant(ws)
     trace.m0 = dom.m0
     trace.carrier = (dom.carrier_num, dom.carrier_den)
-    trace.anchor_ray = dom.ray
-    trace.split = dom.split
 
-    route = build_r(sys, pt, sh, ws, budget)
+    route = build_r(ws, budget)
     trace.route = route
-    trace.inner = _assert_route_claims(sys, pt, sh, ws, route, view)
+    _assert_route_claims(ws, route)
 
-    tiled, conflict = build_R(sys, pt, sh, ws, route)
-    trace.tiled_route = tiled
+    tiled, conflict = build_R(ws, route)
     if conflict is not None:
         cert, which = conflict
         res = tam.verify_fragile_cert(sys, p, cert)
         if not res:
             raise ClaimViolation("certificate-verifies",
                                  f"blocking cert rejected: {res.reason}")
-        _assert_blocker_in_workspace(sys, pt, sh, ws, cert)
-        return ShieldOutcome("fragile", sh, f"route-conflict-{which}",
-                             fragile=cert, blocked_segment=(i + 1, k),
-                             trace=trace if collect_trace else None)
+        _assert_blocker_in_workspace(ws, cert)
+        return ShieldOutcome("fragile", sh, f"route-conflict-{which}", trace,
+                             fragile=cert, blocked_segment=(i + 1, k))
 
-    u, v_ = initial_uv(pt, sh, ws, dom, tiled)
-    f = PolyCurve([_dbl(pt.pos(dom.m0))], south_ray=True)
+    u, v_ = initial_uv(ws, dom, tiled)
     m = dom.m0
+    f = PolyCurve([ws.pos2[m]], south_ray=True)
     shift = 0
     vec = ws.vector
 
     for _ in range(budget.max_steps):
-        g, h, status = _check_step(pt, sh, ws, u, m, v_, f)
-        trace.history.append(InductionStep(u, m, v_, shift, f, g, h))
+        status = _check_step(ws, u, m, v_, f)
+        trace.history.append(InductionStep(u, m, v_, shift, f))
         if status == "special":
             return pumpable(u, v_, "exit-seam")
-        a, t, m_next = _find_next_anchor(pt, ws, u, m)
+        a, t, m_next = _find_next_anchor(ws, u, m)
         if m_next == m:
             if not (m == v_ and t == 1 and a == u):
                 raise ClaimViolation("pump-case-degenerate",
@@ -850,35 +832,18 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
         if not (m_next >= v_ >= m):
             raise ClaimViolation("induction-progress",
                                  f"anchor went backwards: m'={m_next} v={v_} m={m}")
-        tail = [add(_dbl(pt.pos(s)), scale(vec, t)) for s in range(m, a - 1, -1)]
-        f = PolyCurve([add(q, scale(vec, t)) for q in f.points] + tail[1:],
-                      south_ray=True)
+        moved = scale(vec, t)
+        tail = [add(q, moved) for q in reversed(ws.pos2[a:m])]
+        f = PolyCurve([add(q, moved) for q in f.points] + tail, south_ray=True)
         shift += t
-        b = next((s for s in range(len(tiled))
-                  if _dbl(tiled.pos(s)) == _dbl(pt.pos(m_next))), None)
-        if b is None:
-            raise ClaimViolation("induction-anchor", "route misses the new anchor")
-        d = next((s for s in range(b, -1, -1)
-                  if add(_dbl(tiled.pos(s)), vec) in ws.fam1), None)
-        if d is None:
-            raise ClaimViolation("induction-anchor", "no route tile translates onto the segment")
-        u_next = ws.fam1.get(_dbl(tiled.pos(d)))
-        if u_next is None:
-            raise ClaimViolation("induction-anchor", "new pair start is off the segment")
-        v_next = ws.fam1[add(_dbl(tiled.pos(d)), vec)]
-        if p.type(u_next) != p.type(v_next):
-            raise ClaimViolation("induction-anchor", "new pair tiles differ in type")
-        if not (u_next <= m_next <= v_next):
-            raise ClaimViolation("induction-anchor",
-                                 f"new pair out of order: {u_next},{m_next},{v_next}")
-        u, m, v_ = u_next, m_next, v_next
+        u, v_ = _anchor_pair(ws, tiled, m_next)
+        m = m_next
     raise BudgetExceeded(f"progress loop exceeded {budget.max_steps} steps")
 
 
-def _assert_blocker_in_workspace(sys: TileSystem, pt: Path, sh: Shield,
-                                 ws: Workspace, cert: FragilityCert) -> None:
+def _assert_blocker_in_workspace(ws: Workspace, cert: FragilityCert) -> None:
     """Everything the certificate grows beyond the retained prefix stays inside."""
-    prefix = {pt.pos(s) for s in range(0, sh.i + 1)}
+    prefix = set(ws.path.positions[: ws.shield.i + 1])
     for pos, _ in cert.attachments:
         if pos in prefix:
             continue

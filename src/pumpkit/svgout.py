@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .geometry import PolyCurve
-from .shield import Shield, ShieldTrace, Workspace, build_workspace
+from .shield import Shield, ShieldTrace, Workspace, build_workspace, check_shield
 from .tam import Path, TileSystem
 from .visibility import GlueView
 
@@ -53,10 +53,18 @@ def render_svg(sys: TileSystem, path: Optional[Path] = None,
                overlays: Iterable[str] = (), shield: Optional[Shield] = None,
                workspace: Optional[Workspace] = None,
                trace: Optional[ShieldTrace] = None) -> str:
-    """Render to an SVG 1.1 string; identical inputs give identical bytes."""
+    """Render to an SVG 1.1 string; identical inputs give identical bytes.
+
+    A ``shield`` is checked against ``path`` first, so a triple that is
+    not a shield raises :class:`NotAShield` before any overlay is drawn.
+    """
     overlays = set(overlays)
-    if shield is not None and workspace is None and path is not None:
-        workspace = build_workspace(sys, path, shield)
+    view = None
+    if shield is not None and path is not None:
+        view = GlueView(sys, path)
+        check_shield(sys, path, shield.i, shield.j, shield.k, view)
+        if workspace is None:
+            workspace = build_workspace(sys, path, shield, view)
     tiles = [(pos, t, "seed") for pos, t in sorted(sys.seed.tiles.items())]
     if path is not None:
         tiles += [(pos, t, "path") for pos, t in path.entries]
@@ -111,8 +119,7 @@ def render_svg(sys: TileSystem, path: Optional[Path] = None,
                           for x, y in path.positions)
         out.append(f'<polyline points="{coords}" class="path"/>')
 
-    if "rays" in overlays and shield is not None and path is not None:
-        view = GlueView(sys, path)
+    if "rays" in overlays and view is not None:
         x0, y0, x1, y1 = win
         for idx, heading in ((shield.i, "south"), (shield.j, "south"),
                              (shield.k, "north")):

@@ -143,10 +143,6 @@ class Path:
     def positions(self) -> tuple[Position, ...]:
         return tuple(p for p, _ in self.entries)
 
-    @property
-    def types(self) -> tuple[TileType, ...]:
-        return tuple(t for _, t in self.entries)
-
     def pos(self, i: int) -> Position:
         return self.entries[i][0]
 

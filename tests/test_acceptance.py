@@ -48,6 +48,13 @@ CORPUS_PATH_CAP = 3000  # systems enumerating past this are not kept
 ANALYZE_CORPUS_DIGEST = "bf597d33a6226ba336927cf79e48e3b61177b6be2a3d0a6a7edd16e8a283af60"
 ANALYZE_CORPUS_SECONDS = 30.0  # about 2.5 s on a 2-core machine
 
+# SHA-256 over kind, branch, construction trace and certificate of
+# ``pump_or_block`` on every 20th shield with j < k of criterion 9's corpus.
+# The trace pins what the certificates cannot show: the anchor, the
+# carrier, the route and every progress-loop step.
+ENGINE_CORPUS_DIGEST = "720b42dc6c2f471e67c95fbe688cbddfbe33e0c4c674491c25784cb8efc42f76"
+ENGINE_CORPUS_SECONDS = 30.0  # about 2 s on a 2-core machine
+
 
 def _timed(limit):
     start = time.time()
@@ -356,4 +363,32 @@ def test_criterion_9_analyze_corpus():
           f"(200 systems, seed {CORPUS_SEED}, override 2): "
           f"{kinds['pumpable']} pumpable / {kinds['fragile']} fragile / "
           f"{kinds['no_shield']} no shield, 0 claim violations, trails and "
+          f"certificates match the pinned digest ({elapsed:.1f}s)")
+
+
+def test_engine_corpus_digest():
+    done = _timed(ENGINE_CORPUS_SECONDS)
+    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    digest = hashlib.sha256()
+    branches = {}
+    n = 0
+    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
+        for p in paths:
+            for sh in enumerate_shields(sys_, p):
+                if sh.j == sh.k:
+                    continue
+                n += 1
+                if n % 20:
+                    continue
+                out = pump_or_block(sys_, p, sh, budget)
+                branches[out.branch] = branches.get(out.branch, 0) + 1
+                digest.update(f"{out.kind} {out.branch}\n".encode())
+                digest.update(out.trace.dump().encode() + b"\n")
+                digest.update(emit_certificate(out).encode() + b"\0")
+    assert set(branches) == {"exit-seam", "anchor-stall", "route-conflict-east-copy",
+                             "route-conflict-west-copy"}
+    assert digest.hexdigest() == ENGINE_CORPUS_DIGEST
+    elapsed = done("engine digest")
+    print(f"\nPASS engine digest: pump_or_block on {sum(branches.values())} of "
+          f"{n} shields with j < k, branches {branches}, traces and "
           f"certificates match the pinned digest ({elapsed:.1f}s)")

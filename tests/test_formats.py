@@ -258,6 +258,29 @@ def test_cli_shields_spans_render_bound(unit_file, tmp_path, _run):
                 tmp_path).stdout.strip() == "10240"
 
 
+@pytest.mark.parametrize("extra", [[], ["--overlays", "cut"]], ids=["plain", "cut"])
+@pytest.mark.parametrize("shield", [["0", "1", "99"], ["1", "0", "1"]],
+                         ids=["k-out-of-range", "i-after-j"])
+def test_cli_render_rejects_non_shield(unit_file, tmp_path, _run, shield, extra):
+    r = _run(["render", str(unit_file), "--shield", *shield, *extra], tmp_path)
+    assert r.returncode == 4
+    assert r.stderr.startswith("error: NotAShield: ") and r.stderr.count("\n") == 1
+
+
+def test_cli_trace_output(tmp_path, staircase, _run):
+    sys_, p = staircase
+    f = tmp_path / "stair.tiles"
+    f.write_text(print_system(sys_, p))
+    r = _run(["pump-or-block", str(f), "--shield", "0", "2", "4", "--trace"], tmp_path)
+    assert r.returncode == 0
+    assert "anchor m0=3" in r.stdout and "\nstep 0:" in r.stdout
+    out = tmp_path / "trace.svg"
+    r2 = _run(["render", str(f), "--overlays", "trace", "--shield", "0", "2", "4",
+               "-o", str(out)], tmp_path)
+    assert r2.returncode == 0
+    assert 'class="trace"/>' in out.read_text()
+
+
 def test_cli_oracle_modes(unit_file, tmp_path, blocker, _run):
     r = _run(["oracle", "enumerate", str(unit_file)], tmp_path)
     assert r.returncode == 0 and "producible path(s)" in r.stdout

@@ -128,7 +128,7 @@ def test_brute_right_priority_single_route(staircase):
     sh = Shield(0, 2, 4)
     pt = p.prefix(5)
     ws = build_workspace(sys_, pt, sh)
-    route = oracle.brute_right_priority(sys_, pt, sh, ws)
+    route = oracle.brute_right_priority(ws)
     assert route[0] == (4, 0) and abs(route[-1][0] - ws.exit_ray.start[0]) == 1
 
 
@@ -150,5 +150,4 @@ def test_brute_right_priority_budget():
     pt = p.prefix(sh.k + 1)
     ws = build_workspace(sys_, pt, sh)
     with pytest.raises(WindowTooSmall):
-        oracle.brute_right_priority(sys_, pt, sh, ws,
-                                    EnumBudget(max_graph_vertices=10))
+        oracle.brute_right_priority(ws, EnumBudget(max_graph_vertices=10))

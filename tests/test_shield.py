@@ -112,10 +112,10 @@ def test_dominant_rejects_corrupted_carrier(staircase):
     sh = Shield(0, 2, 4)
     pt = p.prefix(sh.k + 1)
     ws = build_workspace(sys_, pt, sh)
-    good = dominant(sys_, pt, sh, ws)
+    good = dominant(ws)
     assert good.m0 == 3
     with pytest.raises(ClaimViolation):
-        dominant(sys_, pt, sh, ws, _carrier_override=good.carrier_num + 2)
+        dominant(ws, _carrier_override=good.carrier_num + 2)
 
 
 def test_unit_pumps_via_exit_repeat(unit, unit_path):
@@ -127,7 +127,7 @@ def test_unit_pumps_via_exit_repeat(unit, unit_path):
 
 def test_staircase_pumps_via_exit_seam(staircase):
     sys_, p = staircase
-    out = pump_or_block(sys_, p, Shield(0, 2, 4), collect_trace=True)
+    out = pump_or_block(sys_, p, Shield(0, 2, 4))
     assert out.kind == "pumpable" and out.branch == "exit-seam"
     assert out.pumpable.vector == (1, 1)
     assert out.trace.m0 == 3
@@ -154,7 +154,7 @@ def test_blocker_is_fragile(blocker):
 
 def test_multi_step_progress(multi_step):
     sys_, p = multi_step
-    out = pump_or_block(sys_, p, Shield(1, 5, 8), collect_trace=True)
+    out = pump_or_block(sys_, p, Shield(1, 5, 8))
     assert out.kind == "pumpable" and out.branch == "anchor-stall"
     ms = [st.m for st in out.trace.history]
     assert len(ms) >= 2 and all(a < b for a, b in zip(ms, ms[1:]))
@@ -177,8 +177,8 @@ def test_route_matches_exhaustive_choice(rng):
                 pt = p.prefix(sh.k + 1)
                 try:
                     ws = build_workspace(sys_, pt, sh)
-                    fast = build_r(sys_, pt, sh, ws, budget)
-                    slow = oracle.brute_right_priority(sys_, pt, sh, ws, budget)
+                    fast = build_r(ws, budget)
+                    slow = oracle.brute_right_priority(ws, budget)
                 except WindowTooSmall:
                     continue
                 assert fast == slow
