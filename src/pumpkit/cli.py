@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import driver, formats, oracle, shield as engine, svgout, tam, visibility
 from .budgets import EnumBudget
-from .errors import BadBudget, PumpkitError
+from .errors import BadBudget, BadSystem, PumpkitError
 from .tam import PumpingSpec
 
 EXIT_PUMPABLE = 0
@@ -23,6 +23,8 @@ EXIT_FRAGILE = 1
 EXIT_NO_SHIELD = 2
 EXIT_USAGE = 3
 EXIT_ERROR = 4
+
+OVERLAYS = ("regions", "rays", "cut", "trace")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,6 +39,19 @@ def _load(path_arg: str, need_path=False):
         system, path = formats.parse_system(fh.read())
     if need_path and path is None:
         raise PumpkitError(f"{path_arg} has no path line")
+    return system, path
+
+
+def _check_producible(system, path):
+    rep = tam.validate_producible_path(system, path)
+    if not rep:
+        raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
+
+
+def _load_producible(path_arg: str):
+    """The system and path of a file whose path must be producible."""
+    system, path = _load(path_arg, need_path=True)
+    _check_producible(system, path)
     return system, path
 
 
@@ -88,7 +103,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_shields(args) -> int:
-    system, path = _load(args.file, need_path=True)
+    system, path = _load_producible(args.file)
     found = engine.enumerate_shields(system, path)
     for sh in found:
         print(f"shield {sh.i} {sh.j} {sh.k}")
@@ -97,7 +112,7 @@ def cmd_shields(args) -> int:
 
 
 def cmd_pump_or_block(args) -> int:
-    system, path = _load(args.file, need_path=True)
+    system, path = _load_producible(args.file)
     i, j, k = args.shield
     out = engine.pump_or_block(system, path, engine.Shield(i, j, k),
                                EnumBudget.from_env())
@@ -115,7 +130,7 @@ def cmd_pump_or_block(args) -> int:
 
 
 def cmd_spans(args) -> int:
-    system, path = _load(args.file, need_path=True)
+    system, path = _load_producible(args.file)
     axis = "vertical" if args.axis == "v" else "horizontal"
     for s in visibility.spans(system, path, axis):
         print(f"span coord={s.coordinate} s={s.s} n={s.n} "
@@ -175,6 +190,7 @@ def cmd_oracle(args) -> int:
         raise PumpkitError("oracle rp needs --shield I J K")
     i, j, k = args.shield
     sh = engine.Shield(i, j, k)
+    _check_producible(system, path)
     engine.check_shield(system, path, i, j, k)
     ws = engine.build_workspace(system, path, sh)
     fast = engine.build_r(ws, budget)
@@ -191,7 +207,7 @@ def cmd_oracle(args) -> int:
 def cmd_render(args) -> int:
     system, path = _load(args.file)
     sh = engine.Shield(*args.shield) if args.shield else None
-    overlays = set(args.overlays.split(",")) - {""} if args.overlays else set()
+    overlays = args.overlays
     trace = None
     if "trace" in overlays and sh is not None:
         trace = engine.pump_or_block(system, path, sh, EnumBudget.from_env()).trace
@@ -216,6 +232,22 @@ def cmd_reduce_2ham(args) -> int:
         print(f"note: {note}")
     _emit(formats.print_system(red.sys, red.path), args.output)
     return 0
+
+
+def _overlays(text: str) -> set[str]:
+    names = set(text.split(",")) - {""}
+    unknown = sorted(names - set(OVERLAYS))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown overlay {', '.join(unknown)}; known: {','.join(OVERLAYS)}")
+    return names
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def build_parser() -> _Parser:
@@ -268,8 +300,8 @@ def build_parser() -> _Parser:
     p = add("render", cmd_render, help="render the system/path as SVG")
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--overlays", default="",
-                   help="comma list of rays,cut,regions,trace")
+    p.add_argument("--overlays", type=_overlays, default="",
+                   help="comma list of " + ",".join(OVERLAYS))
     p.add_argument("--shield", nargs=3, type=int, metavar=("I", "J", "K"))
 
     p = add("bound", cmd_bound, help="print the exact distance bound")
@@ -281,7 +313,7 @@ def build_parser() -> _Parser:
     p = add("reduce-2ham", cmd_reduce_2ham,
             help="re-seed a free path at its westernmost tile")
     p.add_argument("file")
-    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--width", type=_positive_int, default=None)
     p.add_argument("-o", "--output", default=None)
     return parser
 

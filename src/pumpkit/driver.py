@@ -29,6 +29,7 @@ honestly that the path is too short.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from typing import Optional
 
@@ -84,6 +85,17 @@ def bound(tiles: int, seed: int) -> int:
 
 # Row-major matrices of the counterclockwise quarter turns.
 _TURNS = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0))
+
+
+@cache
+def _source_sides(m: tuple[int, int, int, int]) -> tuple[str, ...]:
+    """For north, east, south and west after the motion ``m``, the side before.
+
+    The side facing ``u`` after the motion is the side facing ``M^T u`` before.
+    """
+    a, b, c, d = m
+    return tuple(tam.SIDE_OF_STEP[(a * ux + c * uy, b * ux + d * uy)]
+                 for ux, uy in (tam.STEP[s] for s in tam.SIDES))
 
 
 @dataclass(frozen=True)
@@ -142,7 +154,7 @@ class Frame:
         if isinstance(obj, TileSystem):
             return transform(obj, self)
         if isinstance(obj, Path):
-            return Path(self._placed(obj.entries))
+            return Path._of(self._placed(obj.entries))
         if isinstance(obj, PumpingSpec):
             return PumpingSpec(self.apply(obj.path), obj.i, obj.j)
         if isinstance(obj, FragilityCert):
@@ -154,21 +166,25 @@ class Frame:
         a, b, c, d = self.m
         return (a * p[0] + b * p[1] + self.shift[0], c * p[0] + d * p[1] + self.shift[1])
 
-    def _tile(self, t: TileType) -> TileType:
+    def _points(self, pts) -> list[Pos]:
+        """Move many points, unpacking the matrix once."""
         a, b, c, d = self.m
-        # The side facing u after the motion is the side facing M^T u before.
-        return TileType(t.name, *(t.glue(tam.SIDE_OF_STEP[(a * ux + c * uy, b * ux + d * uy)])
-                                  for ux, uy in (tam.STEP[s] for s in tam.SIDES)))
+        sx, sy = self.shift
+        return [(a * x + b * y + sx, c * x + d * y + sy) for x, y in pts]
 
-    def _placed(self, entries) -> list[tuple[Pos, TileType]]:
+    def _tile(self, t: TileType) -> TileType:
+        n, e, s, w = _source_sides(self.m)
+        return TileType(t.name, getattr(t, n), getattr(t, e), getattr(t, s), getattr(t, w))
+
+    def _placed(self, entries) -> tuple[tuple[Pos, TileType], ...]:
         moved: dict[str, TileType] = {}
-        out = []
-        for pos, t in entries:
+        types = []
+        for _, t in entries:
             mt = moved.get(t.name)
             if mt is None:
                 mt = moved[t.name] = self._tile(t)
-            out.append((self._point(pos), mt))
-        return out
+            types.append(mt)
+        return tuple(zip(self._points([pos for pos, _ in entries]), types))
 
 
 IDENTITY = Frame()
@@ -186,7 +202,7 @@ def transform(sys: TileSystem, frame: Frame) -> TileSystem:
 
 def _to_margins(frame: Frame, sys: TileSystem, p: Path) -> Frame:
     """``frame``, then the translation putting seed plus path on both axes."""
-    pts = [frame._point(q) for q in chain(sys.seed.tiles, p.positions)]
+    pts = frame._points(chain(sys.seed.tiles, (q for q, _ in p.entries)))
     return Frame.translation((-min(x for x, _ in pts),
                               -min(y for _, y in pts))).compose(frame)
 
@@ -254,12 +270,11 @@ def _orient_east(sys: TileSystem, p: Path,
     first that makes the last tile of ``p`` the unique easternmost of
     path plus seed; the result also moves the margins to zero.
     """
-    pts = [frame._point(q) for q in chain(sys.seed.tiles, p.positions)]
-    for k in range(4):
-        turn = Frame.rotation(k)
-        xs = [turn._point(q)[0] for q in pts]
+    pts = frame._points(chain(sys.seed.tiles, (q for q, _ in p.entries)))
+    for k, (a, b, _, _) in enumerate(_TURNS):
+        xs = [a * x + b * y for x, y in pts]
         if xs.count(xs[-1]) == 1 and xs[-1] == max(xs):
-            return _to_margins(turn.compose(frame), sys, p)
+            return _to_margins(Frame.rotation(k).compose(frame), sys, p)
     return None
 
 

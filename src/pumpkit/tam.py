@@ -124,6 +124,14 @@ class Path:
         self.entries = tuple((tuple(p), t) for p, t in entries)
         self._pos_index = None
 
+    @classmethod
+    def _of(cls, entries: tuple[tuple[Position, TileType], ...]) -> "Path":
+        """A path on entries that are already a tuple of ``((x, y), type)``."""
+        p = cls.__new__(cls)
+        p.entries = entries
+        p._pos_index = None
+        return p
+
     def __len__(self):
         return len(self.entries)
 
@@ -155,8 +163,8 @@ class Path:
         return self._pos_index.get(pos)
 
     def prefix(self, end: int) -> "Path":
-        """Entries 0..end inclusive."""
-        return Path(self.entries[: end + 1])
+        """Entries 0..end inclusive, shared with this path."""
+        return Path._of(self.entries[: end + 1])
 
     def translate(self, v: Position) -> "Path":
         return Path([((p[0] + v[0], p[1] + v[1]), t) for p, t in self.entries])
@@ -192,25 +200,36 @@ def validate_producible_path(sys: TileSystem, p: Path) -> ValidationReport:
     must bind, and the first tile must bind to the seed.  The report names
     the first violated condition; extra seed contacts after the first tile
     are legal and only reported as notes.
+
+    One pass checks every tile.  Only a tile on a position next to the
+    seed can touch it, so only those tiles are tested for seed contact.
     """
-    if len(p) == 0:
+    entries = p.entries
+    if not entries:
         return ValidationReport(False, "EmptyPath", 0)
+    seed = sys.seed.tiles
+    near_seed = {(x + dx, y + dy) for x, y in seed for dx, dy in STEP.values()}
     seen: set[Position] = set()
     notes: list[str] = []
-    for i, (pos, t) in enumerate(p.entries):
-        if pos in sys.seed:
+    prev_x = prev_y = prev_t = None
+    for i, (pos, t) in enumerate(entries):
+        if pos in seed:
             return ValidationReport(False, "OverlapsSeed", i)
         if pos in seen:
             return ValidationReport(False, "NotSimple", i)
         seen.add(pos)
-        if i > 0:
-            prev_pos, prev_t = p.entries[i - 1]
-            step = (pos[0] - prev_pos[0], pos[1] - prev_pos[1])
-            if step not in SIDE_OF_STEP or not prev_t.interacts(t, step):
+        x, y = pos
+        if i:
+            side = SIDE_OF_STEP.get((x - prev_x, y - prev_y))
+            if side is None:
                 return ValidationReport(False, "GlueMismatch", i)
-            if seed_contacts(sys, p.entries[i]):
+            glue = getattr(prev_t, side)
+            if glue is None or glue != getattr(t, OPPOSITE[side]):
+                return ValidationReport(False, "GlueMismatch", i)
+            if pos in near_seed and seed_contacts(sys, (pos, t)):
                 notes.append(f"tile {i} also touches the seed")
-    if not seed_contacts(sys, p.entries[0]):
+        prev_x, prev_y, prev_t = x, y, t
+    if not seed_contacts(sys, entries[0]):
         return ValidationReport(False, "SeedDetached", 0)
     return ValidationReport(True, notes=notes)
 

@@ -28,19 +28,20 @@ from .tam import Path, TileSystem
 POINTING = {(1, 0): "east", (-1, 0): "west", (0, 1): "north", (0, -1): "south"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GlueRef:
-    """Glue ``index`` sits between path tiles ``index`` and ``index + 1``."""
+    """Glue ``index`` sits between path tiles ``index`` and ``index + 1``.
+
+    A plain slotted record, not a frozen one: a view builds one per glue,
+    and a frozen dataclass pays a ``setattr`` call per field.  Nothing
+    changes a ``GlueRef`` after it is built.
+    """
 
     index: int
     label: str
     pointing: str
     midpoint: Point  # doubled coordinates; exactly one odd component
-
-    @property
-    def horizontal(self) -> bool:
-        """True when the glue points east or west (sits on a glue column)."""
-        return self.pointing in ("east", "west")
+    horizontal: bool  # points east or west: the midpoint's x is odd
 
     @property
     def column(self) -> int:
@@ -53,14 +54,15 @@ class GlueRef:
 
 
 def glue_refs(p: Path) -> list[GlueRef]:
+    entries = p.entries
     refs = []
-    for i in range(len(p) - 1):
-        (x0, y0), t0 = p[i]
-        (x1, y1), t1 = p[i + 1]
+    for i in range(len(entries) - 1):
+        (x0, y0), t0 = entries[i]
+        x1, y1 = entries[i + 1][0]
         step = (x1 - x0, y1 - y0)
-        side = tam.SIDE_OF_STEP[step]
-        label = t0.glue(side)
-        refs.append(GlueRef(i, label, POINTING[step], (x0 + x1, y0 + y1)))
+        mx = x0 + x1
+        refs.append(GlueRef(i, getattr(t0, tam.SIDE_OF_STEP[step]), POINTING[step],
+                            (mx, y0 + y1), mx % 2 == 1))
     return refs
 
 

@@ -21,7 +21,7 @@ from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_H, FLIP_V, IDENTITY, ROT90, Frame
 from pumpkit.errors import BadCounts, BadSystem, NotCanonical, TooShort
 from pumpkit.formats import parse_system
-from pumpkit.tam import SIDE_OF_STEP, STEP, TileType
+from pumpkit.tam import SIDE_OF_STEP, STEP, FragilityCert, TileType
 from pumpkit.visibility import GlueView, spans
 
 from conftest import path_of, system_of
@@ -151,6 +151,29 @@ def test_frame_inverse_and_compose(m1, m2, d1, d2, q):
     assert f.inverse().apply(f.apply(t)) == t
     for side, step in STEP.items():
         assert f.apply(t).glue(SIDE_OF_STEP[Frame(f.m).apply(step)]) == t.glue(side)
+
+
+def _random_paths(rng, n):
+    budget = EnumBudget(max_path_len=9, max_nodes=300)
+    out = []
+    while len(out) < n:
+        sys_ = oracle.random_system(rng)
+        out.extend(oracle.PathEnumeration(sys_, budget, max_paths=4))
+    return out
+
+
+def test_frame_moves_paths_and_certificates_entrywise(rng):
+    paths = _random_paths(rng, 40)
+    for m in D4:
+        for _ in range(3):
+            f = Frame.translation((rng.randint(-40, 40), rng.randint(-40, 40))).compose(m)
+            for p in paths:
+                want = [(f.apply(pos), f.apply(t)) for pos, t in p.entries]
+                moved = f.apply(p)
+                assert moved == Path(want) and hash(moved) == hash(Path(want))
+                cert = f.apply(FragilityCert(p.entries, p.pos(len(p) - 1)))
+                assert cert.attachments == tuple(want)
+                assert cert.conflict == f.apply(p.pos(len(p) - 1))
 
 
 def test_canonicalize_random_corpus(rng):

@@ -183,7 +183,10 @@ def _run(capsys, monkeypatch):
     def run(args, cwd):
         monkeypatch.chdir(cwd)
         capsys.readouterr()
-        code = cli.main(args)
+        try:
+            code = cli.main(args)
+        except SystemExit as e:  # the parser exits on a usage error
+            code = e.code
         out, err = capsys.readouterr()
         return subprocess.CompletedProcess(args, code, out, err)
 
@@ -347,3 +350,40 @@ def test_cli_module_entry_point(unit_file, tmp_path):
         [_pysys.executable, "-m", "pumpkit.cli", "validate", str(unit_file)],
         capture_output=True, text=True, cwd=tmp_path, env=src_env())
     assert r.returncode == 0 and "path ok" in r.stdout
+
+
+FLOAT_TEXT = """\
+tile A north=- east=g south=- west=g
+seed 0 0 A
+path 5 5 A ; 6 5 A ; 7 5 A ; 8 5 A
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["pump-or-block", "--shield", "0", "1", "1"],
+    ["pump-or-block", "--shield", "0", "1", "2"],
+    ["shields"],
+    ["spans"],
+    ["oracle", "rp", "--shield", "0", "1", "2"],
+    ["analyze"],
+], ids=["pump-or-block-repeat", "pump-or-block-deep", "shields", "spans", "oracle-rp",
+        "analyze"])
+def test_cli_rejects_unproducible_path(tmp_path, _run, args):
+    # A path that never touches the seed is bad input, not an engine fault.
+    f = tmp_path / "float.tiles"
+    f.write_text(FLOAT_TEXT)
+    pos = 2 if args[0] == "oracle" else 1
+    r = _run([*args[:pos], str(f), *args[pos:]], tmp_path)
+    assert r.returncode == 4
+    assert r.stderr == "error: BadSystem: path is not producible: SeedDetached@0\n"
+
+
+def test_cli_render_rejects_unknown_overlay(unit_file, tmp_path, _run):
+    r = _run(["render", str(unit_file), "--overlays", "rays,bogus"], tmp_path)
+    assert r.returncode == 3 and "unknown overlay bogus" in r.stderr
+
+
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_cli_reduce_2ham_rejects_width_below_one(unit_file, tmp_path, _run, width):
+    r = _run(["reduce-2ham", str(unit_file), "--width", width], tmp_path)
+    assert r.returncode == 3 and "--width" in r.stderr

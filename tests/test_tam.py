@@ -1,5 +1,7 @@
 """Tile-assembly core: validation, replay, extraction, pumping, verifiers."""
 
+import random
+import time
 
 import pytest
 
@@ -17,9 +19,20 @@ from pumpkit import driver, oracle
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_H, FLIP_V, ROT90
 from pumpkit.errors import BadSystem, BadTarget, IllegalAttachment, Occupied
-from pumpkit.tam import FragilityCert
+from pumpkit.tam import (
+    OPPOSITE,
+    SIDE_OF_STEP,
+    STEP,
+    FragilityCert,
+    Path,
+    TileSystem,
+    TileType,
+    ValidationReport,
+    seed_contacts,
+)
 
 from conftest import path_of, system_of
+from test_acceptance import CORPUS_SEED, _corpus
 
 
 def test_validate_ok(unit, unit_path):
@@ -58,6 +71,98 @@ def test_validate_extra_seed_contact_is_note_only():
     p = path_of(sys_, (0, 1, "A"), (1, 1, "A"), (1, 0, "A"))
     rep = validate_producible_path(sys_, p)
     assert rep.ok and rep.notes
+
+
+# The straight-line validator that the one-pass validator replaced: every
+# tile is tested for seed contact, and the glue check goes through
+# ``TileType.interacts``.  Kept as the reference of the differential test.
+def _reference_validate(sys_, p):
+    if len(p) == 0:
+        return ValidationReport(False, "EmptyPath", 0)
+    seen = set()
+    notes = []
+    for i, (pos, t) in enumerate(p.entries):
+        if pos in sys_.seed:
+            return ValidationReport(False, "OverlapsSeed", i)
+        if pos in seen:
+            return ValidationReport(False, "NotSimple", i)
+        seen.add(pos)
+        if i > 0:
+            prev_pos, prev_t = p.entries[i - 1]
+            step = (pos[0] - prev_pos[0], pos[1] - prev_pos[1])
+            if step not in SIDE_OF_STEP or not prev_t.interacts(t, step):
+                return ValidationReport(False, "GlueMismatch", i)
+            if seed_contacts(sys_, p.entries[i]):
+                notes.append(f"tile {i} also touches the seed")
+    if not seed_contacts(sys_, p.entries[0]):
+        return ValidationReport(False, "SeedDetached", 0)
+    return ValidationReport(True, notes=notes)
+
+
+def _retouch_seed(sys_, p):
+    """A system in which a later tile of ``p`` also binds to the seed, or None.
+
+    The seed tile next to that tile gets the tile's glue on the side facing
+    it, under a new name; a side faces one position, so the first tile keeps
+    its contact.
+    """
+    for i, (pos, t) in enumerate(p.entries[1:], 1):
+        for side, (dx, dy) in STEP.items():
+            q = (pos[0] + dx, pos[1] + dy)
+            s = sys_.seed.get(q)
+            if s is None or t.glue(side) is None:
+                continue
+            glues = {k: s.glue(k) for k in STEP}
+            glues[OPPOSITE[side]] = t.glue(side)
+            z = TileType(s.name + "'", **glues)
+            seed = dict(sys_.seed.tiles)
+            seed[q] = z
+            return TileSystem(list(sys_.tiles) + [z], Assembly(seed))
+    return None
+
+
+def _mutants(sys_, p, rng):
+    """Broken copies of a producible path, each as ``(system, path)``."""
+    e = list(p.entries)
+    k = rng.randrange(len(e))
+    seed_pos = rng.choice(sorted(sys_.seed.tiles))
+    yield sys_, Path(e[:k] + [(seed_pos, e[k][1])] + e[k + 1:])  # onto the seed
+    yield sys_, p.translate((40, -40))  # detached first tile
+    yield sys_, Path(e[1:])  # the second tile first: detached or not
+    yield sys_, Path(e[:k] + [(e[k][0], TileType("X"))] + e[k + 1:])  # no glue
+    if len(e) > 1:
+        k = rng.randrange(1, len(e))
+        yield sys_, Path(e[:k] + [(e[rng.randrange(k)][0], e[k][1])] + e[k + 1:])
+        d = rng.choice([(1, 1), (1, -1), (2, 0), (0, -2)])  # a non-unit step at k
+        yield sys_, Path(e[:k] + [((x + d[0], y + d[1]), t) for (x, y), t in e[k:]])
+    retouched = _retouch_seed(sys_, p)
+    if retouched is not None:
+        yield retouched, p
+
+
+VALIDATOR_DIFF_SECONDS = 20.0  # about 2 s on a 2-core machine
+
+
+def test_validator_matches_reference_on_corpus_and_mutants():
+    start = time.time()
+    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    rng = random.Random(7)
+    codes = {}
+    with_notes = 0
+    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
+        for p in paths:
+            for s, q in [(sys_, p), *_mutants(sys_, p, rng)]:
+                want = _reference_validate(s, q)
+                got = validate_producible_path(s, q)
+                assert (got.ok, got.code, got.index, got.notes) == \
+                    (want.ok, want.code, want.index, want.notes), q.entries
+                codes[want.code] = codes.get(want.code, 0) + 1
+                with_notes += bool(want.notes)
+    assert set(codes) == {None, "EmptyPath", "OverlapsSeed", "NotSimple",
+                          "GlueMismatch", "SeedDetached"}
+    assert with_notes > 0
+    elapsed = time.time() - start
+    assert elapsed < VALIDATOR_DIFF_SECONDS, f"took {elapsed:.1f}s"
 
 
 def test_seed_must_be_connected():
@@ -121,6 +226,22 @@ def test_extract_path_branching_validates(rng):
                              require_connected=False)
             q = extract_path(sys_, alpha, p.positions[-1])
             assert validate_producible_path(sys_, q).ok
+
+
+def test_prefix_equals_sliced_path(rng):
+    budget = EnumBudget(max_path_len=9, max_nodes=300)
+    checked = 0
+    while checked < 60:
+        sys_ = oracle.random_system(rng)
+        for p in oracle.PathEnumeration(sys_, budget, max_paths=5):
+            assert p.index_of(p.pos(0)) == 0  # the whole path's index exists first
+            for e in range(len(p)):
+                q = p.prefix(e)
+                assert q == Path(p.entries[:e + 1])
+                assert hash(q) == hash(Path(p.entries[:e + 1]))
+                for i, (pos, _) in enumerate(p.entries):
+                    assert q.index_of(pos) == (i if i <= e else None)
+            checked += 1
 
 
 # -- pumping ------------------------------------------------------------------
