@@ -178,6 +178,7 @@ def cmd_oracle(args) -> int:
         _emit(formats.emit_certificate(cert), args.output)
         return EXIT_FRAGILE
     if args.mode == "pumpable":
+        _check_producible(system, path)
         spec = oracle.brute_pumpable(system, path, budget)
         if spec is None:
             print("no pumpable pair within budget")
@@ -205,11 +206,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_render(args) -> int:
+    overlays = args.overlays
+    if overlays and args.shield is None:
+        # Every overlay draws a shield's geometry; without one none is drawn.
+        _sys.stderr.write("error: --overlays needs --shield I J K\n")
+        return EXIT_USAGE
     system, path = _load(args.file)
     sh = engine.Shield(*args.shield) if args.shield else None
-    overlays = args.overlays
     trace = None
-    if "trace" in overlays and sh is not None:
+    if "trace" in overlays:
         trace = engine.pump_or_block(system, path, sh, EnumBudget.from_env()).trace
     svg = svgout.render_svg(system, path, overlays, sh, trace=trace)
     _emit(svg, args.output)
@@ -301,7 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--overlays", type=_overlays, default="",
-                   help="comma list of " + ",".join(OVERLAYS))
+                   help="comma list of " + ",".join(OVERLAYS) + "; needs --shield")
     p.add_argument("--shield", nargs=3, type=int, metavar=("I", "J", "K"))
 
     p = add("bound", cmd_bound, help="print the exact distance bound")

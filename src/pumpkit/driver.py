@@ -241,8 +241,11 @@ def canonicalize(sys: TileSystem, p: Path,
         raise BadCounts("bound override must be >= 1")
     half = dist + len(sys.seed)
     x0, y0 = p.pos(0)
+    # The path takes unit steps from the square's center, so its first
+    # tile on a side line of the square is its first tile on the square.
+    east, west, north, south = x0 + half, x0 - half, y0 + half, y0 - half
     b = next((s for s, ((x, y), _) in enumerate(p.entries)
-              if max(abs(x - x0), abs(y - y0)) == half), None)
+              if x == east or y == north or x == west or y == south), None)
     if b is None:
         raise TooShort(f"path never reaches the square of half side {half}")
     bx, by = p.pos(b)[0] - x0, p.pos(b)[1] - y0

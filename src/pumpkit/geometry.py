@@ -25,7 +25,8 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     EmptyPath,
@@ -113,22 +114,6 @@ class VRay:
         return VRay(add(self.start, v), self.heading)
 
 
-def _steps_between(a: Point, b: Point) -> Iterator[Point]:
-    """Unit-step lattice points from a (exclusive) to b (inclusive)."""
-    ax, ay = a
-    bx, by = b
-    if ax == bx:
-        step = 1 if by > ay else -1
-        for y in range(ay + step, by + step, step):
-            yield (ax, y)
-    elif ay == by:
-        step = 1 if bx > ax else -1
-        for x in range(ax + step, bx + step, step):
-            yield (x, ay)
-    else:
-        raise ValueError(f"segment {a}-{b} is not axis-aligned")
-
-
 class PolyCurve:
     """Axis-aligned polyline on the doubled lattice, with optional rays.
 
@@ -185,8 +170,15 @@ class PolyCurve:
         """All doubled-lattice points of the finite part, in curve order."""
         if self._lattice is None:
             pts = [self.points[0]]
-            for a, b in zip(self.points, self.points[1:]):
-                pts.extend(_steps_between(a, b))
+            # Each segment adds its points after its start, up to its end;
+            # the constructor made every segment axis-aligned.
+            for (ax, ay), (bx, by) in zip(self.points, self.points[1:]):
+                if ax == bx:
+                    step = 1 if by > ay else -1
+                    pts.extend(zip(repeat(ax), range(ay + step, by + step, step)))
+                else:
+                    step = 1 if bx > ax else -1
+                    pts.extend(zip(range(ax + step, bx + step, step), repeat(ay)))
             self._lattice = tuple(pts)
         return self._lattice
 
@@ -313,7 +305,10 @@ def _diagonal_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
     """
     px, py = p
     d = py - px
-    xs = curve.diagonal_table().get(d, ())
+    table = curve._diagonals
+    if table is None:
+        table = curve.diagonal_table()
+    xs = table.get(d, ())
     if toward_ne:
         crossings = len(xs) - bisect_right(xs, px)
     else:
@@ -334,17 +329,24 @@ def classify_side(curve: PolyCurve, p: Point) -> Side:
     crossings of the south-west diagonal ray decides (odd means RIGHT, as
     the far east is reachable from the right component).  Points east of
     the curve's easternmost extent therefore classify RIGHT.  The first
-    query builds the curve's diagonal table in O(|curve|); each query after
-    that costs O(log |curve|).
+    query builds the curve's simplicity flag, lattice set and diagonal
+    table in O(|curve|); each query after that reads them from the curve
+    and costs O(log |curve|).
     """
-    if not curve.is_almost_vertical:
+    if not (curve.south_ray and curve.north_ray):
         raise NotAlmostVertical("side classification needs both infinite rays")
-    if not curve.is_simple():
+    if not (curve._simple or curve.is_simple()):
         raise NonSimpleCurve("side classification needs a simple curve")
-    if curve.contains(p):
+    # is_simple() built the lattice set; the rays run below the first
+    # vertex and above the last one.
+    if p in curve._lattice_set:
         return Side.ON
-    parity = _diagonal_parity(curve, p, toward_ne=False)
-    return Side.RIGHT if parity else Side.LEFT
+    px, py = p
+    sx, sy = curve.points[0]
+    nx, ny = curve.points[-1]
+    if px == sx and py < sy or px == nx and py > ny:
+        return Side.ON
+    return Side.RIGHT if _diagonal_parity(curve, p, toward_ne=False) else Side.LEFT
 
 
 def crossing_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:

@@ -108,8 +108,9 @@ def confirm_pumpable(sys: TileSystem, p: Path, i: int, j: int,
 
     Accepts when the period avoids its own translate (set intersection,
     which settles all pairs of periods) and the explicitly simulated
-    continuation to ``max_pump_depth`` periods stays self-avoiding,
-    seed-free and glue-connected.
+    continuation to ``max_pump_depth`` periods is producible: its first
+    tile binds the seed, and it stays self-avoiding, seed-free and
+    glue-connected.
     """
     budget = budget or EnumBudget.from_env()
     spec = PumpingSpec(p, i, j)
@@ -133,6 +134,8 @@ def brute_pumpable(sys: TileSystem, p: Path,
 
 def _simulate_pumping(sys: TileSystem, spec: PumpingSpec, depth: int) -> bool:
     p, i, j = spec.path, spec.i, spec.j
+    if not tam.seed_contacts(sys, p.entries[0]):
+        return False  # a path that floats free of the seed grows from nothing
     seen = {}
     limit = i + 1 + (j - i) * depth
     prev = None

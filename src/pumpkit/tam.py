@@ -374,23 +374,25 @@ def verify_pumpable_cert(sys: TileSystem, spec: PumpingSpec) -> VerifyResult:
     if not rep:
         return VerifyResult(False, f"path prefix 0..{j} is not producible: "
                                    f"{rep.code} at index {rep.index}")
+    entries = p.entries
     v = spec.vector
     # (a) seam interaction
-    seam_from = p.pos(j)
-    seam_to = (p.pos(i + 1)[0] + v[0], p.pos(i + 1)[1] + v[1])
+    seam_from, seam_type = entries[j]
+    (rx, ry), repeat_type = entries[i + 1]
+    seam_to = (rx + v[0], ry + v[1])
     step = (seam_to[0] - seam_from[0], seam_to[1] - seam_from[1])
     if step not in SIDE_OF_STEP:
         return VerifyResult(False, "(a) seam tiles are not adjacent")
-    if not p.type(j).interacts(p.type(i + 1), step):
+    if not seam_type.interacts(repeat_type, step):
         return VerifyResult(False, "(a) seam glue does not bind")
     # (b) period avoids its own translate
-    period_pos = [p.pos(s) for s in range(i + 1, j + 1)]
+    period_pos = [pos for pos, _ in entries[i + 1:j + 1]]
     if not geometry.precious_check([(2 * x, 2 * y) for x, y in period_pos],
                                    (2 * v[0], 2 * v[1])):
         return VerifyResult(False, "(b) period overlaps its translate")
     # (c) enough periods clear all finite geometry
     obstacles = set(sys.seed.tiles)
-    obstacles.update(p.pos(s) for s in range(0, i + 1))
+    obstacles.update(pos for pos, _ in entries[:i + 1])
     ox0, oy0, ox1, oy1 = _bbox(obstacles)
     px0, py0, px1, py1 = _bbox(period_pos)
     step_len = max(abs(v[0]), abs(v[1]))

@@ -12,6 +12,7 @@ visibility a per-column min/max question and keeps everything exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from . import tam
@@ -53,6 +54,10 @@ class GlueRef:
         return (self.midpoint[1] - 1) // 2
 
 
+def _x_of(g: GlueRef) -> int:
+    return g.midpoint[0]
+
+
 def glue_refs(p: Path) -> list[GlueRef]:
     entries = p.entries
     refs = []
@@ -66,30 +71,8 @@ def glue_refs(p: Path) -> list[GlueRef]:
     return refs
 
 
-def _widen(ends: dict[int, tuple[GlueRef, GlueRef]], key: int, g: GlueRef,
-           axis: int) -> None:
-    """Widen ``ends[key]``, the lowest and highest glue along ``axis``.
-
-    Ties keep the first glue as the lowest and the last as the highest,
-    as a stable sort of the glues in path order would.
-    """
-    old = ends.get(key)
-    if old is None:
-        ends[key] = (g, g)
-        return
-    lo, hi = old
-    c = g.midpoint[axis]
-    ends[key] = (g if c < lo.midpoint[axis] else lo, g if c >= hi.midpoint[axis] else hi)
-
-
-def _reach(ends: dict[int, tuple[int, int]], key: int, c: int) -> None:
-    """Widen ``ends[key]``, the lowest and highest coordinate seen, to ``c``."""
-    old = ends.get(key)
-    ends[key] = (c, c) if old is None else (min(old[0], c), max(old[1], c))
-
-
 class GlueView:
-    """Precomputed per-column/per-row glue and blocking data for one path.
+    """Per-column glue and blocking data of one path, for visibility queries.
 
     A glue ray is blocked by any 4-adjacent tile pair of seed plus path
     that straddles it strictly beyond its start, whether or not the pair
@@ -100,6 +83,12 @@ class GlueView:
     query in O(1); the stronger rule is what keeps the engine's workspace
     free of the seed and the retained prefix in every case.
 
+    The column data (``cols``, ``pair_cols``, ``seed_glue_cols``), which
+    south/north visibility and vertical spans read, is built with the
+    view.  The row data (``rows``, ``pair_rows``, ``seed_glue_rows``),
+    which only east/west visibility and horizontal spans read, is built on
+    first use.
+
     A view holds ``sys`` and ``path``, so it is the per-frame context the
     driver hands down: each frame builds one and shares it.
     """
@@ -107,38 +96,78 @@ class GlueView:
     def __init__(self, sys: TileSystem, p: Path):
         self.sys = sys
         self.path = p
-        self.glues = glue_refs(p)
-        # Lowest and highest glue on each glue column (row): a span joins them.
-        self.cols: dict[int, tuple[GlueRef, GlueRef]] = {}
-        self.rows: dict[int, tuple[GlueRef, GlueRef]] = {}
-        for g in self.glues:
+        self.glues = glues = glue_refs(p)
+        # Lowest and highest glue on each glue column: a span joins them.
+        # Ties keep the first glue as the lowest and the last as the
+        # highest, as a stable sort of the glues in path order would.
+        cols: dict[int, tuple[GlueRef, GlueRef]] = {}
+        for g in glues:
             if g.horizontal:
-                _widen(self.cols, g.midpoint[0], g, 1)
-            else:
-                _widen(self.rows, g.midpoint[1], g, 0)
+                gx, gy = g.midpoint
+                old = cols.get(gx)
+                if old is None:
+                    cols[gx] = (g, g)
+                elif gy < old[0].midpoint[1]:
+                    cols[gx] = (g, old[1])
+                elif gy >= old[1].midpoint[1]:
+                    cols[gx] = (old[0], g)
+        self.cols = cols
         # Lowest and highest midpoint of the adjacent tile pairs of seed +
-        # path straddling each glue column (row); only these two can block.
-        self.pair_cols: dict[int, tuple[int, int]] = {}
-        self.pair_rows: dict[int, tuple[int, int]] = {}
-        tiles = set(sys.seed.tiles) | {pos for pos, _ in p.entries}
+        # path straddling each glue column; only these two can block.
+        tiles = set(sys.seed.tiles)
+        tiles.update(pos for pos, _ in p.entries)
+        pair_cols: dict[int, tuple[int, int]] = {}
         for (x, y) in tiles:
             if (x + 1, y) in tiles:
-                _reach(self.pair_cols, 2 * x + 1, 2 * y)
-            if (x, y + 1) in tiles:
-                _reach(self.pair_rows, 2 * y + 1, 2 * x)
-        # Columns/rows carrying a labelled seed glue are ineligible for spans.
+                key, c = 2 * x + 1, 2 * y
+                old = pair_cols.get(key)
+                if old is None:
+                    pair_cols[key] = (c, c)
+                elif c < old[0]:
+                    pair_cols[key] = (c, old[1])
+                elif c > old[1]:
+                    pair_cols[key] = (old[0], c)
+        self.pair_cols = pair_cols
+        # Columns carrying a labelled seed glue are ineligible for spans.
         self.seed_glue_cols: set[int] = set()
-        self.seed_glue_rows: set[int] = set()
         for (x, y), t in sys.seed.tiles.items():
             if t.east is not None:
                 self.seed_glue_cols.add(2 * x + 1)
             if t.west is not None:
                 self.seed_glue_cols.add(2 * x - 1)
-            if t.north is not None:
-                self.seed_glue_rows.add(2 * y + 1)
-            if t.south is not None:
-                self.seed_glue_rows.add(2 * y - 1)
         self._vertical_spans: Optional[tuple[Span, ...]] = None
+
+    @cached_property
+    def rows(self) -> dict[int, tuple[GlueRef, GlueRef]]:
+        """Leftmost and rightmost glue on each glue row, ties as in ``cols``."""
+        groups: dict[int, list[GlueRef]] = {}
+        for g in self.glues:
+            if not g.horizontal:
+                groups.setdefault(g.midpoint[1], []).append(g)
+        return {key: (min(gs, key=_x_of), max(reversed(gs), key=_x_of))
+                for key, gs in groups.items()}
+
+    @cached_property
+    def pair_rows(self) -> dict[int, tuple[int, int]]:
+        """Leftmost and rightmost midpoint of the pairs straddling each glue row."""
+        tiles = set(self.sys.seed.tiles)
+        tiles.update(pos for pos, _ in self.path.entries)
+        groups: dict[int, list[int]] = {}
+        for (x, y) in tiles:
+            if (x, y + 1) in tiles:
+                groups.setdefault(2 * y + 1, []).append(2 * x)
+        return {key: (min(cs), max(cs)) for key, cs in groups.items()}
+
+    @cached_property
+    def seed_glue_rows(self) -> set[int]:
+        """Rows carrying a labelled seed glue; ineligible for spans."""
+        rows = set()
+        for (x, y), t in self.sys.seed.tiles.items():
+            if t.north is not None:
+                rows.add(2 * y + 1)
+            if t.south is not None:
+                rows.add(2 * y - 1)
+        return rows
 
     # -- visibility ---------------------------------------------------------
 
@@ -197,13 +226,17 @@ def visible(sys: TileSystem, p: Path, i: int, direction: str) -> bool:
 # -- spans --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Span:
     """Extremal visible glue pair on one glue column (or row).
 
     ``s`` is the glue index visible from the south (west for horizontal
     spans), ``n`` the one visible from the north (east).  ``coordinate``
     is the glue column (row) in tile units.
+
+    A plain slotted record, like :class:`GlueRef`: a walk builds dozens
+    per frame.  Nothing changes a ``Span`` after it is built, and nothing
+    hashes one (a mutable dataclass is not hashable).
     """
 
     s: int
@@ -225,29 +258,28 @@ class Span:
 
 
 def _axis_spans(view: GlueView, vertical: bool) -> list[Span]:
-    p = view.path
-    groups = view.cols if vertical else view.rows
-    seed_glue = view.seed_glue_cols if vertical else view.seed_glue_rows
-    pair_ends = view.pair_cols if vertical else view.pair_rows
-    axis_idx = 1 if vertical else 0
+    if vertical:
+        groups, seed_glue, pair_ends = view.cols, view.seed_glue_cols, view.pair_cols
+        a, axis, ascending, descending = 1, "vertical", "up", "down"
+    else:
+        groups, seed_glue, pair_ends = view.rows, view.seed_glue_rows, view.pair_rows
+        a, axis, ascending, descending = 0, "horizontal", "right", "left"
     out = []
     for key in sorted(groups):
         if key in seed_glue:
             continue
         lo, hi = groups[key]
+        lo_c, hi_c = lo.midpoint[a], hi.midpoint[a]
         low_pair, high_pair = pair_ends[key]
-        if low_pair < lo.midpoint[axis_idx] or high_pair > hi.midpoint[axis_idx]:
+        if low_pair < lo_c or high_pair > hi_c:
             continue  # a straddling tile pair blocks an extremal ray
         s, n = lo.index, hi.index
-        if vertical:
-            orientation = "up" if s <= n else "down"
-        else:
-            orientation = "right" if s <= n else "left"
         pointing = lo.pointing if lo.pointing == hi.pointing else None
+        # Both extremal glues lie on the column (row), so their midpoints
+        # differ along it by twice the tile distance of tiles s and n.
         first = lo if s <= n else hi
-        extent = (p.pos(n)[axis_idx] - p.pos(s)[axis_idx])
-        out.append(Span(s, n, (key - 1) // 2, "vertical" if vertical else "horizontal",
-                        orientation, pointing, first.label, extent))
+        out.append(Span(s, n, (key - 1) // 2, axis, ascending if s <= n else descending,
+                        pointing, first.label, (hi_c - lo_c) // 2))
     return out
 
 
@@ -260,7 +292,9 @@ def spans(sys: TileSystem, p: Path, axis: str = "vertical",
     this guarantees each column's extremal glues really are visible.
     Columns carrying labelled seed glues are skipped, as are columns where
     an unlabelled seed edge blocks the extremal ray.  ``view``, when
-    given, is a prebuilt :class:`GlueView` of ``(sys, p)``.
+    given, is a prebuilt :class:`GlueView` of ``(sys, p)``; the first
+    horizontal call builds its row data.  Each :class:`Span` is a fresh
+    slotted record, compared by value and not hashable.
     """
     if axis not in ("vertical", "horizontal"):
         raise ValueError("axis must be 'vertical' or 'horizontal'")

@@ -24,7 +24,7 @@ from pumpkit import (
     verify_fragile_cert,
     verify_pumpable_cert,
 )
-from pumpkit import oracle
+from pumpkit import oracle, tam
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import ROT90
 from pumpkit.errors import ClaimViolation, NotEasternmost
@@ -34,7 +34,7 @@ from pumpkit.oracle import FloodFill
 from pumpkit.shield import Shield, build_workspace
 from pumpkit.visibility import GlueView, check_glue_east, check_glue_side
 
-from conftest import path_of
+from conftest import path_of, system_of
 
 CORPUS_SEED = 20260810
 CORPUS_SYSTEMS = 500
@@ -392,3 +392,82 @@ def test_engine_corpus_digest():
     print(f"\nPASS engine digest: pump_or_block on {sum(branches.values())} of "
           f"{n} shields with j < k, branches {branches}, traces and "
           f"certificates match the pinned digest ({elapsed:.1f}s)")
+
+
+def _reference_verify_pumpable(sys_, spec):
+    """``verify_pumpable_cert`` as it read with one ``Path.pos`` call per tile.
+
+    Kept verbatim apart from the module prefixes, as the behaviour the
+    sliced verifier must reproduce: same checks, same order, same reasons.
+    """
+    p, i, j = spec.path, spec.i, spec.j
+    rep = tam.validate_producible_path(sys_, p.prefix(j))
+    if not rep:
+        return tam.VerifyResult(False, f"path prefix 0..{j} is not producible: "
+                                       f"{rep.code} at index {rep.index}")
+    v = spec.vector
+    seam_from = p.pos(j)
+    seam_to = (p.pos(i + 1)[0] + v[0], p.pos(i + 1)[1] + v[1])
+    step = (seam_to[0] - seam_from[0], seam_to[1] - seam_from[1])
+    if step not in tam.SIDE_OF_STEP:
+        return tam.VerifyResult(False, "(a) seam tiles are not adjacent")
+    if not p.type(j).interacts(p.type(i + 1), step):
+        return tam.VerifyResult(False, "(a) seam glue does not bind")
+    period_pos = [p.pos(s) for s in range(i + 1, j + 1)]
+    if not precious_check([(2 * x, 2 * y) for x, y in period_pos],
+                          (2 * v[0], 2 * v[1])):
+        return tam.VerifyResult(False, "(b) period overlaps its translate")
+    obstacles = set(sys_.seed.tiles)
+    obstacles.update(p.pos(s) for s in range(0, i + 1))
+    ox0, oy0, ox1, oy1 = tam._bbox(obstacles)
+    px0, py0, px1, py1 = tam._bbox(period_pos)
+    step_len = max(abs(v[0]), abs(v[1]))
+    span = max(ox1, px1) - min(ox0, px0) + max(oy1, py1) - min(oy0, py0)
+    reps = span // step_len + 2
+    for m in range(1, reps + 1):
+        shift = (m * v[0], m * v[1])
+        for x, y in period_pos:
+            q = (x + shift[0], y + shift[1])
+            if q in obstacles:
+                return tam.VerifyResult(
+                    False, f"(c) period copy {m} hits the seed or prefix at {q}")
+    return tam.VerifyResult(True)
+
+
+def _pumping_mutants(spec):
+    """Neighbouring index pairs of a certificate, and the pair off the seed."""
+    p, i, j = spec.path, spec.i, spec.j
+    for a, b in ((i, j + 1), (i, j - 1), (i + 1, j), (i - 1, j), (0, len(p) - 1)):
+        try:
+            yield PumpingSpec(p, a, b)
+        except ValueError:
+            pass  # indices out of range, or a zero vector
+    yield PumpingSpec(p.translate((40, 40)), i, j)
+
+
+def test_pumping_verifier_matches_reference():
+    # Every pumping certificate analyze gives on criterion 9's corpus, the
+    # index pairs next to it, and the same pairs on the path moved off the
+    # seed; then a staircase whose period copies run into the seed.
+    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    cases = []
+    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
+        for p in paths:
+            res = analyze(sys_, p, bound_override=2, budget=budget)
+            if res.kind == "pumpable":
+                cases.append((sys_, res.pumpable))
+                cases += [(sys_, m) for m in _pumping_mutants(res.pumpable)]
+    stair = system_of([("G", "g", "g", "g", "g")], {(0, 0): "G"})
+    stair_path = path_of(stair, (1, 0, "G"), (2, 0, "G"), (3, 0, "G"), (3, 1, "G"),
+                         (3, 2, "G"), (3, 3, "G"), (2, 3, "G"), (2, 2, "G"))
+    cases.append((stair, PumpingSpec(stair_path, 5, 7)))
+    # No "(a) seam tiles are not adjacent": the seam step equals the step
+    # from tile i to tile i + 1, which the prefix check already made a unit step.
+    kinds = ("path prefix", "(a) seam glue does not bind", "(b)", "(c)")
+    seen = set()
+    for sys_, spec in cases:
+        got, want = verify_pumpable_cert(sys_, spec), _reference_verify_pumpable(sys_, spec)
+        assert (got.ok, got.reason) == (want.ok, want.reason), (
+            spec.path.entries, spec.i, spec.j)
+        seen.add("valid" if got.ok else next(k for k in kinds if got.reason.startswith(k)))
+    assert seen == {"valid", *kinds}

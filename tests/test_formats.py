@@ -365,9 +365,10 @@ path 5 5 A ; 6 5 A ; 7 5 A ; 8 5 A
     ["shields"],
     ["spans"],
     ["oracle", "rp", "--shield", "0", "1", "2"],
+    ["oracle", "pumpable"],
     ["analyze"],
 ], ids=["pump-or-block-repeat", "pump-or-block-deep", "shields", "spans", "oracle-rp",
-        "analyze"])
+        "oracle-pumpable", "analyze"])
 def test_cli_rejects_unproducible_path(tmp_path, _run, args):
     # A path that never touches the seed is bad input, not an engine fault.
     f = tmp_path / "float.tiles"
@@ -376,6 +377,17 @@ def test_cli_rejects_unproducible_path(tmp_path, _run, args):
     r = _run([*args[:pos], str(f), *args[pos:]], tmp_path)
     assert r.returncode == 4
     assert r.stderr == "error: BadSystem: path is not producible: SeedDetached@0\n"
+
+
+@pytest.mark.parametrize("overlays", ["cut", "regions,rays", "trace"])
+def test_cli_render_overlays_need_shield(unit_file, tmp_path, _run, overlays):
+    # Every overlay draws a shield's geometry; asking for one without a
+    # shield is a usage error, not an SVG without the overlay.
+    out = tmp_path / "fig.svg"
+    r = _run(["render", str(unit_file), "--overlays", overlays, "-o", str(out)], tmp_path)
+    assert r.returncode == 3
+    assert r.stderr == "error: --overlays needs --shield I J K\n"
+    assert not out.exists()
 
 
 def test_cli_render_rejects_unknown_overlay(unit_file, tmp_path, _run):

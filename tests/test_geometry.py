@@ -177,17 +177,27 @@ def walk_parity(curve, p, toward_ne):
 
 
 def assert_parity_matches_walk(curve, margin=3):
-    """Table parity equals the walk at every off-curve point near the curve."""
+    """Table parity equals the walk at every off-curve point near the curve.
+
+    ``classify_side`` and a ``SideCache`` must agree with the walk at every
+    window point: ``ON`` on the curve, otherwise the south-west parity.
+    """
     x0, y0, x1, y1 = curve.bbox()
+    cache = SideCache(curve)
     checked = 0
     for x in range(x0 - margin, x1 + margin + 1):
         for y in range(y0 - margin, y1 + margin + 1):
-            if curve.contains((x, y)):
-                continue
-            for toward_ne in (False, True):
-                assert (crossing_parity(curve, (x, y), toward_ne)
-                        == walk_parity(curve, (x, y), toward_ne)), (curve.points, (x, y))
-            checked += 1
+            q = (x, y)
+            if curve.contains(q):
+                want = Side.ON
+            else:
+                for toward_ne in (False, True):
+                    assert (crossing_parity(curve, q, toward_ne)
+                            == walk_parity(curve, q, toward_ne)), (curve.points, q)
+                want = Side.RIGHT if walk_parity(curve, q, False) else Side.LEFT
+                checked += 1
+            assert classify_side(curve, q) is want, (curve.points, q)
+            assert cache.side(q) is want, (curve.points, q)
     return checked
 
 

@@ -76,6 +76,17 @@ def test_brute_pumpable_unit(unit, unit_path):
     assert (spec.i, spec.j) == (0, 1)
 
 
+def test_brute_pumpable_rejects_floating_path(unit):
+    # The unit pump moved off the seed: every pair pumps except that
+    # tile 0 binds nothing, so no pair may be confirmed.
+    p = path_of(unit, (5, 5, "A"), (6, 5, "A"), (7, 5, "A"), (8, 5, "A"))
+    assert not oracle.confirm_pumpable(unit, p, 0, 1)
+    assert oracle.brute_pumpable(unit, p) is None
+    # The same path on the seed's row pumps at once.
+    on_seed = path_of(unit, (1, 0, "A"), (2, 0, "A"), (3, 0, "A"), (4, 0, "A"))
+    assert oracle.confirm_pumpable(unit, on_seed, 0, 1)
+
+
 def test_brute_pumpable_spiral_none():
     # A one-turn spiral of single-use glues: every index pair fails the
     # seam interaction or collides, so the exhaustive scan returns none.
