@@ -18,6 +18,15 @@ sorts, once, the x-coordinates where its finite part crosses every diagonal
 line ``y - x = d``, so a query is one binary search in that line's list
 plus a constant-time test per infinite ray (the slab idea behind planar
 point location).
+
+Most claims the engine checks say that a whole curve, a ray or a chain of
+tiles and glues stays in one closed side of a cut.  :func:`walk_sides`
+classifies such a unit-step walk with one query per stretch between
+contacts with the cut, on two exact facts: a unit step with both ends off
+a curve cannot cross it, so the side is constant between consecutive curve
+points; and a step with both ends on the curve lies on it exactly when the
+ends are consecutive lattice points of the curve or of one of its rays, so
+only the remaining steps (chords) need a query at their midpoint.
 """
 
 from __future__ import annotations
@@ -124,12 +133,13 @@ class PolyCurve:
     first vertex / above the last vertex.
 
     Derived data is built once, on first use: the lattice points (as a
-    tuple and as a set), the simplicity flag, the bounding box and the
-    diagonal table of :meth:`diagonal_table` that side queries search.
+    tuple, as a set and as a point-to-position map), the simplicity flag,
+    the bounding box and the diagonal table of :meth:`diagonal_table` that
+    side queries search.
     """
 
     __slots__ = ("points", "south_ray", "north_ray", "_lattice", "_lattice_set",
-                 "_simple", "_bbox", "_diagonals")
+                 "_index", "_simple", "_bbox", "_diagonals")
 
     def __init__(self, points: Sequence[Point], south_ray: bool = False,
                  north_ray: bool = False):
@@ -145,6 +155,7 @@ class PolyCurve:
         self.north_ray = north_ray
         self._lattice = None
         self._lattice_set = None
+        self._index = None
         self._simple = None
         self._bbox = None
         self._diagonals = None
@@ -186,6 +197,12 @@ class PolyCurve:
         if self._lattice_set is None:
             self._lattice_set = frozenset(self.lattice_points())
         return self._lattice_set
+
+    def lattice_index(self) -> dict[Point, int]:
+        """Position of each lattice point of the finite part in curve order."""
+        if self._index is None:
+            self._index = {q: n for n, q in enumerate(self.lattice_points())}
+        return self._index
 
     @property
     def is_almost_vertical(self) -> bool:
@@ -361,9 +378,10 @@ def crossing_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
 class SideCache:
     """Memoized side classification against one fixed curve.
 
-    The engine asks the same membership questions many times while
-    checking its invariants; the cache also offers the half-step query
-    used when both endpoints of a unit step lie on the curve.
+    :meth:`side` is the one query for lattice points; :func:`walk_sides`
+    asks it once per stretch of a walk.  The cache also offers the
+    half-step query for chords, unit steps whose two ends lie on the curve
+    while the step itself does not.
     """
 
     __slots__ = ("curve", "_memo", "_scaled", "_memo2")
@@ -390,8 +408,8 @@ class SideCache:
 
         The doubled copy of the curve builds its own diagonal table on its
         first query.  Its diagonals of odd ``d`` have no counterpart among
-        the curve's own, and this query only runs for unit steps with both
-        ends on the curve, so sharing one table would buy little.
+        the curve's own, and this query only runs for chords and for the
+        route search's goal test, so sharing one table would buy little.
         """
         got = self._memo2.get(p2)
         if got is None:
@@ -402,24 +420,97 @@ class SideCache:
         return got
 
 
+def _step_on_curve(curve: PolyCurve, a: Point, b: Point) -> bool:
+    """Whether the unit step ``a``-``b``, both ends on the simple curve, lies on it."""
+    index = curve.lattice_index()
+    ia, ib = index.get(a), index.get(b)
+    if ia is not None and ib is not None:
+        return abs(ia - ib) == 1
+    # One end lies on a ray.  Past its start, a ray's column holds no other
+    # point of a simple curve, so the step lies on the curve exactly when
+    # both ends lie on that ray, start included.
+    sx, sy = curve.points[0]
+    nx, ny = curve.points[-1]
+    return (a[0] == b[0] == sx and max(a[1], b[1]) <= sy
+            or a[0] == b[0] == nx and min(a[1], b[1]) >= ny)
+
+
+def walk_sides(cache: SideCache, walk: Sequence[Point],
+               steps: bool = False) -> list[Side]:
+    """Side of every point of a unit-step lattice walk, one query per stretch.
+
+    Two exact facts about the simple almost-vertical curve ``cache.curve``
+    (on it means :meth:`PolyCurve.contains`, which covers the finite part
+    and both rays) make this cheap:
+
+    - *Steps off the curve.*  A unit step between two lattice points that
+      are both off the curve cannot cross it: the curve runs along lattice
+      lines between lattice points, so it could only meet the step's open
+      interior along the whole step, ends included.  So along a walk the
+      side is constant between two consecutive curve points, and one
+      :meth:`SideCache.side` query on the first point of each such stretch
+      classifies all of it.  The open interior of a step with one end off
+      the curve lies on that end's side.
+    - *Steps with both ends on the curve.*  Such a step lies on the curve
+      exactly when its two ends are consecutive lattice points of the
+      curve, or of one of its rays (start included).  Every other such
+      step is a chord: its open interior is off the curve and gets one
+      :meth:`SideCache.side_half` query at its midpoint.
+
+    Returns one side per walk point; with ``steps``, the sides of the walk
+    points and of the step interiors alternate (``2n - 1`` entries for
+    ``n`` points), and a chord is the only step that costs a query.
+    """
+    ON = Side.ON
+    curve = cache.curve
+    on = curve._lattice_set  # built by the simplicity check of SideCache
+    sx, sy = curve.points[0]
+    nx, ny = curve.points[-1]
+    out = []
+    last = prev = None  # side of the previous point, and that point
+    for q in walk:
+        if q in on or q[0] == sx and q[1] < sy or q[0] == nx and q[1] > ny:
+            side = ON
+        elif last is None or last is ON:
+            side = cache.side(q)  # the first point of a stretch
+        else:
+            side = last
+        if steps and prev is not None:
+            if last is not ON:
+                out.append(last)
+            elif side is not ON:
+                out.append(side)
+            elif _step_on_curve(curve, prev, q):
+                out.append(ON)
+            else:
+                out.append(cache.side_half((prev[0] + q[0], prev[1] + q[1])))
+        out.append(side)
+        last, prev = side, q
+    return out
+
+
 def curve_in_closed_right(sub: PolyCurve, cache: SideCache) -> Optional[Point]:
     """First witness point of ``sub`` outside the closed right side, if any.
 
-    Checks every doubled-lattice point of ``sub``; when a whole unit step
-    has both endpoints on the boundary the step's midpoint is tested at
-    half resolution, since such a step may leave the region without
-    touching any lattice point strictly.  Infinite ray tails are compared
-    against the boundary's own rays symbolically.
+    The finite part's lattice points are one unit-step walk, classified by
+    :func:`walk_sides` with one query per stretch between contacts with the
+    boundary and one half-resolution query per chord, since a chord may
+    leave the region without touching any lattice point strictly.  The
+    witness is the first LEFT lattice point in curve order; failing that,
+    the south or west end of the first chord that leaves the region.
+    Infinite ray tails are walked the same way down to (up to) two below
+    (above) the boundary's finite part, where only the boundary's own rays
+    remain, and compared against them symbolically past that.
     """
     pts = sub.lattice_points()
-    for q in pts:
-        if cache.side(q) is Side.LEFT:
-            return q
-    for a, b in zip(pts, pts[1:]):
-        if cache.side(a) is Side.ON and cache.side(b) is Side.ON:
-            mid2 = (a[0] + b[0], a[1] + b[1])
-            if cache.side_half(mid2) is Side.LEFT:
-                return ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+    sides = walk_sides(cache, pts, steps=True)
+    point_sides = sides[::2]
+    if Side.LEFT in point_sides:
+        return pts[point_sides.index(Side.LEFT)]
+    if Side.LEFT in sides:
+        n = sides.index(Side.LEFT) // 2
+        a, b = pts[n], pts[n + 1]
+        return ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
     boundary = cache.curve
     if sub.south_ray:
         sx, sy = sub.points[0]
@@ -427,18 +518,20 @@ def curve_in_closed_right(sub: PolyCurve, cache: SideCache) -> Optional[Point]:
         # Below everything finite, only the boundary's south ray matters:
         # strictly east of it is RIGHT, on it is ON, west of it is LEFT.
         floor = min(sy, boundary.bbox()[1]) - 2
-        for y in range(floor, sy):
-            if cache.side((sx, y)) is Side.LEFT:
-                return (sx, y)
+        tail = [(sx, y) for y in range(floor, sy)]
+        tail_sides = walk_sides(cache, tail)
+        if Side.LEFT in tail_sides:
+            return tail[tail_sides.index(Side.LEFT)]
         if sx < bx:
             return (sx, floor - 2)
     if sub.north_ray:
         nx, ny = sub.points[-1]
         bx, by = boundary.points[-1]
         ceil_ = max(ny, boundary.bbox()[3]) + 2
-        for y in range(ny + 1, ceil_ + 1):
-            if cache.side((nx, y)) is Side.LEFT:
-                return (nx, y)
+        tail = [(nx, y) for y in range(ny + 1, ceil_ + 1)]
+        tail_sides = walk_sides(cache, tail)
+        if Side.LEFT in tail_sides:
+            return tail[tail_sides.index(Side.LEFT)]
         if nx < bx:
             return (nx, ceil_ + 2)
     return None
@@ -545,17 +638,12 @@ def first_departure(d: PolyCurve, c: PolyCurve):
     pts = d.lattice_points()
     if not c.contains(pts[0]):
         raise NotOnCurve("d does not start on c")
-    cache = SideCache(c)
-    for idx in range(1, len(pts)):
-        q = pts[idx]
-        side = cache.side(q)
+    # A step's interior is off c whenever its far end is, so the first
+    # entry off c is always a step interior, and it has the far end's side.
+    sides = walk_sides(SideCache(c), pts, steps=True)
+    for n, side in enumerate(sides):
         if side is not Side.ON:
-            return idx, side
-        a = pts[idx - 1]
-        mid2 = (a[0] + q[0], a[1] + q[1])
-        mside = cache.side_half(mid2)
-        if mside is not Side.ON:
-            return idx, mside
+            return (n + 1) // 2, side
     return None
 
 

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from . import tam, visibility
 from .budgets import EnumBudget
-from .errors import EmptyRouteSet, WindowTooSmall
+from .errors import BadSystem, EmptyRouteSet, WindowTooSmall
 from .geometry import Point, PolyCurve, Side, add, sub
 from .shield import Workspace, _goal_test, _RouteGraph
 from .tam import Assembly, FragilityCert, Path, PumpingSpec, TileSystem, TileType
@@ -88,8 +88,12 @@ def brute_fragile(sys: TileSystem, p: Path,
     Every conflicting assembly contains a producible path ending at the
     conflicting tile, so enumerating paths up to the assembly-size budget
     is a complete search at that size.  Returns a replayable certificate
-    or ``None`` within budget.
+    or ``None`` within budget.  A path that is not producible raises
+    :class:`BadSystem`: no assembly can block what never grows.
     """
+    rep = tam.validate_producible_path(sys, p)
+    if not rep:
+        raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
     budget = budget or EnumBudget.from_env()
     want = {pos: t for pos, t in p.entries}
     max_len = max(1, budget.max_assembly_size - len(sys.seed))

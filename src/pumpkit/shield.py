@@ -49,6 +49,7 @@ from .geometry import (
     neg,
     scale,
     sub,
+    walk_sides,
 )
 from .tam import FragilityCert, Path, PumpingSpec, TileSystem
 from .visibility import GlueView
@@ -222,6 +223,14 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
 # -- workspace ----------------------------------------------------------------
 
 
+def _glue_walk(tiles: list[Point]) -> list[Point]:
+    """The unit-step walk through doubled tile positions and the glues between them."""
+    walk = tiles[:1]
+    for (ux, uy), w in zip(tiles, tiles[1:]):
+        walk += [((ux + w[0]) // 2, (uy + w[1]) // 2), w]
+    return walk
+
+
 def _cut(head: list[Point], pos2: list[Point], lo: int, exit2: Point) -> PolyCurve:
     """``head``, then path tiles ``lo..k``, then the exit glue, with both rays.
 
@@ -260,23 +269,23 @@ def build_workspace(sys: TileSystem, p: Path, sh: Shield,
     if not cut.is_simple():
         raise ClaimViolation("cut-simple", "the shield cut self-intersects")
     cache = SideCache(cut)
-    for pos in list(sys.seed.tiles) + list(positions[: i + 1]):
-        if cache.side(_dbl(pos)) is not Side.LEFT:
+    sides = [cache.side(_dbl(pos)) for pos in sys.seed.tiles]
+    sides += walk_sides(cache, _glue_walk(pos2[:i + 1]))[::2]
+    for pos, side in zip(list(sys.seed.tiles) + list(positions[: i + 1]), sides):
+        if side is not Side.LEFT:
             raise ClaimViolation(
                 "prefix-outside-workspace",
                 f"seed/prefix tile at {pos} is not strictly left of the cut")
     # The scan ends above the highest tile, where the cut is its exit ray
     # alone and the side along the translated ray no longer changes.
-    shifted = VRay(add(gk.midpoint, neg(vec)), "north")
+    sx, sy = sub(gk.midpoint, vec)
     top = 2 * max(y for _, y in list(sys.seed.tiles) + list(positions)) + 4
-    y = shifted.start[1]
-    while y <= top:
-        q = (shifted.start[0], y)
-        if cache.side(q) is not Side.LEFT and q != shifted.start:
+    ray = [(sx, y) for y in range(sy + 1, top + 1)]
+    for q, side in zip(ray, walk_sides(cache, ray)):
+        if side is not Side.LEFT:
             raise ClaimViolation(
                 "shifted-exit-ray-touch",
                 f"translated exit ray enters the workspace at {q}")
-        y += 1
     fam1 = {pos2[n]: n for n in range(i + 1, k + 1)}
     fam2 = {sub(pos2[n], vec): n for n in range(j + 1, k + 1)}
     return Workspace(sys, pt, sh, view, pos2, vec, cut, cache,
@@ -387,43 +396,56 @@ def dominant(ws: Workspace, _carrier_override=None) -> DominantInfo:
 class _RouteGraph:
     """Positions of the segment and its west translate, edges within each copy.
 
-    Only edges whose embedding stays in the closed right side of the cut
-    are admissible; membership of a whole edge reduces to its two ends
-    and midpoint because the cut is axis-aligned at the same granularity.
+    Only edges whose three lattice points (the two tiles and the glue
+    midpoint between them) all lie in the closed right side of the cut
+    are admissible.  Each copy is one unit-step walk (tile, glue midpoint,
+    tile, ...), classified by :func:`walk_sides` with one side query per
+    stretch between contacts with the cut: a step with both ends off the
+    cut cannot cross it.
     """
 
     def __init__(self, ws: Workspace):
         sh, pos2 = ws.shield, ws.pos2
         self.vertices = set(ws.fam1) | set(ws.fam2)
-        cache = ws.cache
         self.adj: dict[Point, list[Point]] = {u: [] for u in self.vertices}
         edges = set()
-        for lo, shift in ((sh.i + 1, (0, 0)), (sh.j + 1, ws.vector)):
-            for n in range(lo, sh.k):
-                edges.add(frozenset((sub(pos2[n], shift), sub(pos2[n + 1], shift))))
+        for lo, (dx, dy) in ((sh.i + 1, (0, 0)), (sh.j + 1, ws.vector)):
+            if lo == sh.k:
+                continue  # a copy of one tile has no edges
+            walk = _glue_walk([(x - dx, y - dy) for x, y in pos2[lo:sh.k + 1]])
+            sides = walk_sides(ws.cache, walk)
+            for n in range(0, len(walk) - 1, 2):
+                if Side.LEFT not in sides[n:n + 3]:
+                    edges.add(frozenset((walk[n], walk[n + 2])))
         for e in edges:
             u, w = tuple(e)
-            mid = ((u[0] + w[0]) // 2, (u[1] + w[1]) // 2)
-            if all(cache.side(q) is not Side.LEFT for q in (u, mid, w)):
-                self.adj[u].append(w)
-                self.adj[w].append(u)
+            self.adj[u].append(w)
+            self.adj[w].append(u)
         for lst in self.adj.values():
             lst.sort()
 
 
 def _goal_test(ws: Workspace):
-    """Predicate: vertex sits half a tile beside the exit ray, link in region."""
+    """Predicate: vertex sits half a tile beside the exit ray, link in region.
+
+    The link runs from the vertex to the exit ray, which is part of the
+    cut.  When the vertex lies on the cut too, the link leaves the region
+    only as a chord, so :func:`walk_sides` asks a midpoint query for chords
+    alone.
+    """
     lkx, lky = ws.exit_ray.start
     cache = ws.cache
+    memo: dict[Point, bool] = {}  # the route search asks about a vertex many times
 
     def is_goal(u: Point) -> bool:
         if abs(u[0] - lkx) != 1 or u[1] < lky:
             return False
-        w = (lkx, u[1])
-        if cache.side(u) is Side.ON:
-            if cache.side_half((u[0] + w[0], u[1] + w[1])) is Side.LEFT:
-                return False
-        return True
+        got = memo.get(u)
+        if got is None:
+            got = (cache.side(u) is not Side.ON
+                   or walk_sides(cache, [u, (lkx, u[1])], steps=True)[1] is not Side.LEFT)
+            memo[u] = got
+        return got
 
     return is_goal
 

@@ -57,6 +57,9 @@ def render_svg(sys: TileSystem, path: Optional[Path] = None,
 
     A ``shield`` is checked against ``path`` first, so a triple that is
     not a shield raises :class:`NotAShield` before any overlay is drawn.
+    An overlay whose input is missing raises :class:`ValueError`: ``rays``
+    needs a shield on the path, ``cut`` and ``regions`` need that or a
+    workspace, and ``trace`` needs a trace.
     """
     overlays = set(overlays)
     view = None
@@ -65,6 +68,14 @@ def render_svg(sys: TileSystem, path: Optional[Path] = None,
         check_shield(sys, path, shield.i, shield.j, shield.k, view)
         if workspace is None:
             workspace = build_workspace(sys, path, shield, view)
+    needs = {"rays": (view, "a shield and a path"),
+             "cut": (workspace, "a shield and a path, or a workspace"),
+             "regions": (workspace, "a shield and a path, or a workspace"),
+             "trace": (trace, "a trace")}
+    for name in sorted(overlays & needs.keys()):
+        given, what = needs[name]
+        if given is None:
+            raise ValueError(f"overlay {name!r} needs {what}")
     tiles = [(pos, t, "seed") for pos, t in sorted(sys.seed.tiles.items())]
     if path is not None:
         tiles += [(pos, t, "path") for pos, t in path.entries]
@@ -91,7 +102,7 @@ def render_svg(sys: TileSystem, path: Optional[Path] = None,
         f'<g transform="translate({ox},{PAD})">',
     ]
 
-    if "regions" in overlays and workspace is not None:
+    if "regions" in overlays:
         cut = workspace.cut
         x0, y0, x1, y1 = win
         pts = list(cut.points)
@@ -119,7 +130,7 @@ def render_svg(sys: TileSystem, path: Optional[Path] = None,
                           for x, y in path.positions)
         out.append(f'<polyline points="{coords}" class="path"/>')
 
-    if "rays" in overlays and view is not None:
+    if "rays" in overlays:
         x0, y0, x1, y1 = win
         for idx, heading in ((shield.i, "south"), (shield.j, "south"),
                              (shield.k, "north")):
@@ -128,11 +139,11 @@ def render_svg(sys: TileSystem, path: Optional[Path] = None,
             out.append(f'<line x1="{_sx(gx)}" y1="{_sy(gy, top)}" '
                        f'x2="{_sx(gx)}" y2="{_sy(end_y, top)}" class="ray"/>')
 
-    if "cut" in overlays and workspace is not None:
+    if "cut" in overlays:
         out.append(f'<polyline points="{_curve_points(workspace.cut, top, win)}" '
                    f'class="cut"/>')
 
-    if "trace" in overlays and trace is not None:
+    if "trace" in overlays:
         drawn = []
         if trace.route is not None:
             drawn.append(PolyCurve(list(trace.route)))

@@ -381,6 +381,7 @@ def verify_pumpable_cert(sys: TileSystem, spec: PumpingSpec) -> VerifyResult:
     (rx, ry), repeat_type = entries[i + 1]
     seam_to = (rx + v[0], ry + v[1])
     step = (seam_to[0] - seam_from[0], seam_to[1] - seam_from[1])
+    # Cannot fail: pos(i+1) + v - pos(j) = pos(i+1) - pos(i), a step of the checked prefix.
     if step not in SIDE_OF_STEP:
         return VerifyResult(False, "(a) seam tiles are not adjacent")
     if not seam_type.interacts(repeat_type, step):

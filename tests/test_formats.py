@@ -146,6 +146,16 @@ def test_svg_deterministic(unit, unit_path):
     assert a == b
 
 
+@pytest.mark.parametrize("overlay,shield", [("rays", None), ("cut", None),
+                                            ("regions", None), ("trace", Shield(0, 1, 1))],
+                         ids=["rays", "cut", "regions", "trace"])
+def test_svg_overlay_without_its_input_raises(unit, unit_path, overlay, shield):
+    # An overlay is never dropped without a word: rays need a shield, the
+    # cut and the regions a shield or a workspace, the trace a trace.
+    with pytest.raises(ValueError, match=f"overlay '{overlay}' needs"):
+        render_svg(unit, unit_path, overlays={overlay}, shield=shield)
+
+
 def _golden_cases():
     unit = system_of([("A", None, "g", None, "g")], {(0, 0): "A"})
     unit_path = path_of(unit, (1, 0, "A"), (2, 0, "A"), (3, 0, "A"))
@@ -366,9 +376,10 @@ path 5 5 A ; 6 5 A ; 7 5 A ; 8 5 A
     ["spans"],
     ["oracle", "rp", "--shield", "0", "1", "2"],
     ["oracle", "pumpable"],
+    ["oracle", "fragile"],
     ["analyze"],
 ], ids=["pump-or-block-repeat", "pump-or-block-deep", "shields", "spans", "oracle-rp",
-        "oracle-pumpable", "analyze"])
+        "oracle-pumpable", "oracle-fragile", "analyze"])
 def test_cli_rejects_unproducible_path(tmp_path, _run, args):
     # A path that never touches the seed is bad input, not an engine fault.
     f = tmp_path / "float.tiles"

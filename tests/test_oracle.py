@@ -4,7 +4,7 @@ import pytest
 
 from pumpkit import Path, PolyCurve, Side, classify_side, oracle
 from pumpkit.budgets import EnumBudget
-from pumpkit.errors import WindowTooSmall
+from pumpkit.errors import BadSystem, WindowTooSmall
 from pumpkit.oracle import FloodFill, floodfill_side
 
 from conftest import path_of, system_of
@@ -69,6 +69,14 @@ def test_brute_fragile_blocker(blocker):
     cert = oracle.brute_fragile(sys_, p)
     assert cert is not None
     assert len(cert.attachments) + len(sys_.seed) <= 12
+
+
+def test_brute_fragile_rejects_floating_path(unit):
+    # A path that never touches the seed grows from nothing, so no
+    # conflict with it can certify fragility.
+    p = path_of(unit, (5, 5, "A"), (6, 5, "A"), (7, 5, "A"), (8, 5, "A"))
+    with pytest.raises(BadSystem, match="SeedDetached@0"):
+        oracle.brute_fragile(unit, p)
 
 
 def test_brute_pumpable_unit(unit, unit_path):

@@ -1,0 +1,294 @@
+"""Stretch-wise walk classification against per-point references.
+
+``geometry.walk_sides`` asks one side query per stretch of a walk between
+contacts with the boundary, and one half-resolution query per chord.
+Inline copies of the per-point ``curve_in_closed_right``, of the route
+graph's per-edge filter and of the route search's goal test, as they read
+before the walk routine, give the witnesses, the adjacency and the goals
+it must reproduce exactly: on the curves the engine checks over criterion
+9's corpus, and on seeded random curves with walks that run along the
+boundary, touch it, cross it and jump across it by chords.
+"""
+
+import functools
+import random
+import time
+
+import pytest
+
+from pumpkit import geometry, shield
+from pumpkit.budgets import EnumBudget
+from pumpkit.geometry import PolyCurve, Side, SideCache, classify_side, walk_sides
+
+from test_acceptance import CORPUS_SEED, _corpus
+from test_geometry import HAND_MADE, random_curve
+
+REFERENCE_SECONDS = 5.0  # per test case; each takes 0.3 to 2.5 s on a 2-core machine
+
+_UNIT = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+def reference_curve_in_closed_right(sub, cache):
+    """``curve_in_closed_right`` as it read with one side query per point."""
+    pts = sub.lattice_points()
+    for q in pts:
+        if cache.side(q) is Side.LEFT:
+            return q
+    for a, b in zip(pts, pts[1:]):
+        if cache.side(a) is Side.ON and cache.side(b) is Side.ON:
+            mid2 = (a[0] + b[0], a[1] + b[1])
+            if cache.side_half(mid2) is Side.LEFT:
+                return ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+    boundary = cache.curve
+    if sub.south_ray:
+        sx, sy = sub.points[0]
+        bx, by = boundary.points[0]
+        floor = min(sy, boundary.bbox()[1]) - 2
+        for y in range(floor, sy):
+            if cache.side((sx, y)) is Side.LEFT:
+                return (sx, y)
+        if sx < bx:
+            return (sx, floor - 2)
+    if sub.north_ray:
+        nx, ny = sub.points[-1]
+        bx, by = boundary.points[-1]
+        ceil_ = max(ny, boundary.bbox()[3]) + 2
+        for y in range(ny + 1, ceil_ + 1):
+            if cache.side((nx, y)) is Side.LEFT:
+                return (nx, y)
+        if nx < bx:
+            return (nx, ceil_ + 2)
+    return None
+
+
+def reference_route_adjacency(ws):
+    """The route graph's adjacency with three side queries per edge."""
+    sh, pos2 = ws.shield, ws.pos2
+    cache = SideCache(ws.cut)
+    adj = {u: [] for u in set(ws.fam1) | set(ws.fam2)}
+    edges = set()
+    for lo, shift in ((sh.i + 1, (0, 0)), (sh.j + 1, ws.vector)):
+        for n in range(lo, sh.k):
+            edges.add(frozenset((geometry.sub(pos2[n], shift),
+                                 geometry.sub(pos2[n + 1], shift))))
+    for e in edges:
+        u, w = tuple(e)
+        mid = ((u[0] + w[0]) // 2, (u[1] + w[1]) // 2)
+        if all(cache.side(q) is not Side.LEFT for q in (u, mid, w)):
+            adj[u].append(w)
+            adj[w].append(u)
+    for lst in adj.values():
+        lst.sort()
+    return adj
+
+
+def reference_goal_test(ws):
+    """The route search's goal test with a midpoint query for every link on the cut."""
+    lkx, lky = ws.exit_ray.start
+    cache = SideCache(ws.cut)
+
+    def is_goal(u):
+        if abs(u[0] - lkx) != 1 or u[1] < lky:
+            return False
+        w = (lkx, u[1])
+        if cache.side(u) is Side.ON:
+            if cache.side_half((u[0] + w[0], u[1] + w[1])) is Side.LEFT:
+                return False
+        return True
+
+    return is_goal
+
+
+def reference_walk_sides(curve, scaled, walk):
+    """Per-element sides: each point, then the midpoint of each step.
+
+    ``scaled`` is ``curve.scaled(2)``, against which step midpoints are
+    classified in quadrupled coordinates.
+    """
+    out = []
+    for n, q in enumerate(walk):
+        if n:
+            a = walk[n - 1]
+            out.append(classify_side(scaled, (a[0] + q[0], a[1] + q[1])))
+        out.append(classify_side(curve, q))
+    return out
+
+
+def assert_walks_match(curve, walks):
+    scaled = curve.scaled(2)
+    for walk in walks:
+        got = walk_sides(SideCache(curve), walk, steps=True)
+        assert got == reference_walk_sides(curve, scaled, walk), (curve.points, walk)
+        assert walk_sides(SideCache(curve), walk) == got[::2]
+
+
+def assert_witness_matches(sub, curve):
+    want = reference_curve_in_closed_right(sub, SideCache(curve))
+    assert geometry.curve_in_closed_right(sub, SideCache(curve)) == want, (
+        curve.points, sub.points, sub.south_ray, sub.north_ray)
+    return want
+
+
+def _random_walk(rng, start, n):
+    walk = [start]
+    for _ in range(n):
+        dx, dy = rng.choice(_UNIT)
+        walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
+    return walk
+
+
+def _chord_walks(curve):
+    """Two-point walks from each finite lattice point to a curve point beside it.
+
+    Apart from the steps between consecutive lattice points, which are
+    left out, these are the chords, and the steps down the south ray or
+    up the north ray from their start.
+    """
+    index = curve.lattice_index()
+    out = []
+    for q, n in index.items():
+        for dx, dy in _UNIT:
+            w = (q[0] + dx, q[1] + dy)
+            m = index.get(w)
+            if m is None and curve.contains(w) or m is not None and abs(m - n) != 1:
+                out.append([q, w])
+    return out
+
+
+def _along(rng, curve):
+    """A walk along a stretch of the curve, stepping off it and back now and then."""
+    pts = curve.lattice_points()
+    a = rng.randrange(len(pts))
+    b = rng.randrange(a, min(len(pts), a + 30))
+    walk = [pts[a]]
+    for q in pts[a + 1:b + 1]:
+        if rng.random() < 0.15:
+            dx, dy = rng.choice(_UNIT)
+            off = (walk[-1][0] + dx, walk[-1][1] + dy)
+            walk += [off, walk[-1]]
+        walk.append(q)
+    return walk
+
+
+# Finite parts that run beside the curve's own rays, with chords onto them.
+BESIDE_RAYS = [
+    [(1, 0), (2, 0), (2, -4), (4, -4)],
+    [(4, 0), (4, 5), (1, 5), (1, 2), (0, 2)],
+]
+
+
+def _random_curves(rng):
+    curves = [PolyCurve(pts, south_ray=True, north_ray=True)
+              for pts in HAND_MADE + BESIDE_RAYS]
+    curves += [random_curve(rng, corners=rng.randrange(1, 9)) for _ in range(40)]
+    return curves + [c.scaled(2) for c in curves[:20]]
+
+
+def test_walk_sides_matches_per_point_reference_on_random_walks():
+    start = time.perf_counter()
+    rng = random.Random(71)
+    chords = left_chord_witnesses = tail_witnesses = 0
+    for curve in _random_curves(rng):
+        x0, y0, x1, y1 = curve.bbox()
+        walks = _chord_walks(curve)
+        chords += len(walks)
+        walks += [_along(rng, curve) for _ in range(4)]
+        walks += [_random_walk(rng, (rng.randrange(x0 - 2, x1 + 3),
+                                     rng.randrange(y0 - 2, y1 + 3)), 40)
+                  for _ in range(4)]
+        # Straight walks across the whole curve cross it and touch it.
+        y = rng.randrange(y0, y1 + 1)
+        walks.append([(x, y) for x in range(x0 - 3, x1 + 4)])
+        x = rng.randrange(x0, x1 + 1)
+        walks.append([(x, y) for y in range(y0 - 3, y1 + 4)])
+        assert_walks_match(curve, walks)
+        for walk in walks:
+            witness = assert_witness_matches(PolyCurve(walk), curve)
+            left_chord_witnesses += len(walk) == 2 and witness is not None
+            # Ray tails: the walk's ends extended down and up to infinity.
+            for south, north in ((True, False), (False, True), (True, True)):
+                got = assert_witness_matches(PolyCurve(walk, south, north), curve)
+                tail_witnesses += witness is None and got is not None
+    # The walks reach chords, chords that leave the region, and tails that do.
+    assert chords > 200 and left_chord_witnesses > 40 and tail_witnesses > 100
+    elapsed = time.perf_counter() - start
+    assert elapsed < REFERENCE_SECONDS, elapsed
+
+
+ENGINE_PARTS = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _engine_groups():
+    """The j < k shields of criterion 9's corpus, grouped by what their curves depend on.
+
+    That is the positions of tiles 0..k+1 and the triple, except that a
+    conflict ends the construction before the progress loop.
+    """
+    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    groups = {}
+    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
+        for p in paths:
+            for sh in shield.enumerate_shields(sys_, p):
+                if sh.j < sh.k:
+                    groups.setdefault((p.positions[:sh.k + 2], sh), []).append((sys_, p, sh))
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("part", range(ENGINE_PARTS))
+def test_walk_sides_matches_per_point_reference_on_engine_curves(monkeypatch, part):
+    # Every curve a SideCache is built on, every sub-curve checked for
+    # closed-right containment and every route graph, for one part of the
+    # groups of _engine_groups.  Each group's shields are decided until one
+    # pumps, which makes every curve of the group.
+    start = time.perf_counter()
+    groups = _engine_groups()[part::ENGINE_PARTS]
+    checked = []  # (sub, boundary) pairs
+    boundaries = []
+    workspaces = []
+
+    class Recording(SideCache):
+        def __init__(self, curve):
+            super().__init__(curve)
+            boundaries.append(curve)
+
+    def recording_check(sub, cache):
+        checked.append((sub, cache.curve))
+        return geometry.curve_in_closed_right(sub, cache)
+
+    def recording_workspace(*args):
+        ws = shield_build_workspace(*args)
+        workspaces.append(ws)
+        return ws
+
+    shield_build_workspace = shield.build_workspace
+    monkeypatch.setattr(shield, "SideCache", Recording)
+    monkeypatch.setattr(shield, "curve_in_closed_right", recording_check)
+    monkeypatch.setattr(shield, "build_workspace", recording_workspace)
+    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    pumped = 0
+    for group in groups:
+        for sys_, p, sh in group:
+            if shield.pump_or_block(sys_, p, sh, budget).kind == "pumpable":
+                pumped += 1
+                break
+    monkeypatch.undo()
+    assert len(groups) > 900 and pumped > 750 and len(workspaces) > len(groups)
+
+    witnesses = set()
+    for sub, curve in set(checked):
+        witnesses.add(assert_witness_matches(sub, curve))
+    assert witnesses == {None}  # no claim fires on producible paths
+    for curve in set(boundaries):
+        # Copies one step east and north run along the curve, touch it and
+        # jump across it by chords.
+        pts = curve.lattice_points()
+        assert_walks_match(curve, [[(x + dx, y + dy) for x, y in pts]
+                                   for dx, dy in ((1, 0), (0, 1))])
+    for ws in workspaces:
+        graph = shield._RouteGraph(ws)
+        assert graph.adj == reference_route_adjacency(ws)
+        is_goal, want = shield._goal_test(ws), reference_goal_test(ws)
+        assert all(is_goal(u) is want(u) for u in graph.vertices)
+    elapsed = time.perf_counter() - start
+    assert elapsed < REFERENCE_SECONDS, elapsed
