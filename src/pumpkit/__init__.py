@@ -44,7 +44,6 @@ from .geometry import (
     PolyCurve,
     Side,
     Turn,
-    VRay,
     classify_side,
     embed_path,
     first_departure,
@@ -79,7 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisResult", "Assembly", "EnumBudget", "FragilityCert", "Frame", "GlueView",
     "Path", "PolyCurve", "PumpingSpec", "Shield", "ShieldOutcome", "Side",
-    "Span", "TileSystem", "TileType", "Turn", "VRay", "analyze", "bound",
+    "Span", "TileSystem", "TileType", "Turn", "analyze", "bound",
     "bound_theorem1_extent", "bound_theorem1_square_half_side",
     "bound_theorem_main_distance", "build_workspace", "canonicalize",
     "classify_side", "embed_path", "enumerate_shields", "extract_path",

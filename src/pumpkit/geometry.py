@@ -19,6 +19,12 @@ line ``y - x = d``, so a query is one binary search in that line's list
 plus a constant-time test per infinite ray (the slab idea behind planar
 point location).
 
+A vertical ray is a curve's ``south_ray`` or ``north_ray``: a visibility
+ray of a glue is the one-point curve at its midpoint with that ray, and a
+ray standing alone is its start point and direction.
+:meth:`PolyCurve.ray_hits` is the one query for where a ray meets a
+curve's finite part; simplicity and :func:`curve_intersection` read it.
+
 Most claims the engine checks say that a whole curve, a ray or a chain of
 tiles and glues stays in one closed side of a cut.  :func:`walk_sides`
 classifies such a unit-step walk with one query per stretch between
@@ -70,10 +76,6 @@ def sub(p: Point, q: Point) -> Displacement:
     return (p[0] - q[0], p[1] - q[1])
 
 
-def neg(v: Displacement) -> Displacement:
-    return (-v[0], -v[1])
-
-
 def scale(v: Displacement, c: int) -> Displacement:
     return (c * v[0], c * v[1])
 
@@ -81,46 +83,6 @@ def scale(v: Displacement, c: int) -> Displacement:
 def rot_cw(v: Displacement) -> Displacement:
     """Quarter turn clockwise (y axis pointing north)."""
     return (v[1], -v[0])
-
-
-class VRay:
-    """Symbolic infinite vertical ray from an anchor point.
-
-    Visibility rays of glues and the infinite ends of curves.
-    """
-
-    HEADINGS = ("north", "south")
-
-    __slots__ = ("start", "heading")
-
-    def __init__(self, start: Point, heading: str):
-        if heading not in self.HEADINGS:
-            raise ValueError(f"unknown heading {heading!r}")
-        self.start = start
-        self.heading = heading
-
-    def __repr__(self):
-        return f"VRay({self.start}, {self.heading!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VRay)
-            and self.start == other.start
-            and self.heading == other.heading
-        )
-
-    def __hash__(self):
-        return hash((self.start, self.heading))
-
-    def contains(self, p: Point) -> bool:
-        x0, y0 = self.start
-        x, y = p
-        if self.heading == "north":
-            return x == x0 and y >= y0
-        return x == x0 and y <= y0
-
-    def translate(self, v: Displacement) -> "VRay":
-        return VRay(add(self.start, v), self.heading)
 
 
 class PolyCurve:
@@ -216,19 +178,29 @@ class PolyCurve:
         self-intersection test.
         """
         if self._simple is None:
-            seen = self.lattice_set()
-            ok = len(seen) == len(self.lattice_points())
+            ok = len(self.lattice_set()) == len(self.lattice_points())
+            # Each ray may meet the finite part at its own start only.
             if ok and self.south_ray:
-                sx, sy = self.points[0]
-                ok = not any(x == sx and y < sy for x, y in seen)
+                ok = len(self.ray_hits(self.points[0], north=False)) == 1
             if ok and self.north_ray:
-                nx, ny = self.points[-1]
-                ok = not any(x == nx and y > ny for x, y in seen)
+                ok = len(self.ray_hits(self.points[-1], north=True)) == 1
             # A tail/tail meeting of the two rays always implies one ray
-            # passes a finite endpoint of the other, which the scans above
+            # passes a finite endpoint of the other, which the checks above
             # already caught; no separate ray/ray test is needed.
             self._simple = ok
         return self._simple
+
+    def ray_hits(self, start: Point, north: bool) -> list[Point]:
+        """Lattice points of the finite part on a vertical ray, in curve order.
+
+        The ray runs from ``start`` (included) to the north when ``north``,
+        else to the south.  This is the one query for where a ray, such as
+        another curve's ``south_ray`` or ``north_ray``, meets a curve.
+        """
+        sx, sy = start
+        if north:
+            return [q for q in self.lattice_points() if q[0] == sx and q[1] >= sy]
+        return [q for q in self.lattice_points() if q[0] == sx and q[1] <= sy]
 
     def bbox(self) -> tuple[int, int, int, int]:
         """(min_x, min_y, max_x, max_y) of the finite vertex set."""
@@ -542,12 +514,13 @@ def curve_in_closed_right(sub: PolyCurve, cache: SideCache) -> Optional[Point]:
 INFINITE_OVERLAP = object()
 
 
-def _ray_parts(curve: PolyCurve) -> list[VRay]:
+def _rays(curve: PolyCurve) -> list[tuple[Point, bool]]:
+    """``(start, north)`` for each infinite ray of a curve."""
     rays = []
     if curve.south_ray:
-        rays.append(VRay(curve.points[0], "south"))
+        rays.append((curve.points[0], False))
     if curve.north_ray:
-        rays.append(VRay(curve.points[-1], "north"))
+        rays.append((curve.points[-1], True))
     return rays
 
 
@@ -561,29 +534,25 @@ def curve_intersection(a: PolyCurve, b: PolyCurve):
     whenever it is used to check "at most/exactly one meeting point".
     Overlapping infinite rays report INFINITE_OVERLAP.
     """
-    fa, fb = a.lattice_set(), b.lattice_set()
-    pts = set(fa & fb)
-    for ray in _ray_parts(a):
-        for q in fb:
-            if ray.contains(q):
-                pts.add(q)
-    for ray in _ray_parts(b):
-        for q in fa:
-            if ray.contains(q):
-                pts.add(q)
-    for ra in _ray_parts(a):
-        for rb in _ray_parts(b):
-            if ra.start[0] != rb.start[0]:
+    pts = set(a.lattice_set() & b.lattice_set())
+    rays_a, rays_b = _rays(a), _rays(b)
+    for start, north in rays_a:
+        pts.update(b.ray_hits(start, north))
+    for start, north in rays_b:
+        pts.update(a.ray_hits(start, north))
+    for sa, north_a in rays_a:
+        for sb, north_b in rays_b:
+            if sa[0] != sb[0]:
                 continue
-            if ra.heading == rb.heading:
+            if north_a == north_b:
                 return INFINITE_OVERLAP
-            north_y = ra.start[1] if ra.heading == "north" else rb.start[1]
-            south_y = rb.start[1] if ra.heading == "north" else ra.start[1]
+            north_y = sa[1] if north_a else sb[1]
+            south_y = sb[1] if north_a else sa[1]
             overlap = south_y - north_y + 1
             if overlap > 2:
                 return INFINITE_OVERLAP
             for y in range(north_y, south_y + 1):
-                pts.add((ra.start[0], y))
+                pts.add((sa[0], y))
     return pts
 
 

@@ -16,10 +16,11 @@ The :class:`Workspace` is the one per-shield context.
 :func:`build_workspace` fills it once, after the ``j == k`` exit (a repeat
 at the exit needs none of it): the system, the prefix ``0..k+1`` the
 engine works on, the :class:`GlueView`, the doubled positions of tiles
-``0..k+1``, the pumping vector, the cut with its side cache, the exit ray
-and the two translated copies of the segment.  Every later stage (the
-anchor, the route, the tiled route, the progress loop) takes the
-workspace and reads the shield's data from it.
+``0..k+1``, the pumping vector, the cut with its side cache, the midpoint
+``exit2`` of glue ``k`` where the exit ray starts, and the two translated
+copies of the segment.  Every later stage (the anchor, the route, the
+tiled route, the progress loop) takes the workspace and reads the
+shield's data from it.
 
 Every structural fact the construction relies on is re-checked at runtime
 and raises :class:`ClaimViolation` when broken; on producible inputs none
@@ -41,12 +42,10 @@ from .geometry import (
     PolyCurve,
     Side,
     SideCache,
-    VRay,
     add,
     clockwise_successors,
     curve_in_closed_right,
     curve_intersection,
-    neg,
     scale,
     sub,
     walk_sides,
@@ -86,7 +85,7 @@ class Workspace:
     vector: Point  # doubled displacement from tile i to tile j
     cut: PolyCurve  # up the entry ray, along tiles i+1..k, out the exit ray
     cache: SideCache  # side classification against ``cut``
-    exit_ray: VRay  # northward ray of glue k
+    exit2: Point  # midpoint of glue k, where the exit ray starts north
     fam1: dict[Point, int]  # doubled position -> index, segment tiles i+1..k
     fam2: dict[Point, int]  # the same for tiles j+1..k moved west by ``vector``
 
@@ -159,11 +158,10 @@ def check_shield(sys: TileSystem, p: Path, i: int, j: int, k: int,
         raise NotAShield("glues i and j must be visible from the south")
     if not gk.horizontal or not view.visible(k, "north"):
         raise NotAShield("glue k must be visible from the north")
-    vbar = sub(_dbl(p.pos(i)), _dbl(p.pos(j)))
-    ray = VRay(add(gk.midpoint, vbar), "north")
+    start = add(gk.midpoint, sub(_dbl(p.pos(i)), _dbl(p.pos(j))))
     segment = PolyCurve([_dbl(p.pos(s)) for s in range(i, k + 1)])
-    hits = {q for q in segment.lattice_points() if ray.contains(q)}
-    if not hits <= {ray.start}:
+    hits = set(segment.ray_hits(start, north=True))
+    if not hits <= {start}:
         raise NotAShield(f"translated exit ray meets segment at {sorted(hits)}")
 
 
@@ -289,7 +287,7 @@ def build_workspace(sys: TileSystem, p: Path, sh: Shield,
     fam1 = {pos2[n]: n for n in range(i + 1, k + 1)}
     fam2 = {sub(pos2[n], vec): n for n in range(j + 1, k + 1)}
     return Workspace(sys, pt, sh, view, pos2, vec, cut, cache,
-                     VRay(gk.midpoint, "north"), fam1, fam2)
+                     gk.midpoint, fam1, fam2)
 
 
 # -- the dominant anchor tile ---------------------------------------------------
@@ -344,18 +342,15 @@ def dominant(ws: Workspace, _carrier_override=None) -> DominantInfo:
         raise ClaimViolation("anchor-past-start", f"anchor index {m0} <= i+1")
 
     anchor2 = pos2[m0]
-    ray = VRay(anchor2, "south")
     segment = PolyCurve(pos2[i + 1:k + 1])
-    seg_pts = segment.lattice_set()
-    hits = {q for q in seg_pts if ray.contains(q)}
+    hits = set(segment.ray_hits(anchor2, north=False))
     if hits != {anchor2}:
         raise ClaimViolation("anchor-ray-clear",
                              f"anchor ray meets the segment at {sorted(hits)}")
     max_x = segment.bbox()[2]
     n = 1
     while anchor2[0] + n * vec[0] <= max_x:
-        moved = ray.translate(scale(vec, n))
-        if any(moved.contains(q) for q in seg_pts):
+        if segment.ray_hits(add(anchor2, scale(vec, n)), north=False):
             raise ClaimViolation("anchor-ray-clear",
                                  f"anchor ray shifted {n} periods hits the segment")
         n += 1
@@ -367,13 +362,13 @@ def dominant(ws: Workspace, _carrier_override=None) -> DominantInfo:
         if anchor2[0] <= ws.view.glues[j].midpoint[0]:
             raise ClaimViolation("anchor-ray-east",
                                  "anchor ray not strictly east of glue j")
-        back = ray.translate(neg(vec))
-        bhits = {q for q in seg_pts if back.contains(q)}
-        if not bhits <= {back.start}:
+        back = sub(anchor2, vec)
+        bhits = set(segment.ray_hits(back, north=False))
+        if not bhits <= {back}:
             raise ClaimViolation("anchor-ray-east",
                                  f"west-shifted anchor ray hits segment at {sorted(bhits)}")
 
-    split = _cut([anchor2], pos2, m0 + 1, ws.exit_ray.start)
+    split = _cut([anchor2], pos2, m0 + 1, ws.exit2)
     if not split.is_simple():
         raise ClaimViolation("split-simple", "workspace split self-intersects")
     upper = SideCache(split)
@@ -396,12 +391,13 @@ def dominant(ws: Workspace, _carrier_override=None) -> DominantInfo:
 class _RouteGraph:
     """Positions of the segment and its west translate, edges within each copy.
 
-    Only edges whose three lattice points (the two tiles and the glue
-    midpoint between them) all lie in the closed right side of the cut
-    are admissible.  Each copy is one unit-step walk (tile, glue midpoint,
-    tile, ...), classified by :func:`walk_sides` with one side query per
-    stretch between contacts with the cut: a step with both ends off the
-    cut cannot cross it.
+    Only edges that lie in the closed right side of the cut are
+    admissible: the two tiles, the glue midpoint between them and the two
+    half steps joining them.  A half step with both ends on the cut may
+    still leave the region as a chord.  Each copy is one unit-step walk
+    (tile, glue midpoint, tile, ...), classified by :func:`walk_sides`
+    with one side query per stretch between contacts with the cut and one
+    per chord: a step with both ends off the cut cannot cross it.
     """
 
     def __init__(self, ws: Workspace):
@@ -413,9 +409,11 @@ class _RouteGraph:
             if lo == sh.k:
                 continue  # a copy of one tile has no edges
             walk = _glue_walk([(x - dx, y - dy) for x, y in pos2[lo:sh.k + 1]])
-            sides = walk_sides(ws.cache, walk)
+            # Points and step interiors alternate: edge walk[n]-walk[n + 2]
+            # is the five entries from sides[2n].
+            sides = walk_sides(ws.cache, walk, steps=True)
             for n in range(0, len(walk) - 1, 2):
-                if Side.LEFT not in sides[n:n + 3]:
+                if Side.LEFT not in sides[2 * n:2 * n + 5]:
                     edges.add(frozenset((walk[n], walk[n + 2])))
         for e in edges:
             u, w = tuple(e)
@@ -433,7 +431,7 @@ def _goal_test(ws: Workspace):
     only as a chord, so :func:`walk_sides` asks a midpoint query for chords
     alone.
     """
-    lkx, lky = ws.exit_ray.start
+    lkx, lky = ws.exit2
     cache = ws.cache
     memo: dict[Point, bool] = {}  # the route search asks about a vertex many times
 
@@ -548,7 +546,7 @@ def _assert_route_claims(ws: Workspace, route: tuple[Point, ...]) -> None:
 
     # Inner component: right side of the cut through glue j's ray.
     j = ws.shield.j
-    inner = _cut([ws.view.glues[j].midpoint], ws.pos2, j + 1, ws.exit_ray.start)
+    inner = _cut([ws.view.glues[j].midpoint], ws.pos2, j + 1, ws.exit2)
     if not inner.is_simple():
         raise ClaimViolation("inner-cut-simple", "inner cut self-intersects")
     moved = PolyCurve([add(u, ws.vector) for u in route])
@@ -726,7 +724,7 @@ def _check_step(ws: Workspace, u: int, m: int, v_: int, f: PolyCurve) -> str:
                     "induction-h3",
                     f"frontier shifted {t} periods meets {'itself' if other is f else 'the cut'}")
     # H4 with the seam escape.
-    gk = ws.exit_ray.start
+    gk = ws.exit2
     g = _cut(list(f.points), pos2, m + 1, gk)
     if not g.is_simple():
         raise ClaimViolation("induction-h4", "frontier extension self-intersects")

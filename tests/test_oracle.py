@@ -148,7 +148,7 @@ def test_brute_right_priority_single_route(staircase):
     pt = p.prefix(5)
     ws = build_workspace(sys_, pt, sh)
     route = oracle.brute_right_priority(ws)
-    assert route[0] == (4, 0) and abs(route[-1][0] - ws.exit_ray.start[0]) == 1
+    assert route[0] == (4, 0) and abs(route[-1][0] - ws.exit2[0]) == 1
 
 
 def test_brute_right_priority_budget():

@@ -12,7 +12,7 @@ from pumpkit import (
     verify_fragile_cert,
     verify_pumpable_cert,
 )
-from pumpkit import oracle
+from pumpkit import formats, oracle
 from pumpkit.budgets import EnumBudget
 from pumpkit.errors import ClaimViolation, NotAShield, WindowTooSmall
 from pumpkit.geometry import Side
@@ -158,6 +158,36 @@ def test_multi_step_progress(multi_step):
     assert out.kind == "pumpable" and out.branch == "anchor-stall"
     ms = [st.m for st in out.trace.history]
     assert len(ms) >= 2 and all(a < b for a, b in zip(ms, ms[1:]))
+    assert verify_pumpable_cert(sys_, out.pumpable).ok
+
+
+# Shield (20, 23, 79) of a 111-tile random walk, in the frame the engine
+# decides it in: the path ends at tile k+1.  Its progress loop advances
+# the anchor by two periods at once.
+TWO_PERIOD_SYSTEM = """\
+tile A north=b east=c south=- west=-
+tile B north=c east=b south=c west=b
+seed -8 -4 B
+path -7 -4 B ; -7 -3 B ; -7 -2 B ; -6 -2 B ; -5 -2 B ; -4 -2 B ; -4 -3 B ; \
+-3 -3 B ; -3 -4 B ; -4 -4 B ; -5 -4 B ; -6 -4 B ; -6 -5 B ; -7 -5 B ; -8 -5 B ; \
+-9 -5 B ; -9 -6 B ; -10 -6 B ; -10 -7 B ; -10 -8 B ; -10 -9 B ; -9 -9 B ; \
+-9 -8 B ; -9 -7 B ; -8 -7 B ; -7 -7 B ; -6 -7 B ; -5 -7 B ; -4 -7 B ; -4 -6 B ; \
+-4 -5 B ; -3 -5 B ; -2 -5 B ; -1 -5 B ; -1 -4 B ; -1 -3 B ; -1 -2 B ; 0 -2 B ; \
+0 -1 B ; -1 -1 B ; -2 -1 B ; -3 -1 B ; -4 -1 B ; -5 -1 B ; -6 -1 B ; -7 -1 B ; \
+-8 -1 B ; -9 -1 B ; -9 -2 B ; -9 -3 B ; -9 -4 B ; -10 -4 B ; -10 -5 B ; \
+-11 -5 B ; -11 -4 B ; -11 -3 B ; -11 -2 B ; -11 -1 B ; -10 -1 B ; -10 0 B ; \
+-11 0 B ; -12 0 B ; -12 -1 B ; -12 -2 B ; -12 -3 B ; -12 -4 B ; -12 -5 B ; \
+-13 -5 B ; -14 -5 B ; -15 -5 B ; -15 -6 B ; -15 -7 B ; -16 -7 B ; -16 -6 B ; \
+-16 -5 B ; -17 -5 B ; -17 -6 B ; -18 -6 B ; -18 -5 B ; -19 -5 B ; -20 -5 B
+"""
+
+
+def test_progress_loop_advances_two_periods():
+    sys_, p = formats.parse_system(TWO_PERIOD_SYSTEM)
+    out = pump_or_block(sys_, p, Shield(20, 23, 79))
+    assert out.kind == "pumpable" and out.branch == "anchor-stall"
+    assert [st.shift for st in out.trace.history] == [0, 2]
+    assert (out.pumpable.i, out.pumpable.j) == (35, 38)
     assert verify_pumpable_cert(sys_, out.pumpable).ok
 
 

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from pumpkit import geometry, shield
+from pumpkit import formats, geometry, shield
 from pumpkit.budgets import EnumBudget
 from pumpkit.geometry import PolyCurve, Side, SideCache, classify_side, walk_sides
 
@@ -62,7 +62,12 @@ def reference_curve_in_closed_right(sub, cache):
 
 
 def reference_route_adjacency(ws):
-    """The route graph's adjacency with three side queries per edge."""
+    """The route graph's adjacency with five side queries per edge.
+
+    The two tiles and the glue midpoint are classified as lattice points,
+    and the two half steps between them at their midpoints, in quadrupled
+    coordinates.
+    """
     sh, pos2 = ws.shield, ws.pos2
     cache = SideCache(ws.cut)
     adj = {u: [] for u in set(ws.fam1) | set(ws.fam2)}
@@ -74,7 +79,9 @@ def reference_route_adjacency(ws):
     for e in edges:
         u, w = tuple(e)
         mid = ((u[0] + w[0]) // 2, (u[1] + w[1]) // 2)
-        if all(cache.side(q) is not Side.LEFT for q in (u, mid, w)):
+        halves = [(a[0] + b[0], a[1] + b[1]) for a, b in ((u, mid), (mid, w))]
+        if (all(cache.side(q) is not Side.LEFT for q in (u, mid, w))
+                and all(cache.side_half(q2) is not Side.LEFT for q2 in halves)):
             adj[u].append(w)
             adj[w].append(u)
     for lst in adj.values():
@@ -84,7 +91,7 @@ def reference_route_adjacency(ws):
 
 def reference_goal_test(ws):
     """The route search's goal test with a midpoint query for every link on the cut."""
-    lkx, lky = ws.exit_ray.start
+    lkx, lky = ws.exit2
     cache = SideCache(ws.cut)
 
     def is_goal(u):
@@ -292,3 +299,40 @@ def test_walk_sides_matches_per_point_reference_on_engine_curves(monkeypatch, pa
         assert all(is_goal(u) is want(u) for u in graph.vertices)
     elapsed = time.perf_counter() - start
     assert elapsed < REFERENCE_SECONDS, elapsed
+
+
+# Shield (51, 54, 68) of a 141-tile random walk, in the frame the engine
+# decides it in, cut to the prefix 0..k+1 the engine works on.
+CHORD_EDGE_SYSTEM = """\
+tile A north=b east=c south=b west=c
+seed 1 17 A
+seed 1 18 A
+path 2 17 A ; 2 16 A ; 2 15 A ; 2 14 A ; 1 14 A ; 0 14 A ; 0 13 A ; 1 13 A ; \
+2 13 A ; 3 13 A ; 3 12 A ; 3 11 A ; 4 11 A ; 5 11 A ; 5 12 A ; 5 13 A ; 6 13 A ; \
+6 14 A ; 7 14 A ; 8 14 A ; 9 14 A ; 10 14 A ; 11 14 A ; 12 14 A ; 12 13 A ; \
+12 12 A ; 13 12 A ; 14 12 A ; 15 12 A ; 16 12 A ; 17 12 A ; 17 11 A ; 17 10 A ; \
+17 9 A ; 16 9 A ; 16 10 A ; 16 11 A ; 15 11 A ; 15 10 A ; 15 9 A ; 15 8 A ; \
+15 7 A ; 16 7 A ; 16 6 A ; 17 6 A ; 18 6 A ; 19 6 A ; 19 5 A ; 19 4 A ; 19 3 A ; \
+19 2 A ; 20 2 A ; 21 2 A ; 21 1 A ; 21 0 A ; 22 0 A ; 23 0 A ; 24 0 A ; 24 1 A ; \
+23 1 A ; 23 2 A ; 23 3 A ; 22 3 A ; 21 3 A ; 20 3 A ; 20 4 A ; 20 5 A ; 21 5 A ; \
+21 4 A ; 22 4 A
+"""
+
+
+def test_route_graph_drops_an_edge_that_leaves_through_a_chord():
+    sys_, p = formats.parse_system(CHORD_EDGE_SYSTEM)
+    ws = shield.build_workspace(sys_, p, shield.Shield(51, 54, 68))
+    # Tile (42, 10) lies on the cut's finite part and the glue midpoint
+    # (43, 10) on its exit ray; the half step between them is a chord
+    # through the left side, while both ends of the edge are not LEFT.
+    u, glue, w = (44, 10), (43, 10), (42, 10)
+    sides = walk_sides(ws.cache, [u, glue, w], steps=True)
+    assert sides == [Side.RIGHT, Side.RIGHT, Side.ON, Side.LEFT, Side.ON]
+    graph = shield._RouteGraph(ws)
+    assert {u, w} <= graph.vertices
+    assert w not in graph.adj[u] and u not in graph.adj[w]
+    assert graph.adj == reference_route_adjacency(ws)
+    # The edge was never on the selected route.
+    assert shield.build_r(ws) == ((42, 4), (42, 2), (42, 0), (44, 0), (46, 0), (48, 0),
+                                  (48, 2), (46, 2), (46, 4), (46, 6), (44, 6), (44, 8),
+                                  (44, 10))
