@@ -97,7 +97,9 @@ class PolyCurve:
     Derived data is built once, on first use: the lattice points (as a
     tuple, as a set and as a point-to-position map), the simplicity flag,
     the bounding box and the diagonal table of :meth:`diagonal_table` that
-    side queries search.
+    side queries search.  The lattice walk is the base of the rest: one
+    pass over the segments builds it, and one pass over the walk builds
+    the diagonal table.
     """
 
     __slots__ = ("points", "south_ray", "north_ray", "_lattice", "_lattice_set",
@@ -140,19 +142,30 @@ class PolyCurve:
     # -- derived data, computed lazily -------------------------------------
 
     def lattice_points(self) -> tuple[Point, ...]:
-        """All doubled-lattice points of the finite part, in curve order."""
+        """All doubled-lattice points of the finite part, in curve order.
+
+        One pass over the segments adds each one's inner points, then its
+        end.  Curves built from paths and glues step by half a tile edge
+        (length 1) or a whole one (length 2), whose only inner point is its
+        midpoint; longer segments add a range.
+        """
         if self._lattice is None:
-            pts = [self.points[0]]
-            # Each segment adds its points after its start, up to its end;
-            # the constructor made every segment axis-aligned.
-            for (ax, ay), (bx, by) in zip(self.points, self.points[1:]):
-                if ax == bx:
-                    step = 1 if by > ay else -1
-                    pts.extend(zip(repeat(ax), range(ay + step, by + step, step)))
-                else:
-                    step = 1 if bx > ax else -1
-                    pts.extend(zip(range(ax + step, bx + step, step), repeat(ay)))
-            self._lattice = tuple(pts)
+            pts = self.points
+            walk = [pts[0]]
+            for (ax, ay), b in zip(pts, pts[1:]):
+                bx, by = b
+                n = abs(bx - ax) + abs(by - ay)
+                if n == 2:
+                    walk.append(((ax + bx) >> 1, (ay + by) >> 1))
+                elif n > 2:
+                    if ax == bx:
+                        step = 1 if by > ay else -1
+                        walk.extend(zip(repeat(ax), range(ay + step, by, step)))
+                    else:
+                        step = 1 if bx > ax else -1
+                        walk.extend(zip(range(ax + step, bx, step), repeat(ay)))
+                walk.append(b)
+            self._lattice = tuple(walk)
         return self._lattice
 
     def lattice_set(self) -> frozenset[Point]:
@@ -213,25 +226,22 @@ class PolyCurve:
     def diagonal_table(self) -> dict[int, list[int]]:
         """For each ``d``, the sorted x where the finite part crosses ``y - x = d``.
 
-        With ``e = y - x`` at a vertex, the segment from vertex a to vertex
-        b counts for every ``d`` in ``[min(e_a, e_b), max(e_a, e_b))``.  A
-        vertex the line passes through is then counted once, and a vertex
-        it only grazes twice or not at all, always at one x, so the parity
-        of the crossings on either side of any x off the curve is exact.
-        Segments are axis-aligned, so every crossing is a lattice point.
-        Lines the finite part misses have no key.
+        With ``e = y - x`` at a point, a segment from a to b counts for
+        every ``d`` in ``[min(e_a, e_b), max(e_a, e_b))``.  A vertex the
+        line passes through is then counted once, and a vertex it only
+        grazes twice or not at all, always at one x, so the parity of the
+        crossings on either side of any x off the curve is exact.
+        Segments are axis-aligned, so every crossing is a lattice point,
+        and the rule adds up over the unit steps of the lattice walk: each
+        step counts once, for the ``d`` of its corner with the larger x and
+        the smaller y, at that x.  Lines the finite part misses have no key.
         """
         if self._diagonals is None:
             table: dict[int, list[int]] = defaultdict(list)
-            for (ax, ay), (bx, by) in zip(self.points, self.points[1:]):
-                ea, eb = ay - ax, by - bx
-                lo, hi = (ea, eb) if ea < eb else (eb, ea)
-                if ax == bx:
-                    for d in range(lo, hi):
-                        table[d].append(ax)
-                else:
-                    for d in range(lo, hi):
-                        table[d].append(ay - d)
+            lat = self.lattice_points()
+            for (ax, ay), (bx, by) in zip(lat, lat[1:]):
+                x = ax if ax > bx else bx
+                table[(ay if ay < by else by) - x].append(x)
             for xs in table.values():
                 xs.sort()
             self._diagonals = dict(table)
@@ -254,9 +264,6 @@ class PolyCurve:
         return PolyCurve([add(p, v) for p in self.points],
                          self.south_ray, self.north_ray)
 
-    def scaled(self, factor: int) -> "PolyCurve":
-        return PolyCurve([(factor * x, factor * y) for x, y in self.points],
-                         self.south_ray, self.north_ray)
 
 
 def embed_path(positions: Sequence[Point]) -> PolyCurve:
@@ -378,15 +385,22 @@ class SideCache:
     def side_half(self, p2: Point) -> Side:
         """Side of a half-lattice point given in *quadrupled* coordinates.
 
-        The doubled copy of the curve builds its own diagonal table on its
-        first query.  Its diagonals of odd ``d`` have no counterpart among
-        the curve's own, and this query only runs for chords and for the
-        route search's goal test, so sharing one table would buy little.
+        The half-resolution curve is the doubled lattice walk of the curve:
+        one vertex per lattice point, so every segment is a whole step with
+        its midpoint as its only inner point.  It is the same point set as
+        the doubled curve, with the same rays, simplicity and diagonal
+        crossings.  It builds its own diagonal table on its first
+        query.  Its diagonals of odd ``d`` have no counterpart among the
+        curve's own, and this query only runs for chords and for the route
+        search's goal test, so sharing one table would buy little.
         """
         got = self._memo2.get(p2)
         if got is None:
             if self._scaled is None:
-                self._scaled = self.curve.scaled(2)
+                curve = self.curve
+                self._scaled = PolyCurve(
+                    [(2 * x, 2 * y) for x, y in curve.lattice_points()],
+                    curve.south_ray, curve.north_ray)
             got = classify_side(self._scaled, p2)
             self._memo2[p2] = got
         return got
@@ -461,6 +475,22 @@ def walk_sides(cache: SideCache, walk: Sequence[Point],
     return out
 
 
+def _walk_witness(cache: SideCache, walk: Sequence[Point]) -> Optional[Point]:
+    """First LEFT point of a unit-step walk; failing that, the first chord leaving.
+
+    A chord witness is the south or west end of the chord.
+    """
+    sides = walk_sides(cache, walk, steps=True)
+    point_sides = sides[::2]
+    if Side.LEFT in point_sides:
+        return walk[point_sides.index(Side.LEFT)]
+    if Side.LEFT in sides:
+        n = sides.index(Side.LEFT) // 2
+        a, b = walk[n], walk[n + 1]
+        return ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+    return None
+
+
 def curve_in_closed_right(sub: PolyCurve, cache: SideCache) -> Optional[Point]:
     """First witness point of ``sub`` outside the closed right side, if any.
 
@@ -470,43 +500,21 @@ def curve_in_closed_right(sub: PolyCurve, cache: SideCache) -> Optional[Point]:
     leave the region without touching any lattice point strictly.  The
     witness is the first LEFT lattice point in curve order; failing that,
     the south or west end of the first chord that leaves the region.
-    Infinite ray tails are walked the same way down to (up to) two below
-    (above) the boundary's finite part, where only the boundary's own rays
-    remain, and compared against them symbolically past that.
+    Infinite ray tails, from their start, are walked the same way down to
+    (up to) two below (above) the boundary's finite part.  Past that only
+    the boundary's own ray remains: strictly east of it is RIGHT, on it is
+    ON, west of it is LEFT, so the tail's last point has the side of the
+    rest of the ray.
     """
-    pts = sub.lattice_points()
-    sides = walk_sides(cache, pts, steps=True)
-    point_sides = sides[::2]
-    if Side.LEFT in point_sides:
-        return pts[point_sides.index(Side.LEFT)]
-    if Side.LEFT in sides:
-        n = sides.index(Side.LEFT) // 2
-        a, b = pts[n], pts[n + 1]
-        return ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
-    boundary = cache.curve
-    if sub.south_ray:
+    witness = _walk_witness(cache, sub.lattice_points())
+    box = cache.curve.bbox()
+    if witness is None and sub.south_ray:
         sx, sy = sub.points[0]
-        bx, by = boundary.points[0]
-        # Below everything finite, only the boundary's south ray matters:
-        # strictly east of it is RIGHT, on it is ON, west of it is LEFT.
-        floor = min(sy, boundary.bbox()[1]) - 2
-        tail = [(sx, y) for y in range(floor, sy)]
-        tail_sides = walk_sides(cache, tail)
-        if Side.LEFT in tail_sides:
-            return tail[tail_sides.index(Side.LEFT)]
-        if sx < bx:
-            return (sx, floor - 2)
-    if sub.north_ray:
+        witness = _walk_witness(cache, [(sx, y) for y in range(min(sy, box[1]) - 2, sy + 1)])
+    if witness is None and sub.north_ray:
         nx, ny = sub.points[-1]
-        bx, by = boundary.points[-1]
-        ceil_ = max(ny, boundary.bbox()[3]) + 2
-        tail = [(nx, y) for y in range(ny + 1, ceil_ + 1)]
-        tail_sides = walk_sides(cache, tail)
-        if Side.LEFT in tail_sides:
-            return tail[tail_sides.index(Side.LEFT)]
-        if nx < bx:
-            return (nx, ceil_ + 2)
-    return None
+        witness = _walk_witness(cache, [(nx, y) for y in range(ny, max(ny, box[3]) + 3)])
+    return witness
 
 
 # -- curve/curve intersections ----------------------------------------------

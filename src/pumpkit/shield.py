@@ -144,7 +144,13 @@ class ShieldOutcome:
 
 def check_shield(sys: TileSystem, p: Path, i: int, j: int, k: int,
                  view: Optional[GlueView] = None) -> None:
-    """Raise :class:`NotAShield` unless ``(i, j, k)`` is a shield for ``p``."""
+    """Raise :class:`NotAShield` unless ``(i, j, k)`` is a shield for ``p``.
+
+    The ray test reads glue midpoints instead of building the segment's
+    curve, on the lemma :func:`enumerate_shields` rests on: the translated
+    exit ray lies on an odd (glue) column, where the only lattice points of
+    segment ``i..k`` are the midpoints of its east/west glues ``i..k-1``.
+    """
     if not (0 <= i < j <= k < len(p) - 1):
         raise NotAShield(f"need 0 <= i < j <= k < |p|-1, got {(i, j, k)}")
     if view is None:
@@ -158,10 +164,10 @@ def check_shield(sys: TileSystem, p: Path, i: int, j: int, k: int,
         raise NotAShield("glues i and j must be visible from the south")
     if not gk.horizontal or not view.visible(k, "north"):
         raise NotAShield("glue k must be visible from the north")
-    start = add(gk.midpoint, sub(_dbl(p.pos(i)), _dbl(p.pos(j))))
-    segment = PolyCurve([_dbl(p.pos(s)) for s in range(i, k + 1)])
-    hits = set(segment.ray_hits(start, north=True))
-    if not hits <= {start}:
+    sx, sy = add(gk.midpoint, sub(_dbl(p.pos(i)), _dbl(p.pos(j))))
+    hits = {g.midpoint for g in view.glues[i:k]
+            if g.midpoint[0] == sx and g.midpoint[1] >= sy}
+    if not hits <= {(sx, sy)}:
         raise NotAShield(f"translated exit ray meets segment at {sorted(hits)}")
 
 
@@ -393,22 +399,25 @@ class _RouteGraph:
 
     Only edges that lie in the closed right side of the cut are
     admissible: the two tiles, the glue midpoint between them and the two
-    half steps joining them.  A half step with both ends on the cut may
-    still leave the region as a chord.  Each copy is one unit-step walk
-    (tile, glue midpoint, tile, ...), classified by :func:`walk_sides`
-    with one side query per stretch between contacts with the cut and one
-    per chord: a step with both ends off the cut cannot cross it.
+    half steps joining them.  The segment copy ``i+1..k`` lies on the cut,
+    which runs through those very tiles and glues and is simple (the
+    workspace checked it), so all its edges are admitted without a query.
+    The west copy is one unit-step walk (tile, glue midpoint, tile, ...),
+    classified by :func:`walk_sides` with one side query per stretch
+    between contacts with the cut and one per chord: a step with both ends
+    off the cut cannot cross it, and a half step with both ends on the cut
+    may still leave the region as a chord.
     """
 
     def __init__(self, ws: Workspace):
         sh, pos2 = ws.shield, ws.pos2
         self.vertices = set(ws.fam1) | set(ws.fam2)
         self.adj: dict[Point, list[Point]] = {u: [] for u in self.vertices}
-        edges = set()
-        for lo, (dx, dy) in ((sh.i + 1, (0, 0)), (sh.j + 1, ws.vector)):
-            if lo == sh.k:
-                continue  # a copy of one tile has no edges
-            walk = _glue_walk([(x - dx, y - dy) for x, y in pos2[lo:sh.k + 1]])
+        seg = pos2[sh.i + 1:sh.k + 1]
+        edges = {frozenset(e) for e in zip(seg, seg[1:])}
+        if sh.j + 1 < sh.k:  # a west copy of one tile has no edges
+            dx, dy = ws.vector
+            walk = _glue_walk([(x - dx, y - dy) for x, y in pos2[sh.j + 1:sh.k + 1]])
             # Points and step interiors alternate: edge walk[n]-walk[n + 2]
             # is the five entries from sides[2n].
             sides = walk_sides(ws.cache, walk, steps=True)

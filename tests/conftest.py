@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pumpkit import Assembly, Path, TileSystem, TileType
+from pumpkit.geometry import PolyCurve
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -32,6 +33,12 @@ def system_of(tile_specs, seed_cells):
 
 def path_of(sys_, *steps):
     return Path([((x, y), sys_.by_name[name]) for x, y, name in steps])
+
+
+def doubled(curve):
+    """The curve with every coordinate doubled, for half-resolution references."""
+    return PolyCurve([(2 * x, 2 * y) for x, y in curve.points],
+                     curve.south_ray, curve.north_ray)
 
 
 @pytest.fixture

@@ -32,6 +32,8 @@ from pumpkit.geometry import (
 )
 from pumpkit.oracle import FloodFill
 
+from conftest import doubled
+
 
 def vertical_line(x=1):
     return PolyCurve([(x, 0)], south_ray=True, north_ray=True)
@@ -230,12 +232,12 @@ def test_table_parity_matches_walk_hand_made(pts):
 
 def test_table_parity_matches_walk_scaled():
     # SideCache.side_half classifies quadrupled half-lattice points against
-    # curve.scaled(2), whose table is built separately.
+    # the doubled curve, whose table is built separately.
     rng = random.Random(17)
     curves = [PolyCurve(pts, south_ray=True, north_ray=True) for pts in HAND_MADE]
     curves += [random_curve(rng, corners=5) for _ in range(10)]
     for curve in curves:
-        assert_parity_matches_walk(curve.scaled(2))
+        assert_parity_matches_walk(doubled(curve))
 
 
 def test_table_parity_matches_walk_on_engine_curves(monkeypatch):
@@ -262,7 +264,7 @@ def test_table_parity_matches_walk_on_engine_curves(monkeypatch):
     assert len(captured) >= 25
     for curve in set(captured):
         assert_parity_matches_walk(curve)
-        assert_parity_matches_walk(curve.scaled(2), margin=2)
+        assert_parity_matches_walk(doubled(curve), margin=2)
 
 
 LONG_CURVE_SECONDS = 1.0
@@ -327,6 +329,48 @@ def test_south_ray_east_of_curve_ray_is_right():
             continue
         probe = PolyCurve([(x, curve.bbox()[1] - 1)], south_ray=True)
         assert curve_in_closed_right(probe, SideCache(curve)) is None
+
+
+def test_north_ray_probes_match_floodfill():
+    # Short walks that end in a north ray, and some that also start in a
+    # south ray, against a flood fill of the curve at half resolution: a
+    # probe lies in the closed right side exactly when no point of its
+    # quadrupled walk (lattice points, step midpoints and the rays up to
+    # the window's edge) is LEFT.  Ray tails cross the curve, touch it and
+    # leave it by chords between two of its points.
+    rng = random.Random(37)
+    ray_witnesses = kept = chords = 0
+    for _ in range(30):
+        curve = random_curve(rng, corners=5)
+        x0, y0, x1, y1 = curve.bbox()
+        window = (2 * x0 - 20, 2 * y0 - 20, 2 * x1 + 20, 2 * y1 + 20)
+        fill = FloodFill(doubled(curve), window)
+        cache = SideCache(curve)
+        for _ in range(20):
+            walk = [(rng.randrange(x0 - 2, x1 + 3), rng.randrange(y0 - 2, y1 + 3))]
+            for _ in range(rng.randrange(4)):
+                dx, dy = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)])
+                walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
+            south = rng.random() < 0.3
+            probe = PolyCurve(walk, south_ray=south, north_ray=True)
+            pts = probe.lattice_points()
+            quad = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(pts, pts[1:])]
+            quad += [(2 * x, 2 * y) for x, y in pts]
+            (sx, sy), (nx, ny) = pts[0], pts[-1]
+            quad += [(2 * nx, y) for y in range(2 * ny + 1, window[3] + 1)]
+            if south:
+                quad += [(2 * sx, y) for y in range(window[1], 2 * sy)]
+            inside = all(fill.side(q) is not Side.LEFT for q in quad)
+            got = curve_in_closed_right(probe, cache)
+            assert (got is None) == inside, (curve.points, walk, south)
+            kept += inside
+            if got is not None and got[0] == nx and got[1] >= ny:
+                # A LEFT point, or the south end of a chord that leaves.
+                gx, gy = 2 * got[0], 2 * got[1]
+                assert Side.LEFT in (fill.side((gx, gy)), fill.side((gx, gy + 1)))
+                ray_witnesses += 1
+                chords += fill.side((gx, gy)) is Side.ON
+    assert kept > 50 and ray_witnesses > 50 and chords > 0
 
 
 # -- turns ---------------------------------------------------------------------

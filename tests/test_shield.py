@@ -38,28 +38,86 @@ def test_no_repeat_no_shield():
     assert enumerate_shields(sys_, p) == []
 
 
+def reference_check_shield(sys_, p, i, j, k, view):
+    """``check_shield`` as it read with a segment curve: the NotAShield message, or None.
+
+    The ray test walks every lattice point of the curve through tiles
+    ``i..k`` (tiles and the glue midpoints between them) and keeps those on
+    the translated exit ray; it does not use the glue column lemma that
+    :func:`check_shield` and :func:`enumerate_shields` rest on.
+    """
+    gi, gj, gk = view.glues[i], view.glues[j], view.glues[k]
+    if gi.label != gj.label:
+        return "glues i and j differ in type"
+    if gi.pointing != "east" or gj.pointing != "east":
+        return "glues i and j must point east"
+    if not (view.visible(i, "south") and view.visible(j, "south")):
+        return "glues i and j must be visible from the south"
+    if not gk.horizontal or not view.visible(k, "north"):
+        return "glue k must be visible from the north"
+    start = (gk.midpoint[0] + 2 * (p.pos(i)[0] - p.pos(j)[0]),
+             gk.midpoint[1] + 2 * (p.pos(i)[1] - p.pos(j)[1]))
+    tiles = [(2 * x, 2 * y) for x, y in p.positions[i:k + 1]]
+    segment = tiles[:1] + [q for a, b in zip(tiles, tiles[1:])
+                           for q in (((a[0] + b[0]) // 2, (a[1] + b[1]) // 2), b)]
+    hits = {q for q in segment if q[0] == start[0] and q[1] >= start[1]}
+    if not hits <= {start}:
+        return f"translated exit ray meets segment at {sorted(hits)}"
+    return None
+
+
+def _revalidate(sys_, p):
+    """Compare check_shield with the reference on every triple; return shields and ray rejects.
+
+    The enumerated shields must be exactly the triples check_shield accepts.
+    """
+    view = GlueView(sys_, p)
+    m = len(p) - 1
+    expected, ray_rejects = [], 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j, m):
+                want = reference_check_shield(sys_, p, i, j, k, view)
+                try:
+                    check_shield(sys_, p, i, j, k, view)
+                except NotAShield as exc:
+                    assert str(exc) == want, (p.entries, i, j, k)
+                    ray_rejects += want.startswith("translated")
+                    continue
+                assert want is None, (p.entries, i, j, k)
+                expected.append(Shield(i, j, k))
+    assert enumerate_shields(sys_, p) == expected
+    return len(expected), ray_rejects
+
+
+# Self-avoiding walks of one all-"a" tile type from a seed at (0, 0) whose
+# translated exit rays meet the segment: beside the ray start only, as
+# for (1, 2, 4) on the first; at the start and above it, as for (0, 5, 5)
+# on the second.
+RAY_HIT_WALKS = [
+    [(1, 0), (1, -1), (2, -1), (3, -1), (3, -2), (4, -2)],
+    [(1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (2, 2), (3, 2)],
+]
+
+
 def test_shields_revalidate(rng):
-    # The enumerated shields are exactly the triples that the one-triple
-    # definition, check_shield, accepts.
+    # check_shield gives the segment-curve reference's verdict and message
+    # on every triple of random corpus paths and of walks whose exit rays
+    # meet the segment.
     budget = EnumBudget(max_path_len=9, max_nodes=400)
     n = 0
     for _ in range(60):
         sys_ = oracle.random_system(rng)
         for p in oracle.PathEnumeration(sys_, budget, max_paths=60):
-            view = GlueView(sys_, p)
-            m = len(p) - 1
-            expected = []
-            for i in range(m):
-                for j in range(i + 1, m):
-                    for k in range(j, m):
-                        try:
-                            check_shield(sys_, p, i, j, k, view)
-                        except NotAShield:
-                            continue
-                        expected.append(Shield(i, j, k))
-            assert enumerate_shields(sys_, p) == expected
-            n += len(expected)
+            n += _revalidate(sys_, p)[0]
     assert n > 50
+    one_type = system_of([("A", "a", "a", "a", "a")], {(0, 0): "A"})
+    for walk in RAY_HIT_WALKS:
+        p = path_of(one_type, *[(x, y, "A") for x, y in walk])
+        assert _revalidate(one_type, p)[1] > 0
+    with pytest.raises(NotAShield, match=r"at \[\(3, 0\), \(3, 2\), \(3, 4\)\]"):
+        p = path_of(one_type, *[(x, y, "A") for x, y in RAY_HIT_WALKS[1]])
+        check_shield(one_type, p, 0, 5, 5)
 
 
 STRAIGHT_LINE_SECONDS = 5.0

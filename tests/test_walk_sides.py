@@ -20,6 +20,7 @@ from pumpkit import formats, geometry, shield
 from pumpkit.budgets import EnumBudget
 from pumpkit.geometry import PolyCurve, Side, SideCache, classify_side, walk_sides
 
+from conftest import doubled
 from test_acceptance import CORPUS_SEED, _corpus
 from test_geometry import HAND_MADE, random_curve
 
@@ -28,9 +29,8 @@ REFERENCE_SECONDS = 5.0  # per test case; each takes 0.3 to 2.5 s on a 2-core ma
 _UNIT = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 
-def reference_curve_in_closed_right(sub, cache):
-    """``curve_in_closed_right`` as it read with one side query per point."""
-    pts = sub.lattice_points()
+def reference_walk_witness(cache, pts):
+    """First LEFT point of a walk, else the south or west end of the first chord leaving."""
     for q in pts:
         if cache.side(q) is Side.LEFT:
             return q
@@ -39,23 +39,36 @@ def reference_curve_in_closed_right(sub, cache):
             mid2 = (a[0] + b[0], a[1] + b[1])
             if cache.side_half(mid2) is Side.LEFT:
                 return ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+    return None
+
+
+def reference_curve_in_closed_right(sub, cache):
+    """``curve_in_closed_right`` with one side query per point and per chord.
+
+    The finite part, then each ray tail from its start to two past the
+    boundary's finite part, is checked point by point and chord by chord;
+    past that, a ray west of the boundary's own ray leaves the region.
+    """
+    witness = reference_walk_witness(cache, sub.lattice_points())
+    if witness is not None:
+        return witness
     boundary = cache.curve
     if sub.south_ray:
         sx, sy = sub.points[0]
         bx, by = boundary.points[0]
         floor = min(sy, boundary.bbox()[1]) - 2
-        for y in range(floor, sy):
-            if cache.side((sx, y)) is Side.LEFT:
-                return (sx, y)
+        witness = reference_walk_witness(cache, [(sx, y) for y in range(floor, sy + 1)])
+        if witness is not None:
+            return witness
         if sx < bx:
             return (sx, floor - 2)
     if sub.north_ray:
         nx, ny = sub.points[-1]
         bx, by = boundary.points[-1]
         ceil_ = max(ny, boundary.bbox()[3]) + 2
-        for y in range(ny + 1, ceil_ + 1):
-            if cache.side((nx, y)) is Side.LEFT:
-                return (nx, y)
+        witness = reference_walk_witness(cache, [(nx, y) for y in range(ny, ceil_ + 1)])
+        if witness is not None:
+            return witness
         if nx < bx:
             return (nx, ceil_ + 2)
     return None
@@ -109,7 +122,7 @@ def reference_goal_test(ws):
 def reference_walk_sides(curve, scaled, walk):
     """Per-element sides: each point, then the midpoint of each step.
 
-    ``scaled`` is ``curve.scaled(2)``, against which step midpoints are
+    ``scaled`` is ``doubled(curve)``, against which step midpoints are
     classified in quadrupled coordinates.
     """
     out = []
@@ -122,7 +135,7 @@ def reference_walk_sides(curve, scaled, walk):
 
 
 def assert_walks_match(curve, walks):
-    scaled = curve.scaled(2)
+    scaled = doubled(curve)
     for walk in walks:
         got = walk_sides(SideCache(curve), walk, steps=True)
         assert got == reference_walk_sides(curve, scaled, walk), (curve.points, walk)
@@ -188,7 +201,7 @@ def _random_curves(rng):
     curves = [PolyCurve(pts, south_ray=True, north_ray=True)
               for pts in HAND_MADE + BESIDE_RAYS]
     curves += [random_curve(rng, corners=rng.randrange(1, 9)) for _ in range(40)]
-    return curves + [c.scaled(2) for c in curves[:20]]
+    return curves + [doubled(c) for c in curves[:20]]
 
 
 def test_walk_sides_matches_per_point_reference_on_random_walks():
