@@ -31,7 +31,7 @@ system under study.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import tam
 from .budgets import EnumBudget
@@ -62,8 +62,15 @@ def _tile(pos2: Point):
     return (pos2[0] // 2, pos2[1] // 2)
 
 
-@dataclass(frozen=True, order=True)
-class Shield:
+class Shield(NamedTuple):
+    """A shield triple: glues ``i`` and ``j`` seen from the south, ``k`` from the north.
+
+    A :class:`~typing.NamedTuple`: it equals the plain tuple ``(i, j, k)``
+    and is ordered and hashed as that tuple, field by field.  A shield
+    search builds one per triple it returns, and a tuple is the cheapest
+    record to build.
+    """
+
     i: int
     j: int
     k: int
@@ -175,17 +182,28 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
     """All shields for the path, in lexicographic (i, j, k) order.
 
     Equivalent to running :func:`check_shield` on every triple, without
-    building a curve per triple.  The translated exit ray starts at
-    ``gk.midpoint + 2 * (pos_i - pos_j)``, which lies on an odd (glue)
-    column.  The only lattice points of segment ``i..k`` on an odd column
-    are the midpoints of its east/west glues ``s`` in ``[i, k-1]``, and
-    path positions are distinct.  So a triple that passes the label,
-    pointing and visibility filters is a shield exactly when no such glue
-    on the ray's column lies above the ray start.  For each ``i`` the
-    highest glue midpoint per column over ``i..k-1`` grows as ``k``
-    advances and does not depend on ``j``; each ``j`` then costs one
-    lookup.
+    building a curve per triple.  Glues ``i`` and ``j`` of a shield are
+    two east-pointing glues of one label, so a path whose east-pointing
+    glues all differ in label has none; that is checked first, before any
+    visibility data is built.
+
+    The translated exit ray starts at ``gk.midpoint + 2 * (pos_i - pos_j)``,
+    which lies on an odd (glue) column.  The only lattice points of segment
+    ``i..k`` on an odd column are the midpoints of its east/west glues ``s``
+    in ``[i, k-1]``, and path positions are distinct.  So a triple that
+    passes the label, pointing and visibility filters is a shield exactly
+    when no such glue on the ray's column lies above the ray start.  For
+    each ``i`` the highest glue midpoint per column over ``i..k-1`` grows
+    as ``k`` advances and does not depend on ``j``; each ``j`` then costs
+    one lookup.  The search runs ``i`` and ``k`` upward and collects the
+    accepted ``k`` per partner ``j``; emitting those lists ``j`` by ``j``
+    gives the order without a sort.
     """
+    entries = p.entries
+    east = [t.east for ((x, y), t), ((nx, ny), _) in zip(entries, entries[1:])
+            if nx == x + 1 and ny == y]
+    if len(set(east)) == len(east):
+        return []
     view = GlueView(sys, p)
     glues = view.glues
     south_east = [g for g in view.south_visible() if g.pointing == "east"]
@@ -195,7 +213,7 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
         ix, iy = gi.midpoint
         # Both glues point east, so their midpoints differ by the doubled
         # displacement between tiles i and j.
-        partners = [(gj.index, ix - gj.midpoint[0], iy - gj.midpoint[1])
+        partners = [(gj.index, ix - gj.midpoint[0], iy - gj.midpoint[1], [])
                     for gj in south_east[a + 1:] if gj.label == gi.label]
         if not partners:
             continue
@@ -214,14 +232,15 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
                         top[x] = y
             s = k
             kx, ky = gk.midpoint
-            for j, dx, dy in partners:
+            for j, dx, dy, ks in partners:
                 if j > k:
                     break
                 h = top.get(kx + dx)
                 if h is None or h <= ky + dy:
-                    found.append((i, j, k))
-    found.sort()
-    return [Shield(i, j, k) for i, j, k in found]
+                    ks.append(k)
+        for j, _, _, ks in partners:
+            found += [Shield(i, j, k) for k in ks]
+    return found
 
 
 # -- workspace ----------------------------------------------------------------

@@ -49,10 +49,6 @@ class GlueRef:
         """Glue column index (tile units); only for east/west glues."""
         return (self.midpoint[0] - 1) // 2
 
-    @property
-    def row(self) -> int:
-        return (self.midpoint[1] - 1) // 2
-
 
 def _x_of(g: GlueRef) -> int:
     return g.midpoint[0]
@@ -250,10 +246,6 @@ class Span:
 
     @property
     def height(self) -> int:
-        return self.extent
-
-    @property
-    def width(self) -> int:
         return self.extent
 
 

@@ -12,7 +12,7 @@ from pumpkit import (
     verify_fragile_cert,
     verify_pumpable_cert,
 )
-from pumpkit import formats, oracle
+from pumpkit import formats, oracle, shield
 from pumpkit.budgets import EnumBudget
 from pumpkit.errors import ClaimViolation, NotAShield, WindowTooSmall
 from pumpkit.geometry import Side
@@ -36,6 +36,36 @@ def test_no_repeat_no_shield():
                       ("C", None, None, None, "b")], {(0, 0): "A"})
     p = path_of(sys_, (1, 0, "B"), (2, 0, "C"))
     assert enumerate_shields(sys_, p) == []
+
+
+# Tile B repeats label "a" north/south and "b" east/west.  From the seed,
+# the first path goes north, east, north and west: its vertical glues and
+# its horizontal glues repeat a label, its east-pointing ones do not.  The
+# second goes east, north, west, north and east: two east-pointing "b"
+# glues, but the second is hidden from the south by the first.
+REPEAT_LABELS = system_of([("A", "a", None, None, None), ("B", "a", "b", "a", "b")],
+                          {(0, 0): "A"})
+EAST_DISTINCT_WALK = [(0, 1), (0, 2), (1, 2), (1, 3), (0, 3)]
+EAST_REPEAT_WALK = [(0, 1), (1, 1), (1, 2), (0, 2), (0, 3), (1, 3)]
+
+
+@pytest.mark.parametrize("walk, labels, east_labels, views", [
+    (EAST_DISTINCT_WALK, ["a", "b", "a", "b"], ["b"], 0),
+    (EAST_REPEAT_WALK, ["b", "a", "b", "a", "b"], ["b", "b"], 1),
+], ids=["east-distinct", "east-repeat"])
+def test_east_label_precheck(monkeypatch, walk, labels, east_labels, views):
+    # The search builds a glue view only when two east-pointing glues
+    # share a label; labels repeated on other glues do not count.
+    p = path_of(REPEAT_LABELS, *[(x, y, "B") for x, y in walk])
+    glues = GlueView(REPEAT_LABELS, p).glues
+    assert [g.label for g in glues] == labels
+    assert [g.label for g in glues if g.pointing == "east"] == east_labels
+    built = []
+    monkeypatch.setattr(shield, "GlueView", lambda *args: built.append(args) or GlueView(*args))
+    assert enumerate_shields(REPEAT_LABELS, p) == []
+    assert len(built) == views
+    monkeypatch.undo()
+    assert _revalidate(REPEAT_LABELS, p) == (0, 0)
 
 
 def reference_check_shield(sys_, p, i, j, k, view):
@@ -86,7 +116,11 @@ def _revalidate(sys_, p):
                     continue
                 assert want is None, (p.entries, i, j, k)
                 expected.append(Shield(i, j, k))
-    assert enumerate_shields(sys_, p) == expected
+    found = enumerate_shields(sys_, p)
+    # A Shield equals the bare tuple (i, j, k), so the list comparison
+    # alone would accept bare tuples.
+    assert all(type(sh) is Shield for sh in found)
+    assert found == expected
     return len(expected), ray_rejects
 
 
@@ -118,6 +152,9 @@ def test_shields_revalidate(rng):
     with pytest.raises(NotAShield, match=r"at \[\(3, 0\), \(3, 2\), \(3, 4\)\]"):
         p = path_of(one_type, *[(x, y, "A") for x, y in RAY_HIT_WALKS[1]])
         check_shield(one_type, p, 0, 5, 5)
+    # An 81-tile path with 765 shields: 9 values of i, up to 9 partners each.
+    sys_, p = formats.parse_system(TWO_PERIOD_SYSTEM)
+    assert _revalidate(sys_, p)[0] == 765
 
 
 STRAIGHT_LINE_SECONDS = 5.0
