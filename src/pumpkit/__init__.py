@@ -46,7 +46,6 @@ from .geometry import (
     Turn,
     classify_side,
     embed_path,
-    first_departure,
     precious_check,
     turn_right_of_path,
 )
@@ -82,7 +81,7 @@ __all__ = [
     "bound_theorem1_extent", "bound_theorem1_square_half_side",
     "bound_theorem_main_distance", "build_workspace", "canonicalize",
     "classify_side", "embed_path", "enumerate_shields", "extract_path",
-    "first_departure", "precious_check", "pump_or_block", "pumping_term",
+    "precious_check", "pump_or_block", "pumping_term",
     "reduce_2ham", "replay_assembly_sequence", "right_priority", "spans",
     "transform", "turn_right_of_path",
     "validate_producible_path", "verify_fragile_cert", "verify_pumpable_cert",

@@ -157,6 +157,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.mode == "rp" and args.shield is None:
+        _sys.stderr.write("error: oracle rp needs --shield I J K\n")
+        return EXIT_USAGE
     system, path = _load(args.file, need_path=args.mode != "enumerate")
     budget = EnumBudget.from_env()
     if args.mode == "enumerate":
@@ -187,8 +190,6 @@ def cmd_oracle(args) -> int:
         _emit(formats.emit_certificate(spec), args.output)
         return EXIT_PUMPABLE
     # mode == "rp": compare the engine's route against the exhaustive one.
-    if args.shield is None:
-        raise PumpkitError("oracle rp needs --shield I J K")
     i, j, k = args.shield
     sh = engine.Shield(i, j, k)
     _check_producible(system, path)
@@ -271,7 +272,7 @@ def build_parser() -> _Parser:
 
     p = add("analyze", cmd_analyze, help="run the full decision pipeline")
     p.add_argument("file")
-    p.add_argument("--bound-override", type=int, default=None,
+    p.add_argument("--bound-override", type=_positive_int, default=None,
                    help="use this distance bound instead of the true one")
     p.add_argument("-o", "--output", default=None,
                    help="write the certificate here")
@@ -310,8 +311,8 @@ def build_parser() -> _Parser:
     p.add_argument("--shield", nargs=3, type=int, metavar=("I", "J", "K"))
 
     p = add("bound", cmd_bound, help="print the exact distance bound")
-    p.add_argument("--tiles", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--tiles", type=_positive_int, required=True)
+    p.add_argument("--seed", type=_positive_int, required=True)
     p.add_argument("--all", action="store_true",
                    help="also print the square half side and extent bounds")
 

@@ -17,7 +17,10 @@ point, which needs no clipping window and no floating point.  Each curve
 sorts, once, the x-coordinates where its finite part crosses every diagonal
 line ``y - x = d``, so a query is one binary search in that line's list
 plus a constant-time test per infinite ray (the slab idea behind planar
-point location).
+point location).  A curve's first side query checks its two preconditions
+(both rays, simple) and builds its side record, the lattice set, end
+vertices and diagonal table, in O(|curve|); every later query is one set
+lookup, one dict lookup and one binary search.
 
 A vertical ray is a curve's ``south_ray`` or ``north_ray``: a visibility
 ray of a glue is the one-point curve at its midpoint with that ray, and a
@@ -62,6 +65,9 @@ class Side(enum.Enum):
     ON = "on"
 
 
+_LEFT, _RIGHT, _ON = Side.LEFT, Side.RIGHT, Side.ON
+
+
 class Turn(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -96,14 +102,14 @@ class PolyCurve:
 
     Derived data is built once, on first use: the lattice points (as a
     tuple, as a set and as a point-to-position map), the simplicity flag,
-    the bounding box and the diagonal table of :meth:`diagonal_table` that
-    side queries search.  The lattice walk is the base of the rest: one
-    pass over the segments builds it, and one pass over the walk builds
-    the diagonal table.
+    the bounding box, the diagonal table of :meth:`diagonal_table` and the
+    :meth:`side_record` that side queries read.  The lattice walk is the
+    base of the rest: one pass over the segments builds it, and one pass
+    over the walk builds the diagonal table.
     """
 
     __slots__ = ("points", "south_ray", "north_ray", "_lattice", "_lattice_set",
-                 "_index", "_simple", "_bbox", "_diagonals")
+                 "_index", "_simple", "_bbox", "_diagonals", "_sides")
 
     def __init__(self, points: Sequence[Point], south_ray: bool = False,
                  north_ray: bool = False):
@@ -123,6 +129,7 @@ class PolyCurve:
         self._simple = None
         self._bbox = None
         self._diagonals = None
+        self._sides = None
 
     def __repr__(self):
         ray = ("S" if self.south_ray else "") + ("N" if self.north_ray else "")
@@ -247,6 +254,22 @@ class PolyCurve:
             self._diagonals = dict(table)
         return self._diagonals
 
+    def side_record(self) -> tuple[frozenset[Point], Point, Point, dict[int, list[int]]]:
+        """``(lattice set, first vertex, last vertex, diagonal table)`` for side queries.
+
+        Built once, after the two preconditions of a side query pass: both
+        rays present and the curve simple.  A curve that fails either keeps
+        no record, so every later query raises again.
+        """
+        if self._sides is None:
+            if not (self.south_ray and self.north_ray):
+                raise NotAlmostVertical("side classification needs both infinite rays")
+            if not self.is_simple():
+                raise NonSimpleCurve("side classification needs a simple curve")
+            self._sides = (self.lattice_set(), self.points[0], self.points[-1],
+                           self.diagonal_table())
+        return self._sides
+
     def contains(self, p: Point) -> bool:
         if p in self.lattice_set():
             return True
@@ -287,71 +310,65 @@ def embed_path(positions: Sequence[Point]) -> PolyCurve:
 
 # -- side classification ----------------------------------------------------
 
-def _diagonal_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
-    """Parity of crossings between the curve and a diagonal ray from p.
-
-    The ray has direction (1, 1) when ``toward_ne`` else (-1, -1).  The
-    curve must have both infinite rays, and p must not lie on it.  The
-    finite part's crossings come from one binary search in the curve's
-    :meth:`~PolyCurve.diagonal_table`; the south ray meets the line
-    ``y - x = d`` at its own x iff ``d`` is below ``y - x`` at the first
-    vertex, and the north ray iff ``d`` is at least ``y - x`` at the last
-    vertex (the same half-open rule as the table).  No crossing lies at
-    p's own x, since it would be p itself.
-    """
-    px, py = p
-    d = py - px
-    table = curve._diagonals
-    if table is None:
-        table = curve.diagonal_table()
-    xs = table.get(d, ())
-    if toward_ne:
-        crossings = len(xs) - bisect_right(xs, px)
-    else:
-        crossings = bisect_left(xs, px)
-    sx, sy = curve.points[0]
-    if d < sy - sx and (sx > px if toward_ne else sx < px):
-        crossings += 1
-    nx, ny = curve.points[-1]
-    if d >= ny - nx and (nx > px if toward_ne else nx < px):
-        crossings += 1
-    return crossings & 1
-
-
 def classify_side(curve: PolyCurve, p: Point) -> Side:
     """Which side of a simple almost-vertical curve a lattice point is on.
 
     Points of the curve itself answer ``Side.ON``; otherwise the parity of
     crossings of the south-west diagonal ray decides (odd means RIGHT, as
     the far east is reachable from the right component).  Points east of
-    the curve's easternmost extent therefore classify RIGHT.  The first
-    query builds the curve's simplicity flag, lattice set and diagonal
-    table in O(|curve|); each query after that reads them from the curve
-    and costs O(log |curve|).
+    the curve's easternmost extent therefore classify RIGHT.  The finite
+    part's crossings are the x below p's own in the diagonal table's list
+    for ``d = y - x`` at p; the south ray meets that line at its own x iff
+    ``d`` is below ``y - x`` at the first vertex, and the north ray iff
+    ``d`` is at least ``y - x`` at the last vertex (the table's half-open
+    rule).  No crossing lies at p's own x, since it would be p itself.
+
+    The first query checks the preconditions and builds the curve's
+    :meth:`~PolyCurve.side_record` in O(|curve|); each later query is one
+    set lookup, one dict lookup and one binary search.
     """
-    if not (curve.south_ray and curve.north_ray):
-        raise NotAlmostVertical("side classification needs both infinite rays")
-    if not (curve._simple or curve.is_simple()):
-        raise NonSimpleCurve("side classification needs a simple curve")
-    # is_simple() built the lattice set; the rays run below the first
-    # vertex and above the last one.
-    if p in curve._lattice_set:
-        return Side.ON
+    record = curve._sides
+    if record is None:
+        record = curve.side_record()
+    on, (sx, sy), (nx, ny), table = record
+    if p in on:
+        return _ON
     px, py = p
-    sx, sy = curve.points[0]
-    nx, ny = curve.points[-1]
+    # The rays run below the first vertex and above the last one.
     if px == sx and py < sy or px == nx and py > ny:
-        return Side.ON
-    return Side.RIGHT if _diagonal_parity(curve, p, toward_ne=False) else Side.LEFT
+        return _ON
+    d = py - px
+    xs = table.get(d)
+    crossings = bisect_left(xs, px) if xs else 0
+    if d < sy - sx and sx < px:
+        crossings += 1
+    if d >= ny - nx and nx < px:
+        crossings += 1
+    return _RIGHT if crossings & 1 else _LEFT
 
 
 def crossing_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
-    """Exposed for tests: parity of diagonal-ray crossings (0 or 1)."""
-    if not curve.is_almost_vertical:
-        raise NotAlmostVertical("crossing parity needs both infinite rays")
-    if curve.contains(p):
+    """Parity (0 or 1) of crossings between the curve and a diagonal ray from p.
+
+    The ray has direction (1, 1) when ``toward_ne`` else (-1, -1).  It stays
+    so that tests can check the north-east count against ``classify_side``'s
+    south-west one: off the curve the two always differ.
+    """
+    side = classify_side(curve, p)
+    if side is _ON:
         raise NotOnCurve("parity undefined for points on the curve")
-    return _diagonal_parity(curve, p, toward_ne)
+    if not toward_ne:
+        return 1 if side is _RIGHT else 0
+    _, (sx, sy), (nx, ny), table = curve._sides
+    px, py = p
+    d = py - px
+    xs = table.get(d, ())
+    crossings = len(xs) - bisect_right(xs, px)
+    if d < sy - sx and sx > px:
+        crossings += 1
+    if d >= ny - nx and nx > px:
+        crossings += 1
+    return crossings & 1
 
 
 class SideCache:
@@ -366,10 +383,7 @@ class SideCache:
     __slots__ = ("curve", "_memo", "_scaled", "_memo2")
 
     def __init__(self, curve: PolyCurve):
-        if not curve.is_almost_vertical:
-            raise NotAlmostVertical("region boundary needs both infinite rays")
-        if not curve.is_simple():
-            raise NonSimpleCurve("region boundary must be simple")
+        curve.side_record()
         self.curve = curve
         self._memo: dict[Point, Side] = {}
         self._scaled: Optional[PolyCurve] = None
@@ -389,7 +403,7 @@ class SideCache:
         one vertex per lattice point, so every segment is a whole step with
         its midpoint as its only inner point.  It is the same point set as
         the doubled curve, with the same rays, simplicity and diagonal
-        crossings.  It builds its own diagonal table on its first
+        crossings.  It builds its own side record on its first
         query.  Its diagonals of odd ``d`` have no counterpart among the
         curve's own, and this query only runs for chords and for the route
         search's goal test, so sharing one table would buy little.
@@ -449,9 +463,7 @@ def walk_sides(cache: SideCache, walk: Sequence[Point],
     """
     ON = Side.ON
     curve = cache.curve
-    on = curve._lattice_set  # built by the simplicity check of SideCache
-    sx, sy = curve.points[0]
-    nx, ny = curve.points[-1]
+    on, (sx, sy), (nx, ny), _ = curve._sides  # built by SideCache
     out = []
     last = prev = None  # side of the previous point, and that point
     for q in walk:
@@ -599,29 +611,6 @@ def clockwise_successors(prev: Point, cur: Point) -> list[Point]:
     back = sub(prev, cur)
     r1 = rot_cw(back)
     return [add(cur, rot_cw(rot_cw(r1))), add(cur, rot_cw(r1)), add(cur, r1)]
-
-
-def first_departure(d: PolyCurve, c: PolyCurve):
-    """First place where curve ``d`` leaves curve ``c``, with the side entered.
-
-    Returns ``None`` when ``d`` never leaves ``c``; otherwise a pair
-    ``(index, side)`` where ``index`` counts unit lattice steps along
-    ``d``.  When a step leaves ``c`` only through its interior (both
-    endpoints on ``c``), the index of the step's far end is reported and
-    the side is measured at the step midpoint.
-    """
-    if not c.is_almost_vertical or not c.is_simple():
-        raise NonSimpleCurve("reference curve must be simple and almost-vertical")
-    pts = d.lattice_points()
-    if not c.contains(pts[0]):
-        raise NotOnCurve("d does not start on c")
-    # A step's interior is off c whenever its far end is, so the first
-    # entry off c is always a step interior, and it has the far end's side.
-    sides = walk_sides(SideCache(c), pts, steps=True)
-    for n, side in enumerate(sides):
-        if side is not Side.ON:
-            return (n + 1) // 2, side
-    return None
 
 
 # -- translate disjointness ---------------------------------------------------

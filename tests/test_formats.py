@@ -410,3 +410,20 @@ def test_cli_render_rejects_unknown_overlay(unit_file, tmp_path, _run):
 def test_cli_reduce_2ham_rejects_width_below_one(unit_file, tmp_path, _run, width):
     r = _run(["reduce-2ham", str(unit_file), "--width", width], tmp_path)
     assert r.returncode == 3 and "--width" in r.stderr
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["oracle", "rp", "{file}"], "--shield"),
+    (["analyze", "{file}", "--bound-override", "0"], "--bound-override"),
+    (["analyze", "{file}", "--bound-override", "-2"], "--bound-override"),
+    (["bound", "--tiles", "0", "--seed", "1"], "--tiles"),
+    (["bound", "--tiles", "2", "--seed", "0"], "--seed"),
+], ids=["oracle-rp-no-shield", "bound-override-0", "bound-override-negative",
+        "tiles-0", "seed-0"])
+def test_cli_usage_errors_exit_3(unit_file, tmp_path, _run, args, flag):
+    # A missing or out-of-range option is a usage error: one ``error:`` line
+    # naming the option and exit 3, with no traceback.
+    r = _run([a.format(file=unit_file) for a in args], tmp_path)
+    assert r.returncode == 3
+    assert r.stderr.splitlines()[-1].startswith("error:") and flag in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""

@@ -25,9 +25,9 @@ from pumpkit.geometry import (
     crossing_parity,
     curve_in_closed_right,
     embed_path,
-    first_departure,
     precious_check,
     turn_right_of_path,
+    walk_sides,
     SideCache,
 )
 from pumpkit.oracle import FloodFill
@@ -67,18 +67,28 @@ def test_classify_straight_cut():
     assert classify_side(c, (1, -7)) is Side.ON
 
 
+def assert_side_check_fails(curve, error):
+    """A curve that fails a side-query precondition keeps no side record.
+
+    So a second query raises again, and so does a cache built on the curve.
+    """
+    for _ in range(2):
+        with pytest.raises(error):
+            classify_side(curve, (1, 1))
+    with pytest.raises(error):
+        SideCache(curve)
+
+
 def test_classify_needs_rays():
-    c = PolyCurve([(0, 0), (2, 0)])
-    with pytest.raises(Exception):
-        classify_side(c, (1, 1))
+    assert_side_check_fails(PolyCurve([(0, 0), (2, 0)]), NotAlmostVertical)
+    assert_side_check_fails(PolyCurve([(0, 0), (2, 0)], south_ray=True), NotAlmostVertical)
 
 
 def test_classify_rejects_non_simple():
     c = PolyCurve([(0, 0), (2, 0), (2, 2), (0, 2), (0, -2)],
                   south_ray=True, north_ray=True)
     assert not c.is_simple()
-    with pytest.raises(NonSimpleCurve):
-        classify_side(c, (10, 10))
+    assert_side_check_fails(c, NonSimpleCurve)
 
 
 def random_curve(rng, corners=10):
@@ -417,6 +427,28 @@ def test_turn_total_order(back, candidates):
 
 
 # -- departures ------------------------------------------------------------------
+
+def first_departure(d: PolyCurve, c: PolyCurve):
+    """First place where curve ``d`` leaves curve ``c``, with the side entered.
+
+    Returns ``None`` when ``d`` never leaves ``c``; otherwise a pair
+    ``(index, side)`` where ``index`` counts unit lattice steps along
+    ``d``.  When a step leaves ``c`` only through its interior (both
+    endpoints on ``c``), the index of the step's far end is reported and
+    the side is measured at the step midpoint.  The tests below check
+    ``walk_sides(steps=True)`` through it against ``classify_side``.
+    """
+    cache = SideCache(c)
+    pts = d.lattice_points()
+    if not c.contains(pts[0]):
+        raise NotOnCurve("d does not start on c")
+    # A step's interior is off c whenever its far end is, so the first
+    # entry off c is always a step interior, and it has the far end's side.
+    for n, side in enumerate(walk_sides(cache, pts, steps=True)):
+        if side is not Side.ON:
+            return (n + 1) // 2, side
+    return None
+
 
 def test_departure_none_on_shared_prefix():
     c = PolyCurve([(1, 0), (1, 2), (3, 2)], south_ray=True, north_ray=True)

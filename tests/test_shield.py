@@ -14,7 +14,7 @@ from pumpkit import (
 )
 from pumpkit import formats, oracle, shield
 from pumpkit.budgets import EnumBudget
-from pumpkit.errors import ClaimViolation, NotAShield, WindowTooSmall
+from pumpkit.errors import ClaimViolation, EmptyRouteSet, NotAShield, WindowTooSmall
 from pumpkit.geometry import Side
 from pumpkit.shield import (
     Shield,
@@ -284,6 +284,35 @@ def test_progress_loop_advances_two_periods():
     assert [st.shift for st in out.trace.history] == [0, 2]
     assert (out.pumpable.i, out.pumpable.j) == (35, 38)
     assert verify_pumpable_cert(sys_, out.pumpable).ok
+
+
+# Shield (7, 9, 20) of a 52-tile random walk, with the cut and in the frame
+# that ``analyze`` decides it in.  The route graph reaches two goals, one
+# on each side of the exit ray at the exit glue's height, and the
+# endpoint-height filter rejects a route to either, so no route survives.
+# The change that lets this shield decide also drops the marker.
+EQUAL_HEIGHT_GOALS_SYSTEM = """\
+tile A north=b east=c south=b west=-
+tile B north=b east=a south=a west=a
+tile C north=a east=a south=b west=c
+tile D north=c east=a south=- west=b
+seed 0 3 B
+path 0 4 A ; 0 5 C ; 1 5 B ; 1 4 C ; 1 3 A ; 1 2 A ; 1 1 A ; 2 1 C ; 3 1 B ; \
+3 0 C ; 4 0 B ; 5 0 B ; 6 0 B ; 6 1 A ; 6 2 A ; 6 3 C ; 6 4 B ; 5 4 B ; 4 4 C ; \
+3 4 A ; 3 5 C ; 4 5 B ; 5 5 B ; 5 6 C ; 6 6 B ; 6 5 C ; 7 5 B
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=EmptyRouteSet,
+                   reason="route search rejects goals at the exit glue's height")
+def test_equal_height_goals_decide():
+    sys_, p = formats.parse_system(EQUAL_HEIGHT_GOALS_SYSTEM)
+    assert len(p) == 27
+    out = pump_or_block(sys_, p, Shield(7, 9, 20))
+    if out.kind == "pumpable":
+        assert verify_pumpable_cert(sys_, out.pumpable).ok
+    else:
+        assert verify_fragile_cert(sys_, p, out.fragile).ok
 
 
 def test_route_matches_exhaustive_choice(rng):
