@@ -12,6 +12,11 @@ caller's frame and re-verified there.
 rotation, mirror and translation the driver applies is a ``Frame``, and
 each branch restores its certificate through ``frame.inverse()``.
 
+Each frame is read from one bounding box of path plus seed: the quarter
+turn from which extreme the last tile holds (or, when canonicalizing,
+from the side of the square it reaches), and the margin translation from
+two opposite corners of the box.
+
 Each frame builds one :class:`~pumpkit.visibility.GlueView` and passes
 it down: the pigeonhole search, the span ledger, the pair search and the
 engine's shield check all read that one view, and its spans are computed
@@ -200,11 +205,15 @@ def transform(sys: TileSystem, frame: Frame) -> TileSystem:
     return TileSystem(list(tiles.values()), seed)
 
 
-def _to_margins(frame: Frame, sys: TileSystem, p: Path) -> Frame:
-    """``frame``, then the translation putting seed plus path on both axes."""
-    pts = frame._points(chain(sys.seed.tiles, (q for q, _ in p.entries)))
-    return Frame.translation((-min(x for x, _ in pts),
-                              -min(y for _, y in pts))).compose(frame)
+def _margined(frame: Frame, lo: Pos, hi: Pos) -> Frame:
+    """``frame``, then the translation putting the moved box ``lo``..``hi`` on both axes.
+
+    ``lo`` and ``hi`` are opposite corners of a bounding box before the
+    motion.  A D4 motion maps each new axis to plus or minus an old one,
+    so the moved box's least coordinates are read off those two corners.
+    """
+    (ax, ay), (bx, by) = frame._points((lo, hi))
+    return Frame.translation((-min(ax, bx), -min(ay, by))).compose(frame)
 
 
 # -- canonical form --------------------------------------------------------------
@@ -229,8 +238,9 @@ def canonicalize(sys: TileSystem, p: Path,
     the unique easternmost of path plus seed, and translated so the
     westernmost/southernmost coordinates are zero.  The rotation is read
     off the side of the square the cut tile lies on, the east side first,
-    then north, west and south.  Raises :class:`TooShort` when the path
-    never reaches the square.
+    then north, west and south; the translation is read off the bounding
+    box of seed plus cut path.  Raises :class:`TooShort` when the path
+    never reaches the square, at once when it has at most ``half`` tiles.
     """
     rep = tam.validate_producible_path(sys, p)
     if not rep:
@@ -240,6 +250,10 @@ def canonicalize(sys: TileSystem, p: Path,
     if dist < 1:
         raise BadCounts("bound override must be >= 1")
     half = dist + len(sys.seed)
+    if half >= len(p):
+        # Tile s lies at most s steps from tile 0, and the last tile is
+        # tile len(p) - 1, so no tile reaches the square.
+        raise TooShort(f"path never reaches the square of half side {half}")
     x0, y0 = p.pos(0)
     # The path takes unit steps from the square's center, so its first
     # tile on a side line of the square is its first tile on the square.
@@ -251,8 +265,9 @@ def canonicalize(sys: TileSystem, p: Path,
     bx, by = p.pos(b)[0] - x0, p.pos(b)[1] - y0
     turns = 0 if bx == half else 3 if by == half else 2 if bx == -half else 1
     trunc = p.prefix(b)
-    frame = _to_margins(Frame.rotation(turns).compose(Frame.translation((-x0, -y0))),
-                        sys, trunc)
+    xs, ys = zip(*chain(sys.seed.tiles, (q for q, _ in trunc.entries)))
+    frame = _margined(Frame.rotation(turns).compose(Frame.translation((-x0, -y0))),
+                      (min(xs), min(ys)), (max(xs), max(ys)))
     csys, cpath = frame.apply(sys), frame.apply(trunc)
     rep = tam.validate_producible_path(csys, cpath)
     if not rep:
@@ -269,15 +284,21 @@ def _orient_east(sys: TileSystem, p: Path,
                  frame: Frame = IDENTITY) -> Optional[Frame]:
     """Best-effort orientation for paths below the bound.
 
-    After ``frame``, try the four quarter turns in order and keep the
-    first that makes the last tile of ``p`` the unique easternmost of
-    path plus seed; the result also moves the margins to zero.
+    After ``frame``, keep the first quarter turn that makes the last tile
+    of ``p`` the unique easternmost of path plus seed.  Turns 0 to 3 move
+    the greatest x, the least y, the least x and the greatest y east, so
+    the last tile must hold the unique one of these extremes, tried in
+    that order.  The result also moves the margins to zero, read off the
+    one bounding box of path plus seed.
     """
-    pts = frame._points(chain(sys.seed.tiles, (q for q, _ in p.entries)))
-    for k, (a, b, _, _) in enumerate(_TURNS):
-        xs = [a * x + b * y for x, y in pts]
-        if xs.count(xs[-1]) == 1 and xs[-1] == max(xs):
-            return _to_margins(Frame.rotation(k).compose(frame), sys, p)
+    pts = chain(sys.seed.tiles, (q for q, _ in p.entries))
+    xs, ys = zip(*(pts if frame == IDENTITY else frame._points(pts)))
+    lo, hi = (min(xs), min(ys)), (max(xs), max(ys))
+    lx, ly = xs[-1], ys[-1]
+    for k, (vals, last, end) in enumerate(((xs, lx, hi[0]), (ys, ly, lo[1]),
+                                           (xs, lx, lo[0]), (ys, ly, hi[1]))):
+        if last == end and vals.count(end) == 1:
+            return _margined(Frame.rotation(k), lo, hi).compose(frame)
     return None
 
 
@@ -311,7 +332,7 @@ def _outcome_to_result(out: ShieldOutcome, trail: list[str]) -> AnalysisResult:
 
 
 def _run_shield(view: GlueView, sh: Shield, trail: list[str],
-                budget: EnumBudget) -> AnalysisResult:
+                budget: Optional[EnumBudget]) -> AnalysisResult:
     out = engine.pump_or_block(view.sys, view.path, sh, budget, view=view)
     return _outcome_to_result(out, trail)
 
@@ -327,7 +348,7 @@ def _within(frame: Frame, sys: TileSystem, p: Path,
 
 
 def _west_pigeonhole_shield(view: GlueView, trail: list[str],
-                            budget: EnumBudget) -> Optional[AnalysisResult]:
+                            budget: Optional[EnumBudget]) -> Optional[AnalysisResult]:
     """Two same-type west glues visible from the south give a mirrored shield."""
     west = [g for g in view.south_visible() if g.pointing == "west"]
     by_label: dict[str, list[int]] = {}
@@ -420,9 +441,13 @@ def _find_couple_pair(ledger: _Ledger) -> Optional[tuple[Span, Span]]:
     return None
 
 
-def _couple_use(view: GlueView, sa: Span, sb: Span, trail: list[str],
-                budget: EnumBudget) -> Optional[AnalysisResult]:
-    """Hand a repeated-span pair to the engine (mirrored upright if needed)."""
+def _couple_use(view: GlueView, ledger: _Ledger, sa: Span, sb: Span,
+                trail: list[str],
+                budget: Optional[EnumBudget]) -> Optional[AnalysisResult]:
+    """Hand a repeated-span pair to the engine (mirrored upright if needed).
+
+    In the identity frame the ledger's spans are the frame's spans.
+    """
     trail.append(f"equal-span-pair(cols {sa.coordinate},{sb.coordinate})")
     frame = IDENTITY
     if sa.orientation == "down":
@@ -430,8 +455,11 @@ def _couple_use(view: GlueView, sa: Span, sb: Span, trail: list[str],
         trail.append("flip-vertical(down spans)")
 
     def runner(fsys, fpath):
-        fview = view if frame == IDENTITY else GlueView(fsys, fpath)
-        fspans = {s.coordinate: s for s in fview.vertical_spans()}
+        if frame == IDENTITY:
+            fview, fspans = view, ledger.by_column
+        else:
+            fview = GlueView(fsys, fpath)
+            fspans = {s.coordinate: s for s in fview.vertical_spans()}
         fa, fb = fspans[sa.coordinate], fspans[sb.coordinate]
         sh = Shield(fa.s, fb.s, fb.n)
         try:
@@ -444,7 +472,7 @@ def _couple_use(view: GlueView, sa: Span, sb: Span, trail: list[str],
 
 
 def _case_tall_span(view: GlueView, ledger: _Ledger, c: int,
-                    trail: list[str], budget: EnumBudget,
+                    trail: list[str], budget: Optional[EnumBudget],
                     depth: int) -> Optional[AnalysisResult]:
     """A span taller than the cone allows: work inside the prefix below it."""
     col = ledger.columns[c] if c < len(ledger.columns) else ledger.x_last
@@ -456,15 +484,17 @@ def _case_tall_span(view: GlueView, ledger: _Ledger, c: int,
         trail.append("flip-vertical(down span)")
 
     def runner(fsys, fpath):
-        fview = view if frame == IDENTITY else GlueView(fsys, fpath)
-        fspan = {s.coordinate: s for s in fview.vertical_spans()}[col]
+        if frame == IDENTITY:
+            fspan = span_c
+        else:
+            fspan = {s.coordinate: s for s in GlueView(fsys, fpath).vertical_spans()}[col]
         return _case_tall_span_upright(fsys, fpath, fspan, trail, budget, depth)
 
     return _within(frame, view.sys, view.path, runner)
 
 
 def _case_tall_span_upright(sys: TileSystem, p: Path, span_c: Span,
-                            trail: list[str], budget: EnumBudget,
+                            trail: list[str], budget: Optional[EnumBudget],
                             depth: int) -> Optional[AnalysisResult]:
     tiles, seed = len(sys.tiles), len(sys.seed)
     n_c = span_c.n
@@ -481,7 +511,7 @@ def _case_tall_span_upright(sys: TileSystem, p: Path, span_c: Span,
 
 
 def _case_narrow_prefix(viewq: GlueView, span_c: Span, trail: list[str],
-                        budget: EnumBudget) -> Optional[AnalysisResult]:
+                        budget: Optional[EnumBudget]) -> Optional[AnalysisResult]:
     """Wide prefix: many same-type south glues exist; shift the exit ray clear."""
     west_limit = min(x for x, _ in
                      list(viewq.sys.seed.tiles) + list(viewq.path.positions))
@@ -506,7 +536,7 @@ def _case_narrow_prefix(viewq: GlueView, span_c: Span, trail: list[str],
 
 
 def _case_tall_prefix(sys: TileSystem, q: Path, span_c: Span, x_prime: int,
-                      trail: list[str], budget: EnumBudget,
+                      trail: list[str], budget: Optional[EnumBudget],
                       depth: int) -> Optional[AnalysisResult]:
     """Tall prefix: turn it sideways and recurse on the repeated-span machinery."""
     tiles, seed_n = len(sys.tiles), len(sys.seed)
@@ -543,7 +573,7 @@ def _case_tall_prefix(sys: TileSystem, q: Path, span_c: Span, x_prime: int,
 
 
 def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
-                    budget: EnumBudget, depth: int) -> Optional[AnalysisResult]:
+                    budget: Optional[EnumBudget], depth: int) -> Optional[AnalysisResult]:
     """West pigeonhole, then the span ledger and its two cases.
 
     Precondition: the last tile of ``p`` is the unique easternmost tile
@@ -603,7 +633,7 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
     if pair is None:
         trail.append("no-span-pair")
         return None
-    return _couple_use(view, pair[0], pair[1], trail, budget)
+    return _couple_use(view, ledger, pair[0], pair[1], trail, budget)
 
 
 def analyze(sys: TileSystem, p: Path, bound_override: Optional[int] = None,
@@ -612,9 +642,11 @@ def analyze(sys: TileSystem, p: Path, bound_override: Optional[int] = None,
 
     Returns a verified pumping or blocking certificate in the caller's
     coordinates, or ``no_shield`` with the decision trail when the path
-    is below the effective bound and no case fires.
+    is below the effective bound and no case fires.  Without ``budget``,
+    the engine reads ``EnumBudget.from_env()`` only when a shield needs
+    its route search, so a decision by the ``j == k`` shortcut never reads
+    the environment.
     """
-    budget = budget or EnumBudget.from_env()
     trail: list[str] = []
     try:
         canon = canonicalize(sys, p, bound_override)

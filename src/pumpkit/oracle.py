@@ -236,9 +236,14 @@ def brute_right_priority(ws: Workspace,
 
     Enumerates every admissible simple route from the entry pair to a
     vertex beside the exit ray, filters by the literal endpoint-height
-    rule (all strict prefixes and strict extensions within the candidate
-    set must end strictly lower), and takes the pairwise right-priority
-    maximum.  Exponential by nature; guarded by the vertex budget.
+    rule (all strict prefixes within the candidate set must end strictly
+    lower, and no strict extension within it may end strictly higher),
+    and takes the pairwise right-priority maximum.  Exponential by
+    nature; guarded by the vertex budget.
+
+    An extension ending at equal height does not reject: the two goals at
+    one height sit on either side of the exit ray and link to the same
+    point of it, so the extension reaches no higher point of the ray.
     """
     budget = budget or EnumBudget.from_env()
     graph = _RouteGraph(ws)
@@ -272,8 +277,8 @@ def brute_right_priority(ws: Workspace,
                 continue
             shorter, longer = (other, q) if len(other) < len(q) else (q, other)
             if longer[: len(shorter)] == shorter:
-                related_end = other[-1]
-                if related_end[1] >= q[-1][1]:
+                oy, qy = other[-1][1], q[-1][1]
+                if oy > qy or (other is shorter and oy == qy):
                     ok = False
                     break
         if ok:

@@ -482,9 +482,14 @@ def build_r(ws: Workspace, budget: Optional[EnumBudget] = None) -> tuple[Point, 
     Explores the route graph depth first, most-right-turning successor
     first, which emits candidate routes in right-priority order; the
     first candidate that survives the endpoint-height filter (every
-    strict prefix and every possible strict extension ending beside the
-    exit ray ends strictly lower) is the selected route.  Returned
-    positions are doubled and omit the entry tile ``i``.
+    strict prefix ending beside the exit ray ends strictly lower, and no
+    possible strict extension ending beside it ends strictly higher) is
+    the selected route.  Returned positions are doubled and omit the
+    entry tile ``i``.
+
+    An extension to a goal of equal height does not reject: the two goals
+    at one height sit on either side of the exit ray and link to the same
+    point of it, so such an extension reaches no higher point of the ray.
     """
     budget = budget or EnumBudget.from_env()
     adj = _RouteGraph(ws).adj
@@ -504,7 +509,7 @@ def build_r(ws: Workspace, budget: Optional[EnumBudget] = None) -> tuple[Point, 
             for w in adj[u]:
                 if w in seen:
                     continue
-                if is_goal(w) and w[1] >= min_y:
+                if is_goal(w) and w[1] > min_y:
                     return True
                 seen.add(w)
                 frontier.append(w)
@@ -820,9 +825,9 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
     verifier before being returned, together with the construction's
     :class:`ShieldTrace`.  ``view``, when given, is a prebuilt
     :class:`GlueView` of ``(sys, p)``; it serves the shield check and the
-    workspace.
+    workspace.  Without ``budget``, ``EnumBudget.from_env()`` is read after
+    the ``j == k`` return, where the first search starts.
     """
-    budget = budget or EnumBudget.from_env()
     if view is None:
         view = GlueView(sys, p)
     check_shield(sys, p, sh.i, sh.j, sh.k, view)
@@ -840,6 +845,7 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
     if j == k:
         return pumpable(i, j, "repeat-at-exit")
 
+    budget = budget or EnumBudget.from_env()
     ws = build_workspace(sys, p, sh, view)
     dom = dominant(ws)
     trace.m0 = dom.m0

@@ -54,17 +54,8 @@ def _x_of(g: GlueRef) -> int:
     return g.midpoint[0]
 
 
-def glue_refs(p: Path) -> list[GlueRef]:
-    entries = p.entries
-    refs = []
-    for i in range(len(entries) - 1):
-        (x0, y0), t0 = entries[i]
-        x1, y1 = entries[i + 1][0]
-        step = (x1 - x0, y1 - y0)
-        mx = x0 + x1
-        refs.append(GlueRef(i, getattr(t0, tam.SIDE_OF_STEP[step]), POINTING[step],
-                            (mx, y0 + y1), mx % 2 == 1))
-    return refs
+def _index(g: GlueRef) -> int:
+    return g.index
 
 
 class GlueView:
@@ -79,11 +70,20 @@ class GlueView:
     query in O(1); the stronger rule is what keeps the engine's workspace
     free of the seed and the retained prefix in every case.
 
-    The column data (``cols``, ``pair_cols``, ``seed_glue_cols``), which
-    south/north visibility and vertical spans read, is built with the
-    view.  The row data (``rows``, ``pair_rows``, ``seed_glue_rows``),
-    which only east/west visibility and horizontal spans read, is built on
-    first use.
+    The glue records and the column data (``cols``, ``pair_cols``,
+    ``seed_glue_cols``), which south/north visibility and vertical spans
+    read, are built with the view, the records and ``cols`` in one pass.
+    The row data (``rows``, ``pair_rows``, ``seed_glue_rows``), which only
+    east/west visibility and horizontal spans read, is built on first use.
+
+    The visible banks are read off the column extremes, once per view.  A
+    horizontal glue joins two horizontally adjacent tiles, so it is itself
+    a pair straddling its column, and a glue lower on the same column
+    blocks it from the south.  Only a column's lowest glue can therefore
+    be visible from the south, and only its highest from the north; each
+    is visible when no straddling pair lies beyond it.  This needs the
+    glues of one column to have distinct midpoints, as on any
+    self-avoiding path.
 
     A view holds ``sys`` and ``path``, so it is the per-frame context the
     driver hands down: each frame builds one and shares it.
@@ -92,14 +92,23 @@ class GlueView:
     def __init__(self, sys: TileSystem, p: Path):
         self.sys = sys
         self.path = p
-        self.glues = glues = glue_refs(p)
-        # Lowest and highest glue on each glue column: a span joins them.
-        # Ties keep the first glue as the lowest and the last as the
-        # highest, as a stable sort of the glues in path order would.
+        # One record per glue and, on each glue column, the lowest and the
+        # highest glue: a span joins them.  Ties keep the first glue as the
+        # lowest and the last as the highest, as a stable sort of the
+        # glues in path order would.
+        self.glues = glues = []
         cols: dict[int, tuple[GlueRef, GlueRef]] = {}
-        for g in glues:
-            if g.horizontal:
-                gx, gy = g.midpoint
+        side_of = tam.SIDE_OF_STEP
+        entries = p.entries
+        for i in range(len(entries) - 1):
+            (x0, y0), t0 = entries[i]
+            x1, y1 = entries[i + 1][0]
+            step = (x1 - x0, y1 - y0)
+            gx, gy = x0 + x1, y0 + y1
+            horizontal = gx % 2 == 1
+            g = GlueRef(i, getattr(t0, side_of[step]), POINTING[step], (gx, gy), horizontal)
+            glues.append(g)
+            if horizontal:
                 old = cols.get(gx)
                 if old is None:
                     cols[gx] = (g, g)
@@ -132,6 +141,7 @@ class GlueView:
             if t.west is not None:
                 self.seed_glue_cols.add(2 * x - 1)
         self._vertical_spans: Optional[tuple[Span, ...]] = None
+        self._banks: Optional[tuple[list[GlueRef], list[GlueRef]]] = None
 
     @cached_property
     def rows(self) -> dict[int, tuple[GlueRef, GlueRef]]:
@@ -185,11 +195,29 @@ class GlueView:
             return lo >= gx if direction == "west" else hi <= gx
         raise ValueError(f"unknown direction {direction!r}")
 
+    def _visible_banks(self) -> tuple[list[GlueRef], list[GlueRef]]:
+        """South- and north-visible glues in path order, from the column extremes."""
+        if self._banks is None:
+            south, north = [], []
+            pair_cols = self.pair_cols
+            for gx, (lo, hi) in self.cols.items():
+                low_pair, high_pair = pair_cols[gx]
+                if low_pair >= lo.midpoint[1]:
+                    south.append(lo)
+                if high_pair <= hi.midpoint[1]:
+                    north.append(hi)
+            south.sort(key=_index)
+            north.sort(key=_index)
+            self._banks = (south, north)
+        return self._banks
+
     def south_visible(self) -> list[GlueRef]:
-        return [g for g in self.glues if g.horizontal and self.visible(g.index, "south")]
+        """Glues visible from the south, in path order (a fresh list)."""
+        return list(self._visible_banks()[0])
 
     def north_visible(self) -> list[GlueRef]:
-        return [g for g in self.glues if g.horizontal and self.visible(g.index, "north")]
+        """Glues visible from the north, in path order (a fresh list)."""
+        return list(self._visible_banks()[1])
 
     def vertical_spans(self) -> tuple[Span, ...]:
         """``spans(sys, path, "vertical")``, computed on first use and kept.
@@ -373,7 +401,9 @@ def check_glue_east(sys: TileSystem, p: Path):
     lg = view.glues[last]
     if not lg.horizontal or not view.visible(last, "north"):
         raise LastGlueNotVisible("precondition: last glue visible from the north")
-    sv = view.south_visible()
+    # Visibility glue by glue, from its definition: the lemma checker
+    # does not rest on the column rule the view's banks use.
+    sv = [g for g in view.glues if g.horizontal and view.visible(g.index, "south")]
     for a in sv:
         for b in sv:
             if a.index == b.index:

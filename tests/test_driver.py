@@ -19,7 +19,7 @@ from pumpkit import (
 )
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_H, FLIP_V, IDENTITY, ROT90, Frame
-from pumpkit.errors import BadCounts, BadSystem, NotCanonical, TooShort
+from pumpkit.errors import BadBudget, BadCounts, BadSystem, NotCanonical, TooShort
 from pumpkit.formats import parse_system
 from pumpkit.tam import SIDE_OF_STEP, STEP, FragilityCert, TileType
 from pumpkit.visibility import GlueView, spans
@@ -222,6 +222,21 @@ def test_analyze_fragile_instance(analyze_fragile):
     assert res.kind == "fragile"
     assert verify_fragile_cert(sys_, p, res.fragile).ok
     assert any("west-pigeonhole" in t for t in res.trail)
+
+
+def test_analyze_reads_budget_env_only_for_a_route_search(unit, unit_path,
+                                                          analyze_fragile, monkeypatch):
+    # Without a budget argument, the environment is read where the engine
+    # starts its first search, after the j == k shortcut.
+    monkeypatch.setenv("PUMPKIT_BUDGET_MAX_NODES", "x")
+    res = analyze(unit, unit_path, bound_override=2)
+    assert res.kind == "pumpable" and "engine:repeat-at-exit" in res.trail
+    assert verify_pumpable_cert(unit, res.pumpable).ok
+    sys_, p = analyze_fragile
+    with pytest.raises(BadBudget, match="PUMPKIT_BUDGET_MAX_NODES"):
+        analyze(sys_, p, bound_override=2)
+    monkeypatch.delenv("PUMPKIT_BUDGET_MAX_NODES")
+    assert analyze(sys_, p, bound_override=2).kind == "fragile"
 
 
 def test_analyze_battlements_couple_use(battlements):

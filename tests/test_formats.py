@@ -64,6 +64,24 @@ def test_parse_unknown_directive():
     assert e.value.line == 3
 
 
+@pytest.mark.parametrize("path_lines, line, message", [
+    (["path 1 0 A ; 2 0"], 3, "path entries are: <x> <y> <name>"),
+    (["path 1 0 A 2 0 A"], 3, "path entries are: <x> <y> <name>"),
+    (["path"], 3, "path entries are: <x> <y> <name>"),
+    (["path 1 0 A ; 2 0 A ;"], 3, "path entries are: <x> <y> <name>"),
+    (["path 1 0 A ; 2 x A"], 3, "path coordinates must be integers"),
+    (["path 1.5 0 A"], 3, "path coordinates must be integers"),
+    (["path 1 0 A ; 2 0 Q"], 3, "unknown tile 'Q'"),
+    (["path 1 0 A", "# a comment", "path 2 0 A"], 5, "more than one path line"),
+])
+def test_parse_path_line_errors(path_lines, line, message):
+    text = "tile A north=- east=g south=- west=g\nseed 0 0 A\n" + "\n".join(path_lines)
+    with pytest.raises(ParseError) as e:
+        parse_system(text)
+    assert e.value.line == line
+    assert str(e.value) == f"line {line}: {message}"
+
+
 def test_roundtrip_random_systems(rng):
     for _ in range(50):
         sys_ = oracle.random_system(rng)
@@ -321,6 +339,17 @@ def test_cli_budget_env(unit_file, tmp_path, _run, monkeypatch):
     monkeypatch.setenv("PUMPKIT_BUDGET_MAX_PATH_LEN", "2")
     r = _run(["oracle", "enumerate", str(unit_file)], tmp_path)
     assert "4 producible path(s)" in r.stdout
+
+
+def test_cli_analyze_bad_budget_env_is_usage_error(unit_file, tmp_path, _run,
+                                                   monkeypatch):
+    # The library reads the environment only when a route search starts;
+    # the CLI reads it up front, so every analyze run checks it.
+    monkeypatch.setenv("PUMPKIT_BUDGET_MAX_NODES", "x")
+    r = _run(["analyze", str(unit_file), "--bound-override", "2"], tmp_path)
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert "PUMPKIT_BUDGET_MAX_NODES" in r.stderr and r.stdout == ""
 
 
 def test_cli_bad_budget_env_is_usage_error(unit_file, tmp_path, _run, monkeypatch):

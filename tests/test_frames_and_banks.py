@@ -1,0 +1,215 @@
+"""One pass per frame: orientation, margins, early ``TooShort`` and visible banks.
+
+``driver._orient_east`` reads its quarter turn off the last tile's
+extremes and its margins off one bounding box; ``canonicalize`` reads its
+margins the same way and stops at once on a path with no more than
+``half`` tiles; ``GlueView`` builds its glue records with the column
+extremes and reads the visible banks off those extremes.  Inline copies
+of the code as it read before (per-turn point lists, the per-point margin
+translation, the separate glue pass and the per-glue visibility scan) are
+the references they must reproduce exactly: on criterion 9's corpus and
+on seeded random producible walks of 40-150 tiles.
+"""
+
+import random
+import time
+from itertools import chain
+
+import pytest
+
+from pumpkit import driver, oracle, tam
+from pumpkit.budgets import EnumBudget
+from pumpkit.driver import FLIP_V, IDENTITY, Frame, canonicalize
+from pumpkit.errors import TooShort
+from pumpkit.tam import Path
+from pumpkit.visibility import POINTING, GlueRef, GlueView
+
+from conftest import path_of, system_of
+from test_acceptance import CORPUS_SEED, _corpus
+
+REFERENCE_SECONDS = 5.0  # per test; each takes well under 2 s on a 2-core machine
+
+# The frames ``_case_tall_prefix`` turns its prefix by before orienting it.
+TALL_PREFIX_TURNS = (Frame.rotation(3), Frame.rotation(3).compose(FLIP_V))
+
+_TURNS = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0))
+
+
+def reference_to_margins(frame, sys_, p):
+    """``frame``, then the translation putting seed plus path on both axes."""
+    pts = frame._points(chain(sys_.seed.tiles, (q for q, _ in p.entries)))
+    return Frame.translation((-min(x for x, _ in pts),
+                              -min(y for _, y in pts))).compose(frame)
+
+
+def reference_orient_east(sys_, p, frame=IDENTITY):
+    """The first quarter turn whose point list has the last tile unique easternmost."""
+    pts = frame._points(chain(sys_.seed.tiles, (q for q, _ in p.entries)))
+    for k, (a, b, _, _) in enumerate(_TURNS):
+        xs = [a * x + b * y for x, y in pts]
+        if xs.count(xs[-1]) == 1 and xs[-1] == max(xs):
+            return reference_to_margins(Frame.rotation(k).compose(frame), sys_, p)
+    return None
+
+
+def reference_canonical_frame(sys_, p, dist):
+    """``canonicalize``'s frame from a scan of the whole path, or ``None``."""
+    half = dist + len(sys_.seed)
+    x0, y0 = p.pos(0)
+    east, west, north, south = x0 + half, x0 - half, y0 + half, y0 - half
+    b = next((s for s, ((x, y), _) in enumerate(p.entries)
+              if x == east or y == north or x == west or y == south), None)
+    if b is None:
+        return None
+    bx, by = p.pos(b)[0] - x0, p.pos(b)[1] - y0
+    turns = 0 if bx == half else 3 if by == half else 2 if bx == -half else 1
+    return reference_to_margins(
+        Frame.rotation(turns).compose(Frame.translation((-x0, -y0))), sys_, p.prefix(b))
+
+
+def reference_glue_refs(p):
+    """One glue record per consecutive tile pair, in a pass of its own."""
+    entries = p.entries
+    refs = []
+    for i in range(len(entries) - 1):
+        (x0, y0), t0 = entries[i]
+        x1, y1 = entries[i + 1][0]
+        step = (x1 - x0, y1 - y0)
+        mx = x0 + x1
+        refs.append(GlueRef(i, getattr(t0, tam.SIDE_OF_STEP[step]), POINTING[step],
+                            (mx, y0 + y1), mx % 2 == 1))
+    return refs
+
+
+def reference_banks(view):
+    """South- and north-visible glues by the per-glue ``visible`` scan."""
+    return ([g for g in view.glues if g.horizontal and view.visible(g.index, "south")],
+            [g for g in view.glues if g.horizontal and view.visible(g.index, "north")])
+
+
+def _corpus_paths():
+    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
+        for p in paths:
+            yield sys_, p
+
+
+def _producible_walks(rng, count):
+    """Seeded random producible walks of 40-150 tiles.
+
+    Each step goes to a free neighbour with a tile type whose facing glue
+    matches the current tile's, so every tile binds to its predecessor;
+    the first binds to a seed tile.  Walks that stall early are dropped.
+    """
+    made = 0
+    while made < count:
+        sys_ = oracle.random_system(rng, max_tiles=4, max_seed=3, alphabet="ab",
+                                    null_bias=0.2)
+        taken = set(sys_.seed.tiles)
+        here = rng.choice(sorted(taken))
+        tile = sys_.seed.tiles[here]
+        entries = []
+        for _ in range(rng.randint(40, 150)):
+            moves = []
+            for side, (dx, dy) in tam.STEP.items():
+                q = (here[0] + dx, here[1] + dy)
+                glue = tile.glue(side)
+                if q in taken or glue is None:
+                    continue
+                back = tam.SIDE_OF_STEP[(-dx, -dy)]
+                moves.extend((q, t) for t in sys_.tiles if t.glue(back) == glue)
+            if not moves:
+                break
+            here, tile = rng.choice(moves)
+            taken.add(here)
+            entries.append((here, tile))
+        p = Path(entries)
+        if len(p) < 40 or not tam.validate_producible_path(sys_, p):
+            continue
+        made += 1
+        yield sys_, p
+
+
+def _timed():
+    start = time.time()
+    return lambda: time.time() - start < REFERENCE_SECONDS
+
+
+def test_banks_from_columns_match_per_glue_scan():
+    within = _timed()
+    n_paths = n_visible = 0
+    for sys_, p in chain(_corpus_paths(), _producible_walks(random.Random(17), 300)):
+        view = GlueView(sys_, p)
+        assert view.glues == reference_glue_refs(p)
+        south, north = reference_banks(view)
+        assert view.south_visible() == south
+        assert view.north_visible() == north
+        n_paths += 1
+        n_visible += len(south) + len(north)
+    assert n_paths > 5000 and n_visible > 20000
+    assert within()
+
+
+def test_banks_are_fresh_lists_of_one_view():
+    sys_ = system_of([("Z", "z", "z", "z", "z")], {(0, 0): "Z"})
+    # Glues 0 and 2 share a column: only the lower is visible from the
+    # south, only the higher from the north.
+    view = GlueView(sys_, path_of(sys_, (1, 0, "Z"), (2, 0, "Z"), (2, 1, "Z"), (1, 1, "Z")))
+    first = view.south_visible()
+    first.clear()
+    assert [g.index for g in view.south_visible()] == [0]
+    assert [g.index for g in view.north_visible()] == [2]
+
+
+def test_orient_east_matches_per_turn_point_lists():
+    within = _timed()
+    counts = {"oriented": 0, "none": 0}
+    instances = chain(_producible_walks(random.Random(23), 200),
+                      (inst for n, inst in enumerate(_corpus_paths()) if n % 4 == 0))
+    for sys_, p in instances:
+        for frame in (IDENTITY,) + TALL_PREFIX_TURNS:
+            for cut in (len(p), len(p) // 2 + 1):
+                q = p.prefix(cut - 1)
+                want = reference_orient_east(sys_, q, frame)
+                assert driver._orient_east(sys_, q, frame) == want
+                counts["oriented" if want is not None else "none"] += 1
+    assert counts["oriented"] > 2000 and counts["none"] > 200
+    assert within()
+
+
+def test_canonical_frame_matches_per_point_margins():
+    within = _timed()
+    checked = 0
+    for sys_, p in _producible_walks(random.Random(29), 200):
+        for dist in (3, 8, 20):
+            want = reference_canonical_frame(sys_, p, dist)
+            try:
+                got = canonicalize(sys_, p, bound_override=dist).frame
+            except TooShort:
+                assert want is None
+                continue
+            assert got == want
+            checked += 1
+    assert checked > 300
+    assert within()
+
+
+@pytest.mark.parametrize("step", sorted(tam.STEP.values()))
+@pytest.mark.parametrize("dist", [1, 4, 9])
+def test_too_short_boundary_on_straight_paths(step, dist):
+    # One seed tile, so half = dist + 1.  Tile s of a straight path lies
+    # exactly s steps from tile 0: half tiles never reach the square, and
+    # half + 1 tiles reach it with the last one.
+    sys_ = system_of([("T", "g", "g", "g", "g")], {(0, 0): "T"})
+    half = dist + 1
+    dx, dy = step
+
+    def straight(n):
+        return path_of(sys_, *[((s + 1) * dx, (s + 1) * dy, "T") for s in range(n)])
+
+    with pytest.raises(TooShort):
+        canonicalize(sys_, straight(half), bound_override=dist)
+    assert reference_canonical_frame(sys_, straight(half), dist) is None
+    canon = canonicalize(sys_, straight(half + 1), bound_override=dist)
+    assert canon.truncated_at == half and len(canon.path) == half + 1
+    assert canon.frame == reference_canonical_frame(sys_, straight(half + 1), dist)

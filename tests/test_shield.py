@@ -14,7 +14,7 @@ from pumpkit import (
 )
 from pumpkit import formats, oracle, shield
 from pumpkit.budgets import EnumBudget
-from pumpkit.errors import ClaimViolation, EmptyRouteSet, NotAShield, WindowTooSmall
+from pumpkit.errors import ClaimViolation, NotAShield, WindowTooSmall
 from pumpkit.geometry import Side
 from pumpkit.shield import (
     Shield,
@@ -288,9 +288,9 @@ def test_progress_loop_advances_two_periods():
 
 # Shield (7, 9, 20) of a 52-tile random walk, with the cut and in the frame
 # that ``analyze`` decides it in.  The route graph reaches two goals, one
-# on each side of the exit ray at the exit glue's height, and the
-# endpoint-height filter rejects a route to either, so no route survives.
-# The change that lets this shield decide also drops the marker.
+# on each side of the exit ray at the exit glue's height.  Each is an
+# extension of a route to the other, at equal height; both link to the
+# same exit-ray point, so neither extension rejects the other's route.
 EQUAL_HEIGHT_GOALS_SYSTEM = """\
 tile A north=b east=c south=b west=-
 tile B north=b east=a south=a west=a
@@ -303,16 +303,19 @@ path 0 4 A ; 0 5 C ; 1 5 B ; 1 4 C ; 1 3 A ; 1 2 A ; 1 1 A ; 2 1 C ; 3 1 B ; \
 """
 
 
-@pytest.mark.xfail(strict=True, raises=EmptyRouteSet,
-                   reason="route search rejects goals at the exit glue's height")
 def test_equal_height_goals_decide():
     sys_, p = formats.parse_system(EQUAL_HEIGHT_GOALS_SYSTEM)
     assert len(p) == 27
-    out = pump_or_block(sys_, p, Shield(7, 9, 20))
-    if out.kind == "pumpable":
-        assert verify_pumpable_cert(sys_, out.pumpable).ok
-    else:
-        assert verify_fragile_cert(sys_, p, out.fragile).ok
+    sh = Shield(7, 9, 20)
+    out = pump_or_block(sys_, p, sh)
+    assert out.kind == "fragile" and out.branch == "route-conflict-east-copy"
+    assert verify_fragile_cert(sys_, p, out.fragile).ok
+    # The engine and the exhaustive oracle apply the same tie rule; the
+    # route ends at the goal east of the exit ray.
+    ws = build_workspace(sys_, p.prefix(sh.k + 1), sh)
+    route = build_r(ws)
+    assert route == oracle.brute_right_priority(ws)
+    assert route[-1] == (ws.exit2[0] + 1, ws.exit2[1])
 
 
 def test_route_matches_exhaustive_choice(rng):
