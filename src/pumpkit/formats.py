@@ -42,24 +42,6 @@ def parse_system(text: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, *rest = line.split(None, 1)
-        if head == "path":
-            if path_entries is not None:
-                raise ParseError(lineno, "more than one path line")
-            path_entries = []
-            for part in (rest[0] if rest else "").split(";"):
-                fields = part.split()
-                if len(fields) != 3:
-                    raise ParseError(lineno, "path entries are: <x> <y> <name>")
-                try:
-                    x, y = int(fields[0]), int(fields[1])
-                except ValueError:
-                    raise ParseError(lineno, "path coordinates must be integers")
-                t = tiles.get(fields[2])
-                if t is None:
-                    raise ParseError(lineno, f"unknown tile {fields[2]!r}")
-                path_entries.append(((x, y), t))
-            continue
         words = line.split()
         if words[0] == "tile":
             if len(words) != 6:
@@ -93,6 +75,22 @@ def parse_system(text: str):
             if (x, y) in seed_entries:
                 raise ParseError(lineno, f"seed position {(x, y)} repeated")
             seed_entries[(x, y)] = t
+        elif words[0] == "path":
+            if path_entries is not None:
+                raise ParseError(lineno, "more than one path line")
+            path_entries = []
+            for part in line[len("path"):].split(";"):
+                fields = part.split()
+                if len(fields) != 3:
+                    raise ParseError(lineno, "path entries are: <x> <y> <name>")
+                try:
+                    x, y = int(fields[0]), int(fields[1])
+                except ValueError:
+                    raise ParseError(lineno, "path coordinates must be integers")
+                t = tiles.get(fields[2])
+                if t is None:
+                    raise ParseError(lineno, f"unknown tile {fields[2]!r}")
+                path_entries.append(((x, y), t))
         else:
             raise ParseError(lineno, f"unknown directive {words[0]!r}")
     if not seed_entries:

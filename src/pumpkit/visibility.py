@@ -54,10 +54,6 @@ def _x_of(g: GlueRef) -> int:
     return g.midpoint[0]
 
 
-def _index(g: GlueRef) -> int:
-    return g.index
-
-
 class GlueView:
     """Per-column glue and blocking data of one path, for visibility queries.
 
@@ -141,7 +137,6 @@ class GlueView:
             if t.west is not None:
                 self.seed_glue_cols.add(2 * x - 1)
         self._vertical_spans: Optional[tuple[Span, ...]] = None
-        self._banks: Optional[tuple[list[GlueRef], list[GlueRef]]] = None
 
     @cached_property
     def rows(self) -> dict[int, tuple[GlueRef, GlueRef]]:
@@ -195,29 +190,28 @@ class GlueView:
             return lo >= gx if direction == "west" else hi <= gx
         raise ValueError(f"unknown direction {direction!r}")
 
-    def _visible_banks(self) -> tuple[list[GlueRef], list[GlueRef]]:
+    @cached_property
+    def _banks(self) -> tuple[list[GlueRef], list[GlueRef]]:
         """South- and north-visible glues in path order, from the column extremes."""
-        if self._banks is None:
-            south, north = [], []
-            pair_cols = self.pair_cols
-            for gx, (lo, hi) in self.cols.items():
-                low_pair, high_pair = pair_cols[gx]
-                if low_pair >= lo.midpoint[1]:
-                    south.append(lo)
-                if high_pair <= hi.midpoint[1]:
-                    north.append(hi)
-            south.sort(key=_index)
-            north.sort(key=_index)
-            self._banks = (south, north)
-        return self._banks
+        south, north = [], []
+        pair_cols = self.pair_cols
+        for gx, (lo, hi) in self.cols.items():
+            low_pair, high_pair = pair_cols[gx]
+            if low_pair >= lo.midpoint[1]:
+                south.append(lo)
+            if high_pair <= hi.midpoint[1]:
+                north.append(hi)
+        south.sort(key=lambda g: g.index)
+        north.sort(key=lambda g: g.index)
+        return south, north
 
     def south_visible(self) -> list[GlueRef]:
         """Glues visible from the south, in path order (a fresh list)."""
-        return list(self._visible_banks()[0])
+        return list(self._banks[0])
 
     def north_visible(self) -> list[GlueRef]:
         """Glues visible from the north, in path order (a fresh list)."""
-        return list(self._visible_banks()[1])
+        return list(self._banks[1])
 
     def vertical_spans(self) -> tuple[Span, ...]:
         """``spans(sys, path, "vertical")``, computed on first use and kept.

@@ -9,11 +9,11 @@ certificate.  It writes nothing under ``perfbench/``.
 
     python tools/pool_scan.py                      # about a minute on 2 cores
     python tools/pool_scan.py --out scan.txt       # one line per walk
-    python tools/pool_scan.py --stop 500           # the first 500 walks
 
 Two ``--out`` files, one from each of two checkouts, diff line by line,
 so a change of decision shows up as the walks it moved.  The exit status
-is 1 when ``analyze`` raised on any walk, else 0.
+is 1 when ``analyze`` raised on any walk or the digest differs from
+``POOL_DIGEST``, else 0.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 
 import gen  # noqa: E402
 from pumpkit import driver, formats  # noqa: E402
+
+# SHA-256 over every walk's record.  Any change to a decision branch or to
+# a certificate byte on a pool walk changes it, so it moves only with a
+# deliberate change of output; such a change updates it here.
+POOL_DIGEST = "2af68c9c45d2a09463ddbec5f65807f56d11e29776706cdef0187876d1f26ed6"
 
 
 def scan_one(n: int) -> tuple[str, str, str]:
@@ -51,15 +56,13 @@ def scan_one(n: int) -> tuple[str, str, str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", help="write one line per walk to this file")
-    ap.add_argument("--stop", type=int, default=gen.WALK_POOL,
-                    help=f"scan walks 0..STOP-1 (default {gen.WALK_POOL})")
     args = ap.parse_args(argv)
     kinds, branches = Counter(), Counter()
     digest = hashlib.sha256()
     errors = []
     out = open(args.out, "w", encoding="utf-8") if args.out else None
     try:
-        for n in range(args.stop):
+        for n in range(gen.WALK_POOL):
             kind, branch, record = scan_one(n)
             kinds[kind] += 1
             branches[branch] += 1
@@ -71,14 +74,18 @@ def main(argv=None) -> int:
     finally:
         if out is not None:
             out.close()
-    print(f"walks: {args.stop}")
+    print(f"walks: {gen.WALK_POOL}")
     print("kinds: " + ", ".join(f"{k} {v}" for k, v in sorted(kinds.items())))
     print("branches: " + ", ".join(f"{k} {v}" for k, v in sorted(branches.items())))
     print(f"sha256: {digest.hexdigest()}")
+    status = 0
     if errors:
         print(f"analyze raised on {len(errors)} walks: {errors}")
-        return 1
-    return 0
+        status = 1
+    if digest.hexdigest() != POOL_DIGEST:
+        print(f"sha256 differs from the pinned {POOL_DIGEST}")
+        status = 1
+    return status
 
 
 if __name__ == "__main__":
