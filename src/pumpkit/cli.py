@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (PumpkitError, OSError) as e:
+    except (PumpkitError, OSError, UnicodeDecodeError) as e:
         _sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
         return EXIT_USAGE if isinstance(e, BadBudget) else EXIT_ERROR
 

@@ -1,39 +1,48 @@
 """End-to-end analysis pipeline: canonical form, span bookkeeping, case split.
 
-Given a producible path, the driver rotates and truncates it into a
-canonical frame (last tile the unique easternmost), then hunts for a
-shield: first through the west-pointing glue pigeonhole, then through
-repeated spans (same glue type and orientation, non-decreasing height),
-splitting on whether some span height outruns the cone bound.  Every
-shield found is handed to the engine; results are mapped back into the
-caller's frame and re-verified there.
+The driver moves a producible path into a canonical frame (last tile
+the unique easternmost), finds a shield, hands it to the engine and
+re-verifies the certificate in the caller's frame.  The decision tree,
+with the trail tag each case writes:
 
-:class:`Frame` is the one place coordinate frames are handled: each
-rotation, mirror and translation the driver applies is a ``Frame``, and
-each branch restores its certificate through ``frame.inverse()``.
+- ``canonical(rot,cut)``, or ``below-bound(no truncation)`` and a
+  best-effort orientation (``not-orientable`` when none exists);
+- ``flip-vertical(orient visible bank)``: west glues visible from the
+  north; mirror north-south and start again (``depth-limit`` past three);
+- ``west-pigeonhole(i,j,k)``: two same-label west glues visible from the
+  south give a shield in the east-west mirror;
+- the span ledger over the east-pointing stretch of columns ending at
+  the last glue (``ledger-unavailable`` when spans are undefined), then
+  ``tall-span(col,h)`` for the first column whose span outruns the cone
+  bound, or else ``cone-case(c0)``.  A tall span is decided in the prefix
+  below it, upright (``flip-vertical(down span)``): ``narrow-prefix(i,j,k)``
+  while the span is short against the prefix's width, else
+  ``tall-prefix(north|south,rows)``, the prefix turned on its side and
+  run through this tree again; ``narrow-prefix-fallthrough``,
+  ``tall-prefix-too-flat``, ``tall-prefix-not-orientable`` and
+  ``tall-span-fallthrough`` mark a case that found nothing;
+- ``equal-span-pair(cols a,b)``: the westernmost repeated span pair,
+  upright (``flip-vertical(down spans)``), or ``no-span-pair``.
 
-Each frame is read from one bounding box of path plus seed: the quarter
-turn from which extreme the last tile holds (or, when canonicalizing,
-from the side of the square it reaches), and the margin translation from
-two opposite corners of the box.
+A decided shield writes ``engine:<branch>``; one the shield check rejects
+writes ``<case>-invalid:<reason>``.  ``FLIP_V`` maps each glue column onto
+itself and swaps its lowest and highest glue, keeping labels, pointing,
+seed glues and blocking pairs, so a down span reads upright there as the
+same span with ``s`` and ``n`` swapped (:func:`_flipped`).
 
-Each frame builds one :class:`~pumpkit.visibility.GlueView` and passes
-it down: the pigeonhole search, the span ledger, the pair search and the
-engine's shield check all read that one view, and its spans are computed
-once.  A branch that moves into a new frame (a vertical or horizontal
-flip, a turned prefix) builds the one view of that frame; the prefix
-below a tall span is a new path and gets its own view.  The engine
-reuses the view it is handed, even when it works on a shorter prefix.
+Every coordinate change is a :class:`Frame`, read off one bounding box
+of path plus seed and undone through ``frame.inverse()``.  Each frame
+builds one :class:`~pumpkit.visibility.GlueView`, shared by its cases and
+the engine's shield check; the prefix below a tall span gets its own.
 
-The theorem-scale distance bounds are astronomically beyond desk scale
-even for one tile type, so ``analyze`` accepts an explicit override; run
-without one it computes the true bound with exact integers and reports
-honestly that the path is too short.
+The theorem-scale distance bounds are far beyond desk scale even for one
+tile type, so ``analyze`` accepts an explicit override; without one it
+computes the true bound with exact integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import chain
 from typing import Optional
@@ -49,7 +58,7 @@ from .errors import (
     NotCanonical,
     TooShort,
 )
-from .shield import Shield, ShieldOutcome
+from .shield import Shield
 from .tam import Assembly, FragilityCert, Path, PumpingSpec, TileSystem, TileType
 from .visibility import GlueView, Span
 
@@ -324,17 +333,19 @@ class AnalysisResult:
             fragile=None if self.fragile is None else frame.apply(self.fragile))
 
 
-def _outcome_to_result(out: ShieldOutcome, trail: list[str]) -> AnalysisResult:
+def _run_shield(view: GlueView, sh: Shield, trail: list[str],
+                budget: Optional[EnumBudget], tag: str) -> Optional[AnalysisResult]:
+    """Decide ``sh`` in ``view``'s frame; a rejected shield writes ``<tag>-invalid``."""
+    try:
+        out = engine.pump_or_block(view.sys, view.path, sh, budget, view=view)
+    except NotAShield as e:
+        # Each case picks a shield the check accepts; the trail records a rejection.
+        trail.append(f"{tag}-invalid:{e}")
+        return None
     trail = trail + [f"engine:{out.branch}"]
     if out.kind == "pumpable":
         return AnalysisResult("pumpable", trail, pumpable=out.pumpable)
     return AnalysisResult("fragile", trail, fragile=out.fragile)
-
-
-def _run_shield(view: GlueView, sh: Shield, trail: list[str],
-                budget: Optional[EnumBudget]) -> AnalysisResult:
-    out = engine.pump_or_block(view.sys, view.path, sh, budget, view=view)
-    return _outcome_to_result(out, trail)
 
 
 def _within(frame: Frame, sys: TileSystem, p: Path,
@@ -344,45 +355,35 @@ def _within(frame: Frame, sys: TileSystem, p: Path,
     return None if res is None else res.moved(frame.inverse())
 
 
+def _flipped(span: Span) -> Span:
+    """A down span as the ``FLIP_V`` frame sees it: the same column, upright."""
+    return replace(span, s=span.n, n=span.s, orientation="up")
+
+
 # -- the decision tree ---------------------------------------------------------------
 
 
 def _west_pigeonhole_shield(view: GlueView, trail: list[str],
                             budget: Optional[EnumBudget]) -> Optional[AnalysisResult]:
     """Two same-type west glues visible from the south give a mirrored shield."""
-    west = [g for g in view.south_visible() if g.pointing == "west"]
     by_label: dict[str, list[int]] = {}
-    for g in west:
-        by_label.setdefault(g.label, []).append(g.index)
-    pair = None
-    for label in sorted(by_label):
-        idxs = by_label[label]
-        if len(idxs) >= 2:
-            pair = (idxs[0], idxs[1])
-            break
+    for g in view.south_visible():
+        if g.pointing == "west":
+            by_label.setdefault(g.label, []).append(g.index)
+    pair = next((idxs for _, idxs in sorted(by_label.items()) if len(idxs) >= 2), None)
     if pair is None:
         return None
-    i, j = pair
-    k = len(view.path) - 2
-    trail.append(f"west-pigeonhole(i={i},j={j},k={k})")
-
-    def runner(fsys, fpath):
-        try:
-            return _run_shield(GlueView(fsys, fpath), Shield(i, j, k), trail, budget)
-        except NotAShield as e:
-            trail.append(f"west-pigeonhole-invalid:{e}")
-            return None
-
-    return _within(FLIP_H, view.sys, view.path, runner)
+    sh = Shield(pair[0], pair[1], len(view.path) - 2)
+    trail.append(f"west-pigeonhole(i={sh.i},j={sh.j},k={sh.k})")
+    return _within(FLIP_H, view.sys, view.path,
+                   lambda fsys, fpath: _run_shield(GlueView(fsys, fpath), sh, trail,
+                                                   budget, "west-pigeonhole"))
 
 
 @dataclass
 class _Ledger:
-    columns: list[int]  # first-occurrence columns, ascending
-    heights: list[int]
-    by_column: dict[int, Span]
-    x0: int
-    x_last: int  # the easternmost glue column, appended as the final entry
+    stretch: dict[int, Span]  # the east spans of columns x0..x_last, ascending
+    columns: list[int]  # first-occurrence columns, ascending, then x_last once
 
 
 def _build_ledger(view: GlueView, trail: list[str]) -> Optional[_Ledger]:
@@ -393,32 +394,25 @@ def _build_ledger(view: GlueView, trail: list[str]) -> Optional[_Ledger]:
         # span bookkeeping is then undefined and no case can fire.
         trail.append(f"ledger-unavailable: {e}")
         return None
-    if not all_spans:
-        return None
-    x_last = max(all_spans)
+    # The last tile is the unique easternmost: its glue's east span exists.
+    x_last = max(all_spans, default=None)
+    if x_last is None or all_spans[x_last].pointing != "east":
+        raise ClaimViolation("ledger-east-end", "the last glue has no east-pointing span")
     # Largest west-contiguous stretch of east-pointing spans ending at the
     # easternmost column; below the bound earlier columns may misbehave, in
     # which case the ledger simply starts further east.
     x0 = x_last
     while (x0 - 1) in all_spans and all_spans[x0 - 1].pointing == "east":
         x0 -= 1
-    if all_spans[x_last].pointing != "east":
-        trail.append("ledger-empty: easternmost span does not point east")
-        return None
-    first_seen: dict[tuple[str, str], int] = {}
-    columns, heights = [], []
-    for col in range(x0, x_last + 1):
-        s = all_spans[col]
-        sig = (s.glue_type, s.orientation)
-        if sig not in first_seen:
-            first_seen[sig] = col
-            columns.append(col)
-            heights.append(s.height)
+    stretch = {col: all_spans[col] for col in range(x0, x_last + 1)}
+    first_seen = {}
+    for col, s in stretch.items():
+        first_seen.setdefault((s.glue_type, s.orientation), col)
     tiles = len(view.sys.tiles)
-    if len(columns) > 2 * tiles:
+    if len(first_seen) > 2 * tiles:
         raise ClaimViolation("ledger-size",
-                             f"{len(columns)} span signatures for {tiles} tile types")
-    return _Ledger(columns, heights, all_spans, x0, x_last)
+                             f"{len(first_seen)} span signatures for {tiles} tile types")
+    return _Ledger(stretch, [*first_seen.values(), x_last])
 
 
 def _find_couple_pair(ledger: _Ledger) -> Optional[tuple[Span, Span]]:
@@ -427,85 +421,53 @@ def _find_couple_pair(ledger: _Ledger) -> Optional[tuple[Span, Span]]:
     Columns ascend and each ``a`` stops at its first partner ``b``, so
     the first pair found is the lexicographically least.
     """
-    cols = [c for c in sorted(ledger.by_column) if ledger.x0 <= c <= ledger.x_last]
-    for ai, a in enumerate(cols):
-        sa = ledger.by_column[a]
-        if sa.pointing != "east":
-            continue
-        for b in cols[ai + 1:]:
-            sb = ledger.by_column[b]
-            if (sb.pointing == "east" and sb.glue_type == sa.glue_type
-                    and sb.orientation == sa.orientation
+    spans = list(ledger.stretch.values())
+    for ai, sa in enumerate(spans):
+        for sb in spans[ai + 1:]:
+            if (sb.glue_type == sa.glue_type and sb.orientation == sa.orientation
                     and sb.height >= sa.height):
                 return sa, sb
     return None
 
 
-def _couple_use(view: GlueView, ledger: _Ledger, sa: Span, sb: Span,
-                trail: list[str],
+def _couple_use(view: GlueView, sa: Span, sb: Span, trail: list[str],
                 budget: Optional[EnumBudget]) -> Optional[AnalysisResult]:
-    """Hand a repeated-span pair to the engine (mirrored upright if needed).
-
-    In the identity frame the ledger's spans are the frame's spans.
-    """
+    """Hand a repeated-span pair to the engine (mirrored upright if needed)."""
     trail.append(f"equal-span-pair(cols {sa.coordinate},{sb.coordinate})")
-    frame = IDENTITY
-    if sa.orientation == "down":
-        frame = FLIP_V
-        trail.append("flip-vertical(down spans)")
-
-    def runner(fsys, fpath):
-        if frame == IDENTITY:
-            fview, fspans = view, ledger.by_column
-        else:
-            fview = GlueView(fsys, fpath)
-            fspans = {s.coordinate: s for s in fview.vertical_spans()}
-        fa, fb = fspans[sa.coordinate], fspans[sb.coordinate]
-        sh = Shield(fa.s, fb.s, fb.n)
-        try:
-            return _run_shield(fview, sh, trail, budget)
-        except NotAShield as e:
-            trail.append(f"span-pair-invalid:{e}")
-            return None
-
-    return _within(frame, view.sys, view.path, runner)
+    if sa.orientation == "up":
+        return _run_shield(view, Shield(sa.s, sb.s, sb.n), trail, budget, "span-pair")
+    trail.append("flip-vertical(down spans)")
+    fa, fb = _flipped(sa), _flipped(sb)
+    sh = Shield(fa.s, fb.s, fb.n)
+    return _within(FLIP_V, view.sys, view.path, lambda fsys, fpath: _run_shield(
+        GlueView(fsys, fpath), sh, trail, budget, "span-pair"))
 
 
-def _case_tall_span(view: GlueView, ledger: _Ledger, c: int,
-                    trail: list[str], budget: Optional[EnumBudget],
-                    depth: int) -> Optional[AnalysisResult]:
+def _case_tall_span(view: GlueView, span: Span, trail: list[str],
+                    budget: Optional[EnumBudget], depth: int) -> Optional[AnalysisResult]:
     """A span taller than the cone allows: work inside the prefix below it."""
-    col = ledger.columns[c] if c < len(ledger.columns) else ledger.x_last
-    span_c = ledger.by_column[col]
-    trail.append(f"tall-span(col={col},h={span_c.height})")
+    trail.append(f"tall-span(col={span.coordinate},h={span.height})")
     frame = IDENTITY
-    if span_c.orientation == "down":
-        frame = FLIP_V
+    if span.orientation == "down":
+        frame, span = FLIP_V, _flipped(span)
         trail.append("flip-vertical(down span)")
-
-    def runner(fsys, fpath):
-        if frame == IDENTITY:
-            fspan = span_c
-        else:
-            fspan = {s.coordinate: s for s in GlueView(fsys, fpath).vertical_spans()}[col]
-        return _case_tall_span_upright(fsys, fpath, fspan, trail, budget, depth)
-
-    return _within(frame, view.sys, view.path, runner)
+    return _within(frame, view.sys, view.path,
+                   lambda fsys, fpath: _case_tall_span_upright(fsys, fpath, span, trail,
+                                                               budget, depth))
 
 
 def _case_tall_span_upright(sys: TileSystem, p: Path, span_c: Span,
                             trail: list[str], budget: Optional[EnumBudget],
                             depth: int) -> Optional[AnalysisResult]:
     tiles, seed = len(sys.tiles), len(sys.seed)
-    n_c = span_c.n
-    q = p.prefix(n_c + 1)
+    q = p.prefix(span_c.n + 1)
     viewq = GlueView(sys, q)
     x_prime = max((g.column for g in viewq.glues if g.horizontal), default=0)
-    narrow = span_c.height < 4 * tiles * (x_prime + 2) + 3 * seed + 1
-    if narrow:
+    if span_c.height < 4 * tiles * (x_prime + 2) + 3 * seed + 1:
         res = _case_narrow_prefix(viewq, span_c, trail, budget)
         if res is not None:
             return res
+        # No label's glues spread across the prefix; the tall-prefix case may still fire.
         trail.append("narrow-prefix-fallthrough")
     return _case_tall_prefix(sys, q, span_c, x_prime, trail, budget, depth)
 
@@ -513,12 +475,11 @@ def _case_tall_span_upright(sys: TileSystem, p: Path, span_c: Span,
 def _case_narrow_prefix(viewq: GlueView, span_c: Span, trail: list[str],
                         budget: Optional[EnumBudget]) -> Optional[AnalysisResult]:
     """Wide prefix: many same-type south glues exist; shift the exit ray clear."""
-    west_limit = min(x for x, _ in
-                     list(viewq.sys.seed.tiles) + list(viewq.path.positions))
-    candidates = [g for g in viewq.south_visible() if g.pointing == "east"]
+    west_limit = min(x for x, _ in chain(viewq.sys.seed.tiles, viewq.path.positions))
     by_label: dict[str, list] = {}
-    for g in candidates:
-        by_label.setdefault(g.label, []).append(g)
+    for g in viewq.south_visible():
+        if g.pointing == "east":
+            by_label.setdefault(g.label, []).append(g)
     col_c = span_c.coordinate
     for label in sorted(by_label):
         glues = sorted(by_label[label], key=lambda g: g.column)
@@ -528,11 +489,10 @@ def _case_narrow_prefix(viewq: GlueView, span_c: Span, trail: list[str],
         # geometry, i.e. land strictly west of the westernmost tile.
         if spread >= col_c + 1 - west_limit and i < j <= span_c.n:
             trail.append(f"narrow-prefix(i={i},j={j},k={span_c.n})")
-            try:
-                return _run_shield(viewq, Shield(i, j, span_c.n), trail, budget)
-            except NotAShield as e:
-                trail.append(f"narrow-prefix-invalid:{e}")
-    return None
+            res = _run_shield(viewq, Shield(i, j, span_c.n), trail, budget, "narrow-prefix")
+            if res is not None:
+                return res
+    return None  # no pair clears the ray; the caller records the fallthrough
 
 
 def _case_tall_prefix(sys: TileSystem, q: Path, span_c: Span, x_prime: int,
@@ -545,26 +505,23 @@ def _case_tall_prefix(sys: TileSystem, q: Path, span_c: Span, x_prime: int,
     top_rows = max(y for _, y in q.positions) - max(seed_ys)
     bot_rows = min(seed_ys) - min(y for _, y in q.positions)
     if top_rows >= needed:
-        target = max(seed_ys) + needed
-        b = next((s for s, (pos, _) in enumerate(q.entries)
-                  if pos[1] == target), None)
-        turn = Frame.rotation(3)  # clockwise: north faces east
+        target, turn = max(seed_ys) + needed, Frame.rotation(3)  # north faces east
         trail.append(f"tall-prefix(north,rows={top_rows})")
     elif bot_rows >= needed:
-        target = min(seed_ys) - needed
-        b = next((s for s, (pos, _) in enumerate(q.entries)
-                  if pos[1] == target), None)
-        turn = Frame.rotation(3).compose(FLIP_V)
+        target, turn = min(seed_ys) - needed, Frame.rotation(3).compose(FLIP_V)
         trail.append(f"tall-prefix(south,rows={bot_rows})")
     else:
+        # Only after narrow-prefix-fallthrough: a taller span leaves the rows needed.
         trail.append("tall-prefix-too-flat")
         return None
+    b = next((s for s, (pos, _) in enumerate(q.entries) if pos[1] == target), None)
     if b is None:
         raise ClaimViolation("tall-prefix-row",
                              "no tile on the target row despite the extent")
     qq = q.prefix(b)
     frame = _orient_east(sys, qq, turn)
     if frame is None:
+        # A guard for _orient_east: tile b alone holds the row that ``turn`` faces east.
         trail.append("tall-prefix-not-orientable")
         return None
     return _within(frame, sys, qq,
@@ -580,20 +537,17 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
     of path plus seed.
     """
     if depth > 3:
+        # Bounds the tall-prefix recursion; no known input nests this deep.
         trail.append("depth-limit")
         return None
     view = GlueView(sys, p)
-    north_west = [g for g in view.north_visible() if g.pointing == "west"]
-    if north_west:
-        south_east = all(g.pointing == "east" for g in view.south_visible())
-        if not south_east:
+    if any(g.pointing == "west" for g in view.north_visible()):
+        if not all(g.pointing == "east" for g in view.south_visible()):
             raise ClaimViolation("visible-side",
                                  "west glues visible on both banks")
         trail.append("flip-vertical(orient visible bank)")
-        return _within(
-            FLIP_V, sys, p,
-            lambda fsys, fpath: _spans_pipeline(fsys, fpath, trail, budget,
-                                                depth + 1))
+        return _within(FLIP_V, sys, p, lambda fsys, fpath: _spans_pipeline(
+            fsys, fpath, trail, budget, depth + 1))
     res = _west_pigeonhole_shield(view, trail, budget)
     if res is not None:
         return res
@@ -601,39 +555,37 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
     if ledger is None:
         return None
     tiles, seed_n = len(sys.tiles), len(sys.seed)
-    heights_all = ledger.heights + [ledger.by_column[ledger.x_last].height]
-    cols_all = ledger.columns + [ledger.x_last]
-    tall_c = next((c for c in range(len(cols_all))
-                   if heights_all[c] > 4 * tiles * tiles * (cols_all[c] + 4 * seed_n + 6)),
-                  None)
-    if tall_c is not None:
-        res = _case_tall_span(view, ledger, tall_c, trail, budget, depth)
+    tall = next((col for col in ledger.columns
+                 if ledger.stretch[col].height > 4 * tiles * tiles * (col + 4 * seed_n + 6)),
+                None)
+    if tall is not None:
+        res = _case_tall_span(view, ledger.stretch[tall], trail, budget, depth)
         if res is not None:
             return res
+        # The prefix below found nothing; the span pair may still decide.
         trail.append("tall-span-fallthrough")
     else:
         # Cone containment: every first-occurrence column sits within the
         # running height sum, whose exact-integer bounding chain is
         # re-checked wherever its base case applies.
-        total = ledger.x0
+        x0 = total = ledger.columns[0]
         c0 = None
-        chain_base = ledger.x0 <= 4 * tiles * (4 * seed_n + 6) - 2
-        for c in range(len(cols_all)):
-            if cols_all[c] > total:
+        chain_base = x0 <= 4 * tiles * (4 * seed_n + 6) - 2
+        for c, col in enumerate(ledger.columns):
+            if col > total:
                 c0 = c
                 break
             if chain_base and total > (4 * tiles) ** (2 * c + 1) * (4 * seed_n + 6) - 2:
                 raise ClaimViolation(
                     "cone-chain",
                     f"height sum {total} breaks the chain bound at step {c}")
-            if c < len(ledger.heights):
-                total += ledger.heights[c]
+            total += ledger.stretch[col].height
         trail.append(f"cone-case(c0={c0})")
     pair = _find_couple_pair(ledger)
     if pair is None:
         trail.append("no-span-pair")
         return None
-    return _couple_use(view, ledger, pair[0], pair[1], trail, budget)
+    return _couple_use(view, pair[0], pair[1], trail, budget)
 
 
 def analyze(sys: TileSystem, p: Path, bound_override: Optional[int] = None,

@@ -221,12 +221,6 @@ class FloodFill:
         raise RuntimeError(f"point {p} escaped both components")
 
 
-def floodfill_side(curve: PolyCurve, window: tuple[int, int, int, int],
-                   p: Point) -> Side:
-    """Side of ``p`` by flood fill; independent of the parity classifier."""
-    return FloodFill(curve, window).side(p)
-
-
 # -- exhaustive route selection ---------------------------------------------------
 
 

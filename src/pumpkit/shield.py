@@ -339,7 +339,7 @@ def _carrier_candidates(ws: Workspace):
     return out
 
 
-def dominant(ws: Workspace, _carrier_override=None) -> DominantInfo:
+def dominant(ws: Workspace) -> DominantInfo:
     """Find the anchor tile on the lowest carrier ray and split the workspace.
 
     The carrier ray has the pumping vector's direction, starts on the
@@ -353,12 +353,7 @@ def dominant(ws: Workspace, _carrier_override=None) -> DominantInfo:
     cands = _carrier_candidates(ws)
     if not cands:
         raise ClaimViolation("anchor-exists", "no carrier ray hits the segment")
-    if _carrier_override is None:
-        best = min(num for num, _, _ in cands)
-    else:
-        best = _carrier_override
-        if best not in {num for num, _, _ in cands}:
-            raise ClaimViolation("anchor-exists", "carrier override misses all tiles")
+    best = min(num for num, _, _ in cands)
     on_ray = [(x2, m) for num, x2, m in cands if num == best]
     if not on_ray:
         raise ClaimViolation("anchor-exists", "empty carrier ray")

@@ -292,18 +292,37 @@ def _climb(runs):
     return cells
 
 
+# Tower paths (one tile type, from (1, 0)) through the tall-span case, with
+# the override they run under and the trail tags they must write, in order.
+TALL_BRANCH_CASES = [
+    # The 51-row column beside the seed is taller than the cone allows.
+    # The prefix up to that span is far taller than wide, so it is turned
+    # on its side and the span pipeline runs again there and pumps.
+    ("E1 N50 W1 N1 E60", 55, ["tall-span(col=1,h=51)", "tall-prefix(north,rows=51)"]),
+    # A 9-column comb under the tall column: the prefix is wide enough for
+    # a same-label pair of south glues to clear the exit ray.
+    ("E9 N2 W9 N44 E12", None, ["tall-span(col=1,h=46)", "narrow-prefix(i=0,j=8,k=64)"]),
+    # Its mirror: the tall span points down and is read upright after a flip.
+    ("E9 S2 W9 S44 E12", None, ["tall-span(col=1,h=46)", "flip-vertical(down span)",
+                                "narrow-prefix(i=0,j=8,k=64)"]),
+    # A down span whose upright prefix reaches below the seed.
+    ("N46 E1 S48 W1 S1 E5", None, ["flip-vertical(down span)",
+                                   "tall-prefix(south,rows=46)"]),
+    # An up span whose prefix reaches below the seed, with no flip.
+    ("S50 E1 N53 W1 N1 E20", None, ["tall-span(col=1,h=54)",
+                                    "tall-prefix(south,rows=50)"]),
+]
+
+
 def test_analyze_reaches_tall_branches():
-    # The 51-row column beside the seed is taller than the cone allows,
-    # so the ledger takes the tall-span case.  The prefix up to that span
-    # is far taller than wide, so it is turned on its side (tall-prefix)
-    # and the span pipeline runs again there and pumps.
     sys_, _ = parse_system(TOWER_TEXT)
-    p = Path([(c, sys_.by_name["A"]) for c in _climb("E1 N50 W1 N1 E60")])
-    res = analyze(sys_, p, bound_override=55)
-    assert "tall-span(col=1,h=51)" in res.trail
-    assert "tall-prefix(north,rows=51)" in res.trail
-    assert res.kind == "pumpable"
-    assert verify_pumpable_cert(sys_, res.pumpable).ok
+    for runs, override, tags in TALL_BRANCH_CASES:
+        p = Path([(c, sys_.by_name["A"]) for c in _climb(runs)])
+        res = analyze(sys_, p, bound_override=override)
+        assert [t for t in res.trail if t in tags] == tags, (runs, res.trail)
+        assert ("flip-vertical(down span)" in res.trail) == ("flip-vertical(down span)" in tags)
+        assert res.kind == "pumpable", runs
+        assert verify_pumpable_cert(sys_, res.pumpable).ok
 
 
 def test_analyze_fragile_through_tall_prefix():
@@ -477,6 +496,24 @@ def test_reduce_random_snakes(rng):
         from pumpkit.tam import validate_producible_path
 
         assert validate_producible_path(red.sys, red.path).ok
+
+
+def test_driver_rejects_out_of_range_input(unit, unit_path):
+    with pytest.raises(BadCounts):
+        canonicalize(unit, unit_path, bound_override=0)
+    with pytest.raises(TypeError):
+        ROT90.apply("not a grid object")
+    A = unit.by_name["A"]
+    with pytest.raises(TooShort):
+        reduce_2ham([A], Path([((x, 0), A) for x in range(3)]), target_width=5)
+    with pytest.raises(TooShort):
+        reduce_2ham([A], Path([((0, 0), A)]))
+    # Adjacent but glue-mismatched: the re-seeded path does not bind.
+    sys_ = system_of([("X", None, "a", None, None), ("Y", None, None, None, "b")],
+                     {(9, 9): "X"})
+    X, Y = sys_.by_name["X"], sys_.by_name["Y"]
+    with pytest.raises(BadSystem, match="reduced path fails validation"):
+        reduce_2ham([X, Y], Path([((0, 0), X), ((1, 0), Y)]))
 
 
 def test_reduce_with_width_truncation(unit):

@@ -368,6 +368,19 @@ def test_cli_unreadable_input_is_error(tmp_path, _run, target):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_cli_non_utf8_input_is_error(unit_file, tmp_path, _run, command):
+    # A system file, and a certificate file, with a byte that is not UTF-8.
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"tile A north=a\xff\n")
+    args = ["validate", str(bad)] if command == "validate" else \
+        ["verify", str(unit_file), str(bad)]
+    r = _run(args, tmp_path)
+    assert r.returncode == 4
+    assert r.stderr.startswith("error: UnicodeDecodeError: ")
+    assert r.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("cert,line", [
     ("kind pumpable i=1 j=0\n", 1),
     ("kind pumpable i=0 j=1\nvector x 0\n", 2),

@@ -1,18 +1,22 @@
-"""One pass per frame: orientation, margins, early ``TooShort`` and visible banks.
+"""One pass per frame: orientation, margins, early ``TooShort``, visible banks, flips.
 
 ``driver._orient_east`` reads its quarter turn off the last tile's
 extremes and its margins off one bounding box; ``canonicalize`` reads its
 margins the same way and stops at once on a path with no more than
 ``half`` tiles; ``GlueView`` builds its glue records with the column
-extremes and reads the visible banks off those extremes.  Inline copies
-of the code as it read before (per-turn point lists, the per-point margin
-translation, the separate glue pass and the per-glue visibility scan) are
-the references they must reproduce exactly: on criterion 9's corpus and
-on seeded random producible walks of 40-150 tiles.
+extremes and reads the visible banks off those extremes; the driver reads
+a down span's upright form in the ``FLIP_V`` frame off the span itself
+(``driver._flipped``).  Inline copies of the code as it read before
+(per-turn point lists, the per-point margin translation, the separate
+glue pass, the per-glue visibility scan and the rebuilt ``FLIP_V`` view)
+are the references they must reproduce exactly: on criterion 9's corpus
+and on seeded random producible walks of 40-150 tiles (one-type tower
+walks for the flips).
 """
 
 import random
 import time
+from dataclasses import replace
 from itertools import chain
 
 import pytest
@@ -20,12 +24,14 @@ import pytest
 from pumpkit import driver, oracle, tam
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_V, IDENTITY, Frame, canonicalize
-from pumpkit.errors import TooShort
+from pumpkit.errors import NotCanonical, TooShort
+from pumpkit.formats import parse_system
 from pumpkit.tam import Path
 from pumpkit.visibility import POINTING, GlueRef, GlueView
 
 from conftest import path_of, system_of
 from test_acceptance import CORPUS_SEED, _corpus
+from test_driver import TALL_BRANCH_CASES, TOWER_TEXT, _climb
 
 REFERENCE_SECONDS = 5.0  # per test; each takes well under 2 s on a 2-core machine
 
@@ -87,6 +93,12 @@ def reference_banks(view):
             [g for g in view.glues if g.horizontal and view.visible(g.index, "north")])
 
 
+def reference_flipped_spans(sys_, p):
+    """The spans of a rebuilt ``FLIP_V`` view by column, as the driver looked them up."""
+    return {s.coordinate: s
+            for s in GlueView(FLIP_V.apply(sys_), FLIP_V.apply(p)).vertical_spans()}
+
+
 def _corpus_paths():
     budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
     for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
@@ -128,6 +140,35 @@ def _producible_walks(rng, count):
             continue
         made += 1
         yield sys_, p
+
+
+def _tower_walks(rng, count):
+    """Seeded self-avoiding tower walks from (1, 0), cut at their first easternmost tile.
+
+    The tower has one tile type with the same glue on every side, so every
+    self-avoiding walk that misses the seed is producible.  The walk moves
+    in straight runs of 1-12 tiles, which folds it over itself into many
+    down spans; the cut makes its last tile the unique easternmost.
+    """
+    sys_, _ = parse_system(TOWER_TEXT)
+    tile = sys_.by_name["A"]
+    made = 0
+    while made < count:
+        cells, taken = [(1, 0)], {(0, 0), (1, 0)}
+        for _ in range(rng.randint(5, 30)):
+            dx, dy = rng.choice(sorted(tam.STEP.values()))
+            for _ in range(rng.randint(1, 12)):
+                q = (cells[-1][0] + dx, cells[-1][1] + dy)
+                if q in taken:
+                    break
+                taken.add(q)
+                cells.append(q)
+        east = max(x for x, _ in cells)
+        cut = next(s for s, (x, _) in enumerate(cells) if x == east)
+        if cut < 2:
+            continue
+        made += 1
+        yield sys_, Path([(c, tile) for c in cells[:cut + 1]])
 
 
 def _timed():
@@ -213,3 +254,29 @@ def test_too_short_boundary_on_straight_paths(step, dist):
     canon = canonicalize(sys_, straight(half + 1), bound_override=dist)
     assert canon.truncated_at == half and len(canon.path) == half + 1
     assert canon.frame == reference_canonical_frame(sys_, straight(half + 1), dist)
+
+
+def test_flipped_span_matches_rebuilt_flip_view():
+    # Every span of the mirrored frame is the span on the same column with
+    # its two glues swapped; on a down span that is ``driver._flipped``.
+    within = _timed()
+    sys_, _ = parse_system(TOWER_TEXT)
+    fixtures = [(sys_, Path([(c, sys_.by_name["A"]) for c in _climb(runs)]))
+                for runs, _, _ in TALL_BRANCH_CASES]
+    n_spans = n_flips = 0
+    for sys_, p in chain(_corpus_paths(), fixtures, _tower_walks(random.Random(31), 1000)):
+        try:
+            spans = GlueView(sys_, p).vertical_spans()
+        except NotCanonical:
+            continue
+        rebuilt = reference_flipped_spans(sys_, p)
+        assert list(rebuilt) == [s.coordinate for s in spans]
+        for s in spans:
+            mirrored = replace(s, s=s.n, n=s.s, orientation="up" if s.n <= s.s else "down")
+            assert rebuilt[s.coordinate] == mirrored
+            if s.orientation == "down":
+                assert driver._flipped(s) == mirrored
+                n_flips += 1
+        n_spans += len(spans)
+    assert n_spans > 20000 and n_flips > 800
+    assert within()

@@ -5,7 +5,7 @@ import pytest
 from pumpkit import Path, PolyCurve, Side, classify_side, oracle
 from pumpkit.budgets import EnumBudget
 from pumpkit.errors import BadSystem, WindowTooSmall
-from pumpkit.oracle import FloodFill, floodfill_side
+from pumpkit.oracle import FloodFill
 
 from conftest import path_of, system_of
 
@@ -116,9 +116,10 @@ def test_brute_pumpable_spiral_none():
 def test_floodfill_vertical_line():
     curve = PolyCurve([(1, 0)], south_ray=True, north_ray=True)
     window = (-5, -5, 5, 5)
-    assert floodfill_side(curve, window, (4, 0)) is Side.RIGHT
-    assert floodfill_side(curve, window, (-4, 0)) is Side.LEFT
-    assert floodfill_side(curve, window, (1, 3)) is Side.ON
+    fill = FloodFill(curve, window)
+    assert fill.side((4, 0)) is Side.RIGHT
+    assert fill.side((-4, 0)) is Side.LEFT
+    assert fill.side((1, 3)) is Side.ON
 
 
 def test_floodfill_window_too_small():

@@ -20,7 +20,6 @@ from pumpkit.shield import (
     Shield,
     build_r,
     check_shield,
-    dominant,
 )
 from pumpkit.visibility import GlueView
 
@@ -200,17 +199,6 @@ def test_workspace_rejects_corrupted_shield():
     with pytest.raises(ClaimViolation) as e:
         build_workspace(sys_, p, Shield(0, 1, 2))
     assert e.value.claim in ("prefix-outside-workspace", "cut-simple")
-
-
-def test_dominant_rejects_corrupted_carrier(staircase):
-    sys_, p = staircase
-    sh = Shield(0, 2, 4)
-    pt = p.prefix(sh.k + 1)
-    ws = build_workspace(sys_, pt, sh)
-    good = dominant(ws)
-    assert good.m0 == 3
-    with pytest.raises(ClaimViolation):
-        dominant(ws, _carrier_override=good.carrier_num + 2)
 
 
 def test_unit_pumps_via_exit_repeat(unit, unit_path):

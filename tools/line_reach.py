@@ -5,7 +5,9 @@ line events in the package's own files only, then prints every executable
 line that no test reached, grouped into runs of consecutive lines per
 file.  Statements that raise ``ClaimViolation`` or ``NotAShield`` are left
 out: on producible inputs those checks cannot fire, so they are expected
-to stay unreached.  It needs only the standard library and pytest.
+to stay unreached.  Each file's executable lines are read before pytest
+starts, so an edit made during the run does not shift the report.  It
+needs only the standard library and pytest.
 
     python tools/line_reach.py                 # the Tier-1 suite
     python tools/line_reach.py -- tests/test_geometry.py -k sides
@@ -69,6 +71,11 @@ def runs(numbers: list[int]) -> list[str]:
 def main(argv: list[str]) -> int:
     args = argv[argv.index("--") + 1:] if "--" in argv else DEFAULT_ARGS
     prefix = PACKAGE + os.sep
+    executable = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            executable[name] = executable_lines(path) - expected_raise_lines(path)
     reached: dict[str, set[int]] = {}
 
     def local(frame, event, arg):
@@ -96,12 +103,8 @@ def main(argv: list[str]) -> int:
         threading.settrace(None)
 
     total = missed = 0
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE, name)
-        lines = executable_lines(path) - expected_raise_lines(path)
-        unreached = sorted(lines - reached.get(path, set()))
+    for name, lines in executable.items():
+        unreached = sorted(lines - reached.get(os.path.join(PACKAGE, name), set()))
         total += len(lines)
         missed += len(unreached)
         if unreached:
