@@ -29,7 +29,7 @@ system = TileSystem([Z], Assembly({(0, 0): Z}))
 path = Path([(pos, Z) for pos in cells])
 
 print("spans by glue column:")
-for s in spans(system, path, "vertical"):
+for s in spans(system, path):
     print(f"  column {s.coordinate}: glues {s.s}..{s.n}, {s.orientation}, "
           f"pointing {s.pointing}, height {s.height}")
 

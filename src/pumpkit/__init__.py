@@ -9,12 +9,13 @@ Layers, bottom up:
 
 ``geometry``
     exact integer geometry on the doubled lattice: curves, plane sides,
-    turns, translate disjointness.
+    turns.
 ``tam``
     tile systems, assemblies, producible paths, and the two certificate
-    verifiers.
+    verifiers; it imports only ``errors``.
 ``visibility``
-    glue visibility, spans, right-priority selection.
+    glue visibility and spans on glue columns, right-priority selection;
+    glue rows are read in the transposed frame.
 ``shield``
     the engine: from a shield triple to a verified certificate.
 ``driver``
@@ -45,8 +46,6 @@ from .geometry import (
     Side,
     Turn,
     classify_side,
-    embed_path,
-    precious_check,
     turn_right_of_path,
 )
 from .shield import (
@@ -80,8 +79,8 @@ __all__ = [
     "Span", "TileSystem", "TileType", "Turn", "analyze", "bound",
     "bound_theorem1_extent", "bound_theorem1_square_half_side",
     "bound_theorem_main_distance", "build_workspace", "canonicalize",
-    "classify_side", "embed_path", "enumerate_shields", "extract_path",
-    "precious_check", "pump_or_block", "pumping_term",
+    "classify_side", "enumerate_shields", "extract_path",
+    "pump_or_block", "pumping_term",
     "reduce_2ham", "replay_assembly_sequence", "right_priority", "spans",
     "transform", "turn_right_of_path",
     "validate_producible_path", "verify_fragile_cert", "verify_pumpable_cert",

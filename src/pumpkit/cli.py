@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import driver, formats, oracle, shield as engine, svgout, tam, visibility
 from .budgets import EnumBudget
-from .errors import BadBudget, BadSystem, PumpkitError
+from .errors import BadBudget, BadSystem, NotCanonical, PumpkitError
 from .tam import PumpingSpec
 
 EXIT_PUMPABLE = 0
@@ -131,11 +131,21 @@ def cmd_pump_or_block(args) -> int:
 
 def cmd_spans(args) -> int:
     system, path = _load_producible(args.file)
-    axis = "vertical" if args.axis == "v" else "horizontal"
-    for s in visibility.spans(system, path, axis):
+    names = {}
+    if args.axis == "h":  # glue rows are the glue columns of the transposed instance
+        system, path = driver.TRANSPOSE.apply(system), driver.TRANSPOSE.apply(path)
+        names = {"up": "right", "down": "left", "east": "north", "west": "south"}
+    try:
+        found = visibility.spans(system, path)
+    except NotCanonical as e:
+        if names:
+            raise NotCanonical(str(e).replace("axis vertical", "axis horizontal")) from None
+        raise
+    for s in found:
         print(f"span coord={s.coordinate} s={s.s} n={s.n} "
-              f"orient={s.orientation} pointing={s.pointing or '-'} "
-              f"type={s.glue_type} extent={s.extent}")
+              f"orient={names.get(s.orientation, s.orientation)} "
+              f"pointing={names.get(s.pointing, s.pointing) or '-'} "
+              f"type={s.glue_type} extent={s.height}")
     return 0
 
 

@@ -205,6 +205,7 @@ IDENTITY = Frame()
 ROT90 = Frame.rotation(1)
 FLIP_H = Frame((-1, 0, 0, 1))  # east and west swap
 FLIP_V = Frame((1, 0, 0, -1))  # north and south swap
+TRANSPOSE = Frame((0, 1, 1, 0))  # glue rows become glue columns, west becomes south
 
 
 def transform(sys: TileSystem, frame: Frame) -> TileSystem:

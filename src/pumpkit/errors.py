@@ -27,10 +27,6 @@ class NotOnCurve(PumpkitError):
     pass
 
 
-class ZeroVector(PumpkitError):
-    pass
-
-
 class WindowTooSmall(PumpkitError):
     pass
 

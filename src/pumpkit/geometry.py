@@ -1,6 +1,6 @@
 """Exact integer geometry on the doubled lattice.
 
-Everything in this package that has a position lives on a lattice whose
+Everything in this module that has a position lives on a lattice whose
 unit is *half* a tile edge: a tile centered at tile coordinates (x, y)
 sits at the doubled point (2x, 2y), and the midpoint of the shared edge
 between two adjacent tiles has exactly one odd doubled coordinate.  All
@@ -44,7 +44,7 @@ import enum
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     EmptyPath,
@@ -52,7 +52,6 @@ from .errors import (
     NotAdjacent,
     NotAlmostVertical,
     NotOnCurve,
-    ZeroVector,
 )
 
 Point = tuple[int, int]
@@ -270,6 +269,7 @@ class PolyCurve:
                            self.diagonal_table())
         return self._sides
 
+    # Kept: the reference "on the curve" predicate of walk_sides' docstring and the tests.
     def contains(self, p: Point) -> bool:
         if p in self.lattice_set():
             return True
@@ -286,26 +286,6 @@ class PolyCurve:
     def translate(self, v: Displacement) -> "PolyCurve":
         return PolyCurve([add(p, v) for p in self.points],
                          self.south_ray, self.north_ray)
-
-
-
-def embed_path(positions: Sequence[Point]) -> PolyCurve:
-    """Piecewise-linear curve through the doubled centers of a tile path.
-
-    Input positions are in tile coordinates; consecutive ones must be
-    grid neighbours.  A single tile yields a degenerate one-point curve.
-    """
-    if len(positions) == 0:
-        raise EmptyPath("cannot embed an empty path")
-    doubled = []
-    prev = None
-    for pos in positions:
-        p = (2 * pos[0], 2 * pos[1])
-        if prev is not None and abs(p[0] - prev[0]) + abs(p[1] - prev[1]) != 2:
-            raise NotAdjacent(f"positions {prev} and {p} (doubled) are not adjacent")
-        doubled.append(p)
-        prev = p
-    return PolyCurve(doubled)
 
 
 # -- side classification ----------------------------------------------------
@@ -611,21 +591,3 @@ def clockwise_successors(prev: Point, cur: Point) -> list[Point]:
     back = sub(prev, cur)
     r1 = rot_cw(back)
     return [add(cur, rot_cw(rot_cw(r1))), add(cur, rot_cw(r1)), add(cur, r1)]
-
-
-# -- translate disjointness ---------------------------------------------------
-
-def precious_check(cells: Iterable[Point], v: Displacement) -> bool:
-    """Whether a cell set is disjoint from its translate by ``v``.
-
-    Cells are unit squares addressed by their (doubled, even) centers.
-    When this premise holds for a connected set, the translate by any
-    nonzero multiple of ``v`` is disjoint as well; the property suite
-    checks that consequence against this predicate.
-    """
-    if v == (0, 0):
-        raise ZeroVector("translate vector must be nonzero")
-    cset = set(cells)
-    if not cset:
-        raise ValueError("cell set must be nonempty")
-    return cset.isdisjoint({add(p, v) for p in cset})

@@ -1,10 +1,10 @@
 """Noncooperative (temperature 1) tile assembly: systems, paths, verifiers.
 
-Positions here are plain tile coordinates on Z^2; the doubled lattice of
-:mod:`pumpkit.geometry` is entered only when embedding paths as curves.
-A tile binds when at least one abutting pair of sides carries the same
-non-null glue label, so glue strengths never appear explicitly: a present
-label has strength 1, an absent one strength 0.
+Positions here are plain tile coordinates on Z^2.  The module imports
+nothing of the package but its errors, so the verifiers share no code
+with the engine.  A tile binds when at least one abutting pair of sides
+carries the same non-null glue label, so glue strengths never appear
+explicitly: a present label has strength 1, an absent one strength 0.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from . import geometry
 from .errors import BadSystem, BadTarget, IllegalAttachment, Occupied
 
 Position = tuple[int, int]
@@ -258,6 +257,7 @@ def replay_assembly_sequence(sys: TileSystem,
     return Assembly(tiles, require_connected=False)
 
 
+# Kept: the executable form of the lemma oracle.brute_fragile's completeness rests on.
 def extract_path(sys: TileSystem, alpha: Assembly, target: Position) -> Path:
     """A producible path through ``alpha`` ending at ``target``.
 
@@ -363,8 +363,9 @@ def verify_pumpable_cert(sys: TileSystem, spec: PumpingSpec) -> VerifyResult:
     three finite checks suffice:
 
     (a) the first repeated tile binds across the seam to tile ``j``;
-    (b) one period avoids its own translate, which by the translate
-        disjointness lemma separates all pairs of periods;
+    (b) no two period copies overlap: copies ``d`` periods apart lie
+        ``d * |v_a|`` apart along ``v``'s dominant axis ``a``, so only
+        ``d`` up to the period's extent along ``a`` over ``|v_a|`` is tested;
     (c) enough initial periods avoid the seed and the retained prefix
         that the remaining ones are past every finite obstacle, the count
         coming from the bounding boxes and the vector's dominant axis.
@@ -386,16 +387,18 @@ def verify_pumpable_cert(sys: TileSystem, spec: PumpingSpec) -> VerifyResult:
         return VerifyResult(False, "(a) seam tiles are not adjacent")
     if not seam_type.interacts(repeat_type, step):
         return VerifyResult(False, "(a) seam glue does not bind")
-    # (b) period avoids its own translate
+    # (b) no two period copies overlap
     period_pos = [pos for pos, _ in entries[i + 1:j + 1]]
-    if not geometry.precious_check([(2 * x, 2 * y) for x, y in period_pos],
-                                   (2 * v[0], 2 * v[1])):
-        return VerifyResult(False, "(b) period overlaps its translate")
+    px0, py0, px1, py1 = _bbox(period_pos)
+    a = 0 if abs(v[0]) >= abs(v[1]) else 1
+    period = set(period_pos)
+    for d in range(1, (px1 - px0, py1 - py0)[a] // abs(v[a]) + 1):
+        if any((x + d * v[0], y + d * v[1]) in period for x, y in period_pos):
+            return VerifyResult(False, "(b) period overlaps its translate")
     # (c) enough periods clear all finite geometry
     obstacles = set(sys.seed.tiles)
     obstacles.update(pos for pos, _ in entries[:i + 1])
     ox0, oy0, ox1, oy1 = _bbox(obstacles)
-    px0, py0, px1, py1 = _bbox(period_pos)
     step_len = max(abs(v[0]), abs(v[1]))
     span = max(ox1, px1) - min(ox0, px0) + max(oy1, py1) - min(oy0, py0)
     reps = span // step_len + 2
@@ -426,7 +429,7 @@ class FragilityCert:
 
 def verify_fragile_cert(sys: TileSystem, p: Path,
                         cert: FragilityCert) -> VerifyResult:
-    """Replay the certificate and check it really conflicts with the path."""
+    """Replay the certificate and check it conflicts with the path's producible prefix."""
     try:
         final = replay_assembly_sequence(sys, cert.attachments)
     except IllegalAttachment as e:
@@ -437,6 +440,10 @@ def verify_fragile_cert(sys: TileSystem, p: Path,
     want_idx = p.index_of(cert.conflict)
     if want_idx is None:
         return VerifyResult(False, "conflict position is not on the path")
+    rep = validate_producible_path(sys, p.prefix(want_idx))
+    if not rep:
+        return VerifyResult(False, f"path prefix 0..{want_idx} is not producible: "
+                                   f"{rep.code} at index {rep.index}")
     if p.type(want_idx) == placed:
         return VerifyResult(False, "NoConflict: same tile type at conflict position")
     return VerifyResult(True)

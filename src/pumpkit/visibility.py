@@ -7,6 +7,10 @@ ray runs on a glue column (odd doubled x) it can only be blocked by other
 glues of the path on the same column, or by the edge between two
 horizontally adjacent seed tiles straddling that column; this makes
 visibility a per-column min/max question and keeps everything exact.
+
+This module works on glue columns only, as the paper's spans do.  East
+and west rays, and spans along glue rows, are the south and north rays
+and the column spans of the transposed instance (``driver.TRANSPOSE``).
 """
 
 from __future__ import annotations
@@ -50,10 +54,6 @@ class GlueRef:
         return (self.midpoint[0] - 1) // 2
 
 
-def _x_of(g: GlueRef) -> int:
-    return g.midpoint[0]
-
-
 class GlueView:
     """Per-column glue and blocking data of one path, for visibility queries.
 
@@ -62,15 +62,13 @@ class GlueView:
     interacts and whichever of the two assemblies each tile comes from.
     Consecutive path pairs (the glues themselves, and with them every
     crossing of the path's embedding) are such pairs, so the lowest and
-    highest pair midpoint on each column/row answer every visibility
-    query in O(1); the stronger rule is what keeps the engine's workspace
-    free of the seed and the retained prefix in every case.
+    highest pair midpoint on each column answer every visibility query in
+    O(1); the stronger rule is what keeps the engine's workspace free of
+    the seed and the retained prefix in every case.
 
     The glue records and the column data (``cols``, ``pair_cols``,
-    ``seed_glue_cols``), which south/north visibility and vertical spans
-    read, are built with the view, the records and ``cols`` in one pass.
-    The row data (``rows``, ``pair_rows``, ``seed_glue_rows``), which only
-    east/west visibility and horizontal spans read, is built on first use.
+    ``seed_glue_cols``) are built with the view, the records and ``cols``
+    in one pass.
 
     The visible banks are read off the column extremes, once per view.  A
     horizontal glue joins two horizontally adjacent tiles, so it is itself
@@ -138,57 +136,19 @@ class GlueView:
                 self.seed_glue_cols.add(2 * x - 1)
         self._vertical_spans: Optional[tuple[Span, ...]] = None
 
-    @cached_property
-    def rows(self) -> dict[int, tuple[GlueRef, GlueRef]]:
-        """Leftmost and rightmost glue on each glue row, ties as in ``cols``."""
-        groups: dict[int, list[GlueRef]] = {}
-        for g in self.glues:
-            if not g.horizontal:
-                groups.setdefault(g.midpoint[1], []).append(g)
-        return {key: (min(gs, key=_x_of), max(reversed(gs), key=_x_of))
-                for key, gs in groups.items()}
-
-    @cached_property
-    def pair_rows(self) -> dict[int, tuple[int, int]]:
-        """Leftmost and rightmost midpoint of the pairs straddling each glue row."""
-        tiles = set(self.sys.seed.tiles)
-        tiles.update(pos for pos, _ in self.path.entries)
-        groups: dict[int, list[int]] = {}
-        for (x, y) in tiles:
-            if (x, y + 1) in tiles:
-                groups.setdefault(2 * y + 1, []).append(2 * x)
-        return {key: (min(cs), max(cs)) for key, cs in groups.items()}
-
-    @cached_property
-    def seed_glue_rows(self) -> set[int]:
-        """Rows carrying a labelled seed glue; ineligible for spans."""
-        rows = set()
-        for (x, y), t in self.sys.seed.tiles.items():
-            if t.north is not None:
-                rows.add(2 * y + 1)
-            if t.south is not None:
-                rows.add(2 * y - 1)
-        return rows
-
     # -- visibility ---------------------------------------------------------
 
     def visible(self, i: int, direction: str) -> bool:
+        """Whether glue ``i`` is visible from the ``"south"`` or ``"north"``."""
+        if direction not in ("south", "north"):
+            raise ValueError(f"unknown direction {direction!r}")
         g = self.glues[i]
-        if direction in ("south", "north"):
-            if not g.horizontal:
-                raise OrientationMismatch(
-                    f"glue {i} points {g.pointing}; no {direction} ray from it")
-            gx, gy = g.midpoint
-            lo, hi = self.pair_cols[gx]  # holds at least the glue's own pair
-            return lo >= gy if direction == "south" else hi <= gy
-        if direction in ("east", "west"):
-            if g.horizontal:
-                raise OrientationMismatch(
-                    f"glue {i} points {g.pointing}; no {direction} ray from it")
-            gx, gy = g.midpoint
-            lo, hi = self.pair_rows[gy]
-            return lo >= gx if direction == "west" else hi <= gx
-        raise ValueError(f"unknown direction {direction!r}")
+        if not g.horizontal:
+            raise OrientationMismatch(
+                f"glue {i} points {g.pointing}; no {direction} ray from it")
+        gx, gy = g.midpoint
+        lo, hi = self.pair_cols[gx]  # holds at least the glue's own pair
+        return lo >= gy if direction == "south" else hi <= gy
 
     @cached_property
     def _banks(self) -> tuple[list[GlueRef], list[GlueRef]]:
@@ -214,13 +174,13 @@ class GlueView:
         return list(self._banks[1])
 
     def vertical_spans(self) -> tuple[Span, ...]:
-        """``spans(sys, path, "vertical")``, computed on first use and kept.
+        """``spans(sys, path)``, computed on first use and kept.
 
         A path whose spans are undefined raises :class:`NotCanonical` on
         every call, exactly as :func:`spans` does.
         """
         if self._vertical_spans is None:
-            self._vertical_spans = tuple(spans(self.sys, self.path, "vertical", view=self))
+            self._vertical_spans = tuple(spans(self.sys, self.path, view=self))
         return self._vertical_spans
 
     def seed_glue_midpoints(self) -> list[Point]:
@@ -246,11 +206,11 @@ def visible(sys: TileSystem, p: Path, i: int, direction: str) -> bool:
 
 @dataclass(slots=True)
 class Span:
-    """Extremal visible glue pair on one glue column (or row).
+    """Extremal visible glue pair on one glue column.
 
-    ``s`` is the glue index visible from the south (west for horizontal
-    spans), ``n`` the one visible from the north (east).  ``coordinate``
-    is the glue column (row) in tile units.
+    ``s`` is the glue index visible from the south, ``n`` the one visible
+    from the north, and ``coordinate`` the glue column in tile units.
+    Spans along glue rows are the spans of the transposed instance.
 
     A plain slotted record, like :class:`GlueRef`: a walk builds dozens
     per frame.  Nothing changes a ``Span`` after it is built, and nothing
@@ -260,69 +220,54 @@ class Span:
     s: int
     n: int
     coordinate: int
-    axis: str  # "vertical" | "horizontal"
-    orientation: str  # up/down for vertical, right/left for horizontal
+    orientation: str  # "up" when s <= n, else "down"
     pointing: Optional[str]
     glue_type: str
-    extent: int  # height of a vertical span, width of a horizontal one
-
-    @property
-    def height(self) -> int:
-        return self.extent
+    height: int
 
 
-def _axis_spans(view: GlueView, vertical: bool) -> list[Span]:
-    if vertical:
-        groups, seed_glue, pair_ends = view.cols, view.seed_glue_cols, view.pair_cols
-        a, axis, ascending, descending = 1, "vertical", "up", "down"
-    else:
-        groups, seed_glue, pair_ends = view.rows, view.seed_glue_rows, view.pair_rows
-        a, axis, ascending, descending = 0, "horizontal", "right", "left"
+def _axis_spans(view: GlueView) -> list[Span]:
+    seed_glue, pair_cols = view.seed_glue_cols, view.pair_cols
     out = []
-    for key in sorted(groups):
+    for key in sorted(view.cols):
         if key in seed_glue:
             continue
-        lo, hi = groups[key]
-        lo_c, hi_c = lo.midpoint[a], hi.midpoint[a]
-        low_pair, high_pair = pair_ends[key]
-        if low_pair < lo_c or high_pair > hi_c:
+        lo, hi = view.cols[key]
+        lo_y, hi_y = lo.midpoint[1], hi.midpoint[1]
+        low_pair, high_pair = pair_cols[key]
+        if low_pair < lo_y or high_pair > hi_y:
             continue  # a straddling tile pair blocks an extremal ray
         s, n = lo.index, hi.index
         pointing = lo.pointing if lo.pointing == hi.pointing else None
-        # Both extremal glues lie on the column (row), so their midpoints
-        # differ along it by twice the tile distance of tiles s and n.
+        # Both extremal glues lie on the column, so their midpoints differ
+        # along it by twice the tile distance of tiles s and n.
         first = lo if s <= n else hi
-        out.append(Span(s, n, (key - 1) // 2, axis, ascending if s <= n else descending,
-                        pointing, first.label, (hi_c - lo_c) // 2))
+        out.append(Span(s, n, (key - 1) // 2, "up" if s <= n else "down",
+                        pointing, first.label, (hi_y - lo_y) // 2))
     return out
 
 
-def spans(sys: TileSystem, p: Path, axis: str = "vertical",
-          view: Optional[GlueView] = None) -> list[Span]:
-    """One span per eligible glue column (row), sorted by coordinate.
+def spans(sys: TileSystem, p: Path, view: Optional[GlueView] = None) -> list[Span]:
+    """One span per eligible glue column, sorted by column.
 
     Requires the path's last glue to be the unique easternmost glue of
-    path and seed for the vertical axis (unique highest for horizontal);
-    this guarantees each column's extremal glues really are visible.
-    Columns carrying labelled seed glues are skipped, as are columns where
-    an unlabelled seed edge blocks the extremal ray.  ``view``, when
-    given, is a prebuilt :class:`GlueView` of ``(sys, p)``; the first
-    horizontal call builds its row data.  Each :class:`Span` is a fresh
-    slotted record, compared by value and not hashable.
+    path and seed; this guarantees each column's extremal glues really
+    are visible.  Columns carrying labelled seed glues are skipped, as are
+    columns where an unlabelled seed edge blocks the extremal ray.
+    ``view``, when given, is a prebuilt :class:`GlueView` of ``(sys, p)``.
+    Each :class:`Span` is a fresh slotted record, compared by value and
+    not hashable.
     """
-    if axis not in ("vertical", "horizontal"):
-        raise ValueError("axis must be 'vertical' or 'horizontal'")
     if len(p) < 2:
         raise NotCanonical("path has no glues")
     if view is None:
         view = GlueView(sys, p)
-    last = view.glues[-1]
-    coord = 0 if axis == "vertical" else 1
+    last_x = view.glues[-1].midpoint[0]
     rest = [g.midpoint for g in view.glues[:-1]] + view.seed_glue_midpoints()
-    if any(m[coord] >= last.midpoint[coord] for m in rest):
-        raise NotCanonical(
-            f"last glue is not the unique extremal glue on axis {axis}")
-    return _axis_spans(view, vertical=(axis == "vertical"))
+    if any(m[0] >= last_x for m in rest):
+        # The driver's ledger-unavailable trail quotes this text, axis and all.
+        raise NotCanonical("last glue is not the unique extremal glue on axis vertical")
+    return _axis_spans(view)
 
 
 # -- right priority ------------------------------------------------------------

@@ -18,7 +18,6 @@ from pumpkit import (
     bound,
     classify_side,
     enumerate_shields,
-    precious_check,
     pump_or_block,
     pumping_term,
     verify_fragile_cert,
@@ -226,7 +225,8 @@ def test_criterion_5_lemma_property_suites():
             dx, dy = rng3.choice([(2, 0), (-2, 0), (0, 2), (0, -2)])
             cells.add((x + dx, y + dy))
         v = (rng3.randrange(-8, 9) * 2, rng3.randrange(-8, 9) * 2)
-        if v == (0, 0) or not precious_check(cells, v):
+        # The premise: the cells avoid their translate by v.
+        if v == (0, 0) or cells & {(x + v[0], y + v[1]) for x, y in cells}:
             continue
         tested += 1
         for c in range(-8, 9):
@@ -399,6 +399,9 @@ def _reference_verify_pumpable(sys_, spec):
 
     Kept verbatim apart from the module prefixes, as the behaviour the
     sliced verifier must reproduce: same checks, same order, same reasons.
+    Check (b) tests one translate and rests on the translate-disjointness
+    lemma, where the verifier tests every translate that can meet the
+    period; the two agreeing on every certificate and mutant compares them.
     """
     p, i, j = spec.path, spec.i, spec.j
     rep = tam.validate_producible_path(sys_, p.prefix(j))
@@ -414,8 +417,8 @@ def _reference_verify_pumpable(sys_, spec):
     if not p.type(j).interacts(p.type(i + 1), step):
         return tam.VerifyResult(False, "(a) seam glue does not bind")
     period_pos = [p.pos(s) for s in range(i + 1, j + 1)]
-    if not precious_check([(2 * x, 2 * y) for x, y in period_pos],
-                          (2 * v[0], 2 * v[1])):
+    # One translate only: the translate-disjointness lemma extends it to all.
+    if set(period_pos) & {(x + v[0], y + v[1]) for x, y in period_pos}:
         return tam.VerifyResult(False, "(b) period overlaps its translate")
     obstacles = set(sys_.seed.tiles)
     obstacles.update(p.pos(s) for s in range(0, i + 1))

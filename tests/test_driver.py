@@ -424,7 +424,7 @@ def test_view_spans_match_fresh_spans(rng):
                 continue
             view = GlueView(sys_, p)
             try:
-                want = spans(sys_, p, "vertical")
+                want = spans(sys_, p)
             except NotCanonical:
                 with pytest.raises(NotCanonical):
                     view.vertical_spans()

@@ -278,6 +278,22 @@ def test_cli_verify_rejects_floating_path(tmp_path, _run):
     assert r.returncode == 4 and "certificate: INVALID" in r.stdout
 
 
+def test_cli_verify_rejects_unproducible_fragile_path(tmp_path, _run):
+    # The replay is legal and conflicts at index 1, where the path itself
+    # breaks: B's east glue b does not bind A's west glue a.
+    f = tmp_path / "broken.tiles"
+    f.write_text("tile A north=- east=a south=- west=a\n"
+                 "tile B north=- east=b south=- west=a\n"
+                 "tile C north=- east=- south=- west=a\n"
+                 "seed 0 0 A\npath 1 0 B ; 2 0 A\n")
+    cert = tmp_path / "cert.txt"
+    cert.write_text("kind fragile\nattach 1 0 A\nattach 2 0 C\nconflict 2 0\n")
+    r = _run(["verify", str(f), str(cert)], tmp_path)
+    assert r.returncode == 4
+    assert r.stdout == ("certificate: INVALID (path prefix 0..1 is not producible: "
+                        "GlueMismatch at index 1)\n")
+
+
 def test_cli_shields_spans_render_bound(unit_file, tmp_path, _run):
     assert "shield 0 1 1" in _run(["shields", str(unit_file)], tmp_path).stdout
     spans_out = _run(["spans", str(unit_file)], tmp_path).stdout
@@ -287,6 +303,38 @@ def test_cli_shields_spans_render_bound(unit_file, tmp_path, _run):
     assert out.read_text().startswith("<svg")
     assert _run(["bound", "--tiles", "1", "--seed", "1"],
                 tmp_path).stdout.strip() == "10240"
+
+
+# The battlements path turned a quarter counterclockwise: its glue rows carry
+# the spans of heights 0, 6 and 8 that its glue columns carried.
+ROT_BATTLEMENTS_TEXT = """\
+tile Z north=z east=z south=z west=z
+seed 0 0 Z
+path 0 1 Z ; 0 2 Z ; 0 3 Z ; 0 4 Z ; 0 5 Z ; 0 6 Z ; -1 6 Z ; -2 6 Z ; -3 6 Z ; \
+-3 5 Z ; -3 4 Z ; -3 3 Z ; -3 2 Z ; -4 2 Z ; -5 2 Z ; -6 2 Z ; -6 3 Z ; -7 3 Z ; \
+-8 3 Z ; -8 4 Z ; -8 5 Z ; -8 6 Z ; -8 7 Z ; -8 8 Z
+"""
+
+NOT_EXTREMAL = "error: NotCanonical: last glue is not the unique extremal glue on axis"
+
+
+@pytest.mark.parametrize("text,axis,code,stdout,stderr", [
+    (ROT_BATTLEMENTS_TEXT, "h", 0,
+     "span coord=1 s=0 n=0 orient=right pointing=north type=z extent=0\n"
+     "span coord=2 s=15 n=1 orient=left pointing=north type=z extent=6\n"
+     "span coord=3 s=18 n=2 orient=left pointing=north type=z extent=8\n"
+     "span coord=4 s=19 n=3 orient=left pointing=north type=z extent=8\n"
+     "span coord=5 s=20 n=4 orient=left pointing=north type=z extent=8\n"
+     "span coord=6 s=21 n=21 orient=right pointing=north type=z extent=0\n"
+     "span coord=7 s=22 n=22 orient=right pointing=north type=z extent=0\n", ""),
+    (ROT_BATTLEMENTS_TEXT, "v", 4, "", f"{NOT_EXTREMAL} vertical\n"),
+    (UNIT_TEXT, "h", 4, "", f"{NOT_EXTREMAL} horizontal\n"),
+], ids=["rows", "columns-undefined", "rows-undefined"])
+def test_cli_spans_exact_output(tmp_path, _run, text, axis, code, stdout, stderr):
+    f = tmp_path / "sys.tiles"
+    f.write_text(text)
+    r = _run(["spans", str(f), "--axis", axis], tmp_path)
+    assert (r.returncode, r.stdout, r.stderr) == (code, stdout, stderr)
 
 
 @pytest.mark.parametrize("extra", [[], ["--overlays", "cut"]], ids=["plain", "cut"])

@@ -1,4 +1,4 @@
-"""Exact-geometry layer: embeddings, plane sides, turns, translate disjointness."""
+"""Exact-geometry layer: plane sides, turns, lattice walks."""
 
 import random
 import time
@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from pumpkit import geometry, oracle, shield
 from pumpkit.budgets import EnumBudget
 from pumpkit.errors import (
-    EmptyPath,
     NonSimpleCurve,
     NotAlmostVertical,
     NotOnCurve,
-    ZeroVector,
 )
 from pumpkit.geometry import (
     PolyCurve,
@@ -24,8 +22,6 @@ from pumpkit.geometry import (
     classify_side,
     crossing_parity,
     curve_in_closed_right,
-    embed_path,
-    precious_check,
     turn_right_of_path,
     walk_sides,
     SideCache,
@@ -37,26 +33,6 @@ from conftest import doubled
 
 def vertical_line(x=1):
     return PolyCurve([(x, 0)], south_ray=True, north_ray=True)
-
-
-def test_embed_single_tile():
-    c = embed_path([(1, 0)])
-    assert c.points == ((2, 0),)
-
-
-def test_embed_east_line():
-    c = embed_path([(1, 0), (2, 0), (3, 0)])
-    assert c.points == ((2, 0), (4, 0), (6, 0))
-
-
-def test_embed_corner():
-    c = embed_path([(0, 0), (0, 1), (1, 1)])
-    assert c.points == ((0, 0), (0, 2), (2, 2))
-
-
-def test_embed_empty_rejected():
-    with pytest.raises(EmptyPath):
-        embed_path([])
 
 
 def test_classify_straight_cut():
@@ -483,38 +459,3 @@ def test_departure_agrees_with_classify():
         expect = classify_side(c, probe)
         if expect is not Side.ON:
             assert side is expect
-
-
-# -- translate disjointness --------------------------------------------------------
-
-def test_precious_examples():
-    assert precious_check({(0, 0)}, (4, 0))
-    assert not precious_check({(0, 0), (4, 0)}, (4, 0))
-    with pytest.raises(ZeroVector):
-        precious_check({(0, 0)}, (0, 0))
-
-
-def random_polyomino(rng, size):
-    cells = {(0, 0)}
-    while len(cells) < size:
-        x, y = rng.choice(sorted(cells))
-        dx, dy = rng.choice(_STEPS)
-        cells.add((x + dx, y + dy))
-    return cells
-
-
-def test_precious_property_multiples():
-    # Whenever one translate is disjoint, every nonzero multiple is too.
-    rng = random.Random(59)
-    tested = 0
-    while tested < 1000:
-        cells = random_polyomino(rng, rng.randrange(2, 9))
-        v = (rng.randrange(-8, 9) * 2, rng.randrange(-8, 9) * 2)
-        if v == (0, 0) or not precious_check(cells, v):
-            continue
-        tested += 1
-        for c in range(-8, 9):
-            if c == 0:
-                continue
-            moved = {(x + c * v[0], y + c * v[1]) for x, y in cells}
-            assert not (cells & moved), (cells, v, c)

@@ -348,6 +348,18 @@ def test_verify_fragile(blocker):
     assert not verify_fragile_cert(sys_, p, detached).ok
 
 
+def test_verify_fragile_rejects_unproducible_path():
+    # Tile B's east glue b meets A's west glue a: the path cannot grow past
+    # index 0, so a valid replay conflicting with it at index 1 blocks nothing.
+    sys_ = system_of([("A", None, "a", None, "a"), ("B", None, "b", None, "a"),
+                      ("C", None, None, None, "a")], {(0, 0): "A"})
+    p = path_of(sys_, (1, 0, "B"), (2, 0, "A"))
+    A, C = sys_.by_name["A"], sys_.by_name["C"]
+    res = verify_fragile_cert(sys_, p, FragilityCert((((1, 0), A), ((2, 0), C)), (2, 0)))
+    assert (res.ok, res.reason) == (
+        False, "path prefix 0..1 is not producible: GlueMismatch at index 1")
+
+
 # -- transform invariance ---------------------------------------------------------
 
 

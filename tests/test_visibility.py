@@ -2,13 +2,14 @@
 
 
 import random
+from dataclasses import replace
 from itertools import chain
 
 import pytest
 
 from pumpkit import GlueView, Path, oracle, right_priority, spans, visible
 from pumpkit.budgets import EnumBudget
-from pumpkit.driver import ROT90
+from pumpkit.driver import ROT90, TRANSPOSE
 from pumpkit.errors import (
     NotCanonical,
     NotEasternmost,
@@ -37,14 +38,17 @@ def test_hook_blocks_south():
 
 
 def test_wrong_orientation_raises(unit):
-    sys_ = system_of([("V", "v", None, "v", None)], {(0, 0): "V"},)
     # vertical glue asked for a vertical ray
     sys2 = system_of([("V", "v", "v", "v", "v")], {(0, 0): "V"})
     p = path_of(sys2, (0, 1, "V"), (0, 2, "V"))
     with pytest.raises(OrientationMismatch):
         visible(sys2, p, 0, "south")
-    assert visible(sys2, p, 0, "east")
-    assert visible(sys2, p, 0, "west")
+    # East and west rays are the transposed instance's north and south ones.
+    with pytest.raises(ValueError):
+        visible(sys2, p, 0, "east")
+    tsys, tp = TRANSPOSE.apply(sys2), TRANSPOSE.apply(p)
+    assert visible(tsys, tp, 0, "north")
+    assert visible(tsys, tp, 0, "south")
 
 
 def test_straddling_pair_blocks_ray():
@@ -60,19 +64,19 @@ def test_straddling_pair_blocks_ray():
 
 
 def test_spans_unit(unit, unit_path):
-    got = spans(unit, unit_path, "vertical")
+    got = spans(unit, unit_path)
     assert [(s.coordinate, s.s, s.n, s.orientation, s.pointing, s.height)
             for s in got] == [(1, 0, 0, "up", "east", 0),
                               (2, 1, 1, "up", "east", 0)]
 
 
 def test_spans_exclude_seed_column(unit, unit_path):
-    assert all(s.coordinate != 0 for s in spans(unit, unit_path, "vertical"))
+    assert all(s.coordinate != 0 for s in spans(unit, unit_path))
 
 
 def test_spans_heights_six_and_eight(battlements):
     sys_, p = battlements
-    by_col = {s.coordinate: s for s in spans(sys_, p, "vertical")}
+    by_col = {s.coordinate: s for s in spans(sys_, p)}
     assert by_col[2].height == 6 and by_col[2].pointing == "east"
     assert by_col[2].orientation == "up"
     assert by_col[4].height == 8 and by_col[4].pointing == "east"
@@ -84,29 +88,31 @@ def test_spans_not_canonical():
     sys_ = system_of([("T", "t", "t", "t", "t")], {(0, 0): "T"})
     p = path_of(sys_, (0, 1, "T"), (1, 1, "T"), (1, 2, "T"), (0, 2, "T"))
     with pytest.raises(NotCanonical):
-        spans(sys_, p, "vertical")
+        spans(sys_, p)
 
 
 def test_horizontal_spans_by_rotation_equivariance(battlements):
     # A quarter turn counterclockwise maps glue columns to glue rows with
     # the same index, swapping the two visible ends: the south-visible
     # glue becomes the east-visible one.  Orientation therefore flips,
-    # east pointing becomes north, and heights carry over as widths.
+    # east pointing becomes north, and heights carry over as widths.  The
+    # rows are read as the columns of the transposed instance, with the
+    # directions renamed back.
     sys_, p = battlements
-    vert = spans(sys_, p, "vertical")
+    vert = spans(sys_, p)
     rsys, rpath = ROT90.apply(sys_), ROT90.apply(p)
-    horiz = spans(rsys, rpath, "horizontal")
+    horiz = [_as_row_span(s) for s in spans(TRANSPOSE.apply(rsys), TRANSPOSE.apply(rpath))]
 
     def flip_orient(s):
         if s.s == s.n:
             return "right"  # single-glue spans are canonically up/right
         return {"up": "left", "down": "right"}[s.orientation]
 
-    assert [(s.coordinate, s.s, s.n, s.orientation, s.pointing, s.extent)
+    assert [(s.coordinate, s.s, s.n, s.orientation, s.pointing, s.height)
             for s in horiz] == \
            [(s.coordinate, s.n, s.s, flip_orient(s),
              {"east": "north", "west": "south", None: None}[s.pointing],
-             s.extent)
+             s.height)
             for s in vert]
 
 
@@ -119,7 +125,7 @@ def test_span_per_column_unique(rng):
             if len(p) < 2:
                 continue
             try:
-                got = spans(sys_, p, "vertical")
+                got = spans(sys_, p)
             except NotCanonical:
                 continue
             cols = [s.coordinate for s in got]
@@ -140,6 +146,18 @@ def _blockers_by_scan(sys_, p):
         if (x, y + 1) in tiles:
             rows.setdefault(2 * y + 1, []).append(2 * x)
     return cols, rows
+
+
+def _seed_glue_lines(sys_, vertical):
+    """Glue columns (rows) of the seed's labelled east/west (north/south) glues."""
+    out = set()
+    for (x, y), t in sys_.seed.tiles.items():
+        c, hi, lo = (x, t.east, t.west) if vertical else (y, t.north, t.south)
+        if hi is not None:
+            out.add(2 * c + 1)
+        if lo is not None:
+            out.add(2 * c - 1)
+    return out
 
 
 def _visible_by_scan(g, direction, cols, rows):
@@ -163,7 +181,7 @@ def _axis_spans_by_scan(view, vertical, cols, rows):
     """Spans from per-column glue lists sorted in full and scanned with any()."""
     p = view.path
     axis_idx = 1 if vertical else 0
-    seed_glue = view.seed_glue_cols if vertical else view.seed_glue_rows
+    seed_glue = _seed_glue_lines(view.sys, vertical)
     groups = {}
     for g in view.glues:
         if g.horizontal == vertical:
@@ -184,11 +202,20 @@ def _axis_spans_by_scan(view, vertical, cols, rows):
             orientation = "up" if s <= n else "down"
         else:
             orientation = "right" if s <= n else "left"
-        out.append(Span(s, n, (key - 1) // 2, "vertical" if vertical else "horizontal",
-                        orientation, lo.pointing if lo.pointing == hi.pointing else None,
+        out.append(Span(s, n, (key - 1) // 2, orientation,
+                        lo.pointing if lo.pointing == hi.pointing else None,
                         (lo if s <= n else hi).label,
                         p.pos(n)[axis_idx] - p.pos(s)[axis_idx]))
     return out
+
+
+# The transposed frame's directions, named as in the caller's frame.
+_ROW_NAMES = {"up": "right", "down": "left", "east": "north", "west": "south", None: None}
+
+
+def _as_row_span(s):
+    """A span of the transposed instance as the row span of the original."""
+    return replace(s, orientation=_ROW_NAMES[s.orientation], pointing=_ROW_NAMES[s.pointing])
 
 
 def _long_walks(rng, count):
@@ -229,21 +256,27 @@ def test_glue_view_matches_scanning_definition():
     n_paths = n_queries = n_spans = 0
     for sys_, p in instances:
         view = GlueView(sys_, p)
+        # East and west are the transposed view's north and south.
+        tview = GlueView(TRANSPOSE.apply(sys_), TRANSPOSE.apply(p))
+        asked = {"south": (view, "south"), "north": (view, "north"),
+                 "east": (tview, "north"), "west": (tview, "south")}
         cols, rows = _blockers_by_scan(sys_, p)
         for g in view.glues:
-            for direction in ("south", "north", "east", "west"):
+            for direction, (v, d) in asked.items():
                 try:
                     want = _visible_by_scan(g, direction, cols, rows)
                 except OrientationMismatch:
                     with pytest.raises(OrientationMismatch):
-                        view.visible(g.index, direction)
+                        v.visible(g.index, d)
                     continue
-                assert view.visible(g.index, direction) == want
+                assert v.visible(g.index, d) == want
                 n_queries += 1
-        for vertical in (True, False):
-            got = _axis_spans(view, vertical)
-            assert got == _axis_spans_by_scan(view, vertical, cols, rows)
-            n_spans += len(got)
+        got = _axis_spans(view)
+        assert got == _axis_spans_by_scan(view, True, cols, rows)
+        n_spans += len(got)
+        got = [_as_row_span(s) for s in _axis_spans(tview)]
+        assert got == _axis_spans_by_scan(view, False, cols, rows)
+        n_spans += len(got)
         n_paths += 1
     assert n_paths > 5000 and n_queries > 50000 and n_spans > 10000
 
