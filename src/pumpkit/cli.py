@@ -133,7 +133,7 @@ def cmd_spans(args) -> int:
     system, path = _load_producible(args.file)
     names = {}
     if args.axis == "h":  # glue rows are the glue columns of the transposed instance
-        system, path = driver.TRANSPOSE.apply(system), driver.TRANSPOSE.apply(path)
+        system, path = driver.TRANSPOSE.move(system, path)
         names = {"up": "right", "down": "left", "east": "north", "west": "south"}
     try:
         found = visibility.spans(system, path)
@@ -222,7 +222,8 @@ def cmd_render(args) -> int:
         # Every overlay draws a shield's geometry; without one none is drawn.
         _sys.stderr.write("error: --overlays needs --shield I J K\n")
         return EXIT_USAGE
-    system, path = _load(args.file)
+    # A shield is read on the path, which must then exist and be producible.
+    system, path = _load_producible(args.file) if args.shield else _load(args.file)
     sh = engine.Shield(*args.shield) if args.shield else None
     trace = None
     if "trace" in overlays:

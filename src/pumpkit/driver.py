@@ -24,6 +24,14 @@ with the trail tag each case writes:
 - ``equal-span-pair(cols a,b)``: the westernmost repeated span pair,
   upright (``flip-vertical(down spans)``), or ``no-span-pair``.
 
+The span ledger reads the frame view's span records
+(:meth:`~pumpkit.visibility.GlueView.column_spans`, plain tuples keyed by
+column): it walks west from the last glue's column while the records
+point east, keeps the first column of each span type and orientation,
+and runs the tall-span, cone and span-pair tests on the records.  It
+builds a :class:`~pumpkit.visibility.Span` only for the tall column and
+the span pair it hands on.
+
 A decided shield writes ``engine:<branch>``; one the shield check rejects
 writes ``<case>-invalid:<reason>``.  ``FLIP_V`` maps each glue column onto
 itself and swaps its lowest and highest glue, keeping labels, pointing,
@@ -31,9 +39,11 @@ seed glues and blocking pairs, so a down span reads upright there as the
 same span with ``s`` and ``n`` swapped (:func:`_flipped`).
 
 Every coordinate change is a :class:`Frame`, read off one bounding box
-of path plus seed and undone through ``frame.inverse()``.  Each frame
-builds one :class:`~pumpkit.visibility.GlueView`, shared by its cases and
-the engine's shield check; the prefix below a tall span gets its own.
+of path plus seed and undone through ``frame.inverse()``; ``Frame.move``
+moves a system and its path together, building each moved tile type
+once.  Each frame builds one :class:`~pumpkit.visibility.GlueView`,
+shared by its cases and the engine's shield check; the prefix below a
+tall span gets its own.
 
 The theorem-scale distance bounds are far beyond desk scale even for one
 tile type, so ``analyze`` accepts an explicit override; without one it
@@ -60,7 +70,7 @@ from .errors import (
 )
 from .shield import Shield
 from .tam import Assembly, FragilityCert, Path, PumpingSpec, TileSystem, TileType
-from .visibility import GlueView, Span
+from .visibility import GlueView, Span, SpanRecord
 
 Pos = tuple[int, int]
 
@@ -176,6 +186,18 @@ class Frame:
                                  self._point(obj.conflict))
         raise TypeError(f"cannot move a {type(obj).__name__}")
 
+    def move(self, sys: TileSystem, p: Path) -> tuple[TileSystem, Path]:
+        """Move a system and a path on it; the path reuses the moved system's types.
+
+        The same as ``(self.apply(sys), self.apply(p))``, without building
+        each moved tile type twice.
+        """
+        if self == IDENTITY:
+            return sys, p
+        msys = transform(sys, self)
+        known = {t: msys.by_name[t.name] for t in sys.tiles}
+        return msys, Path._of(self._placed(p.entries, known))
+
     def _point(self, p: Pos) -> Pos:
         a, b, c, d = self.m
         return (a * p[0] + b * p[1] + self.shift[0], c * p[0] + d * p[1] + self.shift[1])
@@ -190,13 +212,16 @@ class Frame:
         n, e, s, w = _source_sides(self.m)
         return TileType(t.name, getattr(t, n), getattr(t, e), getattr(t, s), getattr(t, w))
 
-    def _placed(self, entries) -> tuple[tuple[Pos, TileType], ...]:
+    def _placed(self, entries, known: Optional[dict[TileType, TileType]] = None
+                ) -> tuple[tuple[Pos, TileType], ...]:
+        """Move placed tiles; ``known`` maps source types to moved types already built."""
+        known = known or {}
         moved: dict[str, TileType] = {}
         types = []
         for _, t in entries:
             mt = moved.get(t.name)
             if mt is None:
-                mt = moved[t.name] = self._tile(t)
+                mt = moved[t.name] = known.get(t) or self._tile(t)
             types.append(mt)
         return tuple(zip(self._points([pos for pos, _ in entries]), types))
 
@@ -278,7 +303,7 @@ def canonicalize(sys: TileSystem, p: Path,
     xs, ys = zip(*chain(sys.seed.tiles, (q for q, _ in trunc.entries)))
     frame = _margined(Frame.rotation(turns).compose(Frame.translation((-x0, -y0))),
                       (min(xs), min(ys)), (max(xs), max(ys)))
-    csys, cpath = frame.apply(sys), frame.apply(trunc)
+    csys, cpath = frame.move(sys, trunc)
     rep = tam.validate_producible_path(csys, cpath)
     if not rep:
         raise ClaimViolation("canonical-revalidates",
@@ -352,7 +377,7 @@ def _run_shield(view: GlueView, sh: Shield, trail: list[str],
 def _within(frame: Frame, sys: TileSystem, p: Path,
             runner) -> Optional[AnalysisResult]:
     """Run ``runner`` on the instance moved by ``frame``; map its result back."""
-    res = runner(frame.apply(sys), frame.apply(p))
+    res = runner(*frame.move(sys, p))
     return None if res is None else res.moved(frame.inverse())
 
 
@@ -383,37 +408,40 @@ def _west_pigeonhole_shield(view: GlueView, trail: list[str],
 
 @dataclass
 class _Ledger:
-    stretch: dict[int, Span]  # the east spans of columns x0..x_last, ascending
+    spans: dict[int, SpanRecord]  # the frame's span records by column
+    x0: int  # the stretch: columns x0..x_last, each with an east-pointing span
     columns: list[int]  # first-occurrence columns, ascending, then x_last once
 
 
 def _build_ledger(view: GlueView, trail: list[str]) -> Optional[_Ledger]:
     try:
-        all_spans = {s.coordinate: s for s in view.vertical_spans()}
+        view.check_spans_defined()
     except NotCanonical as e:
         # Short paths can end beside seed glues on the same column; the
         # span bookkeeping is then undefined and no case can fire.
         trail.append(f"ledger-unavailable: {e}")
         return None
+    spans = view.column_spans()
     # The last tile is the unique easternmost: its glue's east span exists.
-    x_last = max(all_spans, default=None)
-    if x_last is None or all_spans[x_last].pointing != "east":
+    x_last = next(reversed(spans), None)
+    if x_last is None or spans[x_last][3] != "east":
         raise ClaimViolation("ledger-east-end", "the last glue has no east-pointing span")
     # Largest west-contiguous stretch of east-pointing spans ending at the
     # easternmost column; below the bound earlier columns may misbehave, in
-    # which case the ledger simply starts further east.
-    x0 = x_last
-    while (x0 - 1) in all_spans and all_spans[x0 - 1].pointing == "east":
-        x0 -= 1
-    stretch = {col: all_spans[col] for col in range(x0, x_last + 1)}
+    # which case the ledger simply starts further east.  Walking west, the
+    # last column seen with a span type and orientation is its first one.
     first_seen = {}
-    for col, s in stretch.items():
-        first_seen.setdefault((s.glue_type, s.orientation), col)
+    x0, rec = x_last, spans[x_last]
+    while rec is not None and rec[3] == "east":
+        s, n, label, _, _ = rec
+        first_seen[(label, s <= n)] = x0
+        x0 -= 1
+        rec = spans.get(x0)
     tiles = len(view.sys.tiles)
     if len(first_seen) > 2 * tiles:
         raise ClaimViolation("ledger-size",
                              f"{len(first_seen)} span signatures for {tiles} tile types")
-    return _Ledger(stretch, [*first_seen.values(), x_last])
+    return _Ledger(spans, x0 + 1, [*sorted(first_seen.values()), x_last])
 
 
 def _find_couple_pair(ledger: _Ledger) -> Optional[tuple[Span, Span]]:
@@ -422,12 +450,14 @@ def _find_couple_pair(ledger: _Ledger) -> Optional[tuple[Span, Span]]:
     Columns ascend and each ``a`` stops at its first partner ``b``, so
     the first pair found is the lexicographically least.
     """
-    spans = list(ledger.stretch.values())
-    for ai, sa in enumerate(spans):
-        for sb in spans[ai + 1:]:
-            if (sb.glue_type == sa.glue_type and sb.orientation == sa.orientation
-                    and sb.height >= sa.height):
-                return sa, sb
+    spans, x_last = ledger.spans, ledger.columns[-1]
+    for a in range(ledger.x0, x_last):
+        sa, na, label, _, height = spans[a]
+        up = sa <= na
+        for b in range(a + 1, x_last + 1):
+            sb, nb, label_b, _, height_b = spans[b]
+            if label_b == label and (sb <= nb) == up and height_b >= height:
+                return Span.of(a, spans[a]), Span.of(b, spans[b])
     return None
 
 
@@ -556,11 +586,11 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
     if ledger is None:
         return None
     tiles, seed_n = len(sys.tiles), len(sys.seed)
+    spans = ledger.spans
     tall = next((col for col in ledger.columns
-                 if ledger.stretch[col].height > 4 * tiles * tiles * (col + 4 * seed_n + 6)),
-                None)
+                 if spans[col][4] > 4 * tiles * tiles * (col + 4 * seed_n + 6)), None)
     if tall is not None:
-        res = _case_tall_span(view, ledger.stretch[tall], trail, budget, depth)
+        res = _case_tall_span(view, Span.of(tall, spans[tall]), trail, budget, depth)
         if res is not None:
             return res
         # The prefix below found nothing; the span pair may still decide.
@@ -580,7 +610,7 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
                 raise ClaimViolation(
                     "cone-chain",
                     f"height sum {total} breaks the chain bound at step {c}")
-            total += ledger.stretch[col].height
+            total += spans[col][4]
         trail.append(f"cone-case(c0={c0})")
     pair = _find_couple_pair(ledger)
     if pair is None:
@@ -611,7 +641,7 @@ def analyze(sys: TileSystem, p: Path, bound_override: Optional[int] = None,
         if frame is None:
             trail.append("not-orientable")
             return AnalysisResult("no_shield", trail)
-        csys, cpath = frame.apply(sys), frame.apply(p)
+        csys, cpath = frame.move(sys, p)
     res = _spans_pipeline(csys, cpath, trail, budget, 0)
     if res is None:
         return AnalysisResult("no_shield", trail)

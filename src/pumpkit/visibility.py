@@ -8,6 +8,13 @@ glues of the path on the same column, or by the edge between two
 horizontally adjacent seed tiles straddling that column; this makes
 visibility a per-column min/max question and keeps everything exact.
 
+A span joins the lowest and the highest glue of one glue column.  The
+span rule is one pass over the column extremes,
+:meth:`GlueView.column_spans`, which gives each eligible column a plain
+record ``(s, n, label, pointing, height)``; :func:`spans` wraps every
+record in a :class:`Span`, while the driver's span ledger reads the
+records and builds a ``Span`` only for the columns it hands on.
+
 This module works on glue columns only, as the paper's spans do.  East
 and west rays, and spans along glue rows, are the south and north rays
 and the column spans of the transposed instance (``driver.TRANSPOSE``).
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from . import tam
@@ -31,6 +39,11 @@ from .geometry import Point, Turn, turn_right_of_path
 from .tam import Path, TileSystem
 
 POINTING = {(1, 0): "east", (-1, 0): "west", (0, 1): "north", (0, -1): "south"}
+
+# A column's span as ``(s, n, label, pointing, height)``: see GlueView.column_spans.
+SpanRecord = tuple[int, int, str, Optional[str], int]
+
+_by_index = attrgetter("index")
 
 
 @dataclass(slots=True)
@@ -77,7 +90,10 @@ class GlueView:
     be visible from the south, and only its highest from the north; each
     is visible when no straddling pair lies beyond it.  This needs the
     glues of one column to have distinct midpoints, as on any
-    self-avoiding path.
+    self-avoiding path.  The span records (:meth:`column_spans`) are read
+    off the same extremes, in one pass when asked for and never while the
+    view is built: most views, such as the shield search's, never read
+    them.
 
     A view holds ``sys`` and ``path``, so it is the per-frame context the
     driver hands down: each frame builds one and shares it.
@@ -134,7 +150,6 @@ class GlueView:
                 self.seed_glue_cols.add(2 * x + 1)
             if t.west is not None:
                 self.seed_glue_cols.add(2 * x - 1)
-        self._vertical_spans: Optional[tuple[Span, ...]] = None
 
     # -- visibility ---------------------------------------------------------
 
@@ -161,8 +176,8 @@ class GlueView:
                 south.append(lo)
             if high_pair <= hi.midpoint[1]:
                 north.append(hi)
-        south.sort(key=lambda g: g.index)
-        north.sort(key=lambda g: g.index)
+        south.sort(key=_by_index)
+        north.sort(key=_by_index)
         return south, north
 
     def south_visible(self) -> list[GlueRef]:
@@ -173,15 +188,60 @@ class GlueView:
         """Glues visible from the north, in path order (a fresh list)."""
         return list(self._banks[1])
 
-    def vertical_spans(self) -> tuple[Span, ...]:
-        """``spans(sys, path)``, computed on first use and kept.
+    # -- spans -----------------------------------------------------------------
 
-        A path whose spans are undefined raises :class:`NotCanonical` on
-        every call, exactly as :func:`spans` does.
+    def check_spans_defined(self) -> None:
+        """Raise :class:`NotCanonical` unless this path's spans are defined.
+
+        They are defined when the path has a glue and its last glue is
+        the unique easternmost glue of path and seed; this guarantees each
+        column's extremal glues really are visible.
         """
-        if self._vertical_spans is None:
-            self._vertical_spans = tuple(spans(self.sys, self.path, view=self))
-        return self._vertical_spans
+        glues = self.glues
+        if not glues:
+            raise NotCanonical("path has no glues")
+        last_x = glues[-1].midpoint[0]
+        # A plain loop: a defined path scans every glue, and a generator
+        # would cost about twice as much per glue.
+        for g in glues[:-1]:
+            if g.midpoint[0] >= last_x:
+                break
+        else:
+            if all(x < last_x for x, _ in self.seed_glue_midpoints()):
+                return
+        # The driver's ledger-unavailable trail quotes this text, axis and all.
+        raise NotCanonical("last glue is not the unique extremal glue on axis vertical")
+
+    def column_spans(self) -> dict[int, SpanRecord]:
+        """The span record ``(s, n, label, pointing, height)`` of each eligible column.
+
+        Keys are glue columns in tile units, ascending.  A column is
+        eligible when it carries no labelled seed glue and no straddling
+        pair lies beyond either of its extremal glues; ``s`` is the index
+        of its lowest glue, ``n`` of its highest, ``label`` the label of
+        the one earlier on the path, ``pointing`` their common pointing or
+        ``None``, and ``height`` the tile distance between them.  This one
+        pass over the column extremes is the span rule; :class:`Span`
+        records are built from it (:meth:`Span.of`) only where a caller
+        needs them.  It does not check :meth:`check_spans_defined`.
+        """
+        cols, pair_cols, seed_glue = self.cols, self.pair_cols, self.seed_glue_cols
+        out = {}
+        for key in sorted(cols):
+            if key in seed_glue:
+                continue
+            lo, hi = cols[key]
+            lo_y, hi_y = lo.midpoint[1], hi.midpoint[1]
+            low_pair, high_pair = pair_cols[key]
+            if low_pair < lo_y or high_pair > hi_y:
+                continue  # a straddling tile pair blocks an extremal ray
+            s, n = lo.index, hi.index
+            # Both extremal glues lie on the column, so their midpoints differ
+            # along it by twice the tile distance of tiles s and n.
+            out[key >> 1] = (s, n, lo.label if s <= n else hi.label,
+                             lo.pointing if lo.pointing == hi.pointing else None,
+                             (hi_y - lo_y) >> 1)
+        return out
 
     def seed_glue_midpoints(self) -> list[Point]:
         """Midpoints of the seed's labelled glues (doubled coordinates)."""
@@ -212,9 +272,9 @@ class Span:
     from the north, and ``coordinate`` the glue column in tile units.
     Spans along glue rows are the spans of the transposed instance.
 
-    A plain slotted record, like :class:`GlueRef`: a walk builds dozens
-    per frame.  Nothing changes a ``Span`` after it is built, and nothing
-    hashes one (a mutable dataclass is not hashable).
+    A plain slotted record, like :class:`GlueRef`, read off a column's
+    span record by :meth:`of`.  Nothing changes a ``Span`` after it is
+    built, and nothing hashes one (a mutable dataclass is not hashable).
     """
 
     s: int
@@ -225,49 +285,28 @@ class Span:
     glue_type: str
     height: int
 
-
-def _axis_spans(view: GlueView) -> list[Span]:
-    seed_glue, pair_cols = view.seed_glue_cols, view.pair_cols
-    out = []
-    for key in sorted(view.cols):
-        if key in seed_glue:
-            continue
-        lo, hi = view.cols[key]
-        lo_y, hi_y = lo.midpoint[1], hi.midpoint[1]
-        low_pair, high_pair = pair_cols[key]
-        if low_pair < lo_y or high_pair > hi_y:
-            continue  # a straddling tile pair blocks an extremal ray
-        s, n = lo.index, hi.index
-        pointing = lo.pointing if lo.pointing == hi.pointing else None
-        # Both extremal glues lie on the column, so their midpoints differ
-        # along it by twice the tile distance of tiles s and n.
-        first = lo if s <= n else hi
-        out.append(Span(s, n, (key - 1) // 2, "up" if s <= n else "down",
-                        pointing, first.label, (hi_y - lo_y) // 2))
-    return out
+    @classmethod
+    def of(cls, column: int, rec: SpanRecord) -> "Span":
+        """The span of glue column ``column``, read off its record ``rec``."""
+        s, n, label, pointing, height = rec
+        return cls(s, n, column, "up" if s <= n else "down", pointing, label, height)
 
 
 def spans(sys: TileSystem, p: Path, view: Optional[GlueView] = None) -> list[Span]:
     """One span per eligible glue column, sorted by column.
 
-    Requires the path's last glue to be the unique easternmost glue of
-    path and seed; this guarantees each column's extremal glues really
-    are visible.  Columns carrying labelled seed glues are skipped, as are
-    columns where an unlabelled seed edge blocks the extremal ray.
-    ``view``, when given, is a prebuilt :class:`GlueView` of ``(sys, p)``.
-    Each :class:`Span` is a fresh slotted record, compared by value and
-    not hashable.
+    Raises :class:`NotCanonical` when the spans are undefined
+    (:meth:`GlueView.check_spans_defined`).  Columns carrying labelled
+    seed glues are skipped, as are columns where an unlabelled seed edge
+    blocks the extremal ray (:meth:`GlueView.column_spans`).  ``view``,
+    when given, is a prebuilt :class:`GlueView` of ``(sys, p)``.  Each
+    :class:`Span` is a fresh slotted record, compared by value and not
+    hashable.
     """
-    if len(p) < 2:
-        raise NotCanonical("path has no glues")
     if view is None:
         view = GlueView(sys, p)
-    last_x = view.glues[-1].midpoint[0]
-    rest = [g.midpoint for g in view.glues[:-1]] + view.seed_glue_midpoints()
-    if any(m[0] >= last_x for m in rest):
-        # The driver's ledger-unavailable trail quotes this text, axis and all.
-        raise NotCanonical("last glue is not the unique extremal glue on axis vertical")
-    return _axis_spans(view)
+    view.check_spans_defined()
+    return [Span.of(col, rec) for col, rec in view.column_spans().items()]
 
 
 # -- right priority ------------------------------------------------------------

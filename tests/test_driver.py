@@ -19,10 +19,10 @@ from pumpkit import (
 )
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_H, FLIP_V, IDENTITY, ROT90, Frame
-from pumpkit.errors import BadBudget, BadCounts, BadSystem, NotCanonical, TooShort
-from pumpkit.formats import parse_system
+from pumpkit.errors import BadBudget, BadCounts, BadSystem, TooShort
+from pumpkit.formats import emit_certificate, parse_system
 from pumpkit.tam import SIDE_OF_STEP, STEP, FragilityCert, TileType
-from pumpkit.visibility import GlueView, spans
+from pumpkit.visibility import GlueView
 
 from conftest import path_of, system_of
 
@@ -174,6 +174,28 @@ def test_frame_moves_paths_and_certificates_entrywise(rng):
                 cert = f.apply(FragilityCert(p.entries, p.pos(len(p) - 1)))
                 assert cert.attachments == tuple(want)
                 assert cert.conflict == f.apply(p.pos(len(p) - 1))
+
+
+def test_frame_move_reuses_the_moved_system_types(rng):
+    budget = EnumBudget(max_path_len=9, max_nodes=300)
+    instances = []
+    while len(instances) < 40:
+        sys_ = oracle.random_system(rng)
+        instances.extend((sys_, p) for p in oracle.PathEnumeration(sys_, budget, max_paths=4))
+    # A path type that only shares its name with a system type moves on its own.
+    sys_, p = instances[0]
+    odd = TileType(p.type(0).name, "x", "x", "x", "x")
+    instances.append((sys_, Path([(pos, odd if t.name == odd.name else t)
+                                  for pos, t in p.entries])))
+    for m in D4:
+        f = Frame.translation((rng.randint(-40, 40), rng.randint(-40, 40))).compose(m)
+        for sys_, p in instances:
+            msys, mp = f.move(sys_, p)
+            want = f.apply(sys_)
+            assert msys.tiles == want.tiles and msys.seed.tiles == want.seed.tiles
+            assert mp == f.apply(p)
+            for (_, t), (_, mt) in zip(p.entries, mp.entries):
+                assert (mt is msys.by_name[t.name]) == (t == sys_.by_name.get(t.name))
 
 
 def test_canonicalize_random_corpus(rng):
@@ -341,6 +363,100 @@ def test_analyze_fragile_through_tall_prefix():
 
 
 
+# Pool walks of the benchmark's walk generator (``walk_instance(n)`` of
+# ``perfbench/gen.py``, n = 4, 36 and 955), inline.  Each pairs two down
+# spans and is decided upright in the mirrored frame, which criterion 9's
+# corpus never reaches.  Text, override, kind, trail and certificate.
+DOWN_SPAN_WALKS = [
+    # walk 4: 42 tiles
+    ("tile A north=c east=a south=a west=b\n"
+     "tile B north=- east=c south=- west=c\n"
+     "tile C north=- east=c south=c west=a\n"
+     "tile D north=c east=a south=a west=c\n"
+     "tile E north=a east=b south=- west=b\n"
+     "tile F north=a east=c south=c west=b\n"
+     "seed 0 0 C\n"
+     "seed 1 0 F\n"
+     "path -1 0 D ; -2 0 F ; -2 1 D ; -3 1 B ; -4 1 F ; -4 2 D ; -4 3 C"
+     " ; -3 3 B ; -2 3 D ; -2 4 F ; -3 4 E ; -4 4 E ; -5 4 E ; -6 4 E"
+     " ; -7 4 E ; -8 4 E ; -9 4 E ; -10 4 E ; -10 5 A ; -10 6 C ; -11 6 A"
+     " ; -11 7 F ; -10 7 D ; -10 8 F ; -10 9 A ; -10 10 F ; -10 11 A ; -10 12 C"
+     " ; -11 12 A ; -11 11 E ; -12 11 E ; -12 12 A ; -12 13 F ; -12 14 A ; -11 14 C"
+     " ; -10 14 D ; -9 14 C ; -9 13 D ; -8 13 C ; -7 13 B ; -6 13 D ; -5 13 C\n",
+     6, "fragile",
+     ["canonical(rot=2,cut=16)",
+      "cone-case(c0=1)",
+      "equal-span-pair(cols 3,4)",
+      "flip-vertical(down spans)",
+      "engine:route-conflict-east-copy"],
+     ("kind fragile\n" "attach -1 0 D\n" "attach -2 0 F\n" "attach -2 1 D\n"
+      "attach -3 1 B\n" "attach -4 1 B\n" "conflict -4 1\n")),
+    # walk 36: 58 tiles
+    ("tile A north=a east=c south=a west=c\n"
+     "tile B north=- east=- south=- west=c\n"
+     "tile C north=b east=b south=- west=c\n"
+     "tile D north=a east=- south=a west=c\n"
+     "tile E north=c east=a south=a west=c\n"
+     "seed 0 0 B\n"
+     "path -1 0 A ; -1 -1 D ; -1 -2 A ; -1 -3 D ; -2 -3 A ; -2 -4 A ; -1 -4 A"
+     " ; -1 -5 D ; -1 -6 D ; -1 -7 D ; -1 -8 D ; -1 -9 D ; -2 -9 A ; -2 -8 A"
+     " ; -2 -7 A ; -2 -6 A ; -2 -5 D ; -3 -5 A ; -3 -6 A ; -3 -7 A ; -3 -8 D"
+     " ; -3 -9 A ; -3 -10 A ; -4 -10 A ; -5 -10 A ; -5 -9 A ; -5 -8 D ; -5 -7 E"
+     " ; -6 -7 A ; -7 -7 A ; -7 -6 A ; -6 -6 D ; -6 -5 E ; -7 -5 A ; -8 -5 A"
+     " ; -8 -6 D ; -8 -7 A ; -8 -8 A ; -8 -9 A ; -8 -10 D ; -8 -11 A ; -7 -11 E"
+     " ; -7 -12 D ; -7 -13 D ; -7 -14 A ; -7 -15 D ; -7 -16 D ; -8 -16 A ; -9 -16 A"
+     " ; -9 -17 A ; -8 -17 D ; -8 -18 A ; -9 -18 A ; -10 -18 A ; -10 -17 E ; -11 -17 A"
+     " ; -11 -18 A ; -11 -19 D\n",
+     10, "fragile",
+     ["canonical(rot=1,cut=40)",
+      "cone-case(c0=None)",
+      "equal-span-pair(cols 5,6)",
+      "flip-vertical(down spans)",
+      "engine:route-conflict-west-copy"],
+     ("kind fragile\n" "attach -1 0 A\n" "attach -1 -1 D\n" "attach -1 -2 A\n"
+      "attach -1 -3 D\n" "attach -2 -3 A\n" "attach -2 -4 A\n" "attach -1 -4 A\n"
+      "attach -1 -5 D\n" "attach -1 -6 D\n" "attach -1 -7 D\n" "attach -1 -8 D\n"
+      "attach -1 -9 D\n" "attach -2 -9 A\n" "attach -2 -8 A\n" "attach -2 -7 A\n"
+      "attach -2 -6 A\n" "attach -2 -5 A\n" "conflict -2 -5\n")),
+    # walk 955: 73 tiles
+    ("tile A north=a east=- south=c west=b\n"
+     "tile B north=a east=b south=a west=a\n"
+     "tile C north=b east=b south=a west=-\n"
+     "tile D north=c east=a south=- west=a\n"
+     "tile E north=a east=- south=b west=c\n"
+     "tile F north=- east=b south=- west=c\n"
+     "seed 0 0 D\n"
+     "seed 0 1 E\n"
+     "path 0 2 C ; 0 3 E ; 0 4 C ; 0 5 E ; 0 6 B ; 1 6 A ; 1 5 D"
+     " ; 2 5 B ; 2 6 B ; 2 7 B ; 2 8 B ; 1 8 D ; 1 9 A ; 0 9 C"
+     " ; 0 10 E ; 0 11 C ; 0 12 E ; 0 13 B ; -1 13 D ; -2 13 D ; -3 13 D"
+     " ; -3 14 A ; -4 14 B ; -4 13 A ; -4 12 D ; -5 12 D ; -6 12 D ; -6 13 A"
+     " ; -6 14 C ; -6 15 E ; -6 16 B ; -5 16 A ; -5 15 D ; -4 15 B ; -3 15 A"
+     " ; -3 16 C ; -3 17 E ; -3 18 C ; -3 19 E ; -3 20 B ; -3 21 B ; -2 21 A"
+     " ; -2 22 B ; -2 23 B ; -2 24 B ; -2 25 C ; -1 25 A ; -1 24 D ; 0 24 B"
+     " ; 0 23 B ; 0 22 E ; 0 21 C ; 0 20 E ; 0 19 C ; 1 19 A ; 1 20 B"
+     " ; 1 21 C ; 2 21 A ; 2 20 D ; 3 20 B ; 4 20 A ; 4 21 C ; 4 22 E"
+     " ; 4 23 C ; 4 24 E ; 4 25 C ; 4 26 E ; 4 27 B ; 4 28 B ; 5 28 A"
+     " ; 5 29 C ; 5 30 E ; 5 31 C\n",
+     None, "pumpable",
+     ["below-bound(no truncation)",
+      "cone-case(c0=3)",
+      "equal-span-pair(cols 15,19)",
+      "flip-vertical(down spans)",
+      "engine:anchor-stall"],
+     ("kind pumpable i=39 j=48\n" "vector 3 4\n")),
+]
+
+
+@pytest.mark.parametrize("text, override, kind, trail, cert", DOWN_SPAN_WALKS,
+                         ids=["walk-4", "walk-36", "walk-955"])
+def test_analyze_down_span_pair_walks(text, override, kind, trail, cert):
+    sys_, p = parse_system(text)
+    res = analyze(sys_, p, bound_override=override)
+    assert (res.kind, res.trail) == (kind, trail)
+    assert emit_certificate(res) == cert
+
+
 @pytest.mark.parametrize("override", [None, 2])
 def test_analyze_rejects_unproducible_path(unit, override):
     # Validated once, in canonicalize, before the bound can cut anything.
@@ -412,36 +528,6 @@ def test_analyze_builds_one_view_per_frame(request, monkeypatch, instance, overr
     assert all(t in res.trail for t in tags), res.trail
     assert res.kind != "no_shield"
     assert len(built) == views
-
-
-def test_view_spans_match_fresh_spans(rng):
-    budget = EnumBudget(max_path_len=9, max_nodes=400)
-    checked = 0
-    while checked < 200:
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=60):
-            if len(p) < 2:
-                continue
-            view = GlueView(sys_, p)
-            try:
-                want = spans(sys_, p)
-            except NotCanonical:
-                with pytest.raises(NotCanonical):
-                    view.vertical_spans()
-                continue
-            assert list(view.vertical_spans()) == want
-            assert view.vertical_spans() is view.vertical_spans()
-            checked += 1
-
-
-def test_view_spans_not_canonical():
-    # The last glue shares its column with an earlier glue: not extremal.
-    sys_ = system_of([("T", "t", "t", "t", "t")], {(0, 0): "T"})
-    p = path_of(sys_, (0, 1, "T"), (1, 1, "T"), (1, 2, "T"), (0, 2, "T"))
-    view = GlueView(sys_, p)
-    for _ in range(2):  # a failure is not cached as a result
-        with pytest.raises(NotCanonical):
-            view.vertical_spans()
 
 
 # -- two-handed reduction -------------------------------------------------------

@@ -496,6 +496,25 @@ def test_cli_render_rejects_unknown_overlay(unit_file, tmp_path, _run):
     assert r.returncode == 3 and "unknown overlay bogus" in r.stderr
 
 
+@pytest.mark.parametrize("overlays", ["cut", "regions", "rays", "trace"])
+@pytest.mark.parametrize("path_line, error", [
+    ("", "PumpkitError: {file} has no path line"),
+    ("path 1 0 A ; 3 0 A\n", "BadSystem: path is not producible: GlueMismatch@1"),
+], ids=["no-path", "gap"])
+def test_cli_render_shield_needs_producible_path(tmp_path, _run, overlays, path_line,
+                                                 error):
+    # A shield is read on the path, so a missing or broken path is bad
+    # input: one error line and exit 4, not a traceback.
+    f = tmp_path / "sys.tiles"
+    f.write_text("tile A north=- east=g south=- west=g\nseed 0 0 A\n" + path_line)
+    out = tmp_path / "fig.svg"
+    r = _run(["render", str(f), "--shield", "0", "1", "2", "--overlays", overlays,
+              "-o", str(out)], tmp_path)
+    assert (r.returncode, r.stdout) == (4, "")
+    assert r.stderr == f"error: {error.format(file=f)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("width", ["0", "-1"])
 def test_cli_reduce_2ham_rejects_width_below_one(unit_file, tmp_path, _run, width):
     r = _run(["reduce-2ham", str(unit_file), "--width", width], tmp_path)

@@ -6,12 +6,14 @@ margins the same way and stops at once on a path with no more than
 ``half`` tiles; ``GlueView`` builds its glue records with the column
 extremes and reads the visible banks off those extremes; the driver reads
 a down span's upright form in the ``FLIP_V`` frame off the span itself
-(``driver._flipped``).  Inline copies of the code as it read before
+(``driver._flipped``); the span ledger reads the view's span records
+over its stretch only.  Inline copies of the code as it read before
 (per-turn point lists, the per-point margin translation, the separate
-glue pass, the per-glue visibility scan and the rebuilt ``FLIP_V`` view)
-are the references they must reproduce exactly: on criterion 9's corpus
-and on seeded random producible walks of 40-150 tiles (one-type tower
-walks for the flips).
+glue pass, the per-glue visibility scan, the rebuilt ``FLIP_V`` view and
+the ledger over an all-spans dict) are the references they must
+reproduce exactly: on criterion 9's corpus and on seeded random
+producible walks of 40-150 tiles (one-type tower walks for the flips,
+the tall-span towers and one hand-built path for the ledger).
 """
 
 import random
@@ -24,10 +26,10 @@ import pytest
 from pumpkit import driver, oracle, tam
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_V, IDENTITY, Frame, canonicalize
-from pumpkit.errors import NotCanonical, TooShort
+from pumpkit.errors import ClaimViolation, NotCanonical, TooShort
 from pumpkit.formats import parse_system
 from pumpkit.tam import Path
-from pumpkit.visibility import POINTING, GlueRef, GlueView
+from pumpkit.visibility import POINTING, GlueRef, GlueView, Span, spans
 
 from conftest import path_of, system_of
 from test_acceptance import CORPUS_SEED, _corpus
@@ -95,8 +97,53 @@ def reference_banks(view):
 
 def reference_flipped_spans(sys_, p):
     """The spans of a rebuilt ``FLIP_V`` view by column, as the driver looked them up."""
-    return {s.coordinate: s
-            for s in GlueView(FLIP_V.apply(sys_), FLIP_V.apply(p)).vertical_spans()}
+    return {s.coordinate: s for s in spans(FLIP_V.apply(sys_), FLIP_V.apply(p))}
+
+
+def reference_all_spans(view):
+    """Every span of the view by column, behind the extremal-glue check as it read."""
+    if len(view.path) < 2:
+        raise NotCanonical("path has no glues")
+    last_x = view.glues[-1].midpoint[0]
+    rest = [g.midpoint for g in view.glues[:-1]] + view.seed_glue_midpoints()
+    if any(m[0] >= last_x for m in rest):
+        raise NotCanonical("last glue is not the unique extremal glue on axis vertical")
+    return {col: Span.of(col, rec) for col, rec in view.column_spans().items()}
+
+
+def reference_build_ledger(view, trail):
+    """The span ledger from the all-spans dict: ``(stretch, columns)`` or ``None``."""
+    try:
+        all_spans = reference_all_spans(view)
+    except NotCanonical as e:
+        trail.append(f"ledger-unavailable: {e}")
+        return None
+    x_last = max(all_spans, default=None)
+    if x_last is None or all_spans[x_last].pointing != "east":
+        raise ClaimViolation("ledger-east-end", "the last glue has no east-pointing span")
+    x0 = x_last
+    while (x0 - 1) in all_spans and all_spans[x0 - 1].pointing == "east":
+        x0 -= 1
+    stretch = {col: all_spans[col] for col in range(x0, x_last + 1)}
+    first_seen = {}
+    for col, s in stretch.items():
+        first_seen.setdefault((s.glue_type, s.orientation), col)
+    tiles = len(view.sys.tiles)
+    if len(first_seen) > 2 * tiles:
+        raise ClaimViolation("ledger-size",
+                             f"{len(first_seen)} span signatures for {tiles} tile types")
+    return stretch, [*first_seen.values(), x_last]
+
+
+def reference_couple_pair(stretch):
+    """Westernmost same-signature pair with non-decreasing height, over the stretch."""
+    found = list(stretch.values())
+    for ai, sa in enumerate(found):
+        for sb in found[ai + 1:]:
+            if (sb.glue_type == sa.glue_type and sb.orientation == sa.orientation
+                    and sb.height >= sa.height):
+                return sa, sb
+    return None
 
 
 def _corpus_paths():
@@ -266,17 +313,80 @@ def test_flipped_span_matches_rebuilt_flip_view():
     n_spans = n_flips = 0
     for sys_, p in chain(_corpus_paths(), fixtures, _tower_walks(random.Random(31), 1000)):
         try:
-            spans = GlueView(sys_, p).vertical_spans()
+            found = spans(sys_, p)
         except NotCanonical:
             continue
         rebuilt = reference_flipped_spans(sys_, p)
-        assert list(rebuilt) == [s.coordinate for s in spans]
-        for s in spans:
+        assert list(rebuilt) == [s.coordinate for s in found]
+        for s in found:
             mirrored = replace(s, s=s.n, n=s.s, orientation="up" if s.n <= s.s else "down")
             assert rebuilt[s.coordinate] == mirrored
             if s.orientation == "down":
                 assert driver._flipped(s) == mirrored
                 n_flips += 1
-        n_spans += len(spans)
+        n_spans += len(found)
     assert n_spans > 20000 and n_flips > 800
+    assert within()
+
+
+# The lowest glues of columns -1 and 0 point west and the highest east, so
+# those spans point nowhere and the stretch stops just east of them.  Random
+# walks never put such a span next to the stretch in the driver's frame.
+MIXED_SPAN_TEXT = """\
+tile G north=g east=g south=g west=g
+tile P north=g east=g south=g west=p
+tile Q north=g east=p south=g west=q
+tile R north=g east=q south=g west=g
+tile S north=g east=- south=- west=-
+seed 0 0 S
+path 0 1 G ; 0 2 G ; 1 2 G ; 1 1 G ; 1 0 G ; 1 -1 P ; 0 -1 Q ; -1 -1 R ; -1 0 G ; \
+-1 1 G ; -1 2 G ; -1 3 G ; 0 3 G ; 1 3 G ; 2 3 G ; 3 3 G ; 4 3 G ; 5 3 G ; 6 3 G
+"""
+
+
+def _ledger_outcome(build, view):
+    """``(trail, result)`` of one ledger build; a claim violation's text is its result."""
+    trail = []
+    try:
+        return trail, build(view, trail)
+    except ClaimViolation as e:
+        return trail, f"ClaimViolation: {e}"
+
+
+def test_ledger_matches_all_spans_reference():
+    # The ledger reads the span records of its stretch only; the old one
+    # built every span, an all-spans dict and a stretch dict.  Both run on
+    # each path as given and, where it orients, in its east-facing frame,
+    # where the driver builds its ledgers.
+    within = _timed()
+    sys_, _ = parse_system(TOWER_TEXT)
+    fixtures = [(sys_, Path([(c, sys_.by_name["A"]) for c in _climb(runs)]))
+                for runs, _, _ in TALL_BRANCH_CASES]
+    fixtures.append(parse_system(MIXED_SPAN_TEXT))
+    n_ledgers = n_unavailable = n_pairs = n_stretch = 0
+    for sys_, p in chain(_corpus_paths(), fixtures,
+                         _producible_walks(random.Random(23), 300)):
+        frame = driver._orient_east(sys_, p)
+        views = [GlueView(sys_, p)]
+        if frame is not None:
+            views.append(GlueView(*frame.move(sys_, p)))
+        for view in views:
+            want_trail, want = _ledger_outcome(reference_build_ledger, view)
+            got_trail, got = _ledger_outcome(driver._build_ledger, view)
+            assert got_trail == want_trail
+            if not isinstance(want, tuple):
+                assert got == want  # ``None``, or the same claim violation
+                n_unavailable += want is None
+                continue
+            stretch, columns = want
+            x_last = got.columns[-1]
+            assert list(stretch) == list(range(got.x0, x_last + 1))
+            assert [Span.of(col, got.spans[col]) for col in stretch] == list(stretch.values())
+            assert got.columns == columns
+            pair = driver._find_couple_pair(got)
+            assert pair == reference_couple_pair(stretch)
+            n_ledgers += 1
+            n_pairs += pair is not None
+            n_stretch += len(stretch)
+    assert n_ledgers > 5000 and n_unavailable > 3000 and n_pairs > 4000 and n_stretch > 40000
     assert within()

@@ -4,8 +4,9 @@ Reads the pool generator ``perfbench/gen.py`` (``walk_instance(n)`` for
 every ``n`` below ``gen.WALK_POOL``) and runs ``pumpkit.driver.analyze``
 on each walk with its instance's bound override.  It prints the kind
 histogram, the branch histogram (the trail's ``engine:`` tag, or the
-error raised) and a SHA-256 over every walk's kind, trail and
-certificate.  It writes nothing under ``perfbench/``.
+error raised), the histogram of the driver's case tags over all trail
+entries (:func:`case_tag`) and a SHA-256 over every walk's kind, trail
+and certificate.  It writes nothing under ``perfbench/``.
 
     python tools/pool_scan.py                      # about a minute on 2 cores
     python tools/pool_scan.py --out scan.txt       # one line per walk
@@ -37,35 +38,50 @@ from pumpkit import driver, formats  # noqa: E402
 POOL_DIGEST = "2af68c9c45d2a09463ddbec5f65807f56d11e29776706cdef0187876d1f26ed6"
 
 
-def scan_one(n: int) -> tuple[str, str, str]:
-    """``(kind, branch, record)`` of walk ``n``; ``record`` is one line of text."""
+def case_tag(entry: str) -> str:
+    """The case a trail entry names, without its figures.
+
+    The entry is cut at its first ``:``, and at its ``(`` when the
+    parentheses hold a digit: ``engine:anchor-stall`` and
+    ``equal-span-pair(cols 3,4)`` count as ``engine`` and
+    ``equal-span-pair``, while ``flip-vertical(down spans)`` and
+    ``flip-vertical(orient visible bank)`` stay two cases.
+    """
+    tag = entry.split(":", 1)[0]
+    head, paren, rest = tag.partition("(")
+    return head if paren and any(c.isdigit() for c in rest) else tag
+
+
+def scan_one(n: int) -> tuple[str, str, list[str], str]:
+    """``(kind, branch, trail, record)`` of walk ``n``; ``record`` is one line of text."""
     inst = gen.walk_instance(n)
     sys_, path = formats.parse_system(inst["text"])
     try:
         res = driver.analyze(sys_, path, inst["override"])
     except Exception as e:  # every failure is recorded, none stops the scan
         err = f"{type(e).__name__}: {e}"
-        return "error", type(e).__name__, f"{n} error {err!r}"
+        return "error", type(e).__name__, [], f"{n} error {err!r}"
     branch = next((t[len("engine:"):] for t in res.trail if t.startswith("engine:")),
                   "-")
     cert = "" if res.kind == "no_shield" else formats.emit_certificate(res)
     trail = " | ".join(res.trail)
-    return res.kind, branch, f"{n} {res.kind} [{trail}] {cert!r}"
+    return res.kind, branch, res.trail, f"{n} {res.kind} [{trail}] {cert!r}"
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", help="write one line per walk to this file")
     args = ap.parse_args(argv)
-    kinds, branches = Counter(), Counter()
+    kinds, branches, cases = Counter(), Counter(), Counter()
     digest = hashlib.sha256()
     errors = []
     out = open(args.out, "w", encoding="utf-8") if args.out else None
     try:
         for n in range(gen.WALK_POOL):
-            kind, branch, record = scan_one(n)
+            kind, branch, trail, record = scan_one(n)
             kinds[kind] += 1
             branches[branch] += 1
+            cases.update(case_tag(entry) for entry in trail)
             if kind == "error":
                 errors.append(n)
             digest.update(record.encode() + b"\n")
@@ -77,6 +93,7 @@ def main(argv=None) -> int:
     print(f"walks: {gen.WALK_POOL}")
     print("kinds: " + ", ".join(f"{k} {v}" for k, v in sorted(kinds.items())))
     print("branches: " + ", ".join(f"{k} {v}" for k, v in sorted(branches.items())))
+    print("cases: " + ", ".join(f"{k} {v}" for k, v in sorted(cases.items())))
     print(f"sha256: {digest.hexdigest()}")
     status = 0
     if errors:
