@@ -19,10 +19,10 @@ from pumpkit import (
 )
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_H, FLIP_V, IDENTITY, ROT90, Frame
-from pumpkit.errors import BadBudget, BadCounts, BadSystem, TooShort
+from pumpkit.errors import BadBudget, BadCounts, BadSystem, NotCanonical, TooShort
 from pumpkit.formats import emit_certificate, parse_system
 from pumpkit.tam import SIDE_OF_STEP, STEP, FragilityCert, TileType
-from pumpkit.visibility import GlueView
+from pumpkit.visibility import GlueView, Span, spans
 
 from conftest import path_of, system_of
 
@@ -528,6 +528,46 @@ def test_analyze_builds_one_view_per_frame(request, monkeypatch, instance, overr
     assert all(t in res.trail for t in tags), res.trail
     assert res.kind != "no_shield"
     assert len(built) == views
+
+
+def test_view_spans_match_fresh_spans(rng):
+    # Spans read off a shared view's column records equal fresh spans, and
+    # the view's precondition fails exactly where fresh spans fail.
+    budget = EnumBudget(max_path_len=9, max_nodes=400)
+    checked = 0
+    while checked < 200:
+        sys_ = oracle.random_system(rng)
+        for p in oracle.PathEnumeration(sys_, budget, max_paths=60):
+            if len(p) < 2:
+                continue
+            view = GlueView(sys_, p)
+            try:
+                want = spans(sys_, p)
+            except NotCanonical:
+                with pytest.raises(NotCanonical):
+                    view.check_spans_defined()
+                with pytest.raises(NotCanonical):
+                    spans(sys_, p, view)
+                continue
+            view.check_spans_defined()
+            records = view.column_spans()
+            assert list(records) == sorted(records)
+            assert [Span.of(col, rec) for col, rec in records.items()] == want
+            assert spans(sys_, p, view) == want
+            assert view.column_spans() == records
+            checked += 1
+
+
+def test_view_spans_not_canonical():
+    # The last glue shares its column with an earlier glue: not extremal.
+    sys_ = system_of([("T", "t", "t", "t", "t")], {(0, 0): "T"})
+    p = path_of(sys_, (0, 1, "T"), (1, 1, "T"), (1, 2, "T"), (0, 2, "T"))
+    view = GlueView(sys_, p)
+    for _ in range(2):  # a failure leaves the view as it was
+        with pytest.raises(NotCanonical, match="not the unique extremal glue"):
+            view.check_spans_defined()
+        with pytest.raises(NotCanonical, match="not the unique extremal glue"):
+            spans(sys_, p, view)
 
 
 # -- two-handed reduction -------------------------------------------------------
