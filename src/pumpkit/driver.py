@@ -214,14 +214,21 @@ class Frame:
 
     def _placed(self, entries, known: Optional[dict[TileType, TileType]] = None
                 ) -> tuple[tuple[Pos, TileType], ...]:
-        """Move placed tiles; ``known`` maps source types to moved types already built."""
+        """Move placed tiles; ``known`` maps source types to moved types already built.
+
+        Moved types are cached by the source type's identity, not its name:
+        two different types may share a name, and each moves on its own.
+        ``id`` is a cheap key, where a ``TileType`` key would call its
+        generated ``__hash__`` on every entry; the entries hold every
+        source type alive while the cache is in use.
+        """
         known = known or {}
-        moved: dict[str, TileType] = {}
+        moved: dict[int, TileType] = {}
         types = []
         for _, t in entries:
-            mt = moved.get(t.name)
+            mt = moved.get(id(t))
             if mt is None:
-                mt = moved[t.name] = known.get(t) or self._tile(t)
+                mt = moved[id(t)] = known.get(t) or self._tile(t)
             types.append(mt)
         return tuple(zip(self._points([pos for pos, _ in entries]), types))
 
@@ -393,9 +400,8 @@ def _west_pigeonhole_shield(view: GlueView, trail: list[str],
                             budget: Optional[EnumBudget]) -> Optional[AnalysisResult]:
     """Two same-type west glues visible from the south give a mirrored shield."""
     by_label: dict[str, list[int]] = {}
-    for g in view.south_visible():
-        if g.pointing == "west":
-            by_label.setdefault(g.label, []).append(g.index)
+    for g in map(view.glue, view.west_pointing(view.banks[0])):
+        by_label.setdefault(g.label, []).append(g.index)
     pair = next((idxs for _, idxs in sorted(by_label.items()) if len(idxs) >= 2), None)
     if pair is None:
         return None
@@ -493,7 +499,8 @@ def _case_tall_span_upright(sys: TileSystem, p: Path, span_c: Span,
     tiles, seed = len(sys.tiles), len(sys.seed)
     q = p.prefix(span_c.n + 1)
     viewq = GlueView(sys, q)
-    x_prime = max((g.column for g in viewq.glues if g.horizontal), default=0)
+    # The easternmost glue column; ``cols`` keys are doubled, odd columns.
+    x_prime = max(viewq.cols) >> 1 if viewq.cols else 0
     if span_c.height < 4 * tiles * (x_prime + 2) + 3 * seed + 1:
         res = _case_narrow_prefix(viewq, span_c, trail, budget)
         if res is not None:
@@ -508,9 +515,8 @@ def _case_narrow_prefix(viewq: GlueView, span_c: Span, trail: list[str],
     """Wide prefix: many same-type south glues exist; shift the exit ray clear."""
     west_limit = min(x for x, _ in chain(viewq.sys.seed.tiles, viewq.path.positions))
     by_label: dict[str, list] = {}
-    for g in viewq.south_visible():
-        if g.pointing == "east":
-            by_label.setdefault(g.label, []).append(g)
+    for g in map(viewq.glue, viewq.east_pointing(viewq.banks[0])):
+        by_label.setdefault(g.label, []).append(g)
     col_c = span_c.coordinate
     for label in sorted(by_label):
         glues = sorted(by_label[label], key=lambda g: g.column)
@@ -572,8 +578,9 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
         trail.append("depth-limit")
         return None
     view = GlueView(sys, p)
-    if any(g.pointing == "west" for g in view.north_visible()):
-        if not all(g.pointing == "east" for g in view.south_visible()):
+    south, north = view.banks
+    if view.west_pointing(north):
+        if view.west_pointing(south):
             raise ClaimViolation("visible-side",
                                  "west glues visible on both banks")
         trail.append("flip-vertical(orient visible bank)")

@@ -162,7 +162,7 @@ def check_shield(sys: TileSystem, p: Path, i: int, j: int, k: int,
         raise NotAShield(f"need 0 <= i < j <= k < |p|-1, got {(i, j, k)}")
     if view is None:
         view = GlueView(sys, p)
-    gi, gj, gk = view.glues[i], view.glues[j], view.glues[k]
+    gi, gj, gk = view.glue(i), view.glue(j), view.glue(k)
     if gi.label != gj.label:
         raise NotAShield("glues i and j differ in type")
     if gi.pointing != "east" or gj.pointing != "east":
@@ -172,8 +172,10 @@ def check_shield(sys: TileSystem, p: Path, i: int, j: int, k: int,
     if not gk.horizontal or not view.visible(k, "north"):
         raise NotAShield("glue k must be visible from the north")
     sx, sy = add(gk.midpoint, sub(_dbl(p.pos(i)), _dbl(p.pos(j))))
-    hits = {g.midpoint for g in view.glues[i:k]
-            if g.midpoint[0] == sx and g.midpoint[1] >= sy}
+    # Glue s of the segment has midpoint pos_s + pos_{s+1} (doubled).
+    pos = [q for q, _ in p.entries[i:k + 1]]
+    hits = {(x0 + x1, y0 + y1) for (x0, y0), (x1, y1) in zip(pos, pos[1:])
+            if x0 + x1 == sx and y0 + y1 >= sy}
     if not hits <= {(sx, sy)}:
         raise NotAShield(f"translated exit ray meets segment at {sorted(hits)}")
 
@@ -198,6 +200,11 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
     one lookup.  The search runs ``i`` and ``k`` upward and collects the
     accepted ``k`` per partner ``j``; emitting those lists ``j`` by ``j``
     gives the order without a sort.
+
+    It reads only the view's visible banks (glue indices) and the path's
+    entries, and builds no glue record: glue ``s`` has the doubled
+    midpoint ``pos_s + pos_(s+1)``, and an east-pointing glue's label is
+    its first tile's east glue.
     """
     entries = p.entries
     east = [t.east for ((x, y), t), ((nx, ny), _) in zip(entries, entries[1:])
@@ -205,33 +212,37 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
     if len(set(east)) == len(east):
         return []
     view = GlueView(sys, p)
-    glues = view.glues
-    south_east = [g for g in view.south_visible() if g.pointing == "east"]
-    north_vis = view.north_visible()
+    south, north = view.banks
+    # East-pointing glue i: label t_i.east, doubled midpoint (2 x_i + 1, 2 y_i).
+    south_east = []
+    for i in south:
+        (x, y), t = entries[i]
+        if entries[i + 1][0][0] > x:
+            south_east.append((i, t.east, 2 * x + 1, 2 * y))
     found = []
-    for a, gi in enumerate(south_east):
-        ix, iy = gi.midpoint
+    for a, (i, label, ix, iy) in enumerate(south_east):
         # Both glues point east, so their midpoints differ by the doubled
         # displacement between tiles i and j.
-        partners = [(gj.index, ix - gj.midpoint[0], iy - gj.midpoint[1], [])
-                    for gj in south_east[a + 1:] if gj.label == gi.label]
+        partners = [(j, ix - jx, iy - jy, [])
+                    for j, label_j, jx, jy in south_east[a + 1:] if label_j == label]
         if not partners:
             continue
-        i = gi.index
         top: dict[int, int] = {}  # glue column -> highest midpoint, glues i..k-1
         s = i
-        for gk in north_vis:
-            k = gk.index
+        for k in north:
             if k < partners[0][0]:
                 continue
-            for g in glues[s:k]:
-                if g.horizontal:
-                    x, y = g.midpoint
-                    h = top.get(x)
-                    if h is None or y > h:
-                        top[x] = y
+            # Glues s..k-1: a horizontal one joins tiles on one row y, at doubled 2y.
+            (x0, y0), _ = entries[s]
+            for (x1, y1), _ in entries[s + 1:k + 1]:
+                if y0 == y1:
+                    h = top.get(x0 + x1)
+                    if h is None or 2 * y0 > h:
+                        top[x0 + x1] = 2 * y0
+                x0, y0 = x1, y1
             s = k
-            kx, ky = gk.midpoint
+            (x0, y0), _ = entries[k]
+            kx, ky = x0 + entries[k + 1][0][0], 2 * y0
             for j, dx, dy, ks in partners:
                 if j > k:
                     break
@@ -281,7 +292,7 @@ def build_workspace(sys: TileSystem, p: Path, sh: Shield,
     pt = p.prefix(k + 1)
     if view is None:
         view = GlueView(sys, pt)
-    gi, gk = view.glues[i], view.glues[k]
+    gi, gk = view.glue(i), view.glue(k)
     positions = pt.positions
     pos2 = [_dbl(q) for q in positions]
     vec = sub(pos2[j], pos2[i])
@@ -326,7 +337,7 @@ def _carrier_candidates(ws: Workspace):
     start is not above the glue midpoint.
     """
     sh = ws.shield
-    gx, gy = ws.view.glues[sh.i].midpoint
+    gx, gy = ws.view.glue(sh.i).midpoint
     dx, dy = ws.vector
     out = []
     for m in range(sh.i + 1, sh.k + 1):
@@ -379,7 +390,7 @@ def dominant(ws: Workspace) -> DominantInfo:
         raise ClaimViolation("anchor-ray-inside",
                              f"anchor ray leaves the workspace at {witness}")
     if m0 > j:
-        if anchor2[0] <= ws.view.glues[j].midpoint[0]:
+        if anchor2[0] <= ws.view.glue(j).midpoint[0]:
             raise ClaimViolation("anchor-ray-east",
                                  "anchor ray not strictly east of glue j")
         back = sub(anchor2, vec)
@@ -574,7 +585,7 @@ def _assert_route_claims(ws: Workspace, route: tuple[Point, ...]) -> None:
 
     # Inner component: right side of the cut through glue j's ray.
     j = ws.shield.j
-    inner = _cut([ws.view.glues[j].midpoint], ws.pos2, j + 1, ws.exit2)
+    inner = _cut([ws.view.glue(j).midpoint], ws.pos2, j + 1, ws.exit2)
     if not inner.is_simple():
         raise ClaimViolation("inner-cut-simple", "inner cut self-intersects")
     moved = PolyCurve([add(u, ws.vector) for u in route])

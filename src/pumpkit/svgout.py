@@ -134,7 +134,7 @@ def render_svg(sys: TileSystem, path: Optional[Path] = None,
         x0, y0, x1, y1 = win
         for idx, heading in ((shield.i, "south"), (shield.j, "south"),
                              (shield.k, "north")):
-            gx, gy = view.glues[idx].midpoint
+            gx, gy = view.glue(idx).midpoint
             end_y = y0 if heading == "south" else y1
             out.append(f'<line x1="{_sx(gx)}" y1="{_sy(gy, top)}" '
                        f'x2="{_sx(gx)}" y2="{_sy(end_y, top)}" class="ray"/>')

@@ -8,6 +8,14 @@ glues of the path on the same column, or by the edge between two
 horizontally adjacent seed tiles straddling that column; this makes
 visibility a per-column min/max question and keeps everything exact.
 
+Only a column's lowest glue can be seen from the south and only its
+highest from the north, so a :class:`GlueView` keeps just those: one pass
+over the path's positions gives each glue column its two extremal glue
+indices and their heights, with no glue record and no label lookup.
+Labels and pointing are read off the path entries when a rule needs
+them, and a glue's :class:`GlueRef` is built only when a caller names
+that glue.  The visible banks are lists of glue indices.
+
 A span joins the lowest and the highest glue of one glue column.  The
 span rule is one pass over the column extremes,
 :meth:`GlueView.column_spans`, which gives each eligible column a plain
@@ -24,10 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
-from typing import Optional, Sequence, Union
+from operator import add
+from typing import Iterable, Optional, Sequence, Union
 
-from . import tam
 from .errors import (
     LastGlueNotVisible,
     NotCanonical,
@@ -43,16 +50,15 @@ POINTING = {(1, 0): "east", (-1, 0): "west", (0, 1): "north", (0, -1): "south"}
 # A column's span as ``(s, n, label, pointing, height)``: see GlueView.column_spans.
 SpanRecord = tuple[int, int, str, Optional[str], int]
 
-_by_index = attrgetter("index")
-
 
 @dataclass(slots=True)
 class GlueRef:
     """Glue ``index`` sits between path tiles ``index`` and ``index + 1``.
 
-    A plain slotted record, not a frozen one: a view builds one per glue,
-    and a frozen dataclass pays a ``setattr`` call per field.  Nothing
-    changes a ``GlueRef`` after it is built.
+    A plain slotted record, not a frozen one: a frozen dataclass pays a
+    ``setattr`` call per field.  A view builds one only when a caller names
+    its glue (:meth:`GlueView.glue`).  Nothing changes a ``GlueRef`` after
+    it is built.
     """
 
     index: int
@@ -79,21 +85,26 @@ class GlueView:
     O(1); the stronger rule is what keeps the engine's workspace free of
     the seed and the retained prefix in every case.
 
-    The glue records and the column data (``cols``, ``pair_cols``,
-    ``seed_glue_cols``) are built with the view, the records and ``cols``
-    in one pass.
+    Built with the view, in one pass each and with no glue record: ``cols``,
+    the lowest and the highest glue of each glue column as
+    ``(lo index, lo y, hi index, hi y)`` (doubled ``y``), ``pair_cols`` and
+    ``seed_glue_cols``.  Everything else is read off these and the path's
+    positions on request.  A glue's :class:`GlueRef` is built from path
+    entries ``i`` and ``i + 1`` when a caller first names it (:meth:`glue`)
+    and kept; the full list (:attr:`glues`) is built on first read, and
+    the decision never reads it.
 
-    The visible banks are read off the column extremes, once per view.  A
-    horizontal glue joins two horizontally adjacent tiles, so it is itself
-    a pair straddling its column, and a glue lower on the same column
-    blocks it from the south.  Only a column's lowest glue can therefore
-    be visible from the south, and only its highest from the north; each
-    is visible when no straddling pair lies beyond it.  This needs the
-    glues of one column to have distinct midpoints, as on any
-    self-avoiding path.  The span records (:meth:`column_spans`) are read
-    off the same extremes, in one pass when asked for and never while the
-    view is built: most views, such as the shield search's, never read
-    them.
+    The visible banks (:attr:`banks`, glue indices) are read off the column
+    extremes, once per view.  A horizontal glue joins two horizontally
+    adjacent tiles, so it is itself a pair straddling its column, and a
+    glue lower on the same column blocks it from the south.  Only a
+    column's lowest glue can therefore be visible from the south, and only
+    its highest from the north; each is visible when no straddling pair
+    lies beyond it.  This needs the glues of one column to have distinct
+    midpoints, as on any self-avoiding path.  The span records
+    (:meth:`column_spans`) are read off the same extremes, in one pass when
+    asked for and never while the view is built: most views, such as the
+    shield search's, never read them.
 
     A view holds ``sys`` and ``path``, so it is the per-frame context the
     driver hands down: each frame builds one and shares it.
@@ -102,35 +113,31 @@ class GlueView:
     def __init__(self, sys: TileSystem, p: Path):
         self.sys = sys
         self.path = p
-        # One record per glue and, on each glue column, the lowest and the
-        # highest glue: a span joins them.  Ties keep the first glue as the
-        # lowest and the last as the highest, as a stable sort of the
-        # glues in path order would.
-        self.glues = glues = []
-        cols: dict[int, tuple[GlueRef, GlueRef]] = {}
-        side_of = tam.SIDE_OF_STEP
+        self._records: dict[int, GlueRef] = {}  # glue records built on request
+        # On each glue column, the lowest and the highest glue: a span joins
+        # them.  Ties keep the first glue as the lowest and the last as the
+        # highest, as a stable sort of the glues in path order would.
+        cols: dict[int, tuple[int, int, int, int]] = {}
         entries = p.entries
-        for i in range(len(entries) - 1):
-            (x0, y0), t0 = entries[i]
-            x1, y1 = entries[i + 1][0]
-            step = (x1 - x0, y1 - y0)
-            gx, gy = x0 + x1, y0 + y1
-            horizontal = gx % 2 == 1
-            g = GlueRef(i, getattr(t0, side_of[step]), POINTING[step], (gx, gy), horizontal)
-            glues.append(g)
-            if horizontal:
-                old = cols.get(gx)
-                if old is None:
-                    cols[gx] = (g, g)
-                elif gy < old[0].midpoint[1]:
-                    cols[gx] = (g, old[1])
-                elif gy >= old[1].midpoint[1]:
-                    cols[gx] = (old[0], g)
+        if entries:
+            (x0, y0), _ = entries[0]
+            # Glue i joins tiles i and i + 1; it is horizontal when they share a row.
+            for i, ((x1, y1), _) in enumerate(entries[1:]):
+                if y1 == y0:
+                    gx, gy = x0 + x1, y0 + y1
+                    old = cols.get(gx)
+                    if old is None:
+                        cols[gx] = (i, gy, i, gy)
+                    elif gy < old[1]:
+                        cols[gx] = (i, gy, old[2], old[3])
+                    elif gy >= old[3]:
+                        cols[gx] = (old[0], old[1], i, gy)
+                x0, y0 = x1, y1
         self.cols = cols
         # Lowest and highest midpoint of the adjacent tile pairs of seed +
         # path straddling each glue column; only these two can block.
         tiles = set(sys.seed.tiles)
-        tiles.update(pos for pos, _ in p.entries)
+        tiles.update(pos for pos, _ in entries)
         pair_cols: dict[int, tuple[int, int]] = {}
         for (x, y) in tiles:
             if (x + 1, y) in tiles:
@@ -151,42 +158,85 @@ class GlueView:
             if t.west is not None:
                 self.seed_glue_cols.add(2 * x - 1)
 
+    # -- glue records, on request ------------------------------------------------
+
+    def glue(self, i: int) -> GlueRef:
+        """The record of glue ``i``, built from path entries ``i`` and ``i + 1``.
+
+        Built on the first request and kept: the engine names the same
+        few glues of a shield several times.
+        """
+        g = self._records.get(i)
+        if g is None:
+            entries = self.path.entries
+            if not 0 <= i < len(entries) - 1:
+                raise IndexError(f"no glue {i} on a path of {len(entries)} tiles")
+            (x0, y0), t0 = entries[i]
+            x1, y1 = entries[i + 1][0]
+            # The glue sits on the side of tile i it points out of.
+            side = POINTING[(x1 - x0, y1 - y0)]
+            g = self._records[i] = GlueRef(i, getattr(t0, side), side,
+                                           (x0 + x1, y0 + y1), y0 == y1)
+        return g
+
+    @cached_property
+    def glues(self) -> list[GlueRef]:
+        """Every glue's record in path order, built on first read."""
+        return [self.glue(i) for i in range(len(self.path) - 1)]
+
+    def east_pointing(self, indices: Iterable[int]) -> list[int]:
+        """The east-pointing glues among the horizontal glues ``indices``."""
+        entries = self.path.entries
+        return [i for i in indices if entries[i + 1][0][0] > entries[i][0][0]]
+
+    def west_pointing(self, indices: Iterable[int]) -> list[int]:
+        """The west-pointing glues among the horizontal glues ``indices``."""
+        entries = self.path.entries
+        return [i for i in indices if entries[i + 1][0][0] < entries[i][0][0]]
+
     # -- visibility ---------------------------------------------------------
 
     def visible(self, i: int, direction: str) -> bool:
         """Whether glue ``i`` is visible from the ``"south"`` or ``"north"``."""
         if direction not in ("south", "north"):
             raise ValueError(f"unknown direction {direction!r}")
-        g = self.glues[i]
-        if not g.horizontal:
+        entries = self.path.entries
+        if not 0 <= i < len(entries) - 1:
+            raise IndexError(f"no glue {i} on a path of {len(entries)} tiles")
+        (x0, y0), _ = entries[i]
+        (x1, y1), _ = entries[i + 1]
+        if y0 != y1:
             raise OrientationMismatch(
-                f"glue {i} points {g.pointing}; no {direction} ray from it")
-        gx, gy = g.midpoint
-        lo, hi = self.pair_cols[gx]  # holds at least the glue's own pair
-        return lo >= gy if direction == "south" else hi <= gy
+                f"glue {i} points {self.glue(i).pointing}; no {direction} ray from it")
+        lo, hi = self.pair_cols[x0 + x1]  # holds at least the glue's own pair
+        return lo >= y0 + y1 if direction == "south" else hi <= y0 + y1
 
     @cached_property
-    def _banks(self) -> tuple[list[GlueRef], list[GlueRef]]:
-        """South- and north-visible glues in path order, from the column extremes."""
+    def banks(self) -> tuple[list[int], list[int]]:
+        """Indices of the south- and north-visible glues, ascending.
+
+        Read off the column extremes once per view; the lists are shared,
+        so a caller must not change them.
+        """
         south, north = [], []
         pair_cols = self.pair_cols
-        for gx, (lo, hi) in self.cols.items():
+        for gx, (lo, lo_y, hi, hi_y) in self.cols.items():
             low_pair, high_pair = pair_cols[gx]
-            if low_pair >= lo.midpoint[1]:
+            if low_pair >= lo_y:
                 south.append(lo)
-            if high_pair <= hi.midpoint[1]:
+            if high_pair <= hi_y:
                 north.append(hi)
-        south.sort(key=_by_index)
-        north.sort(key=_by_index)
+        south.sort()
+        north.sort()
         return south, north
 
     def south_visible(self) -> list[GlueRef]:
-        """Glues visible from the south, in path order (a fresh list)."""
-        return list(self._banks[0])
+        """Records of the glues visible from the south, in path order (a fresh list)."""
+        return [self.glue(i) for i in self.banks[0]]
 
     def north_visible(self) -> list[GlueRef]:
-        """Glues visible from the north, in path order (a fresh list)."""
-        return list(self._banks[1])
+        """Records of the glues visible from the north, in path order (a fresh list)."""
+        return [self.glue(i) for i in self.banks[1]]
 
     # -- spans -----------------------------------------------------------------
 
@@ -195,20 +245,17 @@ class GlueView:
 
         They are defined when the path has a glue and its last glue is
         the unique easternmost glue of path and seed; this guarantees each
-        column's extremal glues really are visible.
+        column's extremal glues really are visible.  A glue's midpoint x
+        (doubled) is the sum of its two tiles' x, so this reads positions.
         """
-        glues = self.glues
-        if not glues:
+        entries = self.path.entries
+        if len(entries) < 2:
             raise NotCanonical("path has no glues")
-        last_x = glues[-1].midpoint[0]
-        # A plain loop: a defined path scans every glue, and a generator
-        # would cost about twice as much per glue.
-        for g in glues[:-1]:
-            if g.midpoint[0] >= last_x:
-                break
-        else:
-            if all(x < last_x for x, _ in self.seed_glue_midpoints()):
-                return
+        xs = [q[0] for q, _ in entries]
+        last_x = xs[-2] + xs[-1]
+        if (max(map(add, xs[:-2], xs[1:-1]), default=last_x - 1) < last_x
+                and all(x < last_x for x, _ in self.seed_glue_midpoints())):
+            return
         # The driver's ledger-unavailable trail quotes this text, axis and all.
         raise NotCanonical("last glue is not the unique extremal glue on axis vertical")
 
@@ -224,23 +271,32 @@ class GlueView:
         pass over the column extremes is the span rule; :class:`Span`
         records are built from it (:meth:`Span.of`) only where a caller
         needs them.  It does not check :meth:`check_spans_defined`.
+
+        Labels and pointing come from the path entries: a glue on doubled
+        column ``key`` points east exactly when its first tile's doubled x
+        is below ``key``, so the two extremes point alike exactly when
+        their first tiles share an x.
         """
         cols, pair_cols, seed_glue = self.cols, self.pair_cols, self.seed_glue_cols
+        entries = self.path.entries
         out = {}
-        for key in sorted(cols):
+        for key, (s, lo_y, n, hi_y) in sorted(cols.items()):
             if key in seed_glue:
                 continue
-            lo, hi = cols[key]
-            lo_y, hi_y = lo.midpoint[1], hi.midpoint[1]
             low_pair, high_pair = pair_cols[key]
             if low_pair < lo_y or high_pair > hi_y:
                 continue  # a straddling tile pair blocks an extremal ray
-            s, n = lo.index, hi.index
+            first, other = (s, n) if s <= n else (n, s)
+            (x, _), t = entries[first]
+            if 2 * x < key:
+                label, pointing = t.east, "east"
+            else:
+                label, pointing = t.west, "west"
+            if other != first and entries[other][0][0] != x:
+                pointing = None
             # Both extremal glues lie on the column, so their midpoints differ
             # along it by twice the tile distance of tiles s and n.
-            out[key >> 1] = (s, n, lo.label if s <= n else hi.label,
-                             lo.pointing if lo.pointing == hi.pointing else None,
-                             (hi_y - lo_y) >> 1)
+            out[key >> 1] = (s, n, label, pointing, (hi_y - lo_y) >> 1)
         return out
 
     def seed_glue_midpoints(self) -> list[Point]:

@@ -1,5 +1,8 @@
 """Pipeline: bounds, canonical form, decision tree, two-handed reduction."""
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from pumpkit import (
     verify_fragile_cert,
     verify_pumpable_cert,
 )
+from pumpkit import shield as engine
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_H, FLIP_V, IDENTITY, ROT90, Frame
 from pumpkit.errors import BadBudget, BadCounts, BadSystem, NotCanonical, TooShort
@@ -196,6 +200,23 @@ def test_frame_move_reuses_the_moved_system_types(rng):
             assert mp == f.apply(p)
             for (_, t), (_, mt) in zip(p.entries, mp.entries):
                 assert (mt is msys.by_name[t.name]) == (t == sys_.by_name.get(t.name))
+
+
+def test_frame_moves_same_named_types_apart():
+    # Two different types that share a name, in one path and in one
+    # certificate: each tile moves with its own glues.
+    a = TileType("A", "n", "e", "s", "w")
+    a2 = TileType("A", "x", "y", "z", "u")
+    sys_ = system_of([("A", "n", "e", "s", "w")], {(0, 0): "A"})
+    placed = [((1, 0), a), ((2, 0), a2), ((3, 0), a), ((3, 1), a2)]
+    p = Path(placed)
+    cert = FragilityCert(placed, (4, 1))
+    for f in D4[1:]:
+        want = [f.apply(t) for _, t in placed]
+        assert [t for _, t in f.apply(p).entries] == want
+        assert [t for _, t in f.apply(cert).attachments] == want
+        assert [t for _, t in f.move(sys_, p)[1].entries] == want
+        assert want[0] != want[1]
 
 
 def test_canonicalize_random_corpus(rng):
@@ -504,7 +525,7 @@ def down_spans():
     return sys_, path_of(sys_, *[(x, y, "Z") for x, y in cells])
 
 
-@pytest.mark.parametrize("instance, override, tags, views", [
+FRAME_CASES = [
     ("unit_instance", 2, ["equal-span-pair(cols 1,2)"], 1),
     ("analyze_fragile", 2, ["west-pigeonhole(i=0,j=1,k=7)"], 2),
     ("bank_flip", None,
@@ -512,7 +533,10 @@ def down_spans():
     # The mirrored frame's shield ends before the last glue: the engine
     # works on a shorter prefix but reuses the frame's view.
     ("down_spans", None, ["equal-span-pair(cols 2,3)", "flip-vertical(down spans)"], 2),
-])
+]
+
+
+@pytest.mark.parametrize("instance, override, tags, views", FRAME_CASES)
 def test_analyze_builds_one_view_per_frame(request, monkeypatch, instance, override,
                                            tags, views):
     sys_, p = request.getfixturevalue(instance)
@@ -528,6 +552,88 @@ def test_analyze_builds_one_view_per_frame(request, monkeypatch, instance, overr
     assert all(t in res.trail for t in tags), res.trail
     assert res.kind != "no_shield"
     assert len(built) == views
+
+
+# Glue records one ``pump_or_block`` call builds: three in the shield check,
+# two in the workspace, one each for the carrier start, the anchor's east
+# test and the inner cut.
+ENGINE_GLUE_RECORDS = 8
+
+
+def _count_glue_records(monkeypatch):
+    """Count the glue records ``analyze`` builds, and any full glue list.
+
+    Records built inside the engine count per ``pump_or_block`` call (the
+    most of any call is kept); every other record must be of a glue the
+    driver filtered out of its view's south-visible bank.
+    """
+    counts = {"lists": 0, "checks": 0, "engine": 0, "driver": 0, "stray": 0}
+    open_calls = []
+    glue = GlueView.glue
+
+    def counting_glue(self, i):
+        if open_calls:
+            open_calls[-1] += 1
+        elif i in self.banks[0]:
+            counts["driver"] += 1
+        else:
+            counts["stray"] += 1
+        return glue(self, i)
+
+    def full_list(self):
+        counts["lists"] += 1
+        return [glue(self, i) for i in range(len(self.path) - 1)]
+
+    check = engine.check_shield
+
+    def counting_check(*args, **kwargs):
+        counts["checks"] += 1
+        return check(*args, **kwargs)
+
+    decide = engine.pump_or_block
+
+    def counting_decide(*args, **kwargs):
+        open_calls.append(0)
+        try:
+            return decide(*args, **kwargs)
+        finally:
+            counts["engine"] = max(counts["engine"], open_calls.pop())
+
+    monkeypatch.setattr(GlueView, "glue", counting_glue)
+    monkeypatch.setattr(GlueView, "glues", property(full_list))
+    monkeypatch.setattr(engine, "check_shield", counting_check)
+    monkeypatch.setattr(engine, "pump_or_block", counting_decide)
+    return counts
+
+
+@pytest.mark.parametrize("instance, override", [c[:2] for c in FRAME_CASES])
+def test_analyze_builds_glue_records_on_request(request, monkeypatch, instance, override):
+    # No view of the decision builds its full glue list, and a shield check
+    # builds a bounded number of glue records, whatever the path's length.
+    sys_, p = request.getfixturevalue(instance)
+    counts = _count_glue_records(monkeypatch)
+    assert analyze(sys_, p, bound_override=override).kind != "no_shield"
+    assert counts["lists"] == counts["stray"] == 0
+    assert 1 <= counts["checks"] and counts["engine"] <= ENGINE_GLUE_RECORDS
+
+
+def test_analyze_builds_glue_records_on_request_on_walks(monkeypatch):
+    # Seeded producible walks of 40-150 tiles, and the tall-span towers,
+    # whose narrow-prefix case reads records off its south-visible bank.
+    from test_frames_and_banks import _producible_walks
+
+    counts = _count_glue_records(monkeypatch)
+    kinds = Counter()
+    for sys_, p in _producible_walks(random.Random(31), 200):
+        kinds[analyze(sys_, p, bound_override=2).kind] += 1
+    sys_, _ = parse_system(TOWER_TEXT)
+    for runs, override, _ in TALL_BRANCH_CASES:
+        p = Path([(c, sys_.by_name["A"]) for c in _climb(runs)])
+        kinds[analyze(sys_, p, bound_override=override).kind] += 1
+    assert counts["lists"] == counts["stray"] == 0
+    assert counts["engine"] <= ENGINE_GLUE_RECORDS
+    assert counts["checks"] > 100 and counts["driver"] > 10
+    assert kinds["pumpable"] > 100 and kinds["fragile"] > 3
 
 
 def test_view_spans_match_fresh_spans(rng):

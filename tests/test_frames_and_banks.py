@@ -3,14 +3,16 @@
 ``driver._orient_east`` reads its quarter turn off the last tile's
 extremes and its margins off one bounding box; ``canonicalize`` reads its
 margins the same way and stops at once on a path with no more than
-``half`` tiles; ``GlueView`` builds its glue records with the column
-extremes and reads the visible banks off those extremes; the driver reads
-a down span's upright form in the ``FLIP_V`` frame off the span itself
-(``driver._flipped``); the span ledger reads the view's span records
-over its stretch only.  Inline copies of the code as it read before
-(per-turn point lists, the per-point margin translation, the separate
-glue pass, the per-glue visibility scan, the rebuilt ``FLIP_V`` view and
-the ledger over an all-spans dict) are the references they must
+``half`` tiles; ``GlueView`` keeps only the column extremes, builds a
+glue record when one is named, and reads the visible banks, the span
+records and the span precondition off the extremes and the positions;
+the driver reads a down span's upright form in the ``FLIP_V`` frame off
+the span itself (``driver._flipped``); the span ledger reads the view's
+span records over its stretch only.  Inline copies of the code as it
+read before (per-turn point lists, the per-point margin translation, the
+separate glue pass, the per-glue visibility scan, the span rule over
+glue records, the rebuilt ``FLIP_V`` view and the ledger over an
+all-spans dict) are the references they must
 reproduce exactly: on criterion 9's corpus and on seeded random
 producible walks of 40-150 tiles (one-type tower walks for the flips,
 the tall-span towers and one hand-built path for the ledger).
@@ -87,6 +89,46 @@ def reference_glue_refs(p):
         refs.append(GlueRef(i, getattr(t0, tam.SIDE_OF_STEP[step]), POINTING[step],
                             (mx, y0 + y1), mx % 2 == 1))
     return refs
+
+
+def reference_columns(refs):
+    """Lowest and highest glue record of each glue column, from the records."""
+    cols = {}
+    for g in refs:
+        if g.horizontal:
+            lo, hi = cols.get(g.midpoint[0], (g, g))
+            if g.midpoint[1] < lo.midpoint[1]:
+                lo = g
+            elif g.midpoint[1] >= hi.midpoint[1]:
+                hi = g
+            cols[g.midpoint[0]] = (lo, hi)
+    return cols
+
+
+def reference_column_spans(view, refs):
+    """The span records as read off glue records, with the view's blocking data."""
+    cols = reference_columns(refs)
+    out = {}
+    for key in sorted(cols):
+        lo, hi = cols[key]
+        low_pair, high_pair = view.pair_cols[key]
+        if (key in view.seed_glue_cols or low_pair < lo.midpoint[1]
+                or high_pair > hi.midpoint[1]):
+            continue
+        out[(key - 1) // 2] = (lo.index, hi.index,
+                               (lo if lo.index <= hi.index else hi).label,
+                               lo.pointing if lo.pointing == hi.pointing else None,
+                               (hi.midpoint[1] - lo.midpoint[1]) // 2)
+    return out
+
+
+def reference_spans_defined(view, refs):
+    """Whether the last glue record is the unique easternmost glue of path and seed."""
+    if not refs:
+        return False
+    last_x = refs[-1].midpoint[0]
+    rest = [g.midpoint for g in refs[:-1]] + view.seed_glue_midpoints()
+    return all(m[0] < last_x for m in rest)
 
 
 def reference_banks(view):
@@ -224,17 +266,35 @@ def _timed():
 
 
 def test_banks_from_columns_match_per_glue_scan():
+    # The view keeps only column extremes and builds glue records on
+    # request; its banks, span records and span precondition must equal
+    # what the records of a separate pass give.
     within = _timed()
-    n_paths = n_visible = 0
+    n_paths = n_visible = n_spans = n_defined = 0
     for sys_, p in chain(_corpus_paths(), _producible_walks(random.Random(17), 300)):
         view = GlueView(sys_, p)
+        refs = reference_glue_refs(p)
+        assert view.cols == {key: (lo.index, lo.midpoint[1], hi.index, hi.midpoint[1])
+                             for key, (lo, hi) in reference_columns(refs).items()}
         assert view.glues == reference_glue_refs(p)
         south, north = reference_banks(view)
         assert view.south_visible() == south
         assert view.north_visible() == north
+        assert view.banks == ([g.index for g in south], [g.index for g in north])
+        records = reference_column_spans(view, refs)
+        assert view.column_spans() == records
+        defined = reference_spans_defined(view, refs)
+        if defined:
+            view.check_spans_defined()
+        else:
+            with pytest.raises(NotCanonical):
+                view.check_spans_defined()
         n_paths += 1
         n_visible += len(south) + len(north)
+        n_spans += len(records)
+        n_defined += defined
     assert n_paths > 5000 and n_visible > 20000
+    assert n_spans > 20000 and 1000 < n_defined < n_paths
     assert within()
 
 

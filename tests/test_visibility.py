@@ -2,6 +2,7 @@
 
 
 import random
+import time
 from dataclasses import replace
 from itertools import chain
 
@@ -11,11 +12,13 @@ from pumpkit import GlueView, Path, oracle, right_priority, spans, visible
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import ROT90, TRANSPOSE
 from pumpkit.errors import (
+    NotAShield,
     NotCanonical,
     NotEasternmost,
     OrientationMismatch,
     PrefixAmbiguity,
 )
+from pumpkit.shield import Shield, check_shield, enumerate_shields
 from pumpkit.visibility import Span, check_glue_east, check_glue_side
 
 from conftest import path_of, system_of
@@ -284,6 +287,40 @@ def test_glue_view_matches_scanning_definition():
         n_spans += len(got)
         n_paths += 1
     assert n_paths > 5000 and n_queries > 50000 and n_spans > 10000
+
+
+ENUMERATE_SECONDS = 2.0  # the test takes about 0.6 s on a 2-core machine
+
+
+def test_enumerate_shields_matches_check_shield_on_long_walks():
+    # enumerate_shields reads bank indices and positions only; check_shield
+    # on every triple is the definition it must reproduce.  check_shield
+    # tests glues i and j (label, pointing, south visibility) before it
+    # reads k, so a pair that fails there fails for every k, and its one
+    # check at k = j stands for all of them.
+    start = time.perf_counter()
+    n_paths = n_shields = n_checks = n_ray = 0
+    for sys_, p in _long_walks(random.Random(11), 40):
+        view = GlueView(sys_, p)
+        m = len(p) - 1
+        want = []
+        for i in range(m):
+            for j in range(i + 1, m):
+                for k in range(j, m):
+                    n_checks += 1
+                    try:
+                        check_shield(sys_, p, i, j, k, view)
+                    except NotAShield as e:
+                        if str(e).startswith("glues i and j"):
+                            break
+                        n_ray += str(e).startswith("translated")
+                        continue
+                    want.append(Shield(i, j, k))
+        assert enumerate_shields(sys_, p) == want
+        n_paths += 1
+        n_shields += len(want)
+    assert n_paths == 40 and n_shields > 2000 and n_checks > 100000 and n_ray > 500
+    assert time.perf_counter() - start < ENUMERATE_SECONDS
 
 
 # -- right priority -----------------------------------------------------------
