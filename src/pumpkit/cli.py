@@ -234,11 +234,19 @@ def cmd_render(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    print(driver.bound(args.tiles, args.seed))
-    if args.all:
-        print(f"square-half-side "
-              f"{driver.bound_theorem1_square_half_side(args.tiles, args.seed)}")
-        print(f"extent {driver.bound_theorem1_extent(args.tiles, args.seed)}")
+    tiles, seed = args.tiles, args.seed
+    try:
+        lines = [str(driver.bound(tiles, seed))]
+        if args.all:
+            lines += [f"square-half-side {driver.bound_theorem1_square_half_side(tiles, seed)}",
+                      f"extent {driver.bound_theorem1_extent(tiles, seed)}"]
+    except ValueError:
+        # The interpreter refuses to format an int past its digit limit.
+        _sys.stderr.write(f"error: --tiles {tiles} --seed {seed}: a bound has more than "
+                          f"{_sys.get_int_max_str_digits()} digits, the most this Python "
+                          "prints\n")
+        return EXIT_USAGE
+    print("\n".join(lines))
     return 0
 
 

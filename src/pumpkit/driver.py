@@ -283,6 +283,8 @@ def canonicalize(sys: TileSystem, p: Path,
     then north, west and south; the translation is read off the bounding
     box of seed plus cut path.  Raises :class:`TooShort` when the path
     never reaches the square, at once when it has at most ``half`` tiles.
+    Its message leaves ``half`` out: the true bound can have more digits
+    than the interpreter converts to decimal.
     """
     rep = tam.validate_producible_path(sys, p)
     if not rep:
@@ -295,7 +297,7 @@ def canonicalize(sys: TileSystem, p: Path,
     if half >= len(p):
         # Tile s lies at most s steps from tile 0, and the last tile is
         # tile len(p) - 1, so no tile reaches the square.
-        raise TooShort(f"path never reaches the square of half side {half}")
+        raise TooShort("path never reaches the canonical square")
     x0, y0 = p.pos(0)
     # The path takes unit steps from the square's center, so its first
     # tile on a side line of the square is its first tile on the square.
@@ -303,7 +305,7 @@ def canonicalize(sys: TileSystem, p: Path,
     b = next((s for s, ((x, y), _) in enumerate(p.entries)
               if x == east or y == north or x == west or y == south), None)
     if b is None:
-        raise TooShort(f"path never reaches the square of half side {half}")
+        raise TooShort("path never reaches the canonical square")
     bx, by = p.pos(b)[0] - x0, p.pos(b)[1] - y0
     turns = 0 if bx == half else 3 if by == half else 2 if bx == -half else 1
     trunc = p.prefix(b)

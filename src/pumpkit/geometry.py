@@ -101,14 +101,14 @@ class PolyCurve:
 
     Derived data is built once, on first use: the lattice points (as a
     tuple, as a set and as a point-to-position map), the simplicity flag,
-    the bounding box, the diagonal table of :meth:`diagonal_table` and the
-    :meth:`side_record` that side queries read.  The lattice walk is the
-    base of the rest: one pass over the segments builds it, and one pass
-    over the walk builds the diagonal table.
+    the bounding box and the :meth:`side_record` that side queries read.
+    The lattice walk is the base of the rest: one pass over the segments
+    builds it, and one pass over the walk builds the diagonal table, which
+    the side record keeps.
     """
 
     __slots__ = ("points", "south_ray", "north_ray", "_lattice", "_lattice_set",
-                 "_index", "_simple", "_bbox", "_diagonals", "_sides")
+                 "_index", "_simple", "_bbox", "_sides")
 
     def __init__(self, points: Sequence[Point], south_ray: bool = False,
                  north_ray: bool = False):
@@ -127,7 +127,6 @@ class PolyCurve:
         self._index = None
         self._simple = None
         self._bbox = None
-        self._diagonals = None
         self._sides = None
 
     def __repr__(self):
@@ -241,17 +240,17 @@ class PolyCurve:
         and the rule adds up over the unit steps of the lattice walk: each
         step counts once, for the ``d`` of its corner with the larger x and
         the smaller y, at that x.  Lines the finite part misses have no key.
+        Built afresh on each call; :meth:`side_record` keeps the one that
+        side queries read.
         """
-        if self._diagonals is None:
-            table: dict[int, list[int]] = defaultdict(list)
-            lat = self.lattice_points()
-            for (ax, ay), (bx, by) in zip(lat, lat[1:]):
-                x = ax if ax > bx else bx
-                table[(ay if ay < by else by) - x].append(x)
-            for xs in table.values():
-                xs.sort()
-            self._diagonals = dict(table)
-        return self._diagonals
+        table: dict[int, list[int]] = defaultdict(list)
+        lat = self.lattice_points()
+        for (ax, ay), (bx, by) in zip(lat, lat[1:]):
+            x = ax if ax > bx else bx
+            table[(ay if ay < by else by) - x].append(x)
+        for xs in table.values():
+            xs.sort()
+        return dict(table)
 
     def side_record(self) -> tuple[frozenset[Point], Point, Point, dict[int, list[int]]]:
         """``(lattice set, first vertex, last vertex, diagonal table)`` for side queries.
@@ -352,29 +351,25 @@ def crossing_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
 
 
 class SideCache:
-    """Memoized side classification against one fixed curve.
+    """Side classification against one fixed curve.
 
     :meth:`side` is the one query for lattice points; :func:`walk_sides`
-    asks it once per stretch of a walk.  The cache also offers the
-    half-step query for chords, unit steps whose two ends lie on the curve
-    while the step itself does not.
+    asks it once per stretch of a walk.  It keeps no answers: after the
+    curve's side record, a query is one set lookup, one dict lookup and
+    one binary search, and few points are asked about twice.  The cache
+    also offers the half-step query for chords, unit steps whose two ends
+    lie on the curve while the step itself does not.
     """
 
-    __slots__ = ("curve", "_memo", "_scaled", "_memo2")
+    __slots__ = ("curve", "_scaled")
 
     def __init__(self, curve: PolyCurve):
         curve.side_record()
         self.curve = curve
-        self._memo: dict[Point, Side] = {}
         self._scaled: Optional[PolyCurve] = None
-        self._memo2: dict[Point, Side] = {}
 
     def side(self, p: Point) -> Side:
-        got = self._memo.get(p)
-        if got is None:
-            got = classify_side(self.curve, p)
-            self._memo[p] = got
-        return got
+        return classify_side(self.curve, p)
 
     def side_half(self, p2: Point) -> Side:
         """Side of a half-lattice point given in *quadrupled* coordinates.
@@ -383,21 +378,17 @@ class SideCache:
         one vertex per lattice point, so every segment is a whole step with
         its midpoint as its only inner point.  It is the same point set as
         the doubled curve, with the same rays, simplicity and diagonal
-        crossings.  It builds its own side record on its first
-        query.  Its diagonals of odd ``d`` have no counterpart among the
-        curve's own, and this query only runs for chords and for the route
-        search's goal test, so sharing one table would buy little.
+        crossings.  It is built, with its own side record, on the first
+        half-step query.  Its diagonals of odd ``d`` have no counterpart
+        among the curve's own, and this query only runs for chords and for
+        the route search's goal test, so sharing one table would buy little.
         """
-        got = self._memo2.get(p2)
-        if got is None:
-            if self._scaled is None:
-                curve = self.curve
-                self._scaled = PolyCurve(
-                    [(2 * x, 2 * y) for x, y in curve.lattice_points()],
-                    curve.south_ray, curve.north_ray)
-            got = classify_side(self._scaled, p2)
-            self._memo2[p2] = got
-        return got
+        if self._scaled is None:
+            curve = self.curve
+            self._scaled = PolyCurve(
+                [(2 * x, 2 * y) for x, y in curve.lattice_points()],
+                curve.south_ray, curve.north_ray)
+        return classify_side(self._scaled, p2)
 
 
 def _step_on_curve(curve: PolyCurve, a: Point, b: Point) -> bool:

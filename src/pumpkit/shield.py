@@ -15,12 +15,12 @@ assembly sequence that places a wrong tile on the path (fragile).
 The :class:`Workspace` is the one per-shield context.
 :func:`build_workspace` fills it once, after the ``j == k`` exit (a repeat
 at the exit needs none of it): the system, the prefix ``0..k+1`` the
-engine works on, the :class:`GlueView`, the doubled positions of tiles
-``0..k+1``, the pumping vector, the cut with its side cache, the midpoint
-``exit2`` of glue ``k`` where the exit ray starts, and the two translated
-copies of the segment.  Every later stage (the anchor, the route, the
-tiled route, the progress loop) takes the workspace and reads the
-shield's data from it.
+engine works on, the doubled positions of tiles ``0..k+1``, the pumping
+vector, the cut with its side cache, the midpoint ``exit2`` of glue ``k``
+where the exit ray starts, and the two translated copies of the segment.
+Every later stage (the anchor, the route, the tiled route, the progress
+loop) takes the workspace and reads the shield's data from it; a glue
+midpoint it needs is read off the doubled positions.
 
 Every structural fact the construction relies on is re-checked at runtime
 and raises :class:`ClaimViolation` when broken; on producible inputs none
@@ -62,6 +62,12 @@ def _tile(pos2: Point):
     return (pos2[0] // 2, pos2[1] // 2)
 
 
+def _glue_mid(pos2: list[Point], g: int) -> Point:
+    """Doubled midpoint of glue ``g``, halfway between doubled tiles ``g`` and ``g + 1``."""
+    (x0, y0), (x1, y1) = pos2[g], pos2[g + 1]
+    return ((x0 + x1) >> 1, (y0 + y1) >> 1)
+
+
 class Shield(NamedTuple):
     """A shield triple: glues ``i`` and ``j`` seen from the south, ``k`` from the north.
 
@@ -78,16 +84,11 @@ class Shield(NamedTuple):
 
 @dataclass
 class Workspace:
-    """Everything the engine derives from one shield, computed once.
-
-    ``view`` is a view of the caller's path or of ``path``; the engine reads
-    only the midpoints of glues up to ``k``, which are the same in both.
-    """
+    """Everything the engine derives from one shield, computed once."""
 
     sys: TileSystem
     path: Path  # the prefix 0..k+1 the engine works on
     shield: Shield
-    view: GlueView
     pos2: list[Point]  # doubled positions of tiles 0..k+1
     vector: Point  # doubled displacement from tile i to tile j
     cut: PolyCurve  # up the entry ray, along tiles i+1..k, out the exit ray
@@ -275,13 +276,11 @@ def _cut(head: list[Point], pos2: list[Point], lo: int, exit2: Point) -> PolyCur
     return PolyCurve(head + pos2[lo:-1] + [exit2], south_ray=True, north_ray=True)
 
 
-def build_workspace(sys: TileSystem, p: Path, sh: Shield,
-                    view: Optional[GlueView] = None) -> Workspace:
+def build_workspace(sys: TileSystem, p: Path, sh: Shield) -> Workspace:
     """Assemble a shield's workspace and verify the cut's structural claims.
 
     The engine works on the prefix ``0..k+1`` of ``p``; any certificate
-    for a prefix is one for the whole path.  ``view``, when given, is a
-    prebuilt :class:`GlueView` of ``(sys, p)``.  The cut runs up the entry
+    for a prefix is one for the whole path.  The cut runs up the entry
     ray, along the path segment ``i+1..k``, and out the exit ray; its
     right-hand side is the component where the engine is free to edit
     paths.  Verified here: the cut is simple, the seed and the retained
@@ -290,16 +289,14 @@ def build_workspace(sys: TileSystem, p: Path, sh: Shield,
     """
     i, j, k = sh.i, sh.j, sh.k
     pt = p.prefix(k + 1)
-    if view is None:
-        view = GlueView(sys, pt)
-    gi, gk = view.glue(i), view.glue(k)
     positions = pt.positions
     pos2 = [_dbl(q) for q in positions]
     vec = sub(pos2[j], pos2[i])
     if vec[0] <= 0:
         raise ClaimViolation("pump-vector-east",
                              f"vector {vec} is not strictly east")
-    cut = _cut([gi.midpoint], pos2, i + 1, gk.midpoint)
+    exit2 = _glue_mid(pos2, k)
+    cut = _cut([_glue_mid(pos2, i)], pos2, i + 1, exit2)
     if not cut.is_simple():
         raise ClaimViolation("cut-simple", "the shield cut self-intersects")
     cache = SideCache(cut)
@@ -312,7 +309,7 @@ def build_workspace(sys: TileSystem, p: Path, sh: Shield,
                 f"seed/prefix tile at {pos} is not strictly left of the cut")
     # The scan ends above the highest tile, where the cut is its exit ray
     # alone and the side along the translated ray no longer changes.
-    sx, sy = sub(gk.midpoint, vec)
+    sx, sy = sub(exit2, vec)
     top = 2 * max(y for _, y in list(sys.seed.tiles) + list(positions)) + 4
     ray = [(sx, y) for y in range(sy + 1, top + 1)]
     for q, side in zip(ray, walk_sides(cache, ray)):
@@ -322,8 +319,7 @@ def build_workspace(sys: TileSystem, p: Path, sh: Shield,
                 f"translated exit ray enters the workspace at {q}")
     fam1 = {pos2[n]: n for n in range(i + 1, k + 1)}
     fam2 = {sub(pos2[n], vec): n for n in range(j + 1, k + 1)}
-    return Workspace(sys, pt, sh, view, pos2, vec, cut, cache,
-                     gk.midpoint, fam1, fam2)
+    return Workspace(sys, pt, sh, pos2, vec, cut, cache, exit2, fam1, fam2)
 
 
 # -- the dominant anchor tile ---------------------------------------------------
@@ -337,7 +333,7 @@ def _carrier_candidates(ws: Workspace):
     start is not above the glue midpoint.
     """
     sh = ws.shield
-    gx, gy = ws.view.glue(sh.i).midpoint
+    gx, gy = _glue_mid(ws.pos2, sh.i)
     dx, dy = ws.vector
     out = []
     for m in range(sh.i + 1, sh.k + 1):
@@ -390,7 +386,7 @@ def dominant(ws: Workspace) -> DominantInfo:
         raise ClaimViolation("anchor-ray-inside",
                              f"anchor ray leaves the workspace at {witness}")
     if m0 > j:
-        if anchor2[0] <= ws.view.glue(j).midpoint[0]:
+        if anchor2[0] <= _glue_mid(pos2, j)[0]:
             raise ClaimViolation("anchor-ray-east",
                                  "anchor ray not strictly east of glue j")
         back = sub(anchor2, vec)
@@ -463,21 +459,17 @@ def _goal_test(ws: Workspace):
     The link runs from the vertex to the exit ray, which is part of the
     cut.  When the vertex lies on the cut too, the link leaves the region
     only as a chord, so :func:`walk_sides` asks a midpoint query for chords
-    alone.
+    alone.  It keeps no answers: few vertices pass the cheap column and
+    height filter, and fewer of those are asked about twice.
     """
     lkx, lky = ws.exit2
     cache = ws.cache
-    memo: dict[Point, bool] = {}  # the route search asks about a vertex many times
 
     def is_goal(u: Point) -> bool:
         if abs(u[0] - lkx) != 1 or u[1] < lky:
             return False
-        got = memo.get(u)
-        if got is None:
-            got = (cache.side(u) is not Side.ON
-                   or walk_sides(cache, [u, (lkx, u[1])], steps=True)[1] is not Side.LEFT)
-            memo[u] = got
-        return got
+        return (cache.side(u) is not Side.ON
+                or walk_sides(cache, [u, (lkx, u[1])], steps=True)[1] is not Side.LEFT)
 
     return is_goal
 
@@ -585,7 +577,7 @@ def _assert_route_claims(ws: Workspace, route: tuple[Point, ...]) -> None:
 
     # Inner component: right side of the cut through glue j's ray.
     j = ws.shield.j
-    inner = _cut([ws.view.glue(j).midpoint], ws.pos2, j + 1, ws.exit2)
+    inner = _cut([_glue_mid(ws.pos2, j)], ws.pos2, j + 1, ws.exit2)
     if not inner.is_simple():
         raise ClaimViolation("inner-cut-simple", "inner cut self-intersects")
     moved = PolyCurve([add(u, ws.vector) for u in route])
@@ -830,12 +822,10 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
     certificate kinds are passed through the matching independent
     verifier before being returned, together with the construction's
     :class:`ShieldTrace`.  ``view``, when given, is a prebuilt
-    :class:`GlueView` of ``(sys, p)``; it serves the shield check and the
-    workspace.  Without ``budget``, ``EnumBudget.from_env()`` is read after
-    the ``j == k`` return, where the first search starts.
+    :class:`GlueView` of ``(sys, p)`` for the shield check.  Without
+    ``budget``, ``EnumBudget.from_env()`` is read after the ``j == k``
+    return, where the first search starts.
     """
-    if view is None:
-        view = GlueView(sys, p)
     check_shield(sys, p, sh.i, sh.j, sh.k, view)
     trace = ShieldTrace(sh)
     i, j, k = sh.i, sh.j, sh.k
@@ -852,7 +842,7 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
         return pumpable(i, j, "repeat-at-exit")
 
     budget = budget or EnumBudget.from_env()
-    ws = build_workspace(sys, p, sh, view)
+    ws = build_workspace(sys, p, sh)
     dom = dominant(ws)
     trace.m0 = dom.m0
     trace.carrier = (dom.carrier_num, dom.carrier_den)

@@ -67,7 +67,7 @@ def render_svg(sys: TileSystem, path: Optional[Path] = None,
         view = GlueView(sys, path)
         check_shield(sys, path, shield.i, shield.j, shield.k, view)
         if workspace is None:
-            workspace = build_workspace(sys, path, shield, view)
+            workspace = build_workspace(sys, path, shield)
     needs = {"rays": (view, "a shield and a path"),
              "cut": (workspace, "a shield and a path, or a workspace"),
              "regions": (workspace, "a shield and a path, or a workspace"),

@@ -117,18 +117,16 @@ class Path:
     be able to point at the first broken entry of a candidate path.
     """
 
-    __slots__ = ("entries", "_pos_index")
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[tuple[Position, TileType]]):
         self.entries = tuple((tuple(p), t) for p, t in entries)
-        self._pos_index = None
 
     @classmethod
     def _of(cls, entries: tuple[tuple[Position, TileType], ...]) -> "Path":
         """A path on entries that are already a tuple of ``((x, y), type)``."""
         p = cls.__new__(cls)
         p.entries = entries
-        p._pos_index = None
         return p
 
     def __len__(self):
@@ -157,9 +155,15 @@ class Path:
         return self.entries[i][1]
 
     def index_of(self, pos: Position) -> Optional[int]:
-        if self._pos_index is None:
-            self._pos_index = {p: i for i, (p, _) in enumerate(self.entries)}
-        return self._pos_index.get(pos)
+        """Index of the tile at ``pos``, or ``None``.
+
+        A scan: callers ask about one position of a path, so an index of
+        every position would not pay for itself.
+        """
+        for i, (p, _) in enumerate(self.entries):
+            if p == pos:
+                return i
+        return None
 
     def prefix(self, end: int) -> "Path":
         """Entries 0..end inclusive, shared with this path."""

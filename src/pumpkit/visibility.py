@@ -90,9 +90,10 @@ class GlueView:
     ``(lo index, lo y, hi index, hi y)`` (doubled ``y``), ``pair_cols`` and
     ``seed_glue_cols``.  Everything else is read off these and the path's
     positions on request.  A glue's :class:`GlueRef` is built from path
-    entries ``i`` and ``i + 1`` when a caller first names it (:meth:`glue`)
-    and kept; the full list (:attr:`glues`) is built on first read, and
-    the decision never reads it.
+    entries ``i`` and ``i + 1`` each time a caller names it (:meth:`glue`):
+    a record costs under a microsecond, and callers name few glues twice.
+    The full list (:attr:`glues`) is built on first read, and the decision
+    never reads it.
 
     The visible banks (:attr:`banks`, glue indices) are read off the column
     extremes, once per view.  A horizontal glue joins two horizontally
@@ -113,7 +114,6 @@ class GlueView:
     def __init__(self, sys: TileSystem, p: Path):
         self.sys = sys
         self.path = p
-        self._records: dict[int, GlueRef] = {}  # glue records built on request
         # On each glue column, the lowest and the highest glue: a span joins
         # them.  Ties keep the first glue as the lowest and the last as the
         # highest, as a stable sort of the glues in path order would.
@@ -161,23 +161,15 @@ class GlueView:
     # -- glue records, on request ------------------------------------------------
 
     def glue(self, i: int) -> GlueRef:
-        """The record of glue ``i``, built from path entries ``i`` and ``i + 1``.
-
-        Built on the first request and kept: the engine names the same
-        few glues of a shield several times.
-        """
-        g = self._records.get(i)
-        if g is None:
-            entries = self.path.entries
-            if not 0 <= i < len(entries) - 1:
-                raise IndexError(f"no glue {i} on a path of {len(entries)} tiles")
-            (x0, y0), t0 = entries[i]
-            x1, y1 = entries[i + 1][0]
-            # The glue sits on the side of tile i it points out of.
-            side = POINTING[(x1 - x0, y1 - y0)]
-            g = self._records[i] = GlueRef(i, getattr(t0, side), side,
-                                           (x0 + x1, y0 + y1), y0 == y1)
-        return g
+        """A fresh record of glue ``i``, built from path entries ``i`` and ``i + 1``."""
+        entries = self.path.entries
+        if not 0 <= i < len(entries) - 1:
+            raise IndexError(f"no glue {i} on a path of {len(entries)} tiles")
+        (x0, y0), t0 = entries[i]
+        x1, y1 = entries[i + 1][0]
+        # The glue sits on the side of tile i it points out of.
+        side = POINTING[(x1 - x0, y1 - y0)]
+        return GlueRef(i, getattr(t0, side), side, (x0 + x1, y0 + y1), y0 == y1)
 
     @cached_property
     def glues(self) -> list[GlueRef]:
@@ -430,8 +422,10 @@ def check_glue_east(sys: TileSystem, p: Path):
     producible input marks an implementation bug; the suite treats it as
     a failure.
     """
-    view = GlueView(sys, p)
     last = len(p) - 2
+    if last < 0:
+        raise LastGlueNotVisible("precondition: the path has no glue")
+    view = GlueView(sys, p)
     lg = view.glues[last]
     if not lg.horizontal or not view.visible(last, "north"):
         raise LastGlueNotVisible("precondition: last glue visible from the north")

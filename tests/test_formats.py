@@ -258,6 +258,20 @@ def test_cli_analyze_exit_code_no_shield(tmp_path, _run):
     assert r.returncode == 2
 
 
+def test_cli_analyze_theorem_scale_bound(tmp_path, _run):
+    # 402 tile types put the true bound past the interpreter's decimal digit
+    # limit; without an override the one-tile path is below it.
+    text = ("tile A north=- east=a south=- west=-\n"
+            "tile B north=- east=- south=- west=a\n"
+            + "".join(f"tile T{n} north=- east=- south=- west=-\n" for n in range(400))
+            + "seed 0 0 A\npath 1 0 B\n")
+    f = tmp_path / "many.tiles"
+    f.write_text(text)
+    r = _run(["analyze", str(f)], tmp_path)
+    assert r.returncode == 2 and r.stderr == ""
+    assert r.stdout.splitlines()[0] == "trail: below-bound(no truncation)"
+
+
 def test_cli_pump_or_block_and_verify(unit_file, tmp_path, _run):
     cert = tmp_path / "cert.txt"
     r = _run(["pump-or-block", str(unit_file), "--shield", "0", "1", "1",
@@ -527,8 +541,12 @@ def test_cli_reduce_2ham_rejects_width_below_one(unit_file, tmp_path, _run, widt
     (["analyze", "{file}", "--bound-override", "-2"], "--bound-override"),
     (["bound", "--tiles", "0", "--seed", "1"], "--tiles"),
     (["bound", "--tiles", "2", "--seed", "0"], "--seed"),
+    # Bounds with more digits than the interpreter converts to decimal;
+    # with --all, only the extent passes the limit and nothing is printed.
+    (["bound", "--tiles", "1000", "--seed", "1"], "--tiles"),
+    (["bound", "--tiles", "330", "--seed", "1", "--all"], "--tiles"),
 ], ids=["oracle-rp-no-shield", "bound-override-0", "bound-override-negative",
-        "tiles-0", "seed-0"])
+        "tiles-0", "seed-0", "bound-too-many-digits", "extent-too-many-digits"])
 def test_cli_usage_errors_exit_3(unit_file, tmp_path, _run, args, flag):
     # A missing or out-of-range option is a usage error: one ``error:`` line
     # naming the option and exit 3, with no traceback.

@@ -12,6 +12,7 @@ from pumpkit import GlueView, Path, oracle, right_priority, spans, visible
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import ROT90, TRANSPOSE
 from pumpkit.errors import (
+    LastGlueNotVisible,
     NotAShield,
     NotCanonical,
     NotEasternmost,
@@ -395,8 +396,14 @@ def test_check_glue_east_precondition(unit):
     sys_ = system_of([("T", "t", "t", "t", "t")], {(0, 0): "T"})
     p = path_of(sys_, (1, 0, "T"), (1, 1, "T"), (2, 1, "T"), (2, 0, "T"))
     # Last glue points south: not north-visible.
-    with pytest.raises(Exception):
+    with pytest.raises(LastGlueNotVisible):
         check_glue_east(sys_, p)
+
+
+def test_check_glue_east_one_tile_path(unit):
+    # A one-tile path has no last glue to see from the north.
+    with pytest.raises(LastGlueNotVisible):
+        check_glue_east(unit, path_of(unit, (1, 0, "A")))
 
 
 def test_check_glue_side_precondition(unit):
