@@ -24,7 +24,6 @@ class EnumBudget:
     max_graph_vertices: int = 40
     max_pump_depth: int = 10
     max_nodes: int = 10 ** 6
-    max_steps: int = 10 ** 4
 
     def __post_init__(self):
         for f in fields(self):

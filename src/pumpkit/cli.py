@@ -235,7 +235,13 @@ def cmd_render(args) -> int:
 
 def cmd_bound(args) -> int:
     tiles, seed = args.tiles, args.seed
+    # Interpreters before 3.10.7 have no digit limit (0 means none).
+    limit = getattr(_sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        # A bound of at least 2^b has more than 0.30102 b decimal digits:
+        # past the limit, refuse before building it.
+        if limit and driver.bound_log2_lower(tiles) * 30102 >= limit * 100000:
+            raise ValueError(f"more than {limit} digits")
         lines = [str(driver.bound(tiles, seed))]
         if args.all:
             lines += [f"square-half-side {driver.bound_theorem1_square_half_side(tiles, seed)}",
@@ -243,8 +249,7 @@ def cmd_bound(args) -> int:
     except ValueError:
         # The interpreter refuses to format an int past its digit limit.
         _sys.stderr.write(f"error: --tiles {tiles} --seed {seed}: a bound has more than "
-                          f"{_sys.get_int_max_str_digits()} digits, the most this Python "
-                          "prints\n")
+                          f"{limit} digits, the most this Python prints\n")
         return EXIT_USAGE
     print("\n".join(lines))
     return 0

@@ -1,9 +1,10 @@
 """End-to-end analysis pipeline: canonical form, span bookkeeping, case split.
 
 The driver moves a producible path into a canonical frame (last tile
-the unique easternmost), finds a shield, hands it to the engine and
-re-verifies the certificate in the caller's frame.  The decision tree,
-with the trail tag each case writes:
+the unique easternmost), where a decision tree proposes shields, and
+:func:`analyze` hands each proposal to the engine until one is decided,
+then re-verifies the certificate in the caller's frame.  The tree, with
+the trail tag each case writes:
 
 - ``canonical(rot,cut)``, or ``below-bound(no truncation)`` and a
   best-effort orientation (``not-orientable`` when none exists);
@@ -32,22 +33,30 @@ and runs the tall-span, cone and span-pair tests on the records.  It
 builds a :class:`~pumpkit.visibility.Span` only for the tall column and
 the span pair it hands on.
 
-A decided shield writes ``engine:<branch>``; one the shield check rejects
-writes ``<case>-invalid:<reason>``.  ``FLIP_V`` maps each glue column onto
-itself and swaps its lowest and highest glue, keeping labels, pointing,
-seed glues and blocking pairs, so a down span reads upright there as the
-same span with ``s`` and ``n`` swapped (:func:`_flipped`).
+The tree's functions are generators that yield proposals in order,
+``(view, frame, shield, tag)``: a shield in ``view``'s instance, which
+``frame``, composed on the way down, moves the caller's instance to.
+``analyze`` is the engine's one caller.  A decided shield writes
+``engine:<branch>``; one the shield check rejects writes
+``<case>-invalid:<reason>`` and resumes the tree.  ``FLIP_V`` maps each
+glue column onto itself and swaps its lowest and highest glue, keeping
+labels, pointing, seed glues and blocking pairs, so a down span reads
+upright there as the same span with ``s`` and ``n`` swapped
+(:func:`_flipped`).
 
 Every coordinate change is a :class:`Frame`, read off one bounding box
-of path plus seed and undone through ``frame.inverse()``; ``Frame.move``
-moves a system and its path together, building each moved tile type
-once.  Each frame builds one :class:`~pumpkit.visibility.GlueView`,
-shared by its cases and the engine's shield check; the prefix below a
-tall span gets its own.
+of path plus seed; ``Frame.move`` moves a system and its path together,
+building each moved tile type once.  Every instance's path is a moved
+prefix of the caller's, so a pumping pair is read on the caller's path,
+and a blocking certificate moves back once, by ``frame.inverse()``.
+Each frame builds one :class:`~pumpkit.visibility.GlueView`, shared by
+its cases and the engine's shield check; the prefix below a tall span
+gets its own.
 
 The theorem-scale distance bounds are far beyond desk scale even for one
 tile type, so ``analyze`` accepts an explicit override; without one it
-computes the true bound with exact integers.
+computes the true bound with exact integers, for a path long enough that
+:func:`bound_log2_lower` cannot rule it out.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import chain
-from typing import Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import shield as engine
 from . import tam
@@ -105,6 +114,15 @@ def bound(tiles: int, seed: int) -> int:
     return bound_theorem_main_distance(tiles, seed)
 
 
+def bound_log2_lower(tiles: int) -> int:
+    """A lower bound on ``log2`` of each bound above, read off without building it.
+
+    Each bound is at least ``(4|T|)^(4|T|+1)``, and ``4|T|`` is at least
+    ``2^(bit_length - 1)``.
+    """
+    return (4 * tiles + 1) * ((4 * tiles).bit_length() - 1)
+
+
 # -- rigid motions ---------------------------------------------------------------
 
 # Row-major matrices of the counterclockwise quarter turns.
@@ -129,8 +147,8 @@ class Frame:
     ``M`` is one of the eight integer matrices that permute and negate the
     axes (four quarter turns, each optionally mirrored), stored row-major.
     Every coordinate change of the driver is a ``Frame``: a branch moves
-    its instance by a frame and maps its certificate back through
-    :meth:`inverse`.
+    its instance by a frame, and :func:`analyze` maps a blocking
+    certificate back through the :meth:`inverse` of the composed frame.
     """
 
     m: tuple[int, int, int, int] = _TURNS[0]
@@ -282,13 +300,19 @@ def canonicalize(sys: TileSystem, p: Path,
     off the side of the square the cut tile lies on, the east side first,
     then north, west and south; the translation is read off the bounding
     box of seed plus cut path.  Raises :class:`TooShort` when the path
-    never reaches the square, at once when it has at most ``half`` tiles.
-    Its message leaves ``half`` out: the true bound can have more digits
-    than the interpreter converts to decimal.
+    never reaches the square, at once when it has at most ``half`` tiles,
+    or fewer than ``2^bound_log2_lower`` without an override.  The message
+    leaves ``half`` out: the true bound can have more digits than the
+    interpreter converts to decimal.
     """
     rep = tam.validate_producible_path(sys, p)
     if not rep:
         raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
+    if bound_override is None:
+        _check_counts(len(sys.tiles), len(sys.seed))
+        if bound_log2_lower(len(sys.tiles)) >= len(p).bit_length():
+            # Too short, without building a bound of up to millions of digits.
+            raise TooShort("path never reaches the canonical square")
     dist = bound_override if bound_override is not None else \
         bound_theorem_main_distance(len(sys.tiles), len(sys.seed))
     if dist < 1:
@@ -360,35 +384,6 @@ class AnalysisResult:
     def exit_code(self) -> int:
         return {"pumpable": 0, "fragile": 1, "no_shield": 2}[self.kind]
 
-    def moved(self, frame: Frame) -> "AnalysisResult":
-        """This result with its certificate moved by ``frame``."""
-        return AnalysisResult(
-            self.kind, self.trail,
-            pumpable=None if self.pumpable is None else frame.apply(self.pumpable),
-            fragile=None if self.fragile is None else frame.apply(self.fragile))
-
-
-def _run_shield(view: GlueView, sh: Shield, trail: list[str],
-                budget: Optional[EnumBudget], tag: str) -> Optional[AnalysisResult]:
-    """Decide ``sh`` in ``view``'s frame; a rejected shield writes ``<tag>-invalid``."""
-    try:
-        out = engine.pump_or_block(view.sys, view.path, sh, budget, view=view)
-    except NotAShield as e:
-        # Each case picks a shield the check accepts; the trail records a rejection.
-        trail.append(f"{tag}-invalid:{e}")
-        return None
-    trail = trail + [f"engine:{out.branch}"]
-    if out.kind == "pumpable":
-        return AnalysisResult("pumpable", trail, pumpable=out.pumpable)
-    return AnalysisResult("fragile", trail, fragile=out.fragile)
-
-
-def _within(frame: Frame, sys: TileSystem, p: Path,
-            runner) -> Optional[AnalysisResult]:
-    """Run ``runner`` on the instance moved by ``frame``; map its result back."""
-    res = runner(*frame.move(sys, p))
-    return None if res is None else res.moved(frame.inverse())
-
 
 def _flipped(span: Span) -> Span:
     """A down span as the ``FLIP_V`` frame sees it: the same column, upright."""
@@ -397,21 +392,25 @@ def _flipped(span: Span) -> Span:
 
 # -- the decision tree ---------------------------------------------------------------
 
+if TYPE_CHECKING:
+    # A shield to decide in ``view``'s instance, the frame that moves the
+    # caller's instance there, and the case tag a rejection writes.  Only
+    # annotations read it: a subscripted alias built at import costs memory.
+    Proposals = Iterator[tuple[GlueView, Frame, Shield, str]]
 
-def _west_pigeonhole_shield(view: GlueView, trail: list[str],
-                            budget: Optional[EnumBudget]) -> Optional[AnalysisResult]:
+
+def _west_pigeonhole_shield(view: GlueView, frame: Frame, trail: list[str]) -> Proposals:
     """Two same-type west glues visible from the south give a mirrored shield."""
     by_label: dict[str, list[int]] = {}
     for g in map(view.glue, view.west_pointing(view.banks[0])):
         by_label.setdefault(g.label, []).append(g.index)
     pair = next((idxs for _, idxs in sorted(by_label.items()) if len(idxs) >= 2), None)
     if pair is None:
-        return None
+        return
     sh = Shield(pair[0], pair[1], len(view.path) - 2)
     trail.append(f"west-pigeonhole(i={sh.i},j={sh.j},k={sh.k})")
-    return _within(FLIP_H, view.sys, view.path,
-                   lambda fsys, fpath: _run_shield(GlueView(fsys, fpath), sh, trail,
-                                                   budget, "west-pigeonhole"))
+    yield (GlueView(*FLIP_H.move(view.sys, view.path)), FLIP_H.compose(frame), sh,
+           "west-pigeonhole")
 
 
 @dataclass
@@ -469,51 +468,42 @@ def _find_couple_pair(ledger: _Ledger) -> Optional[tuple[Span, Span]]:
     return None
 
 
-def _couple_use(view: GlueView, sa: Span, sb: Span, trail: list[str],
-                budget: Optional[EnumBudget]) -> Optional[AnalysisResult]:
-    """Hand a repeated-span pair to the engine (mirrored upright if needed)."""
+def _couple_use(view: GlueView, frame: Frame, sa: Span, sb: Span,
+                trail: list[str]) -> Proposals:
+    """Propose the shield of a repeated-span pair (mirrored upright if needed)."""
     trail.append(f"equal-span-pair(cols {sa.coordinate},{sb.coordinate})")
     if sa.orientation == "up":
-        return _run_shield(view, Shield(sa.s, sb.s, sb.n), trail, budget, "span-pair")
+        yield view, frame, Shield(sa.s, sb.s, sb.n), "span-pair"
+        return
     trail.append("flip-vertical(down spans)")
     fa, fb = _flipped(sa), _flipped(sb)
-    sh = Shield(fa.s, fb.s, fb.n)
-    return _within(FLIP_V, view.sys, view.path, lambda fsys, fpath: _run_shield(
-        GlueView(fsys, fpath), sh, trail, budget, "span-pair"))
+    yield (GlueView(*FLIP_V.move(view.sys, view.path)), FLIP_V.compose(frame),
+           Shield(fa.s, fb.s, fb.n), "span-pair")
 
 
-def _case_tall_span(view: GlueView, span: Span, trail: list[str],
-                    budget: Optional[EnumBudget], depth: int) -> Optional[AnalysisResult]:
-    """A span taller than the cone allows: work inside the prefix below it."""
+def _case_tall_span(view: GlueView, frame: Frame, span: Span, trail: list[str],
+                    depth: int) -> Proposals:
+    """A span taller than the cone allows: work inside the prefix below it, upright."""
     trail.append(f"tall-span(col={span.coordinate},h={span.height})")
-    frame = IDENTITY
+    sys, p = view.sys, view.path
     if span.orientation == "down":
-        frame, span = FLIP_V, _flipped(span)
+        sys, p = FLIP_V.move(sys, p)
+        frame, span = FLIP_V.compose(frame), _flipped(span)
         trail.append("flip-vertical(down span)")
-    return _within(frame, view.sys, view.path,
-                   lambda fsys, fpath: _case_tall_span_upright(fsys, fpath, span, trail,
-                                                               budget, depth))
-
-
-def _case_tall_span_upright(sys: TileSystem, p: Path, span_c: Span,
-                            trail: list[str], budget: Optional[EnumBudget],
-                            depth: int) -> Optional[AnalysisResult]:
     tiles, seed = len(sys.tiles), len(sys.seed)
-    q = p.prefix(span_c.n + 1)
+    q = p.prefix(span.n + 1)
     viewq = GlueView(sys, q)
     # The easternmost glue column; ``cols`` keys are doubled, odd columns.
     x_prime = max(viewq.cols) >> 1 if viewq.cols else 0
-    if span_c.height < 4 * tiles * (x_prime + 2) + 3 * seed + 1:
-        res = _case_narrow_prefix(viewq, span_c, trail, budget)
-        if res is not None:
-            return res
+    if span.height < 4 * tiles * (x_prime + 2) + 3 * seed + 1:
+        yield from _case_narrow_prefix(viewq, frame, span, trail)
         # No label's glues spread across the prefix; the tall-prefix case may still fire.
         trail.append("narrow-prefix-fallthrough")
-    return _case_tall_prefix(sys, q, span_c, x_prime, trail, budget, depth)
+    yield from _case_tall_prefix(sys, q, frame, span, x_prime, trail, depth)
 
 
-def _case_narrow_prefix(viewq: GlueView, span_c: Span, trail: list[str],
-                        budget: Optional[EnumBudget]) -> Optional[AnalysisResult]:
+def _case_narrow_prefix(viewq: GlueView, frame: Frame, span_c: Span,
+                        trail: list[str]) -> Proposals:
     """Wide prefix: many same-type south glues exist; shift the exit ray clear."""
     west_limit = min(x for x, _ in chain(viewq.sys.seed.tiles, viewq.path.positions))
     by_label: dict[str, list] = {}
@@ -528,15 +518,11 @@ def _case_narrow_prefix(viewq: GlueView, span_c: Span, trail: list[str],
         # geometry, i.e. land strictly west of the westernmost tile.
         if spread >= col_c + 1 - west_limit and i < j <= span_c.n:
             trail.append(f"narrow-prefix(i={i},j={j},k={span_c.n})")
-            res = _run_shield(viewq, Shield(i, j, span_c.n), trail, budget, "narrow-prefix")
-            if res is not None:
-                return res
-    return None  # no pair clears the ray; the caller records the fallthrough
+            yield viewq, frame, Shield(i, j, span_c.n), "narrow-prefix"
 
 
-def _case_tall_prefix(sys: TileSystem, q: Path, span_c: Span, x_prime: int,
-                      trail: list[str], budget: Optional[EnumBudget],
-                      depth: int) -> Optional[AnalysisResult]:
+def _case_tall_prefix(sys: TileSystem, q: Path, frame: Frame, span_c: Span,
+                      x_prime: int, trail: list[str], depth: int) -> Proposals:
     """Tall prefix: turn it sideways and recurse on the repeated-span machinery."""
     tiles, seed_n = len(sys.tiles), len(sys.seed)
     needed = 2 * tiles * (x_prime + 2) + seed_n + 1
@@ -552,24 +538,23 @@ def _case_tall_prefix(sys: TileSystem, q: Path, span_c: Span, x_prime: int,
     else:
         # Only after narrow-prefix-fallthrough: a taller span leaves the rows needed.
         trail.append("tall-prefix-too-flat")
-        return None
+        return
     b = next((s for s, (pos, _) in enumerate(q.entries) if pos[1] == target), None)
     if b is None:
         raise ClaimViolation("tall-prefix-row",
                              "no tile on the target row despite the extent")
     qq = q.prefix(b)
-    frame = _orient_east(sys, qq, turn)
-    if frame is None:
+    orient = _orient_east(sys, qq, turn)
+    if orient is None:
         # A guard for _orient_east: tile b alone holds the row that ``turn`` faces east.
         trail.append("tall-prefix-not-orientable")
-        return None
-    return _within(frame, sys, qq,
-                   lambda fsys, fpath: _spans_pipeline(fsys, fpath, trail, budget,
-                                                       depth + 1))
+        return
+    yield from _spans_pipeline(*orient.move(sys, qq), orient.compose(frame), trail,
+                               depth + 1)
 
 
-def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
-                    budget: Optional[EnumBudget], depth: int) -> Optional[AnalysisResult]:
+def _spans_pipeline(sys: TileSystem, p: Path, frame: Frame, trail: list[str],
+                    depth: int) -> Proposals:
     """West pigeonhole, then the span ledger and its two cases.
 
     Precondition: the last tile of ``p`` is the unique easternmost tile
@@ -578,7 +563,7 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
     if depth > 3:
         # Bounds the tall-prefix recursion; no known input nests this deep.
         trail.append("depth-limit")
-        return None
+        return
     view = GlueView(sys, p)
     south, north = view.banks
     if view.west_pointing(north):
@@ -586,22 +571,19 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
             raise ClaimViolation("visible-side",
                                  "west glues visible on both banks")
         trail.append("flip-vertical(orient visible bank)")
-        return _within(FLIP_V, sys, p, lambda fsys, fpath: _spans_pipeline(
-            fsys, fpath, trail, budget, depth + 1))
-    res = _west_pigeonhole_shield(view, trail, budget)
-    if res is not None:
-        return res
+        yield from _spans_pipeline(*FLIP_V.move(sys, p), FLIP_V.compose(frame), trail,
+                                   depth + 1)
+        return
+    yield from _west_pigeonhole_shield(view, frame, trail)
     ledger = _build_ledger(view, trail)
     if ledger is None:
-        return None
+        return
     tiles, seed_n = len(sys.tiles), len(sys.seed)
     spans = ledger.spans
     tall = next((col for col in ledger.columns
                  if spans[col][4] > 4 * tiles * tiles * (col + 4 * seed_n + 6)), None)
     if tall is not None:
-        res = _case_tall_span(view, Span.of(tall, spans[tall]), trail, budget, depth)
-        if res is not None:
-            return res
+        yield from _case_tall_span(view, frame, Span.of(tall, spans[tall]), trail, depth)
         # The prefix below found nothing; the span pair may still decide.
         trail.append("tall-span-fallthrough")
     else:
@@ -624,20 +606,20 @@ def _spans_pipeline(sys: TileSystem, p: Path, trail: list[str],
     pair = _find_couple_pair(ledger)
     if pair is None:
         trail.append("no-span-pair")
-        return None
-    return _couple_use(view, pair[0], pair[1], trail, budget)
+        return
+    yield from _couple_use(view, frame, pair[0], pair[1], trail)
 
 
 def analyze(sys: TileSystem, p: Path, bound_override: Optional[int] = None,
             budget: Optional[EnumBudget] = None) -> AnalysisResult:
-    """Full pipeline: canonicalize, find a shield, decide it, verify, report.
+    """Full pipeline: canonicalize, decide the tree's proposals, verify, report.
 
-    Returns a verified pumping or blocking certificate in the caller's
-    coordinates, or ``no_shield`` with the decision trail when the path
-    is below the effective bound and no case fires.  Without ``budget``,
-    the engine reads ``EnumBudget.from_env()`` only when a shield needs
-    its route search, so a decision by the ``j == k`` shortcut never reads
-    the environment.
+    The first proposal the engine decides gives the certificate,
+    re-verified in the caller's coordinates; ``no_shield`` with the
+    decision trail when the path is below the effective bound and no case
+    fires.  Without ``budget``, the engine reads ``EnumBudget.from_env()``
+    only when a shield needs its route search, so a decision by the
+    ``j == k`` shortcut never reads the environment.
     """
     trail: list[str] = []
     try:
@@ -651,23 +633,29 @@ def analyze(sys: TileSystem, p: Path, bound_override: Optional[int] = None,
             trail.append("not-orientable")
             return AnalysisResult("no_shield", trail)
         csys, cpath = frame.move(sys, p)
-    res = _spans_pipeline(csys, cpath, trail, budget, 0)
-    if res is None:
-        return AnalysisResult("no_shield", trail)
-    if res.kind == "pumpable":
-        # An index pair needs no moving; it is read on the caller's whole path.
-        spec = PumpingSpec(p, res.pumpable.i, res.pumpable.j)
-        check = tam.verify_pumpable_cert(sys, spec)
+    for view, frame, sh, tag in _spans_pipeline(csys, cpath, frame, trail, 0):
+        try:
+            out = engine.pump_or_block(view.sys, view.path, sh, budget, view=view)
+        except NotAShield as e:
+            # Each case picks a shield the check accepts; the trail records a rejection.
+            trail.append(f"{tag}-invalid:{e}")
+            continue
+        trail.append(f"engine:{out.branch}")
+        if out.kind == "pumpable":
+            # Every instance's path is a moved prefix of ``p``: the pair reads on ``p``.
+            spec = PumpingSpec(p, out.pumpable.i, out.pumpable.j)
+            check = tam.verify_pumpable_cert(sys, spec)
+            if not check:
+                raise ClaimViolation("certificate-verifies",
+                                     f"restored pumping rejected: {check.reason}")
+            return AnalysisResult("pumpable", trail, pumpable=spec)
+        cert = frame.inverse().apply(out.fragile)
+        check = tam.verify_fragile_cert(sys, p, cert)
         if not check:
             raise ClaimViolation("certificate-verifies",
-                                 f"restored pumping rejected: {check.reason}")
-        return AnalysisResult("pumpable", res.trail, pumpable=spec)
-    cert = frame.inverse().apply(res.fragile)
-    check = tam.verify_fragile_cert(sys, p, cert)
-    if not check:
-        raise ClaimViolation("certificate-verifies",
-                             f"restored blocking cert rejected: {check.reason}")
-    return AnalysisResult("fragile", res.trail, fragile=cert)
+                                 f"restored blocking cert rejected: {check.reason}")
+        return AnalysisResult("fragile", trail, fragile=cert)
+    return AnalysisResult("no_shield", trail)
 
 
 # -- reduction from the seedless two-handed model -----------------------------------

@@ -50,6 +50,7 @@ def parse_system(text: str):
             if name in tiles:
                 raise DuplicateTile(lineno, f"tile {name!r} declared twice")
             glues = {}
+            # Four tokens, each a side not named before: all four sides.
             for token in words[2:]:
                 if "=" not in token:
                     raise ParseError(lineno, f"expected side=glue, got {token!r}")
@@ -57,8 +58,6 @@ def parse_system(text: str):
                 if side not in _SIDES or side in glues:
                     raise ParseError(lineno, f"bad or repeated side {side!r}")
                 glues[side] = _glue_in(label, lineno)
-            if set(glues) != set(_SIDES):
-                raise ParseError(lineno, "tile line must name all four sides")
             t = TileType(name, **glues)
             tiles[name] = t
             tile_order.append(t)

@@ -868,7 +868,9 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
     shift = 0
     vec = ws.vector
 
-    for _ in range(budget.max_steps):
+    # The anchor index strictly increases (claim induction-progress) and is a
+    # segment index, at most k, so the loop returns within k - m0 + 1 steps.
+    for _ in range(k - m + 1):
         status = _check_step(ws, u, m, v_, f)
         trace.history.append(InductionStep(u, m, v_, shift, f))
         if status == "special":
@@ -888,7 +890,8 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
         shift += t
         u, v_ = _anchor_pair(ws, tiled, m_next)
         m = m_next
-    raise BudgetExceeded(f"progress loop exceeded {budget.max_steps} steps")
+    raise ClaimViolation("induction-progress",
+                         f"anchor still advancing after {k - dom.m0 + 1} steps")
 
 
 def _assert_blocker_in_workspace(ws: Workspace, cert: FragilityCert) -> None:

@@ -437,7 +437,7 @@ def verify_fragile_cert(sys: TileSystem, p: Path,
     try:
         final = replay_assembly_sequence(sys, cert.attachments)
     except IllegalAttachment as e:
-        return VerifyResult(False, f"replay failed at step {e.step}: {e}")
+        return VerifyResult(False, f"replay failed at {e}")
     placed = final.get(cert.conflict)
     if placed is None:
         return VerifyResult(False, "conflict position was never filled")

@@ -1,6 +1,7 @@
 """Pipeline: bounds, canonical form, decision tree, two-handed reduction."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from pumpkit import (
     verify_fragile_cert,
     verify_pumpable_cert,
 )
+from pumpkit import driver
 from pumpkit import shield as engine
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_H, FLIP_V, IDENTITY, ROT90, Frame
@@ -82,6 +84,27 @@ def test_canonicalize_too_short(unit):
     p = path_of(unit, (1, 0, "A"), (2, 0, "A"))
     with pytest.raises(TooShort):
         canonicalize(unit, p, bound_override=50)
+
+
+def test_canonicalize_too_short_without_building_the_bound(unit, unit_path, monkeypatch):
+    # 2^bound_log2_lower(|T|) is at most the true bound; a path shorter than
+    # it is too short before the bound (millions of digits for 10^6 types)
+    # is built.  A longer path still meets the exact bound.
+    assert all(2 ** driver.bound_log2_lower(t) <= bound(t, 1) for t in range(1, 65))
+
+    def refuse(*_):
+        raise AssertionError("the true bound was built")
+
+    monkeypatch.setattr(driver, "bound_theorem_main_distance", refuse)
+    with pytest.raises(TooShort):
+        canonicalize(unit, unit_path)
+    assert analyze(unit, unit_path).trail[0] == "below-bound(no truncation)"
+    long_path = path_of(unit, *[(x, 0, "A") for x in range(1, 1101)])
+    with pytest.raises(AssertionError, match="the true bound was built"):
+        canonicalize(unit, long_path)
+    monkeypatch.undo()
+    with pytest.raises(TooShort):
+        canonicalize(unit, long_path)
 
 
 def test_canonicalize_restores_positions(unit):
@@ -492,6 +515,53 @@ def test_analyze_without_override_reports_below_bound(unit, unit_path):
     res = analyze(unit, unit_path)
     assert any("below-bound" in t for t in res.trail)
     assert res.kind == "pumpable"
+
+
+# -- one engine call site, one certificate move -----------------------------------------
+
+
+def test_analyze_moves_only_a_blocking_certificate_back(request, monkeypatch):
+    # Walks through the mirrored and turned sub-instances.  The engine is
+    # called from ``analyze`` alone; a pumping pair is read on the caller's
+    # path, so nothing is moved for it, and a blocking certificate is moved
+    # back once, whatever the depth of the frame it was found in.
+    moved = Counter()
+    apply = Frame.apply
+
+    def counting_apply(self, obj):
+        moved[type(obj).__name__] += 1
+        return apply(self, obj)
+
+    callers = Counter()
+    decide = engine.pump_or_block
+
+    def counting_decide(*args, **kwargs):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(Frame, "apply", counting_apply)
+    monkeypatch.setattr(engine, "pump_or_block", counting_decide)
+    towers, twins = parse_system(TOWER_TEXT)[0], parse_system(TWIN_TOWER_TEXT)[0]
+    instances = [(*request.getfixturevalue(name), override) for name, override in
+                 [("analyze_fragile", 2), ("bank_flip", None), ("down_spans", None)]]
+    instances += [(*parse_system(text), override) for text, override, *_ in DOWN_SPAN_WALKS]
+    instances += [(towers, Path([(c, towers.by_name["A"]) for c in _climb(runs)]), override)
+                  for runs, override, _ in TALL_BRANCH_CASES]
+    cells = _climb("S2 E1 N175 W1 N10 E5")
+    instances.append((twins, Path([(c, twins.by_name["B" if n == 2 else "A"])
+                                   for n, c in enumerate(cells)]), None))
+    trails = []
+    for sys_, p, override in instances:
+        moved.clear()
+        res = analyze(sys_, p, bound_override=override)
+        assert res.kind != "no_shield", res.trail
+        assert moved == Counter({"FragilityCert": 1} if res.kind == "fragile" else {})
+        trails += res.trail
+    assert set(callers) == {"analyze"}
+    for tag in ["west-pigeonhole(", "flip-vertical(orient visible bank)",
+                "flip-vertical(down spans)", "flip-vertical(down span)",
+                "tall-prefix(north", "tall-prefix(south", "narrow-prefix("]:
+        assert any(t.startswith(tag) for t in trails), tag
 
 
 # -- one glue view per frame ---------------------------------------------------------

@@ -308,6 +308,37 @@ def test_cli_verify_rejects_unproducible_fragile_path(tmp_path, _run):
                         "GlueMismatch at index 1)\n")
 
 
+def test_cli_pump_or_block_fragile_and_verify(tmp_path, blocker, _run):
+    sys_, p = blocker
+    f = tmp_path / "blocker.tiles"
+    f.write_text(print_system(sys_, p))
+    cert = tmp_path / "cert.txt"
+    r = _run(["pump-or-block", str(f), "--shield", "0", "1", "2", "-o", str(cert)],
+             tmp_path)
+    assert r.returncode == 1
+    assert r.stdout.startswith("branch: route-conflict-")
+    assert r.stdout.endswith("fragile: conflict at (3, 0)\n")
+    assert cert.read_text().startswith("kind fragile\n")
+    r2 = _run(["verify", str(f), str(cert)], tmp_path)
+    assert (r2.returncode, r2.stdout) == (0, "certificate: valid\n")
+
+
+def test_cli_validate_reports_each_file(tmp_path, _run):
+    # A system with no path line, a path whose validation writes a note, and
+    # a path that is not producible: each file's lines carry its name, and
+    # the invalid one sets exit 4.
+    (tmp_path / "system.tiles").write_text(NO_PATH_TEXT)
+    (tmp_path / "note.tiles").write_text("tile A north=g east=g south=g west=g\n"
+                                         "seed 0 0 A\npath 0 1 A ; 1 1 A ; 1 0 A\n")
+    (tmp_path / "float.tiles").write_text(FLOAT_TEXT)
+    r = _run(["validate", "system.tiles", "note.tiles", "float.tiles"], tmp_path)
+    assert r.returncode == 4 and r.stderr == ""
+    assert r.stdout == ("system.tiles: system ok: 1 tiles, seed of 1\n"
+                        "note.tiles: path ok: 3 tiles\n"
+                        "note.tiles: note: tile 2 also touches the seed\n"
+                        "float.tiles: invalid path: SeedDetached at index 0\n")
+
+
 def test_cli_shields_spans_render_bound(unit_file, tmp_path, _run):
     assert "shield 0 1 1" in _run(["shields", str(unit_file)], tmp_path).stdout
     spans_out = _run(["spans", str(unit_file)], tmp_path).stdout
@@ -456,6 +487,85 @@ def test_cli_verify_malformed_certificate(unit_file, tmp_path, _run, cert, line)
     assert r.returncode == 4
     assert r.stderr.startswith("error: ParseError: ") and r.stderr.count("\n") == 1
     assert f"line {line}:" in r.stderr
+
+
+NO_PATH_TEXT = "tile A north=- east=g south=- west=g\nseed 0 0 A\n"
+TILE_LINE = NO_PATH_TEXT.splitlines()[0]
+
+# Malformed files: a system text, the certificate read against it (None when
+# the system text is the malformed one), the line the error names and its
+# message.  Line 0 names the whole file.
+MALFORMED = [
+    ("tile A north=a=b east=g south=- west=g\nseed 0 0 A\n", None, 1,
+     "bad glue label 'a=b'"),
+    ("tile A north=\u00e9 east=g south=- west=g\nseed 0 0 A\n", None, 1,
+     "bad glue label '\u00e9'"),
+    ("tile A north=- east=g south=-\nseed 0 0 A\n", None, 1,
+     "tile line needs a name and four sides"),
+    ("tile A north=- east=g south=- westg\nseed 0 0 A\n", None, 1,
+     "expected side=glue, got 'westg'"),
+    ("tile A north=- east=g up=- west=g\nseed 0 0 A\n", None, 1,
+     "bad or repeated side 'up'"),
+    ("tile A north=- north=g south=- west=g\nseed 0 0 A\n", None, 1,
+     "bad or repeated side 'north'"),
+    (TILE_LINE + "\nseed 0 0\n", None, 2, "seed line is: seed <x> <y> <name>"),
+    (TILE_LINE + "\nseed 0 y A\n", None, 2, "seed coordinates must be integers"),
+    (TILE_LINE + "\nseed 0 0 Q\n", None, 2, "unknown tile 'Q'"),
+    (NO_PATH_TEXT + "# again\nseed 0 0 A\n", None, 4, "seed position (0, 0) repeated"),
+    (TILE_LINE + "\n", None, 0, "no seed lines"),
+    (UNIT_TEXT, "# nothing\n\n", 0, "empty certificate"),
+    (UNIT_TEXT, "vector 1 0\n", 1, "certificate must start with a kind line"),
+    (UNIT_TEXT, "kind\n", 1, "certificate must start with a kind line"),
+    (UNIT_TEXT, "kind pumpable i=0\n", 1, "pumpable line needs i=<int> j=<int>"),
+    (UNIT_TEXT, "kind pumpable i=x j=1\n", 1, "pumpable line needs i=<int> j=<int>"),
+    (NO_PATH_TEXT, "kind pumpable i=0 j=1\n", 1, "pumping certificate needs the path"),
+    (UNIT_TEXT, "kind pumpable i=0 j=1\nconflict 1 0\n", 2,
+     "unexpected line 'conflict 1 0'"),
+    (UNIT_TEXT, "kind pumpable i=0 j=1\nvector 2 0\n", 2,
+     "vector does not match the index pair"),
+    (UNIT_TEXT, "# header\n\nkind fragile\nattach 1 0 Q\nconflict 1 0\n", 4,
+     "unknown tile 'Q'"),
+    (UNIT_TEXT, "kind fragile\nconflict 1 0\nconflict 2 0\n", 3, "two conflict lines"),
+    (UNIT_TEXT, "kind fragile\nattach 1 0\n", 2, "unexpected line 'attach 1 0'"),
+    (UNIT_TEXT, "kind fragile\nattach 1 0 A\n", 1,
+     "fragile certificate has no conflict line"),
+    (UNIT_TEXT, "kind maybe\n", 1, "unknown certificate kind 'maybe'"),
+]
+
+
+@pytest.mark.parametrize("system, cert, line, message", MALFORMED,
+                         ids=[m[3] for m in MALFORMED])
+def test_malformed_input_is_a_parse_error(tmp_path, _run, system, cert, line, message):
+    # The library raises ParseError naming the line; the CLI (validate for
+    # a system, verify for a certificate) prints one error line and exits 4.
+    with pytest.raises(ParseError) as e:
+        sys_, p = parse_system(system)
+        parse_certificate(cert, sys_, p)
+    assert type(e.value) is ParseError and e.value.line == line
+    assert str(e.value) == f"line {line}: {message}"
+    f = tmp_path / "sys.tiles"
+    f.write_text(system, encoding="utf-8")
+    args = ["validate", str(f)]
+    if cert is not None:
+        (tmp_path / "c.cert").write_text(cert)
+        args = ["verify", str(f), str(tmp_path / "c.cert")]
+    r = _run(args, tmp_path)
+    assert (r.returncode, r.stdout) == (4, "")
+    assert r.stderr == f"error: ParseError: line {line}: {message}\n"
+
+
+def test_cli_bound_past_the_digit_limit_is_not_built(tmp_path, _run, monkeypatch):
+    # 200,000 tile types: the bound has about 4.6 million digits, and
+    # building it took seconds before the usage error.
+    def refuse(*_):
+        raise AssertionError("a bound was built")
+
+    monkeypatch.setattr(cli.driver, "bound", refuse)
+    r = _run(["bound", "--tiles", "200000", "--seed", "1"], tmp_path)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == ("error: --tiles 200000 --seed 1: a bound has more than "
+                        f"{_pysys.get_int_max_str_digits()} digits, the most this "
+                        "Python prints\n")
 
 
 def test_cli_module_entry_point(unit_file, tmp_path):

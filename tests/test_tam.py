@@ -348,6 +348,20 @@ def test_verify_fragile(blocker):
     assert not verify_fragile_cert(sys_, p, detached).ok
 
 
+@pytest.mark.parametrize("attach, conflict, reason", [
+    ([(9, 9)], (9, 9), "replay failed at step 0: tile A at (9, 9) binds nothing"),
+    ([(1, 0), (0, 0)], (1, 0), "replay failed at step 1: position (0, 0) already filled"),
+    ([(1, 0)], (2, 0), "conflict position was never filled"),
+    ([(-1, 0)], (-1, 0), "conflict position is not on the path"),
+    ([(1, 0)], (0, 0), "conflict position is not on the path"),
+], ids=["detached", "occupied", "never-filled", "off-path", "on-seed"])
+def test_verify_fragile_rejection_reasons(blocker, attach, conflict, reason):
+    sys_, p = blocker
+    A = sys_.by_name["A"]
+    res = verify_fragile_cert(sys_, p, FragilityCert([(q, A) for q in attach], conflict))
+    assert (res.ok, res.reason) == (False, reason)
+
+
 def test_verify_fragile_rejects_unproducible_path():
     # Tile B's east glue b meets A's west glue a: the path cannot grow past
     # index 0, so a valid replay conflicting with it at index 1 blocks nothing.
