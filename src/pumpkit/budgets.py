@@ -31,12 +31,12 @@ class EnumBudget:
                 raise BadBudget(f"budget {f.name} must be >= 1")
 
     @classmethod
-    def from_env(cls, **overrides) -> "EnumBudget":
-        values = dict(overrides)
+    def from_env(cls) -> "EnumBudget":
+        values = {}
         for f in fields(cls):
             var = _ENV_PREFIX + f.name.upper()
             env = os.environ.get(var)
-            if env is not None and f.name not in values:
+            if env is not None:
                 try:
                     values[f.name] = int(env)
                 except ValueError:

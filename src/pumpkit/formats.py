@@ -95,11 +95,10 @@ def parse_system(text: str):
     if not seed_entries:
         raise ParseError(0, "no seed lines")
     try:
-        system = TileSystem(tile_order, Assembly(seed_entries))
+        seed = Assembly(seed_entries)
     except BadSystem as e:
-        if "connected" in str(e):
-            raise DisconnectedSeed(str(e))
-        raise
+        raise DisconnectedSeed(str(e))
+    system = TileSystem(tile_order, seed)
     # The entries are ``((x, y), type)`` tuples already.
     path = Path._of(tuple(path_entries)) if path_entries is not None else None
     return system, path

@@ -60,14 +60,8 @@ class Assembly:
     def __contains__(self, pos: Position):
         return pos in self.tiles
 
-    def __iter__(self):
-        return iter(sorted(self.tiles.items()))
-
     def get(self, pos: Position) -> Optional[TileType]:
         return self.tiles.get(pos)
-
-    def positions(self) -> frozenset[Position]:
-        return frozenset(self.tiles)
 
 
 def _connected(positions: Iterable[Position]) -> bool:
@@ -131,9 +125,6 @@ class Path:
 
     def __len__(self):
         return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
 
     def __eq__(self, other):
         return isinstance(other, Path) and self.entries == other.entries

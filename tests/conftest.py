@@ -1,15 +1,27 @@
-"""Shared fixtures: small engineered systems exercising each engine branch."""
+"""Shared test inputs: test modules import them from here, never from each other.
 
+Small engineered systems exercising each engine branch; criterion 9's
+corpus, its shield lists and one recorded engine pass, each built once per
+session; seeded generators, tower paths and golden figures.
+"""
+
+import functools
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from pumpkit import Assembly, Path, TileSystem, TileType
+from pumpkit import Assembly, Path, TileSystem, TileType, oracle, shield, tam
+from pumpkit.budgets import EnumBudget
+from pumpkit.formats import parse_system
 from pumpkit.geometry import PolyCurve
+from pumpkit.shield import Shield
+from pumpkit.svgout import render_svg
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def src_env():
@@ -111,3 +123,285 @@ def battlements():
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+# -- criterion 9's corpus ----------------------------------------------------------
+
+CORPUS_SEED = 20260810
+CORPUS_MAX_TILES = 3
+CORPUS_MAX_SEED = 2
+CORPUS_PATH_CAP = 3000  # systems enumerating past this are not kept
+
+
+def _corpus(n_systems, rng, budget, cap=CORPUS_PATH_CAP):
+    kept = 0
+    while kept < n_systems:
+        sys_ = oracle.random_system(rng, max_tiles=CORPUS_MAX_TILES,
+                                    max_seed=CORPUS_MAX_SEED)
+        enum = oracle.PathEnumeration(sys_, budget, max_paths=cap)
+        paths = list(enum)
+        if enum.truncated:
+            continue  # complete enumeration only
+        kept += 1
+        yield sys_, paths
+
+
+@functools.cache
+def corpus_paths():
+    """Criterion 9's corpus: each ``(system, path)``, the paths of up to 14 tiles
+    of 200 systems of seed ``CORPUS_SEED``, in corpus order."""
+    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    return [(sys_, p) for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget)
+            for p in paths]
+
+
+@functools.cache
+def corpus_shields():
+    """``(system, path, shields)`` for each corpus path: its ``enumerate_shields`` list."""
+    return [(sys_, p, shield.enumerate_shields(sys_, p)) for sys_, p in corpus_paths()]
+
+
+ENGINE_PARTS = 4
+
+
+@functools.cache
+def _engine_groups():
+    """The j < k shields of criterion 9's corpus, grouped by what their curves depend on.
+
+    That is the positions of tiles 0..k+1 and the triple, except that a
+    conflict ends the construction before the progress loop.
+    """
+    groups = {}
+    for sys_, p, shields in corpus_shields():
+        for sh in shields:
+            if sh.j < sh.k:
+                groups.setdefault((p.positions[:sh.k + 2], sh), []).append((sys_, p, sh))
+    return list(groups.values())
+
+
+RECORDED = ("PolyCurve", "SideCache", "curve_in_closed_right", "curve_intersection",
+            "build_workspace")
+
+
+def _recorded(fn, calls):
+    """``fn``, appending the arguments and result of each call to ``calls``."""
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append((args, out))
+        return out
+    return wrapper
+
+
+@pytest.fixture(scope="session", params=range(ENGINE_PARTS))
+def engine_record(request):
+    """One ``pump_or_block`` pass over one part of ``_engine_groups()``, recorded.
+
+    Each group's shields are decided until one pumps, which makes every
+    curve of the group.  In call order: the ``curves`` ``shield`` builds, the
+    curves of its side caches (``boundaries``), the ``checked`` (sub-curve,
+    boundary) containment pairs, the intersected curve ``pairs`` and the
+    ``workspaces``; ``halves`` pairs each half-resolution curve built during
+    the pass with its cache's curve.  Session-scoped and parametrized, so
+    pytest runs each part's tests together: one pass, one live record.
+    """
+    calls = {name: [] for name in RECORDED}
+    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    groups = _engine_groups()[request.param::ENGINE_PARTS]
+    pumped = 0
+    with pytest.MonkeyPatch.context() as mp:
+        for name in RECORDED:
+            mp.setattr(shield, name, _recorded(getattr(shield, name), calls[name]))
+        for group in groups:
+            for sys_, p, sh in group:
+                if shield.pump_or_block(sys_, p, sh, budget).kind == "pumpable":
+                    pumped += 1
+                    break
+    caches = [cache for _, cache in calls["SideCache"]]
+    return SimpleNamespace(
+        groups=len(groups), pumped=pumped,
+        curves=[curve for _, curve in calls["PolyCurve"]],
+        boundaries=[cache.curve for cache in caches],
+        halves=[(cache._scaled, cache.curve) for cache in caches if cache._scaled is not None],
+        checked=[(sub, cache.curve) for (sub, cache), _ in calls["curve_in_closed_right"]],
+        pairs=[args for args, _ in calls["curve_intersection"]],
+        workspaces=[ws for _, ws in calls["build_workspace"]])
+
+
+# -- seeded generators -------------------------------------------------------------
+
+
+def random_curve(rng, corners=10):
+    """A simple almost-vertical curve built as a monotone-north staircase."""
+    pts = [(rng.randrange(-6, 7) * 2 + 1, -10)]
+    y = -10
+    for _ in range(corners):
+        x = pts[-1][0]
+        nx = x + rng.choice([-2, -1, 1, 2]) * rng.randrange(1, 4)
+        pts.append((nx, y))
+        y += rng.randrange(1, 4)
+        pts.append((nx, y))
+    return PolyCurve(pts, south_ray=True, north_ray=True)
+
+
+# Simple curves that turn back south and west, with half steps; every
+# vertex sits on some window diagonal, so the windows exercise lines that
+# pass through a vertex and lines that only graze one.
+HAND_MADE = [
+    [(1, -4), (1, 0), (5, 0), (5, -6), (9, -6), (9, 4), (-3, 4), (-3, 8)],
+    [(0, 0), (2, 0), (2, 2)],            # graze at a minimum of y - x
+    [(0, 0), (0, 2), (2, 2)],            # graze at a maximum of y - x
+    [(0, 0), (2, 0), (2, -2), (4, -2)],  # pass-through vertices
+    [(3, 0), (3, 1), (2, 1), (2, 3), (-2, 3), (-2, 5), (4, 5), (4, 2), (6, 2),
+     (6, 9)],
+    [(0, 0)],
+]
+
+
+def _producible_walks(rng, count):
+    """Seeded random producible walks of 40-150 tiles.
+
+    Each step goes to a free neighbour with a tile type whose facing glue
+    matches the current tile's, so every tile binds to its predecessor;
+    the first binds to a seed tile.  Walks that stall early are dropped.
+    """
+    made = 0
+    while made < count:
+        sys_ = oracle.random_system(rng, max_tiles=4, max_seed=3, alphabet="ab",
+                                    null_bias=0.2)
+        taken = set(sys_.seed.tiles)
+        here = rng.choice(sorted(taken))
+        tile = sys_.seed.tiles[here]
+        entries = []
+        for _ in range(rng.randint(40, 150)):
+            moves = []
+            for side, (dx, dy) in tam.STEP.items():
+                q = (here[0] + dx, here[1] + dy)
+                glue = tile.glue(side)
+                if q in taken or glue is None:
+                    continue
+                back = tam.SIDE_OF_STEP[(-dx, -dy)]
+                moves.extend((q, t) for t in sys_.tiles if t.glue(back) == glue)
+            if not moves:
+                break
+            here, tile = rng.choice(moves)
+            taken.add(here)
+            entries.append((here, tile))
+        p = Path(entries)
+        if len(p) < 40 or not tam.validate_producible_path(sys_, p):
+            continue
+        made += 1
+        yield sys_, p
+
+
+def _long_walks(rng, count):
+    """Random self-avoiding walks of 40-150 tiles beside a small random seed.
+
+    Tile types are drawn per tile, so glue labels vary; visibility and
+    spans do not depend on the path binding.
+    """
+    made = 0
+    while made < count:
+        sys_ = oracle.random_system(rng, max_tiles=4, max_seed=3)
+        taken = set(sys_.seed.tiles)
+        x, y = rng.choice(sorted(taken))
+        cells = []
+        for _ in range(rng.randint(40, 150)):
+            free = [(x + dx, y + dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                    if (x + dx, y + dy) not in taken]
+            if not free:
+                break
+            x, y = rng.choice(free)
+            taken.add((x, y))
+            cells.append((x, y))
+        if len(cells) < 40:
+            continue
+        made += 1
+        yield sys_, Path([(c, rng.choice(sys_.tiles)) for c in cells])
+
+
+# -- tower fixtures ----------------------------------------------------------------
+
+TOWER_TEXT = """\
+tile A north=a east=a south=a west=a
+seed 0 0 A
+"""
+
+
+def _climb(runs):
+    """Cells from (1, 0) along runs such as ``"E1 N50"``: a heading, a length."""
+    cells = [(1, 0)]
+    for run in runs.split():
+        dx, dy = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}[run[0]]
+        for _ in range(int(run[1:])):
+            cells.append((cells[-1][0] + dx, cells[-1][1] + dy))
+    return cells
+
+
+def _tower_walks(rng, count):
+    """Seeded self-avoiding tower walks from (1, 0), cut at their first easternmost tile.
+
+    The tower has one tile type with the same glue on every side, so every
+    self-avoiding walk that misses the seed is producible.  The walk moves
+    in straight runs of 1-12 tiles, which folds it over itself into many
+    down spans; the cut makes its last tile the unique easternmost.
+    """
+    sys_, _ = parse_system(TOWER_TEXT)
+    tile = sys_.by_name["A"]
+    made = 0
+    while made < count:
+        cells, taken = [(1, 0)], {(0, 0), (1, 0)}
+        for _ in range(rng.randint(5, 30)):
+            dx, dy = rng.choice(sorted(tam.STEP.values()))
+            for _ in range(rng.randint(1, 12)):
+                q = (cells[-1][0] + dx, cells[-1][1] + dy)
+                if q in taken:
+                    break
+                taken.add(q)
+                cells.append(q)
+        east = max(x for x, _ in cells)
+        cut = next(s for s, (x, _) in enumerate(cells) if x == east)
+        if cut < 2:
+            continue
+        made += 1
+        yield sys_, Path([(c, tile) for c in cells[:cut + 1]])
+
+
+# Tower paths (one tile type, from (1, 0)) through the tall-span case, with
+# the override they run under and the trail tags they must write, in order.
+TALL_BRANCH_CASES = [
+    # The 51-row column beside the seed is taller than the cone allows.
+    # The prefix up to that span is far taller than wide, so it is turned
+    # on its side and the span pipeline runs again there and pumps.
+    ("E1 N50 W1 N1 E60", 55, ["tall-span(col=1,h=51)", "tall-prefix(north,rows=51)"]),
+    # A 9-column comb under the tall column: the prefix is wide enough for
+    # a same-label pair of south glues to clear the exit ray.
+    ("E9 N2 W9 N44 E12", None, ["tall-span(col=1,h=46)", "narrow-prefix(i=0,j=8,k=64)"]),
+    # Its mirror: the tall span points down and is read upright after a flip.
+    ("E9 S2 W9 S44 E12", None, ["tall-span(col=1,h=46)", "flip-vertical(down span)",
+                                "narrow-prefix(i=0,j=8,k=64)"]),
+    # A down span whose upright prefix reaches below the seed.
+    ("N46 E1 S48 W1 S1 E5", None, ["flip-vertical(down span)",
+                                   "tall-prefix(south,rows=46)"]),
+    # An up span whose prefix reaches below the seed, with no flip.
+    ("S50 E1 N53 W1 N1 E20", None, ["tall-span(col=1,h=54)",
+                                    "tall-prefix(south,rows=50)"]),
+]
+
+
+# -- golden figures ----------------------------------------------------------------
+
+
+def _golden_cases():
+    unit = system_of([("A", None, "g", None, "g")], {(0, 0): "A"})
+    unit_path = path_of(unit, (1, 0, "A"), (2, 0, "A"), (3, 0, "A"))
+    stair = system_of([("S", "b", "a", "b", "a")], {(0, 0): "S"})
+    stair_path = path_of(stair, (1, 0, "S"), (2, 0, "S"), (2, 1, "S"),
+                         (3, 1, "S"), (3, 2, "S"), (4, 2, "S"))
+    return [
+        ("unit_plain.svg", render_svg(unit, unit_path)),
+        ("unit_workspace.svg",
+         render_svg(unit, unit_path, overlays={"cut", "regions"},
+                    shield=Shield(0, 1, 1))),
+        ("staircase_rays.svg",
+         render_svg(stair, stair_path, overlays={"rays"}, shield=Shield(0, 2, 4))),
+    ]

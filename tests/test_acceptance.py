@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Corpus parameters (generator seed, tile/seed caps, enumeration caps) are
-fixed in this file so every run is reproducible.  The theorem-scale
+fixed in ``conftest.py`` so every run is reproducible.  The theorem-scale
 experiment (paths wider than the true distance bound) is not reproducible
 at desk scale even for one tile type; the suite exercises the full
 pipeline through explicit bound overrides instead, as the engine- and
@@ -9,6 +9,7 @@ lemma-level checks below.
 """
 
 import hashlib
+import os
 import random
 import time
 
@@ -27,19 +28,17 @@ from pumpkit import oracle, tam
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import ROT90
 from pumpkit.errors import ClaimViolation, NotEasternmost
-from pumpkit.formats import emit_certificate
+from pumpkit.formats import emit_certificate, parse_certificate, parse_system, print_system
 from pumpkit.geometry import Side
 from pumpkit.oracle import FloodFill
 from pumpkit.shield import Shield, build_workspace
 from pumpkit.visibility import GlueView, check_glue_east, check_glue_side
 
-from conftest import path_of, system_of
+from conftest import (CORPUS_MAX_SEED, CORPUS_MAX_TILES, CORPUS_SEED, GOLDEN_DIR, _corpus,
+                      _golden_cases, corpus_paths, corpus_shields, path_of, random_curve,
+                      system_of)
 
-CORPUS_SEED = 20260810
 CORPUS_SYSTEMS = 500
-CORPUS_MAX_TILES = 3
-CORPUS_MAX_SEED = 2
-CORPUS_PATH_CAP = 3000  # systems enumerating past this are not kept
 
 # SHA-256 over every trail and certificate criterion 9 produces.  Any
 # change to a decision branch or to a certificate byte changes it, so it
@@ -64,19 +63,6 @@ def _timed(limit):
         return elapsed
 
     return done
-
-
-def _corpus(n_systems, rng, budget, cap=CORPUS_PATH_CAP):
-    kept = 0
-    while kept < n_systems:
-        sys_ = oracle.random_system(rng, max_tiles=CORPUS_MAX_TILES,
-                                    max_seed=CORPUS_MAX_SEED)
-        enum = oracle.PathEnumeration(sys_, budget, max_paths=cap)
-        paths = list(enum)
-        if enum.truncated:
-            continue  # complete enumeration only
-        kept += 1
-        yield sys_, paths
 
 
 def test_criterion_1_unit_pump(unit, unit_path):
@@ -241,26 +227,12 @@ def test_criterion_5_lemma_property_suites():
           f"disjointness on 1000 triples ({elapsed:.1f}s)")
 
 
-def _random_curve(rng, corners):
-    pts = [(rng.randrange(-6, 7) * 2 + 1, -10)]
-    y = -10
-    for _ in range(corners):
-        x = pts[-1][0]
-        nx = x + rng.choice([-2, -1, 1, 2]) * rng.randrange(1, 4)
-        pts.append((nx, y))
-        y += rng.randrange(1, 4)
-        pts.append((nx, y))
-    from pumpkit.geometry import PolyCurve
-
-    return PolyCurve(pts, south_ray=True, north_ray=True)
-
-
 def test_criterion_6_jordan_agreement():
     done = _timed(60.0)
     rng = random.Random(CORPUS_SEED + 4)
     points = 0
     for _ in range(1000):
-        curve = _random_curve(rng, corners=8)
+        curve = random_curve(rng, corners=8)
         x0, y0, x1, y1 = curve.bbox()
         cx, cy = (x0 + x1) // 2, (y0 + y1) // 2
         window = (cx - 20, cy - 20, cx + 20, cy + 20)
@@ -290,13 +262,6 @@ def test_criterion_7_bound_arithmetic():
 
 
 def test_criterion_8_roundtrips_and_goldens(tmp_path):
-    from pumpkit.formats import (
-        emit_certificate,
-        parse_certificate,
-        parse_system,
-        print_system,
-    )
-
     done = _timed(30.0)
     rng = random.Random(CORPUS_SEED + 5)
     budget = EnumBudget(max_path_len=9, max_nodes=10 ** 6)
@@ -323,10 +288,6 @@ def test_criterion_8_roundtrips_and_goldens(tmp_path):
             certs += 1
             break  # one certificate per system keeps this under budget
 
-    import os
-
-    from test_formats import GOLDEN_DIR, _golden_cases
-
     for name, svg in _golden_cases():
         with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
             assert fh.read() == svg
@@ -342,19 +303,18 @@ def test_criterion_9_analyze_corpus():
     digest = hashlib.sha256()
     kinds = {"pumpable": 0, "fragile": 0, "no_shield": 0}
     n_paths = violations = 0
-    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
-        for p in paths:
-            n_paths += 1
-            try:
-                res = analyze(sys_, p, bound_override=2, budget=budget)
-            except ClaimViolation:
-                violations += 1
-                continue
-            kinds[res.kind] += 1
-            digest.update("\n".join(res.trail).encode() + b"\n")
-            if res.kind != "no_shield":
-                digest.update(emit_certificate(res).encode())
-            digest.update(b"\0")
+    for sys_, p in corpus_paths():
+        n_paths += 1
+        try:
+            res = analyze(sys_, p, bound_override=2, budget=budget)
+        except ClaimViolation:
+            violations += 1
+            continue
+        kinds[res.kind] += 1
+        digest.update("\n".join(res.trail).encode() + b"\n")
+        if res.kind != "no_shield":
+            digest.update(emit_certificate(res).encode())
+        digest.update(b"\0")
     assert violations == 0
     assert kinds["fragile"] > 0
     assert digest.hexdigest() == ANALYZE_CORPUS_DIGEST
@@ -372,19 +332,18 @@ def test_engine_corpus_digest():
     digest = hashlib.sha256()
     branches = {}
     n = 0
-    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
-        for p in paths:
-            for sh in enumerate_shields(sys_, p):
-                if sh.j == sh.k:
-                    continue
-                n += 1
-                if n % 20:
-                    continue
-                out = pump_or_block(sys_, p, sh, budget)
-                branches[out.branch] = branches.get(out.branch, 0) + 1
-                digest.update(f"{out.kind} {out.branch}\n".encode())
-                digest.update(out.trace.dump().encode() + b"\n")
-                digest.update(emit_certificate(out).encode() + b"\0")
+    for sys_, p, shields in corpus_shields():
+        for sh in shields:
+            if sh.j == sh.k:
+                continue
+            n += 1
+            if n % 20:
+                continue
+            out = pump_or_block(sys_, p, sh, budget)
+            branches[out.branch] = branches.get(out.branch, 0) + 1
+            digest.update(f"{out.kind} {out.branch}\n".encode())
+            digest.update(out.trace.dump().encode() + b"\n")
+            digest.update(emit_certificate(out).encode() + b"\0")
     assert set(branches) == {"exit-seam", "anchor-stall", "route-conflict-east-copy",
                              "route-conflict-west-copy"}
     assert digest.hexdigest() == ENGINE_CORPUS_DIGEST
@@ -454,12 +413,11 @@ def test_pumping_verifier_matches_reference():
     # seed; then a staircase whose period copies run into the seed.
     budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
     cases = []
-    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
-        for p in paths:
-            res = analyze(sys_, p, bound_override=2, budget=budget)
-            if res.kind == "pumpable":
-                cases.append((sys_, res.pumpable))
-                cases += [(sys_, m) for m in _pumping_mutants(res.pumpable)]
+    for sys_, p in corpus_paths():
+        res = analyze(sys_, p, bound_override=2, budget=budget)
+        if res.kind == "pumpable":
+            cases.append((sys_, res.pumpable))
+            cases += [(sys_, m) for m in _pumping_mutants(res.pumpable)]
     stair = system_of([("G", "g", "g", "g", "g")], {(0, 0): "G"})
     stair_path = path_of(stair, (1, 0, "G"), (2, 0, "G"), (3, 0, "G"), (3, 1, "G"),
                          (3, 2, "G"), (3, 3, "G"), (2, 3, "G"), (2, 2, "G"))

@@ -27,10 +27,11 @@ from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_H, FLIP_V, IDENTITY, ROT90, Frame
 from pumpkit.errors import BadBudget, BadCounts, BadSystem, NotCanonical, TooShort
 from pumpkit.formats import emit_certificate, parse_system
-from pumpkit.tam import SIDE_OF_STEP, STEP, FragilityCert, TileType
+from pumpkit.tam import SIDE_OF_STEP, STEP, FragilityCert, TileType, validate_producible_path
 from pumpkit.visibility import GlueView, Span, spans
 
-from conftest import path_of, system_of
+from conftest import (TALL_BRANCH_CASES, TOWER_TEXT, _climb, _producible_walks, path_of,
+                      system_of)
 
 
 def test_bound_values():
@@ -254,8 +255,6 @@ def test_canonicalize_random_corpus(rng):
                 canon = canonicalize(sys_, p, bound_override=3)
             except TooShort:
                 continue
-            from pumpkit.tam import validate_producible_path
-
             assert validate_producible_path(canon.sys, canon.path).ok
             xs = [x for x, _ in canon.path.positions] + \
                  [x for x, _ in canon.sys.seed.tiles]
@@ -320,6 +319,21 @@ def test_analyze_transform_outcome_kind(staircase):
         assert analyze(frame.apply(sys_), frame.apply(p), bound_override=2).kind == base
 
 
+def test_analyze_resumes_after_a_rejected_proposal(staircase, monkeypatch):
+    # A rejected proposal writes "<tag>-invalid:<reason>" and the tree goes
+    # on.  Here the west pigeonhole, which proposes nothing, proposes a non-shield.
+    sys_, p = staircase
+    want = analyze(sys_, p, bound_override=2)
+    assert not any(t.startswith("west-pigeonhole") for t in want.trail)
+    monkeypatch.setattr(driver, "_west_pigeonhole_shield", lambda view, frame, trail: iter(
+        [(view, frame, engine.Shield(0, 0, 0), "west-pigeonhole")]))
+    got = analyze(sys_, p, bound_override=2)
+    invalid = "west-pigeonhole-invalid:need 0 <= i < j <= k < |p|-1, got (0, 0, 0)"
+    assert got.trail == [want.trail[0], invalid, *want.trail[1:]]
+    assert (got.kind, got.pumpable, got.fragile) == (want.kind, want.pumpable, want.fragile)
+    assert emit_certificate(got) == emit_certificate(want)
+
+
 def test_analyze_corpus_certificates(rng):
     budget = EnumBudget(max_path_len=10, max_nodes=4000)
     kinds = {"pumpable": 0, "fragile": 0, "no_shield": 0}
@@ -341,43 +355,7 @@ def test_analyze_corpus_certificates(rng):
     assert kinds["pumpable"] > 90
 
 
-TOWER_TEXT = """\
-tile A north=a east=a south=a west=a
-seed 0 0 A
-"""
 TWIN_TOWER_TEXT = TOWER_TEXT + "tile B north=a east=a south=a west=a\n"
-
-
-def _climb(runs):
-    """Cells from (1, 0) along runs such as ``"E1 N50"``: a heading, a length."""
-    cells = [(1, 0)]
-    for run in runs.split():
-        dx, dy = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}[run[0]]
-        for _ in range(int(run[1:])):
-            cells.append((cells[-1][0] + dx, cells[-1][1] + dy))
-    return cells
-
-
-# Tower paths (one tile type, from (1, 0)) through the tall-span case, with
-# the override they run under and the trail tags they must write, in order.
-TALL_BRANCH_CASES = [
-    # The 51-row column beside the seed is taller than the cone allows.
-    # The prefix up to that span is far taller than wide, so it is turned
-    # on its side and the span pipeline runs again there and pumps.
-    ("E1 N50 W1 N1 E60", 55, ["tall-span(col=1,h=51)", "tall-prefix(north,rows=51)"]),
-    # A 9-column comb under the tall column: the prefix is wide enough for
-    # a same-label pair of south glues to clear the exit ray.
-    ("E9 N2 W9 N44 E12", None, ["tall-span(col=1,h=46)", "narrow-prefix(i=0,j=8,k=64)"]),
-    # Its mirror: the tall span points down and is read upright after a flip.
-    ("E9 S2 W9 S44 E12", None, ["tall-span(col=1,h=46)", "flip-vertical(down span)",
-                                "narrow-prefix(i=0,j=8,k=64)"]),
-    # A down span whose upright prefix reaches below the seed.
-    ("N46 E1 S48 W1 S1 E5", None, ["flip-vertical(down span)",
-                                   "tall-prefix(south,rows=46)"]),
-    # An up span whose prefix reaches below the seed, with no flip.
-    ("S50 E1 N53 W1 N1 E20", None, ["tall-span(col=1,h=54)",
-                                    "tall-prefix(south,rows=50)"]),
-]
 
 
 def test_analyze_reaches_tall_branches():
@@ -690,8 +668,6 @@ def test_analyze_builds_glue_records_on_request(request, monkeypatch, instance, 
 def test_analyze_builds_glue_records_on_request_on_walks(monkeypatch):
     # Seeded producible walks of 40-150 tiles, and the tall-span towers,
     # whose narrow-prefix case reads records off its south-visible bank.
-    from test_frames_and_banks import _producible_walks
-
     counts = _count_glue_records(monkeypatch)
     kinds = Counter()
     for sys_, p in _producible_walks(random.Random(31), 200):
@@ -755,8 +731,6 @@ def test_reduce_east_line(unit):
     red = reduce_2ham([A], p)
     assert sorted(red.sys.seed.tiles) == [(5, 0)]
     assert len(red.path) == 2
-    from pumpkit.tam import validate_producible_path
-
     assert validate_producible_path(red.sys, red.path).ok
 
 
@@ -795,8 +769,6 @@ def test_reduce_random_snakes(rng):
         if len(walk) < 3:
             continue
         red = reduce_2ham([T], Path([(pos, T) for pos in walk]))
-        from pumpkit.tam import validate_producible_path
-
         assert validate_producible_path(red.sys, red.path).ok
 
 

@@ -6,7 +6,8 @@ import sys as _pysys
 
 import pytest
 
-from pumpkit import PumpingSpec, cli, oracle, pump_or_block
+from pumpkit import (PumpingSpec, cli, enumerate_shields, oracle, pump_or_block,
+                     verify_fragile_cert, verify_pumpable_cert)
 from pumpkit.budgets import EnumBudget
 from pumpkit.errors import DisconnectedSeed, DuplicateTile, ParseError
 from pumpkit.formats import (
@@ -18,15 +19,13 @@ from pumpkit.formats import (
 from pumpkit.shield import Shield
 from pumpkit.svgout import render_svg
 
-from conftest import path_of, src_env, system_of
+from conftest import GOLDEN_DIR, _golden_cases, path_of, src_env, system_of
 
 UNIT_TEXT = """\
 tile A north=- east=g south=- west=g
 seed 0 0 A
 path 1 0 A ; 2 0 A ; 3 0 A
 """
-
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def test_parse_unit():
@@ -115,8 +114,6 @@ def test_fragile_cert_roundtrip(blocker):
 
 
 def test_cert_roundtrip_corpus(rng):
-    from pumpkit import enumerate_shields, verify_fragile_cert, verify_pumpable_cert
-
     budget = EnumBudget(max_path_len=9, max_nodes=1500)
     n = 0
     for _ in range(250):
@@ -172,22 +169,6 @@ def test_svg_overlay_without_its_input_raises(unit, unit_path, overlay, shield):
     # cut and the regions a shield or a workspace, the trace a trace.
     with pytest.raises(ValueError, match=f"overlay '{overlay}' needs"):
         render_svg(unit, unit_path, overlays={overlay}, shield=shield)
-
-
-def _golden_cases():
-    unit = system_of([("A", None, "g", None, "g")], {(0, 0): "A"})
-    unit_path = path_of(unit, (1, 0, "A"), (2, 0, "A"), (3, 0, "A"))
-    stair = system_of([("S", "b", "a", "b", "a")], {(0, 0): "S"})
-    stair_path = path_of(stair, (1, 0, "S"), (2, 0, "S"), (2, 1, "S"),
-                         (3, 1, "S"), (3, 2, "S"), (4, 2, "S"))
-    return [
-        ("unit_plain.svg", render_svg(unit, unit_path)),
-        ("unit_workspace.svg",
-         render_svg(unit, unit_path, overlays={"cut", "regions"},
-                    shield=Shield(0, 1, 1))),
-        ("staircase_rays.svg",
-         render_svg(stair, stair_path, overlays={"rays"}, shield=Shield(0, 2, 4))),
-    ]
 
 
 @pytest.mark.parametrize("name,svg", _golden_cases())
@@ -664,3 +645,34 @@ def test_cli_usage_errors_exit_3(unit_file, tmp_path, _run, args, flag):
     assert r.returncode == 3
     assert r.stderr.splitlines()[-1].startswith("error:") and flag in r.stderr
     assert "Traceback" not in r.stderr and r.stdout == ""
+
+
+# Outcomes no other CLI test reaches: a file, written as f.tiles next to a
+# blocking certificate cert.txt, a command, its exit code, stdout and stderr.
+OUTCOME_CASES = {
+    "reduce-2ham-rotates": (
+        "tile A north=g east=- south=g west=-\nseed 9 9 A\npath 0 0 A ; 0 1 A ; 0 2 A\n",
+        ["reduce-2ham", "f.tiles"], 0, "note: rotated upright\n"
+        "tile A north=- east=g south=- west=g\nseed -2 0 A\npath -1 0 A ; 0 0 A\n", ""),
+    "enumerate-verbose": (UNIT_TEXT, ["oracle", "enumerate", "-v", "f.tiles"], 0,
+                          "-1 0 A\n1 0 A\n-1 0 A ; -2 0 A\n1 0 A ; 2 0 A\n"
+                          "4 producible path(s)\n", ""),
+    # One tile type cannot conflict; a one-tile path has no index pair.
+    "no-conflict": (UNIT_TEXT, ["oracle", "fragile", "f.tiles"], 2,
+                    "no conflicting assembly within budget\n", ""),
+    "no-pair": (NO_PATH_TEXT + "path 1 0 A\n", ["oracle", "pumpable", "f.tiles"], 2,
+                "no pumpable pair within budget\n", ""),
+    "verify-needs-path": (NO_PATH_TEXT, ["verify", "f.tiles", "cert.txt"], 4, "",
+                          "error: PumpkitError: blocking certificates need the path "
+                          "to conflict with\n"),
+}
+
+
+@pytest.mark.parametrize("case", OUTCOME_CASES)
+def test_cli_outcomes(tmp_path, _run, monkeypatch, case):
+    text, args, code, stdout, stderr = OUTCOME_CASES[case]
+    monkeypatch.setenv("PUMPKIT_BUDGET_MAX_PATH_LEN", "2")  # four paths to enumerate
+    (tmp_path / "f.tiles").write_text(text)
+    (tmp_path / "cert.txt").write_text("kind fragile\nattach 1 0 A\nconflict 1 0\n")
+    r = _run(args, tmp_path)
+    assert (r.returncode, r.stdout, r.stderr) == (code, stdout, stderr)

@@ -25,17 +25,15 @@ from itertools import chain
 
 import pytest
 
-from pumpkit import driver, oracle, tam
-from pumpkit.budgets import EnumBudget
+from pumpkit import driver, tam
 from pumpkit.driver import FLIP_V, IDENTITY, Frame, canonicalize
 from pumpkit.errors import ClaimViolation, NotCanonical, TooShort
 from pumpkit.formats import parse_system
 from pumpkit.tam import Path
 from pumpkit.visibility import POINTING, GlueRef, GlueView, Span, spans
 
-from conftest import path_of, system_of
-from test_acceptance import CORPUS_SEED, _corpus
-from test_driver import TALL_BRANCH_CASES, TOWER_TEXT, _climb
+from conftest import (TALL_BRANCH_CASES, TOWER_TEXT, _climb, _producible_walks, _tower_walks,
+                      corpus_paths, path_of, system_of)
 
 REFERENCE_SECONDS = 5.0  # per test; each takes well under 2 s on a 2-core machine
 
@@ -188,78 +186,6 @@ def reference_couple_pair(stretch):
     return None
 
 
-def _corpus_paths():
-    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
-    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
-        for p in paths:
-            yield sys_, p
-
-
-def _producible_walks(rng, count):
-    """Seeded random producible walks of 40-150 tiles.
-
-    Each step goes to a free neighbour with a tile type whose facing glue
-    matches the current tile's, so every tile binds to its predecessor;
-    the first binds to a seed tile.  Walks that stall early are dropped.
-    """
-    made = 0
-    while made < count:
-        sys_ = oracle.random_system(rng, max_tiles=4, max_seed=3, alphabet="ab",
-                                    null_bias=0.2)
-        taken = set(sys_.seed.tiles)
-        here = rng.choice(sorted(taken))
-        tile = sys_.seed.tiles[here]
-        entries = []
-        for _ in range(rng.randint(40, 150)):
-            moves = []
-            for side, (dx, dy) in tam.STEP.items():
-                q = (here[0] + dx, here[1] + dy)
-                glue = tile.glue(side)
-                if q in taken or glue is None:
-                    continue
-                back = tam.SIDE_OF_STEP[(-dx, -dy)]
-                moves.extend((q, t) for t in sys_.tiles if t.glue(back) == glue)
-            if not moves:
-                break
-            here, tile = rng.choice(moves)
-            taken.add(here)
-            entries.append((here, tile))
-        p = Path(entries)
-        if len(p) < 40 or not tam.validate_producible_path(sys_, p):
-            continue
-        made += 1
-        yield sys_, p
-
-
-def _tower_walks(rng, count):
-    """Seeded self-avoiding tower walks from (1, 0), cut at their first easternmost tile.
-
-    The tower has one tile type with the same glue on every side, so every
-    self-avoiding walk that misses the seed is producible.  The walk moves
-    in straight runs of 1-12 tiles, which folds it over itself into many
-    down spans; the cut makes its last tile the unique easternmost.
-    """
-    sys_, _ = parse_system(TOWER_TEXT)
-    tile = sys_.by_name["A"]
-    made = 0
-    while made < count:
-        cells, taken = [(1, 0)], {(0, 0), (1, 0)}
-        for _ in range(rng.randint(5, 30)):
-            dx, dy = rng.choice(sorted(tam.STEP.values()))
-            for _ in range(rng.randint(1, 12)):
-                q = (cells[-1][0] + dx, cells[-1][1] + dy)
-                if q in taken:
-                    break
-                taken.add(q)
-                cells.append(q)
-        east = max(x for x, _ in cells)
-        cut = next(s for s, (x, _) in enumerate(cells) if x == east)
-        if cut < 2:
-            continue
-        made += 1
-        yield sys_, Path([(c, tile) for c in cells[:cut + 1]])
-
-
 def _timed():
     start = time.time()
     return lambda: time.time() - start < REFERENCE_SECONDS
@@ -271,7 +197,7 @@ def test_banks_from_columns_match_per_glue_scan():
     # what the records of a separate pass give.
     within = _timed()
     n_paths = n_visible = n_spans = n_defined = 0
-    for sys_, p in chain(_corpus_paths(), _producible_walks(random.Random(17), 300)):
+    for sys_, p in chain(corpus_paths(), _producible_walks(random.Random(17), 300)):
         view = GlueView(sys_, p)
         refs = reference_glue_refs(p)
         assert view.cols == {key: (lo.index, lo.midpoint[1], hi.index, hi.midpoint[1])
@@ -313,7 +239,7 @@ def test_orient_east_matches_per_turn_point_lists():
     within = _timed()
     counts = {"oriented": 0, "none": 0}
     instances = chain(_producible_walks(random.Random(23), 200),
-                      (inst for n, inst in enumerate(_corpus_paths()) if n % 4 == 0))
+                      (inst for n, inst in enumerate(corpus_paths()) if n % 4 == 0))
     for sys_, p in instances:
         for frame in (IDENTITY,) + TALL_PREFIX_TURNS:
             for cut in (len(p), len(p) // 2 + 1):
@@ -371,7 +297,7 @@ def test_flipped_span_matches_rebuilt_flip_view():
     fixtures = [(sys_, Path([(c, sys_.by_name["A"]) for c in _climb(runs)]))
                 for runs, _, _ in TALL_BRANCH_CASES]
     n_spans = n_flips = 0
-    for sys_, p in chain(_corpus_paths(), fixtures, _tower_walks(random.Random(31), 1000)):
+    for sys_, p in chain(corpus_paths(), fixtures, _tower_walks(random.Random(31), 1000)):
         try:
             found = spans(sys_, p)
         except NotCanonical:
@@ -424,7 +350,7 @@ def test_ledger_matches_all_spans_reference():
                 for runs, _, _ in TALL_BRANCH_CASES]
     fixtures.append(parse_system(MIXED_SPAN_TEXT))
     n_ledgers = n_unavailable = n_pairs = n_stretch = 0
-    for sys_, p in chain(_corpus_paths(), fixtures,
+    for sys_, p in chain(corpus_paths(), fixtures,
                          _producible_walks(random.Random(23), 300)):
         frame = driver._orient_east(sys_, p)
         views = [GlueView(sys_, p)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pumpkit import geometry, oracle, shield
+from pumpkit import oracle, shield
 from pumpkit.budgets import EnumBudget
 from pumpkit.errors import (
     NonSimpleCurve,
@@ -28,7 +28,7 @@ from pumpkit.geometry import (
 )
 from pumpkit.oracle import FloodFill
 
-from conftest import doubled
+from conftest import HAND_MADE, _recorded, doubled, random_curve
 
 
 def vertical_line(x=1):
@@ -65,19 +65,6 @@ def test_classify_rejects_non_simple():
                   south_ray=True, north_ray=True)
     assert not c.is_simple()
     assert_side_check_fails(c, NonSimpleCurve)
-
-
-def random_curve(rng, corners=10):
-    """A simple almost-vertical curve built as a monotone-north staircase."""
-    pts = [(rng.randrange(-6, 7) * 2 + 1, -10)]
-    y = -10
-    for _ in range(corners):
-        x = pts[-1][0]
-        nx = x + rng.choice([-2, -1, 1, 2]) * rng.randrange(1, 4)
-        pts.append((nx, y))
-        y += rng.randrange(1, 4)
-        pts.append((nx, y))
-    return PolyCurve(pts, south_ray=True, north_ray=True)
 
 
 def test_classify_matches_floodfill_random():
@@ -195,20 +182,6 @@ def test_table_parity_matches_walk_random_staircases():
         assert_parity_matches_walk(random_curve(rng, corners=rng.randrange(1, 9)))
 
 
-# Simple curves that turn back south and west, with half steps; every
-# vertex sits on some window diagonal, so the windows exercise lines that
-# pass through a vertex and lines that only graze one.
-HAND_MADE = [
-    [(1, -4), (1, 0), (5, 0), (5, -6), (9, -6), (9, 4), (-3, 4), (-3, 8)],
-    [(0, 0), (2, 0), (2, 2)],            # graze at a minimum of y - x
-    [(0, 0), (0, 2), (2, 2)],            # graze at a maximum of y - x
-    [(0, 0), (2, 0), (2, -2), (4, -2)],  # pass-through vertices
-    [(3, 0), (3, 1), (2, 1), (2, 3), (-2, 3), (-2, 5), (4, 5), (4, 2), (6, 2),
-     (6, 9)],
-    [(0, 0)],
-]
-
-
 @pytest.mark.parametrize("pts", HAND_MADE)
 def test_table_parity_matches_walk_hand_made(pts):
     curve = PolyCurve(pts, south_ray=True, north_ray=True)
@@ -229,13 +202,7 @@ def test_table_parity_matches_walk_scaled():
 def test_table_parity_matches_walk_on_engine_curves(monkeypatch):
     # The curves pump_or_block cuts regions with, captured on corpus paths.
     captured = []
-
-    class Recording(SideCache):
-        def __init__(self, curve):
-            super().__init__(curve)
-            captured.append(curve)
-
-    monkeypatch.setattr(shield, "SideCache", Recording)
+    monkeypatch.setattr(shield, "SideCache", _recorded(shield.SideCache, captured))
     rng = random.Random(29)
     budget = EnumBudget(max_path_len=10, max_nodes=600)
     decided = 0
@@ -248,7 +215,7 @@ def test_table_parity_matches_walk_on_engine_curves(monkeypatch):
                 decided += 1
                 break
     assert len(captured) >= 25
-    for curve in set(captured):
+    for curve in {cache.curve for _, cache in captured}:
         assert_parity_matches_walk(curve)
         assert_parity_matches_walk(doubled(curve), margin=2)
 

@@ -14,14 +14,9 @@ import time
 from collections import defaultdict
 from itertools import repeat
 
-import pytest
-
-from pumpkit import shield
-from pumpkit.budgets import EnumBudget
 from pumpkit.geometry import PolyCurve, SideCache, classify_side
 
 from conftest import doubled
-from test_walk_sides import _engine_groups
 
 REFERENCE_SECONDS = 5.0  # per test case; each takes under 2 s on a 2-core machine
 
@@ -129,41 +124,17 @@ def test_half_resolution_curve_matches_scaled_curve():
     assert elapsed < REFERENCE_SECONDS, elapsed
 
 
-ENGINE_PARTS = 4
-
-
-@pytest.mark.parametrize("part", range(ENGINE_PARTS))
-def test_lattice_walk_matches_reference_on_engine_curves(monkeypatch, part):
+def test_lattice_walk_matches_reference_on_engine_curves(engine_record):
     # Every curve the engine builds (the cut, the anchor's segment and
     # rays, the split, the inner cut, the moved route and stretches, the
     # progress loop's frontiers and extensions) and the half-resolution
     # curves of every side cache, over one part of criterion 9's groups.
     start = time.perf_counter()
-    curves, caches = [], []
-
-    class RecordingCurve(PolyCurve):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            curves.append(self)
-
-    class RecordingCache(SideCache):
-        def __init__(self, curve):
-            super().__init__(curve)
-            caches.append(self)
-
-    monkeypatch.setattr(shield, "PolyCurve", RecordingCurve)
-    monkeypatch.setattr(shield, "SideCache", RecordingCache)
-    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
-    groups = _engine_groups()[part::ENGINE_PARTS]
-    for group in groups:
-        for sys_, p, sh in group:
-            if shield.pump_or_block(sys_, p, sh, budget).kind == "pumpable":
-                break
-    monkeypatch.undo()
-    assert len(groups) > 900 and len(curves) > 10 * len(groups)
-    for curve in curves:
+    groups = engine_record.groups
+    assert groups > 900 and len(engine_record.curves) > 10 * groups
+    for curve in engine_record.curves:
         assert_matches_reference(curve)
-    halves = [(c._scaled, doubled(c.curve)) for c in caches if c._scaled is not None]
+    halves = [(half, doubled(curve)) for half, curve in engine_record.halves]
     assert len(halves) > 50
     for half, scaled in halves:
         assert half.lattice_points() == reference_lattice(scaled.points)

@@ -4,6 +4,9 @@ The order is the one of the package docstring, bottom up.  ``tam`` holds
 the verifiers, which share no code with the engine, so it imports only
 ``errors``.  ``visibility`` sits below ``driver``, so it reads rows in the
 transposed frame without knowing ``Frame``.
+
+Test modules import no other test module: inputs that more than one of
+them reads live in ``conftest.py``.
 """
 
 import ast
@@ -14,6 +17,7 @@ from conftest import REPO
 LAYERS = ("errors", "budgets", "geometry", "tam", "visibility", "shield",
           "driver", "oracle", "formats", "svgout", "cli")
 PACKAGE = os.path.join(REPO, "src", "pumpkit")
+TESTS = os.path.join(REPO, "tests")
 
 
 def _package_imports(module):
@@ -47,3 +51,21 @@ def test_modules_import_only_lower_layers():
 
 def test_tam_imports_only_errors():
     assert _package_imports("tam") == {"errors"}
+
+
+def _test_module_imports(source):
+    """The ``test_*`` modules ``source`` imports, at any depth."""
+    nodes = [n for n in ast.walk(ast.parse(source))
+             if isinstance(n, (ast.Import, ast.ImportFrom))]
+    names = [getattr(n, "module", None) or a.name for n in nodes for a in n.names]
+    return {name.split(".")[0] for name in names if name.startswith("test_")}
+
+
+def test_test_modules_import_no_test_module():
+    assert _test_module_imports("import test_a\ndef f():\n    from test_b import x\n"
+                                "from . import test_c\n") == {"test_a", "test_b", "test_c"}
+    for name in sorted(os.listdir(TESTS)):
+        if name.endswith(".py"):
+            with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+                found = _test_module_imports(fh.read())
+            assert not found, f"{name} imports {sorted(found)}; shared inputs go in conftest.py"

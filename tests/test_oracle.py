@@ -2,12 +2,13 @@
 
 import pytest
 
-from pumpkit import Path, PolyCurve, Side, classify_side, oracle
+from pumpkit import Path, PolyCurve, Side, classify_side, oracle, validate_producible_path
 from pumpkit.budgets import EnumBudget
 from pumpkit.errors import BadSystem, WindowTooSmall
 from pumpkit.oracle import FloodFill
+from pumpkit.shield import Shield, build_workspace
 
-from conftest import path_of, system_of
+from conftest import path_of, random_curve, system_of
 
 
 def test_enumerate_unit(unit):
@@ -107,8 +108,6 @@ def test_brute_pumpable_spiral_none():
                      {(0, 0): "S"})
     p = path_of(sys_, (0, 1, "A"), (1, 1, "B"), (1, 0, "C"), (1, -1, "D"),
                 (0, -1, "E"))
-    from pumpkit import validate_producible_path
-
     assert validate_producible_path(sys_, p).ok
     assert oracle.brute_pumpable(sys_, p, EnumBudget(max_pump_depth=12)) is None
 
@@ -129,8 +128,6 @@ def test_floodfill_window_too_small():
 
 
 def test_floodfill_agrees_with_classifier(rng):
-    from test_geometry import random_curve
-
     for _ in range(60):
         curve = random_curve(rng, corners=6)
         x0, y0, x1, y1 = curve.bbox()
@@ -142,8 +139,6 @@ def test_floodfill_agrees_with_classifier(rng):
 
 
 def test_brute_right_priority_single_route(staircase):
-    from pumpkit.shield import Shield, build_workspace
-
     sys_, p = staircase
     sh = Shield(0, 2, 4)
     pt = p.prefix(5)
@@ -153,8 +148,6 @@ def test_brute_right_priority_single_route(staircase):
 
 
 def test_brute_right_priority_budget():
-    from pumpkit.shield import Shield, build_workspace
-
     sys_ = system_of([("S", "b", "a", "b", "a")], {(0, 0): "S"})
     cells = [(1, 0), (2, 0)]
     x, y = 2, 0

@@ -13,14 +13,9 @@ random lattice walks whose rays run into their own finite part.
 import random
 import time
 
-import pytest
-
-from pumpkit import geometry, shield
-from pumpkit.budgets import EnumBudget
 from pumpkit.geometry import INFINITE_OVERLAP, PolyCurve, curve_intersection
 
-from test_geometry import HAND_MADE, random_curve
-from test_walk_sides import ENGINE_PARTS, _engine_groups
+from conftest import HAND_MADE, random_curve
 
 REFERENCE_SECONDS = 5.0  # per test case; each takes well under 2 s on a 2-core machine
 
@@ -221,25 +216,11 @@ def test_curve_intersection_matches_reference_on_shared_columns():
     assert elapsed < REFERENCE_SECONDS, elapsed
 
 
-@pytest.mark.parametrize("part", range(ENGINE_PARTS))
-def test_curve_intersection_matches_reference_on_engine_pairs(monkeypatch, part):
+def test_curve_intersection_matches_reference_on_engine_pairs(engine_record):
     # Every curve pair the progress loop intersects, for one part of
-    # _engine_groups' groups.  Each group's shields are decided until one
-    # pumps, as in test_walk_sides.
+    # the recorded engine pass over _engine_groups' groups.
     start = time.perf_counter()
-    pairs = []
-
-    def recording_intersection(a, b):
-        pairs.append((a, b))
-        return geometry.curve_intersection(a, b)
-
-    monkeypatch.setattr(shield, "curve_intersection", recording_intersection)
-    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
-    for group in _engine_groups()[part::ENGINE_PARTS]:
-        for sys_, p, sh in group:
-            if shield.pump_or_block(sys_, p, sh, budget).kind == "pumpable":
-                break
-    monkeypatch.undo()
+    pairs = engine_record.pairs
     results = assert_intersections_match(set(pairs))
     assert len(pairs) > 5000 and sum(bool(r) for r in results) > 1500
     for curve in {c for pair in pairs for c in pair}:

@@ -12,8 +12,9 @@ from pumpkit import (
     verify_fragile_cert,
     verify_pumpable_cert,
 )
-from pumpkit import formats, oracle, shield
+from pumpkit import driver, formats, oracle, shield
 from pumpkit.budgets import EnumBudget
+from pumpkit.driver import FLIP_H, FLIP_V, ROT90, Frame
 from pumpkit.errors import ClaimViolation, NotAShield, WindowTooSmall
 from pumpkit.geometry import Side
 from pumpkit.shield import (
@@ -366,9 +367,6 @@ def test_certificates_survive_transforms(blocker, unit, unit_path):
     # inverse motion brings the certificate back unchanged.  The last
     # frame is the one the tall-prefix case builds: a mirror and a
     # clockwise turn, then the orienting turn and margin shift.
-    from pumpkit import driver
-    from pumpkit.driver import FLIP_H, FLIP_V, ROT90, Frame
-
     sys_, p = blocker
     out = pump_or_block(sys_, p, Shield(0, 1, 2))
     assert out.kind == "fragile"

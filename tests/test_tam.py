@@ -31,8 +31,7 @@ from pumpkit.tam import (
     seed_contacts,
 )
 
-from conftest import path_of, system_of
-from test_acceptance import CORPUS_SEED, _corpus
+from conftest import corpus_paths, path_of, system_of
 
 
 def test_validate_ok(unit, unit_path):
@@ -145,19 +144,17 @@ VALIDATOR_DIFF_SECONDS = 20.0  # about 2 s on a 2-core machine
 
 def test_validator_matches_reference_on_corpus_and_mutants():
     start = time.time()
-    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
     rng = random.Random(7)
     codes = {}
     with_notes = 0
-    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
-        for p in paths:
-            for s, q in [(sys_, p), *_mutants(sys_, p, rng)]:
-                want = _reference_validate(s, q)
-                got = validate_producible_path(s, q)
-                assert (got.ok, got.code, got.index, got.notes) == \
-                    (want.ok, want.code, want.index, want.notes), q.entries
-                codes[want.code] = codes.get(want.code, 0) + 1
-                with_notes += bool(want.notes)
+    for sys_, p in corpus_paths():
+        for s, q in [(sys_, p), *_mutants(sys_, p, rng)]:
+            want = _reference_validate(s, q)
+            got = validate_producible_path(s, q)
+            assert (got.ok, got.code, got.index, got.notes) == \
+                (want.ok, want.code, want.index, want.notes), q.entries
+            codes[want.code] = codes.get(want.code, 0) + 1
+            with_notes += bool(want.notes)
     assert set(codes) == {None, "EmptyPath", "OverlapsSeed", "NotSimple",
                           "GlueMismatch", "SeedDetached"}
     assert with_notes > 0

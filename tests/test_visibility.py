@@ -20,10 +20,9 @@ from pumpkit.errors import (
     PrefixAmbiguity,
 )
 from pumpkit.shield import Shield, check_shield, enumerate_shields
-from pumpkit.visibility import Span, check_glue_east, check_glue_side
+from pumpkit.visibility import Span, _beats, check_glue_east, check_glue_side
 
-from conftest import path_of, system_of
-from test_acceptance import CORPUS_SEED, _corpus
+from conftest import _long_walks, corpus_paths, path_of, system_of
 
 
 def test_unit_glue_visible_both_ways(unit):
@@ -227,41 +226,8 @@ def _as_row_span(s):
     return replace(s, orientation=_ROW_NAMES[s.orientation], pointing=_ROW_NAMES[s.pointing])
 
 
-def _long_walks(rng, count):
-    """Random self-avoiding walks of 40-150 tiles beside a small random seed.
-
-    Tile types are drawn per tile, so glue labels vary; visibility and
-    spans do not depend on the path binding.
-    """
-    made = 0
-    while made < count:
-        sys_ = oracle.random_system(rng, max_tiles=4, max_seed=3)
-        taken = set(sys_.seed.tiles)
-        x, y = rng.choice(sorted(taken))
-        cells = []
-        for _ in range(rng.randint(40, 150)):
-            free = [(x + dx, y + dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-                    if (x + dx, y + dy) not in taken]
-            if not free:
-                break
-            x, y = rng.choice(free)
-            taken.add((x, y))
-            cells.append((x, y))
-        if len(cells) < 40:
-            continue
-        made += 1
-        yield sys_, Path([(c, rng.choice(sys_.tiles)) for c in cells])
-
-
-def _corpus_paths():
-    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
-    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
-        for p in paths:
-            yield sys_, p
-
-
 def test_glue_view_matches_scanning_definition():
-    instances = chain(_corpus_paths(), _long_walks(random.Random(7), 300))
+    instances = chain(corpus_paths(), _long_walks(random.Random(7), 300))
     n_paths = n_queries = n_spans = 0
     for sys_, p in instances:
         view = GlueView(sys_, p)
@@ -355,8 +321,6 @@ def test_right_priority_prefix_rejected():
 
 def test_right_priority_beats_all_pairwise(rng):
     # The chosen element wins every pairwise comparison.
-    from pumpkit.visibility import _beats
-
     for _ in range(100):
         base = [(0, 0), (1, 0)]
         cands = set()

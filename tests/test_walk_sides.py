@@ -10,19 +10,13 @@ it must reproduce exactly: on the curves the engine checks over criterion
 boundary, touch it, cross it and jump across it by chords.
 """
 
-import functools
 import random
 import time
 
-import pytest
-
 from pumpkit import formats, geometry, shield
-from pumpkit.budgets import EnumBudget
 from pumpkit.geometry import PolyCurve, Side, SideCache, classify_side, walk_sides
 
-from conftest import doubled
-from test_acceptance import CORPUS_SEED, _corpus
-from test_geometry import HAND_MADE, random_curve
+from conftest import HAND_MADE, doubled, random_curve
 
 REFERENCE_SECONDS = 5.0  # per test case; each takes 0.3 to 2.5 s on a 2-core machine
 
@@ -235,71 +229,19 @@ def test_walk_sides_matches_per_point_reference_on_random_walks():
     assert elapsed < REFERENCE_SECONDS, elapsed
 
 
-ENGINE_PARTS = 4
-
-
-@functools.lru_cache(maxsize=None)
-def _engine_groups():
-    """The j < k shields of criterion 9's corpus, grouped by what their curves depend on.
-
-    That is the positions of tiles 0..k+1 and the triple, except that a
-    conflict ends the construction before the progress loop.
-    """
-    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
-    groups = {}
-    for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget):
-        for p in paths:
-            for sh in shield.enumerate_shields(sys_, p):
-                if sh.j < sh.k:
-                    groups.setdefault((p.positions[:sh.k + 2], sh), []).append((sys_, p, sh))
-    return list(groups.values())
-
-
-@pytest.mark.parametrize("part", range(ENGINE_PARTS))
-def test_walk_sides_matches_per_point_reference_on_engine_curves(monkeypatch, part):
+def test_walk_sides_matches_per_point_reference_on_engine_curves(engine_record):
     # Every curve a SideCache is built on, every sub-curve checked for
-    # closed-right containment and every route graph, for one part of the
-    # groups of _engine_groups.  Each group's shields are decided until one
-    # pumps, which makes every curve of the group.
+    # closed-right containment and every route graph, for one part of
+    # the recorded engine pass over _engine_groups' groups.
     start = time.perf_counter()
-    groups = _engine_groups()[part::ENGINE_PARTS]
-    checked = []  # (sub, boundary) pairs
-    boundaries = []
-    workspaces = []
-
-    class Recording(SideCache):
-        def __init__(self, curve):
-            super().__init__(curve)
-            boundaries.append(curve)
-
-    def recording_check(sub, cache):
-        checked.append((sub, cache.curve))
-        return geometry.curve_in_closed_right(sub, cache)
-
-    def recording_workspace(*args):
-        ws = shield_build_workspace(*args)
-        workspaces.append(ws)
-        return ws
-
-    shield_build_workspace = shield.build_workspace
-    monkeypatch.setattr(shield, "SideCache", Recording)
-    monkeypatch.setattr(shield, "curve_in_closed_right", recording_check)
-    monkeypatch.setattr(shield, "build_workspace", recording_workspace)
-    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
-    pumped = 0
-    for group in groups:
-        for sys_, p, sh in group:
-            if shield.pump_or_block(sys_, p, sh, budget).kind == "pumpable":
-                pumped += 1
-                break
-    monkeypatch.undo()
-    assert len(groups) > 900 and pumped > 750 and len(workspaces) > len(groups)
+    groups, workspaces = engine_record.groups, engine_record.workspaces
+    assert groups > 900 and engine_record.pumped > 750 and len(workspaces) > groups
 
     witnesses = set()
-    for sub, curve in set(checked):
+    for sub, curve in set(engine_record.checked):
         witnesses.add(assert_witness_matches(sub, curve))
     assert witnesses == {None}  # no claim fires on producible paths
-    for curve in set(boundaries):
+    for curve in set(engine_record.boundaries):
         # Copies one step east and north run along the curve, touch it and
         # jump across it by chords.
         pts = curve.lattice_points()
