@@ -18,9 +18,10 @@ sorts, once, the x-coordinates where its finite part crosses every diagonal
 line ``y - x = d``, so a query is one binary search in that line's list
 plus a constant-time test per infinite ray (the slab idea behind planar
 point location).  A curve's first side query checks its two preconditions
-(both rays, simple) and builds its side record, the lattice set, end
-vertices and diagonal table, in O(|curve|); every later query is one set
-lookup, one dict lookup and one binary search.
+(both rays, simple) and builds its side record, one flat tuple of the
+lattice set, the two ray starts, their diagonals and the diagonal table,
+in O(|curve|); every later query is one set lookup, one dict lookup and
+one binary search.
 
 A vertical ray is a curve's ``south_ray`` or ``north_ray``: a visibility
 ray of a glue is the one-point curve at its midpoint with that ray, and a
@@ -252,8 +253,17 @@ class PolyCurve:
             xs.sort()
         return dict(table)
 
-    def side_record(self) -> tuple[frozenset[Point], Point, Point, dict[int, list[int]]]:
-        """``(lattice set, first vertex, last vertex, diagonal table)`` for side queries.
+    def side_record(self) -> tuple[frozenset[Point], int, int, int, int, int, int,
+                                   dict[int, list[int]]]:
+        """``(on, sx, sy, nx, ny, ds, dn, table)``, the flat record side queries read.
+
+        ``on`` is the lattice set, ``(sx, sy)`` the first vertex (where the
+        south ray starts), ``(nx, ny)`` the last one (where the north ray
+        starts), ``ds = sy - sx`` and ``dn = ny - nx`` the diagonals ``y - x``
+        of the two ray starts, and ``table`` the :meth:`diagonal_table`.
+        Every query compares its own diagonal with both ray-start
+        diagonals, so they are computed here, once per curve; the record is
+        flat so that a query unpacks it in one step.
 
         Built once, after the two preconditions of a side query pass: both
         rays present and the curve simple.  A curve that fails either keeps
@@ -264,7 +274,8 @@ class PolyCurve:
                 raise NotAlmostVertical("side classification needs both infinite rays")
             if not self.is_simple():
                 raise NonSimpleCurve("side classification needs a simple curve")
-            self._sides = (self.lattice_set(), self.points[0], self.points[-1],
+            (sx, sy), (nx, ny) = self.points[0], self.points[-1]
+            self._sides = (self.lattice_set(), sx, sy, nx, ny, sy - sx, ny - nx,
                            self.diagonal_table())
         return self._sides
 
@@ -303,13 +314,14 @@ def classify_side(curve: PolyCurve, p: Point) -> Side:
     rule).  No crossing lies at p's own x, since it would be p itself.
 
     The first query checks the preconditions and builds the curve's
-    :meth:`~PolyCurve.side_record` in O(|curve|); each later query is one
+    :meth:`~PolyCurve.side_record` in O(|curve|); each later query unpacks
+    that flat record once, with both ray-start diagonals in it, and is one
     set lookup, one dict lookup and one binary search.
     """
     record = curve._sides
     if record is None:
         record = curve.side_record()
-    on, (sx, sy), (nx, ny), table = record
+    on, sx, sy, nx, ny, ds, dn, table = record
     if p in on:
         return _ON
     px, py = p
@@ -319,9 +331,9 @@ def classify_side(curve: PolyCurve, p: Point) -> Side:
     d = py - px
     xs = table.get(d)
     crossings = bisect_left(xs, px) if xs else 0
-    if d < sy - sx and sx < px:
+    if d < ds and sx < px:
         crossings += 1
-    if d >= ny - nx and nx < px:
+    if d >= dn and nx < px:
         crossings += 1
     return _RIGHT if crossings & 1 else _LEFT
 
@@ -331,21 +343,24 @@ def crossing_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
 
     The ray has direction (1, 1) when ``toward_ne`` else (-1, -1).  It stays
     so that tests can check the north-east count against ``classify_side``'s
-    south-west one: off the curve the two always differ.
+    south-west one: off the curve the two always differ.  The north-east
+    count reads the same flat side record: the table's crossings past p's
+    x, plus each ray that the line through p meets east of p, told by the
+    ray's start diagonal as in :func:`classify_side`.
     """
     side = classify_side(curve, p)
     if side is _ON:
         raise NotOnCurve("parity undefined for points on the curve")
     if not toward_ne:
         return 1 if side is _RIGHT else 0
-    _, (sx, sy), (nx, ny), table = curve._sides
+    _, sx, _, nx, _, ds, dn, table = curve._sides
     px, py = p
     d = py - px
     xs = table.get(d, ())
     crossings = len(xs) - bisect_right(xs, px)
-    if d < sy - sx and sx > px:
+    if d < ds and sx > px:
         crossings += 1
-    if d >= ny - nx and nx > px:
+    if d >= dn and nx > px:
         crossings += 1
     return crossings & 1
 
@@ -428,13 +443,16 @@ def walk_sides(cache: SideCache, walk: Sequence[Point],
       step is a chord: its open interior is off the curve and gets one
       :meth:`SideCache.side_half` query at its midpoint.
 
+    The on-curve test of every walk point reads the lattice set and the
+    two ray starts, unpacked once from the curve's flat side record.
+
     Returns one side per walk point; with ``steps``, the sides of the walk
     points and of the step interiors alternate (``2n - 1`` entries for
     ``n`` points), and a chord is the only step that costs a query.
     """
     ON = Side.ON
     curve = cache.curve
-    on, (sx, sy), (nx, ny), _ = curve._sides  # built by SideCache
+    on, sx, sy, nx, ny, _, _, _ = curve._sides  # built by SideCache
     out = []
     last = prev = None  # side of the previous point, and that point
     for q in walk:

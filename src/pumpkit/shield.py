@@ -31,6 +31,7 @@ system under study.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from . import tam
@@ -74,7 +75,11 @@ class Shield(NamedTuple):
     A :class:`~typing.NamedTuple`: it equals the plain tuple ``(i, j, k)``
     and is ordered and hashed as that tuple, field by field.  A shield
     search builds one per triple it returns, and a tuple is the cheapest
-    record to build.
+    record to build.  :func:`enumerate_shields` builds its records with
+    ``tuple.__new__(Shield, (i, j, k))``, mapped over its triples: the
+    NamedTuple's own ``__new__`` is a Python function, one frame per
+    record, and on paths where every triple is a shield those frames are
+    a large share of the search.  The record is the same either way.
     """
 
     i: int
@@ -251,7 +256,7 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
                 if h is None or h <= ky + dy:
                     ks.append(k)
         for j, _, _, ks in partners:
-            found += [Shield(i, j, k) for k in ks]
+            found += map(tuple.__new__, repeat(Shield), zip(repeat(i), repeat(j), ks))
     return found
 
 

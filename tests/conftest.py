@@ -146,13 +146,35 @@ def _corpus(n_systems, rng, budget, cap=CORPUS_PATH_CAP):
         yield sys_, paths
 
 
+CORPUS_SYSTEMS = 200
+CORPUS_BUDGET = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+
+
 @functools.cache
+def _corpus_build():
+    """Criterion 9's corpus paths, and the generator's state after its last kept system."""
+    rng = random.Random(CORPUS_SEED)
+    paths = [(sys_, p) for sys_, paths in _corpus(CORPUS_SYSTEMS, rng, CORPUS_BUDGET)
+             for p in paths]
+    return paths, rng.getstate()
+
+
 def corpus_paths():
     """Criterion 9's corpus: each ``(system, path)``, the paths of up to 14 tiles
-    of 200 systems of seed ``CORPUS_SEED``, in corpus order."""
-    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
-    return [(sys_, p) for sys_, paths in _corpus(200, random.Random(CORPUS_SEED), budget)
-            for p in paths]
+    of ``CORPUS_SYSTEMS`` systems of seed ``CORPUS_SEED``, in corpus order."""
+    return _corpus_build()[0]
+
+
+def corpus_rng():
+    """A fresh generator in the state right after criterion 9's last kept system.
+
+    ``_corpus(n, corpus_rng(), CORPUS_BUDGET)`` yields the next ``n``
+    systems of the seed-``CORPUS_SEED`` corpus, so a larger corpus reuses
+    the first ``CORPUS_SYSTEMS`` without enumerating them again.
+    """
+    rng = random.Random()
+    rng.setstate(_corpus_build()[1])
+    return rng
 
 
 @functools.cache
@@ -205,7 +227,7 @@ def engine_record(request):
     pytest runs each part's tests together: one pass, one live record.
     """
     calls = {name: [] for name in RECORDED}
-    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    budget = CORPUS_BUDGET
     groups = _engine_groups()[request.param::ENGINE_PARTS]
     pumped = 0
     with pytest.MonkeyPatch.context() as mp:

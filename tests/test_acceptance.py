@@ -12,6 +12,7 @@ import hashlib
 import os
 import random
 import time
+from itertools import chain
 
 from pumpkit import (
     PumpingSpec,
@@ -34,11 +35,11 @@ from pumpkit.oracle import FloodFill
 from pumpkit.shield import Shield, build_workspace
 from pumpkit.visibility import GlueView, check_glue_east, check_glue_side
 
-from conftest import (CORPUS_MAX_SEED, CORPUS_MAX_TILES, CORPUS_SEED, GOLDEN_DIR, _corpus,
-                      _golden_cases, corpus_paths, corpus_shields, path_of, random_curve,
-                      system_of)
+from conftest import (CORPUS_BUDGET, CORPUS_MAX_SEED, CORPUS_MAX_TILES, CORPUS_SEED,
+                      CORPUS_SYSTEMS, GOLDEN_DIR, _corpus, _golden_cases, corpus_paths,
+                      corpus_rng, corpus_shields, path_of, random_curve, system_of)
 
-CORPUS_SYSTEMS = 500
+DIFFERENTIAL_SYSTEMS = 500  # criterion 4's corpus: criterion 9's, then 300 more
 
 # SHA-256 over every trail and certificate criterion 9 produces.  Any
 # change to a decision branch or to a certificate byte changes it, so it
@@ -114,36 +115,39 @@ def test_criterion_3_fragility(blocker):
 
 def test_criterion_4_differential_corpus():
     done = _timed(600.0)
-    rng = random.Random(CORPUS_SEED)
-    budget = EnumBudget(max_path_len=14, max_nodes=10 ** 6)
+    budget = CORPUS_BUDGET
+    # The first CORPUS_SYSTEMS systems are criterion 9's, shield lists
+    # included; the rest continue its generator where it stopped.
+    more = ((sys_, p, enumerate_shields(sys_, p))
+            for sys_, paths in _corpus(DIFFERENTIAL_SYSTEMS - CORPUS_SYSTEMS, corpus_rng(),
+                                       budget)
+            for p in paths)
     n_paths = n_decided = violations = 0
     kinds = {"pumpable": 0, "fragile": 0}
-    for sys_, paths in _corpus(CORPUS_SYSTEMS, rng, budget):
-        n_paths += len(paths)
-        for p in paths:
-            shields = enumerate_shields(sys_, p)
-            if not shields:
+    for sys_, p, shields in chain(corpus_shields(), more):
+        n_paths += 1
+        if not shields:
+            continue
+        chosen = [shields[0]]
+        deeper = next((s for s in shields if s.j < s.k), None)
+        if deeper is not None and deeper != shields[0]:
+            chosen.append(deeper)
+        for sh in chosen:
+            try:
+                out = pump_or_block(sys_, p, sh, budget)
+            except ClaimViolation:
+                violations += 1
                 continue
-            chosen = [shields[0]]
-            deeper = next((s for s in shields if s.j < s.k), None)
-            if deeper is not None and deeper != shields[0]:
-                chosen.append(deeper)
-            for sh in chosen:
-                try:
-                    out = pump_or_block(sys_, p, sh, budget)
-                except ClaimViolation:
-                    violations += 1
-                    continue
-                kinds[out.kind] += 1
-                if out.kind == "pumpable":
-                    assert verify_pumpable_cert(sys_, out.pumpable).ok
-                else:
-                    assert verify_fragile_cert(sys_, p, out.fragile).ok
-                n_decided += 1
+            kinds[out.kind] += 1
+            if out.kind == "pumpable":
+                assert verify_pumpable_cert(sys_, out.pumpable).ok
+            else:
+                assert verify_fragile_cert(sys_, p, out.fragile).ok
+            n_decided += 1
     assert violations == 0
     assert n_decided > 1000 and kinds["fragile"] > 0
     elapsed = done("criterion 4")
-    print(f"\nPASS criterion 4: {CORPUS_SYSTEMS} systems "
+    print(f"\nPASS criterion 4: {DIFFERENTIAL_SYSTEMS} systems "
           f"(seed {CORPUS_SEED}, |T|<={CORPUS_MAX_TILES}, "
           f"seed<={CORPUS_MAX_SEED}), {n_paths} paths enumerated to length "
           f"14, {n_decided} certificates all verified "
@@ -320,7 +324,7 @@ def test_criterion_9_analyze_corpus():
     assert digest.hexdigest() == ANALYZE_CORPUS_DIGEST
     elapsed = done("criterion 9")
     print(f"\nPASS criterion 9: analyze on {n_paths} corpus paths "
-          f"(200 systems, seed {CORPUS_SEED}, override 2): "
+          f"({CORPUS_SYSTEMS} systems, seed {CORPUS_SEED}, override 2): "
           f"{kinds['pumpable']} pumpable / {kinds['fragile']} fragile / "
           f"{kinds['no_shield']} no shield, 0 claim violations, trails and "
           f"certificates match the pinned digest ({elapsed:.1f}s)")

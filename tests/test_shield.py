@@ -24,7 +24,7 @@ from pumpkit.shield import (
 )
 from pumpkit.visibility import GlueView
 
-from conftest import path_of, system_of
+from conftest import corpus_shields, path_of, system_of
 
 
 def test_unit_shield_list(unit, unit_path):
@@ -115,13 +115,32 @@ def _revalidate(sys_, p):
                     ray_rejects += want.startswith("translated")
                     continue
                 assert want is None, (p.entries, i, j, k)
-                expected.append(Shield(i, j, k))
-    found = enumerate_shields(sys_, p)
-    # A Shield equals the bare tuple (i, j, k), so the list comparison
-    # alone would accept bare tuples.
-    assert all(type(sh) is Shield for sh in found)
-    assert found == expected
+                expected.append((i, j, k))
+    assert shield_records(enumerate_shields(sys_, p)) == expected
     return len(expected), ray_rejects
+
+
+def shield_records(found):
+    """The ``(i, j, k)`` of each entry, after checking it is a ``Shield`` record.
+
+    A Shield equals the bare tuple ``(i, j, k)``, so a list comparison
+    alone would accept bare tuples; the type and the named fields are
+    checked here, and the list must be in strict lexicographic order.
+    """
+    assert all(type(sh) is Shield for sh in found)
+    triples = [(sh.i, sh.j, sh.k) for sh in found]
+    assert triples == sorted(set(triples))
+    return triples
+
+
+def test_shield_records(unit):
+    # On a 14-tile east run of one label every triple i < j <= k of its
+    # 13 glues is a shield; the corpus lists hold every other shape.
+    p = path_of(unit, *[(x, 0, "A") for x in range(1, 15)])
+    brute = [(i, j, k) for i in range(13) for j in range(i + 1, 13) for k in range(j, 13)]
+    assert len(brute) == 364
+    assert shield_records(enumerate_shields(unit, p)) == brute
+    assert sum(len(shield_records(found)) for _, _, found in corpus_shields()) > 0
 
 
 # Self-avoiding walks of one all-"a" tile type from a seed at (0, 0) whose
