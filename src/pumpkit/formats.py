@@ -9,7 +9,7 @@ canonical, so ``parse(print(x)) == x``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .driver import AnalysisResult
 from .errors import BadSystem, DisconnectedSeed, DuplicateTile, ParseError
@@ -117,7 +117,10 @@ def print_system(sys: TileSystem, path: Optional[Path] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-Certificate = Union[PumpingSpec, FragilityCert]
+if TYPE_CHECKING:
+    # Only annotations read it: a subscripted alias built at import stays in
+    # typing's cache, and with it the classes of that import of the package.
+    Certificate = Union[PumpingSpec, FragilityCert]
 
 
 def emit_certificate(outcome: Union[ShieldOutcome, AnalysisResult,

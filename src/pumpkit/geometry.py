@@ -106,13 +106,21 @@ class PolyCurve:
     The lattice walk is the base of the rest: one pass over the segments
     builds it, and one pass over the walk builds the diagonal table, which
     the side record keeps.
+
+    ``lattice`` is an internal path for a caller that already holds the
+    lattice walk, such as a slice of a longer walk the curve runs along
+    (the shield engine cuts its curves out of one glue walk per shield).
+    Its precondition: it equals what :meth:`lattice_points` would build
+    from ``points``, as a tuple.  It is not checked; it replaces the first
+    pass and nothing else.
     """
 
     __slots__ = ("points", "south_ray", "north_ray", "_lattice", "_lattice_set",
                  "_index", "_simple", "_bbox", "_sides")
 
     def __init__(self, points: Sequence[Point], south_ray: bool = False,
-                 north_ray: bool = False):
+                 north_ray: bool = False, *,
+                 lattice: Optional[tuple[Point, ...]] = None):
         pts = tuple(points)
         if not pts:
             raise EmptyPath("a curve needs at least one vertex")
@@ -123,7 +131,7 @@ class PolyCurve:
         self.points = pts
         self.south_ray = south_ray
         self.north_ray = north_ray
-        self._lattice = None
+        self._lattice = lattice
         self._lattice_set = None
         self._index = None
         self._simple = None
@@ -595,8 +603,14 @@ def turn_right_of_path(prev: Point, cur: Point, taken: Point,
 def clockwise_successors(prev: Point, cur: Point) -> list[Point]:
     """Candidate next points from ``cur``, most-right-turning first.
 
-    Step length matches the incoming step ``prev -> cur``.
+    Step length matches the incoming step ``prev -> cur``.  With the back
+    step ``(bx, by) = prev - cur``, the three steps that do not go back are
+    its quarter turns clockwise, ``(by, -bx)``, ``(-bx, -by)`` and
+    ``(-by, bx)``, and :func:`turn_right_of_path` ranks a later turn as more
+    to the right; so the list is the third, the second, then the first,
+    each written out as arithmetic.  :func:`~pumpkit.shield.build_r` inlines
+    the same three expressions in its search loop.
     """
-    back = sub(prev, cur)
-    r1 = rot_cw(back)
-    return [add(cur, rot_cw(rot_cw(r1))), add(cur, rot_cw(r1)), add(cur, r1)]
+    cx, cy = cur
+    bx, by = prev[0] - cx, prev[1] - cy
+    return [(cx - by, cy + bx), (cx - bx, cy - by), (cx + by, cy - bx)]

@@ -15,12 +15,16 @@ assembly sequence that places a wrong tile on the path (fragile).
 The :class:`Workspace` is the one per-shield context.
 :func:`build_workspace` fills it once, after the ``j == k`` exit (a repeat
 at the exit needs none of it): the system, the prefix ``0..k+1`` the
-engine works on, the doubled positions of tiles ``0..k+1``, the pumping
-vector, the cut with its side cache, the midpoint ``exit2`` of glue ``k``
-where the exit ray starts, and the two translated copies of the segment.
-Every later stage (the anchor, the route, the tiled route, the progress
-loop) takes the workspace and reads the shield's data from it; a glue
-midpoint it needs is read off the doubled positions.
+engine works on, the doubled positions of tiles ``0..k+1`` and the glue
+walk through them, the pumping vector, the cut with its side cache, the
+midpoint ``exit2`` of glue ``k`` where the exit ray starts, and the two
+translated copies of the segment.  Every later stage (the anchor, the
+route, the tiled route, the progress loop) takes the workspace and reads
+the shield's data from it.  The glue walk is built once per shield: glue
+``g``'s midpoint is ``walk[2g + 1]``, and the lattice walks of the cut, the
+anchor split, the inner cut, the anchor's segment and the prefix are
+slices of it (:func:`_cut_from`), so no curve of the cut family walks its
+tiles again.
 
 Every structural fact the construction relies on is re-checked at runtime
 and raises :class:`ClaimViolation` when broken; on producible inputs none
@@ -63,12 +67,6 @@ def _tile(pos2: Point):
     return (pos2[0] // 2, pos2[1] // 2)
 
 
-def _glue_mid(pos2: list[Point], g: int) -> Point:
-    """Doubled midpoint of glue ``g``, halfway between doubled tiles ``g`` and ``g + 1``."""
-    (x0, y0), (x1, y1) = pos2[g], pos2[g + 1]
-    return ((x0 + x1) >> 1, (y0 + y1) >> 1)
-
-
 class Shield(NamedTuple):
     """A shield triple: glues ``i`` and ``j`` seen from the south, ``k`` from the north.
 
@@ -89,12 +87,20 @@ class Shield(NamedTuple):
 
 @dataclass
 class Workspace:
-    """Everything the engine derives from one shield, computed once."""
+    """Everything the engine derives from one shield, computed once.
+
+    ``walk`` is the unit-step lattice walk through the doubled tiles
+    ``0..k+1`` and the glue midpoints between them: tile ``n`` is
+    ``walk[2n]`` and glue ``g``'s midpoint ``walk[2g + 1]``.  Any stretch of
+    the path, from a tile or a glue to a tile or a glue, has a slice of it
+    as its lattice walk.
+    """
 
     sys: TileSystem
     path: Path  # the prefix 0..k+1 the engine works on
     shield: Shield
     pos2: list[Point]  # doubled positions of tiles 0..k+1
+    walk: tuple[Point, ...]  # tiles 0..k+1 and the glues between them, doubled
     vector: Point  # doubled displacement from tile i to tile j
     cut: PolyCurve  # up the entry ray, along tiles i+1..k, out the exit ray
     cache: SideCache  # side classification against ``cut``
@@ -263,12 +269,12 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
 # -- workspace ----------------------------------------------------------------
 
 
-def _glue_walk(tiles: list[Point]) -> list[Point]:
+def _glue_walk(tiles: list[Point]) -> tuple[Point, ...]:
     """The unit-step walk through doubled tile positions and the glues between them."""
     walk = tiles[:1]
     for (ux, uy), w in zip(tiles, tiles[1:]):
         walk += [((ux + w[0]) // 2, (uy + w[1]) // 2), w]
-    return walk
+    return tuple(walk)
 
 
 def _cut(head: list[Point], pos2: list[Point], lo: int, exit2: Point) -> PolyCurve:
@@ -279,6 +285,19 @@ def _cut(head: list[Point], pos2: list[Point], lo: int, exit2: Point) -> PolyCur
     split, the inner cut and the progress loop's curves all have this form.
     """
     return PolyCurve(head + pos2[lo:-1] + [exit2], south_ray=True, north_ray=True)
+
+
+def _cut_from(pos2: list[Point], walk: tuple[Point, ...], start: int) -> PolyCurve:
+    """The :func:`_cut` that starts at glue-walk point ``start``, with its lattice.
+
+    ``start`` is ``2g + 1`` for glue ``g``'s midpoint or ``2m`` for tile
+    ``m``; either way the tiles that follow are ``start // 2 + 1 .. k``.
+    Consecutive vertices are a whole tile step or a half one apart, so the
+    curve's lattice walk is the glue walk from ``start`` to the exit glue,
+    ``walk[start:-1]``, and the curve takes it as it is.
+    """
+    return PolyCurve([walk[start]] + pos2[start // 2 + 1:-1] + [walk[-2]],
+                     south_ray=True, north_ray=True, lattice=walk[start:-1])
 
 
 def build_workspace(sys: TileSystem, p: Path, sh: Shield) -> Workspace:
@@ -300,13 +319,14 @@ def build_workspace(sys: TileSystem, p: Path, sh: Shield) -> Workspace:
     if vec[0] <= 0:
         raise ClaimViolation("pump-vector-east",
                              f"vector {vec} is not strictly east")
-    exit2 = _glue_mid(pos2, k)
-    cut = _cut([_glue_mid(pos2, i)], pos2, i + 1, exit2)
+    walk = _glue_walk(pos2)
+    exit2 = walk[2 * k + 1]
+    cut = _cut_from(pos2, walk, 2 * i + 1)
     if not cut.is_simple():
         raise ClaimViolation("cut-simple", "the shield cut self-intersects")
     cache = SideCache(cut)
     sides = [cache.side(_dbl(pos)) for pos in sys.seed.tiles]
-    sides += walk_sides(cache, _glue_walk(pos2[:i + 1]))[::2]
+    sides += walk_sides(cache, walk[:2 * i + 1])[::2]
     for pos, side in zip(list(sys.seed.tiles) + list(positions[: i + 1]), sides):
         if side is not Side.LEFT:
             raise ClaimViolation(
@@ -324,7 +344,7 @@ def build_workspace(sys: TileSystem, p: Path, sh: Shield) -> Workspace:
                 f"translated exit ray enters the workspace at {q}")
     fam1 = {pos2[n]: n for n in range(i + 1, k + 1)}
     fam2 = {sub(pos2[n], vec): n for n in range(j + 1, k + 1)}
-    return Workspace(sys, pt, sh, pos2, vec, cut, cache, exit2, fam1, fam2)
+    return Workspace(sys, pt, sh, pos2, walk, vec, cut, cache, exit2, fam1, fam2)
 
 
 # -- the dominant anchor tile ---------------------------------------------------
@@ -338,7 +358,7 @@ def _carrier_candidates(ws: Workspace):
     start is not above the glue midpoint.
     """
     sh = ws.shield
-    gx, gy = _glue_mid(ws.pos2, sh.i)
+    gx, gy = ws.walk[2 * sh.i + 1]
     dx, dy = ws.vector
     out = []
     for m in range(sh.i + 1, sh.k + 1):
@@ -360,7 +380,7 @@ def dominant(ws: Workspace) -> DominantInfo:
     ray from the anchor splits the workspace into the part before and
     after the anchor.
     """
-    sh, pos2, vec = ws.shield, ws.pos2, ws.vector
+    sh, pos2, walk, vec = ws.shield, ws.pos2, ws.walk, ws.vector
     i, j, k = sh.i, sh.j, sh.k
     cands = _carrier_candidates(ws)
     if not cands:
@@ -374,7 +394,7 @@ def dominant(ws: Workspace) -> DominantInfo:
         raise ClaimViolation("anchor-past-start", f"anchor index {m0} <= i+1")
 
     anchor2 = pos2[m0]
-    segment = PolyCurve(pos2[i + 1:k + 1])
+    segment = PolyCurve(pos2[i + 1:k + 1], lattice=walk[2 * i + 2:2 * k + 1])
     hits = set(segment.ray_hits(anchor2, north=False))
     if hits != {anchor2}:
         raise ClaimViolation("anchor-ray-clear",
@@ -391,7 +411,7 @@ def dominant(ws: Workspace) -> DominantInfo:
         raise ClaimViolation("anchor-ray-inside",
                              f"anchor ray leaves the workspace at {witness}")
     if m0 > j:
-        if anchor2[0] <= _glue_mid(pos2, j)[0]:
+        if anchor2[0] <= walk[2 * j + 1][0]:
             raise ClaimViolation("anchor-ray-east",
                                  "anchor ray not strictly east of glue j")
         back = sub(anchor2, vec)
@@ -400,7 +420,7 @@ def dominant(ws: Workspace) -> DominantInfo:
             raise ClaimViolation("anchor-ray-east",
                                  f"west-shifted anchor ray hits segment at {sorted(bhits)}")
 
-    split = _cut([anchor2], pos2, m0 + 1, ws.exit2)
+    split = _cut_from(pos2, walk, 2 * m0)
     if not split.is_simple():
         raise ClaimViolation("split-simple", "workspace split self-intersects")
     upper = SideCache(split)
@@ -429,32 +449,43 @@ class _RouteGraph:
     which runs through those very tiles and glues and is simple (the
     workspace checked it), so all its edges are admitted without a query.
     The west copy is one unit-step walk (tile, glue midpoint, tile, ...),
-    classified by :func:`walk_sides` with one side query per stretch
-    between contacts with the cut and one per chord: a step with both ends
-    off the cut cannot cross it, and a half step with both ends on the cut
-    may still leave the region as a chord.
+    the workspace's glue walk over tiles ``j+1..k`` moved west by the
+    vector, classified by :func:`walk_sides` with one side query per
+    stretch between contacts with the cut and one per chord: a step with
+    both ends off the cut cannot cross it, and a half step with both ends
+    on the cut may still leave the region as a chord.
+
+    Edges go straight into the adjacency lists, each once: the segment is
+    a simple path and so is its translate, so the only repeat is a west
+    copy edge that is also a segment edge, which a membership test in the
+    short list of its end (at most four neighbours) skips.  Every list is
+    sorted at the end; the search and the route oracle read them in that
+    order.
     """
 
     def __init__(self, ws: Workspace):
         sh, pos2 = ws.shield, ws.pos2
         self.vertices = set(ws.fam1) | set(ws.fam2)
         self.adj: dict[Point, list[Point]] = {u: [] for u in self.vertices}
+        adj = self.adj
         seg = pos2[sh.i + 1:sh.k + 1]
-        edges = {frozenset(e) for e in zip(seg, seg[1:])}
+        for u, w in zip(seg, seg[1:]):
+            adj[u].append(w)
+            adj[w].append(u)
         if sh.j + 1 < sh.k:  # a west copy of one tile has no edges
             dx, dy = ws.vector
-            walk = _glue_walk([(x - dx, y - dy) for x, y in pos2[sh.j + 1:sh.k + 1]])
-            # Points and step interiors alternate: edge walk[n]-walk[n + 2]
+            west = [(x - dx, y - dy) for x, y in ws.walk[2 * sh.j + 2:2 * sh.k + 1]]
+            # Points and step interiors alternate: edge west[n]-west[n + 2]
             # is the five entries from sides[2n].
-            sides = walk_sides(ws.cache, walk, steps=True)
-            for n in range(0, len(walk) - 1, 2):
+            sides = walk_sides(ws.cache, west, steps=True)
+            for n in range(0, len(west) - 1, 2):
                 if Side.LEFT not in sides[2 * n:2 * n + 5]:
-                    edges.add(frozenset((walk[n], walk[n + 2])))
-        for e in edges:
-            u, w = tuple(e)
-            self.adj[u].append(w)
-            self.adj[w].append(u)
-        for lst in self.adj.values():
+                    u, w = west[n], west[n + 2]
+                    nbrs = adj[u]
+                    if w not in nbrs:
+                        nbrs.append(w)
+                        adj[w].append(u)
+        for lst in adj.values():
             lst.sort()
 
 
@@ -493,16 +524,15 @@ def build_r(ws: Workspace, budget: Optional[EnumBudget] = None) -> tuple[Point, 
     An extension to a goal of equal height does not reject: the two goals
     at one height sit on either side of the exit ray and link to the same
     point of it, so such an extension reaches no higher point of the ray.
+
+    A step of the search makes no Python call for its successors: they are
+    :func:`clockwise_successors`' three points, written out in the loop,
+    filtered lazily by membership in the vertex's adjacency list.
     """
     budget = budget or EnumBudget.from_env()
     adj = _RouteGraph(ws).adj
     start0, start1 = ws.pos2[ws.shield.i], ws.pos2[ws.shield.i + 1]
     is_goal = _goal_test(ws)
-
-    def sorted_successors(prev: Point, cur: Point) -> list[Point]:
-        ranked = clockwise_successors(prev, cur)
-        nbrs = adj[cur]
-        return [q for q in ranked if q in nbrs]
 
     def extension_reaches(onpath: set[Point], cur: Point, min_y: int) -> bool:
         seen = set(onpath)
@@ -521,7 +551,7 @@ def build_r(ws: Workspace, budget: Optional[EnumBudget] = None) -> tuple[Point, 
     path = [start0, start1]
     onpath = {start0, start1}
     goal_prefix_ys: list[int] = []
-    iters = [iter(sorted_successors(start0, start1))]
+    iters = [filter(adj[start1].__contains__, clockwise_successors(start0, start1))]
     prefix_marks = [0]  # how many goal-prefix heights were pushed at each depth
     nodes = 0
 
@@ -555,9 +585,13 @@ def build_r(ws: Workspace, budget: Optional[EnumBudget] = None) -> tuple[Point, 
             continue
         if nxt in onpath:
             continue
+        # clockwise_successors(path[-1], nxt), most-right-turning first.
+        cx, cy = nxt
+        bx, by = path[-1][0] - cx, path[-1][1] - cy
+        iters.append(filter(adj[nxt].__contains__,
+                            ((cx - by, cy + bx), (cx - bx, cy - by), (cx + by, cy - bx))))
         path.append(nxt)
         onpath.add(nxt)
-        iters.append(iter(sorted_successors(path[-2], nxt)))
         prefix_marks.append(0)
         if try_candidate():
             return tuple(path[1:])
@@ -581,8 +615,7 @@ def _assert_route_claims(ws: Workspace, route: tuple[Point, ...]) -> None:
         last_idx = n
 
     # Inner component: right side of the cut through glue j's ray.
-    j = ws.shield.j
-    inner = _cut([_glue_mid(ws.pos2, j)], ws.pos2, j + 1, ws.exit2)
+    inner = _cut_from(ws.pos2, ws.walk, 2 * ws.shield.j + 1)
     if not inner.is_simple():
         raise ClaimViolation("inner-cut-simple", "inner cut self-intersects")
     moved = PolyCurve([add(u, ws.vector) for u in route])

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import (
     LastGlueNotVisible,
@@ -359,7 +359,10 @@ def spans(sys: TileSystem, p: Path, view: Optional[GlueView] = None) -> list[Spa
 
 # -- right priority ------------------------------------------------------------
 
-PathLike = Union[Path, Sequence[Point]]
+if TYPE_CHECKING:
+    # Only annotations read it: a subscripted alias built at import stays in
+    # typing's cache, and with it the classes of that import of the package.
+    PathLike = Union[Path, Sequence[Point]]
 
 
 def _entries(c: PathLike):

@@ -20,6 +20,7 @@ from pumpkit.geometry import (
     Side,
     Turn,
     classify_side,
+    clockwise_successors,
     crossing_parity,
     curve_in_closed_right,
     turn_right_of_path,
@@ -367,6 +368,23 @@ def test_turn_total_order(back, candidates):
             for o in pts if o != c))
     for lo, hi in zip(ranked, ranked[1:]):
         assert turn_right_of_path(prev, cur, taken=lo, candidate=hi) is Turn.RIGHT
+
+
+def test_clockwise_successors_follow_the_turn_order():
+    # turn_right_of_path is the independent definition of the order the
+    # route search tries successors in: most-right-turning first.
+    for length in (1, 2):
+        for ux, uy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            cur = (5, -3)
+            prev = (cur[0] - length * ux, cur[1] - length * uy)  # arriving along (ux, uy)
+            got = clockwise_successors(prev, cur)
+            steps = {(cur[0] + length * dx, cur[1] + length * dy)
+                     for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+            assert len(got) == 3 and set(got) == steps - {prev}, (prev, cur, got)
+            for right, left in zip(got, got[1:]):
+                assert turn_right_of_path(prev, cur, taken=left, candidate=right) is Turn.RIGHT
+            # The first is a right turn off the incoming step.
+            assert got[0] == (cur[0] + length * uy, cur[1] - length * ux)
 
 
 # -- departures ------------------------------------------------------------------

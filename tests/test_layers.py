@@ -7,10 +7,17 @@ transposed frame without knowing ``Frame``.
 
 Test modules import no other test module: inputs that more than one of
 them reads live in ``conftest.py``.
+
+A fresh import of the package leaves nothing of the last one alive: no
+module-level object outside the package holds its classes.
 """
 
 import ast
+import gc
+import importlib
 import os
+import sys
+import weakref
 
 from conftest import REPO
 
@@ -69,3 +76,29 @@ def test_test_modules_import_no_test_module():
             with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
                 found = _test_module_imports(fh.read())
             assert not found, f"{name} imports {sorted(found)}; shared inputs go in conftest.py"
+
+
+def _drop_package():
+    """Remove ``pumpkit`` and its modules from ``sys.modules``; return them."""
+    names = [n for n in sys.modules if n == "pumpkit" or n.startswith("pumpkit.")]
+    return {n: sys.modules.pop(n) for n in names}
+
+
+def test_a_fresh_import_frees_the_last_one():
+    # A subscripted alias such as Union[PumpingSpec, FragilityCert] built at
+    # import time lands in typing's cache, which then keeps that import's
+    # classes, and through them its modules, alive for good.
+    kept = _drop_package()
+    try:
+        formats = importlib.import_module("pumpkit.formats")
+        refs = {name: weakref.ref(getattr(formats, name))
+                for name in ("Path", "PumpingSpec", "TileType")}
+        del formats
+        _drop_package()
+        importlib.import_module("pumpkit.formats")
+        gc.collect()
+        alive = sorted(name for name, ref in refs.items() if ref() is not None)
+        assert not alive, f"{alive} of the first import outlive the second"
+    finally:
+        _drop_package()
+        sys.modules.update(kept)

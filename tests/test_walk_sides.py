@@ -7,18 +7,24 @@ graph's per-edge filter and of the route search's goal test, as they read
 before the walk routine, give the witnesses, the adjacency and the goals
 it must reproduce exactly: on the curves the engine checks over criterion
 9's corpus, and on seeded random curves with walks that run along the
-boundary, touch it, cross it and jump across it by chords.
+boundary, touch it, cross it and jump across it by chords.  The route
+graph and the goals are also checked on the workspaces ``analyze`` builds
+for seeded 40-150-tile walks, where the route search does its longest
+work, together with every lattice walk a workspace hands out.
 """
 
 import random
 import time
 
-from pumpkit import formats, geometry, shield
+import pytest
+
+from pumpkit import driver, formats, geometry, shield
 from pumpkit.geometry import PolyCurve, Side, SideCache, classify_side, walk_sides
 
-from conftest import HAND_MADE, doubled, random_curve
+from conftest import HAND_MADE, _producible_walks, _recorded, doubled, random_curve
 
 REFERENCE_SECONDS = 5.0  # per test case; each takes 0.3 to 2.5 s on a 2-core machine
+LONG_WALKS = 1000  # seeded producible walks of 40-150 tiles; 52 reach a workspace
 
 _UNIT = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
@@ -111,6 +117,37 @@ def reference_goal_test(ws):
         return True
 
     return is_goal
+
+
+def assert_route_inputs_match(ws):
+    """The route graph and the goal test of ``ws`` equal their per-edge references."""
+    graph = shield._RouteGraph(ws)
+    assert graph.adj == reference_route_adjacency(ws)
+    is_goal, want = shield._goal_test(ws), reference_goal_test(ws)
+    assert all(is_goal(u) is want(u) for u in graph.vertices)
+
+
+def fresh_lattice(curve):
+    """The lattice walk of ``curve``'s vertices, recomputed by a new curve."""
+    return PolyCurve(curve.points).lattice_points()
+
+
+def assert_workspace_lattices(ws):
+    """The glue walk and every cut cut out of it equal fresh lattice walks.
+
+    The walk's slices are the lattices of the cut family: the shield cut
+    (from glue i), the anchor split (from a tile), the inner cut (from
+    glue j), so every start from glue i on is checked, and the prefix
+    walk ``build_workspace`` classifies.
+    """
+    i, _, k = ws.shield
+    assert ws.walk == PolyCurve(ws.pos2).lattice_points()
+    assert ws.walk[:2 * i + 1] == PolyCurve(ws.pos2[:i + 1]).lattice_points()
+    assert ws.cut == shield._cut_from(ws.pos2, ws.walk, 2 * i + 1)
+    assert ws.cut.lattice_points() == fresh_lattice(ws.cut)
+    for start in range(2 * i + 1, 2 * k + 1):
+        cut = shield._cut_from(ws.pos2, ws.walk, start)
+        assert cut.lattice_points() == fresh_lattice(cut), (ws.shield, start)
 
 
 def reference_walk_sides(curve, scaled, walk):
@@ -248,12 +285,30 @@ def test_walk_sides_matches_per_point_reference_on_engine_curves(engine_record):
         assert_walks_match(curve, [[(x + dx, y + dy) for x, y in pts]
                                    for dx, dy in ((1, 0), (0, 1))])
     for ws in workspaces:
-        graph = shield._RouteGraph(ws)
-        assert graph.adj == reference_route_adjacency(ws)
-        is_goal, want = shield._goal_test(ws), reference_goal_test(ws)
-        assert all(is_goal(u) is want(u) for u in graph.vertices)
+        assert_route_inputs_match(ws)
+        assert_workspace_lattices(ws)
     elapsed = time.perf_counter() - start
     assert elapsed < REFERENCE_SECONDS, elapsed
+
+
+def test_route_inputs_and_lattices_on_long_walks():
+    # The workspaces analyze builds past the j == k return on long seeded
+    # walks, and every curve the engine builds meanwhile: the route graph,
+    # the goals and each lattice walk the workspace hands out.
+    built, curves = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shield, "build_workspace", _recorded(shield.build_workspace, built))
+        mp.setattr(shield, "PolyCurve", _recorded(shield.PolyCurve, curves))
+        for sys_, p in _producible_walks(random.Random(47), LONG_WALKS):
+            driver.analyze(sys_, p)
+    workspaces = [ws for _, ws in built]
+    assert len(workspaces) > 30 and max(len(ws.pos2) for ws in workspaces) > 100
+    for ws in workspaces:
+        assert_route_inputs_match(ws)
+        assert_workspace_lattices(ws)
+    assert len(curves) > 5 * len(workspaces)
+    for _, curve in curves:
+        assert curve.lattice_points() == fresh_lattice(curve), curve.points
 
 
 # Shield (51, 54, 68) of a 141-tile random walk, in the frame the engine
