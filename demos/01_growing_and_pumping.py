@@ -4,8 +4,11 @@ A single tile type whose east and west sides carry the same glue grows
 arbitrarily long east-west lines off the seed.  The analysis pipeline
 spots the repeated glue column, builds a workspace for it, and hands back
 an index pair: repeating the path between those indices forever is itself
-a producible path, which the independent verifier then accepts.
+a producible path, which the independent verifier then accepts.  The
+script exits nonzero when a check it prints fails.
 """
+
+import sys
 
 from pumpkit import (
     Assembly,
@@ -35,10 +38,14 @@ for step in result.trail:
 
 spec = result.pumpable
 print(f"pumping pair: i={spec.i} j={spec.j}, vector {spec.vector}")
-print(f"independent verifier: {verify_pumpable_cert(system, spec).ok}")
+verdict = verify_pumpable_cert(system, spec)
+print(f"independent verifier: {verdict.ok}")
 
 print("first twelve tiles of the infinite continuation:")
 print("  " + " ".join(f"{pumping_term(spec, k)[0]}" for k in range(12)))
 
 print("certificate file:")
 print(emit_certificate(result), end="")
+
+if not (report.ok and verdict.ok):
+    sys.exit("a check failed: the path or the certificate was rejected")

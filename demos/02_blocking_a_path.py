@@ -5,8 +5,11 @@ A-A-B-A is producible but fragile: growing A-A-A first claims the third
 position with the wrong type, and the spelled path can never complete.
 The engine discovers this while trying to repeat the path's period: the
 two translated copies of the segment disagree on a tile type, and the
-disagreement converts directly into a replayable blocking sequence.
+disagreement converts directly into a replayable blocking sequence.  The
+script exits nonzero when a check it prints fails.
 """
+
+import sys
 
 from pumpkit import (
     Assembly,
@@ -39,9 +42,12 @@ print(f"conflict at {cert.conflict}: the path wants "
       f"{dict(path.entries)[cert.conflict].name} there")
 
 final = replay_assembly_sequence(system, cert.attachments)
-print(f"replay grows {len(final)} tiles; verifier says "
-      f"{verify_fragile_cert(system, path, cert).ok}")
+verdict = verify_fragile_cert(system, path, cert)
+print(f"replay grows {len(final)} tiles; verifier says {verdict.ok}")
 
 # The brute-force search reaches the same verdict without any geometry.
 found = oracle.brute_fragile(system, path)
-print(f"exhaustive search finds a conflict at {found.conflict}")
+print(f"exhaustive search finds a conflict at {found.conflict if found else None}")
+
+if not verdict.ok or found is None:
+    sys.exit("a check failed: the path was not shown fragile")

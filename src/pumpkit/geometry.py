@@ -31,12 +31,13 @@ curve's finite part; simplicity and :func:`curve_intersection` read it.
 
 Most claims the engine checks say that a whole curve, a ray or a chain of
 tiles and glues stays in one closed side of a cut.  :func:`walk_sides`
-classifies such a unit-step walk with one query per stretch between
-contacts with the cut, on two exact facts: a unit step with both ends off
-a curve cannot cross it, so the side is constant between consecutive curve
-points; and a step with both ends on the curve lies on it exactly when the
-ends are consecutive lattice points of the curve or of one of its rays, so
-only the remaining steps (chords) need a query at their midpoint.
+classifies such a unit-step walk with one query, at its first point, on
+two exact facts: a unit step with both ends off a curve cannot cross it,
+so the side is constant between consecutive curve points; and the open
+interior of a unit step with one end on a simple curve meets the curve
+only when the step runs along it, so :func:`step_side` decides the step
+from the curve's two arms at that end, whether the step leaves the curve,
+returns to it as a chord or runs along it.
 """
 
 from __future__ import annotations
@@ -376,62 +377,60 @@ def crossing_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
 class SideCache:
     """Side classification against one fixed curve.
 
-    :meth:`side` is the one query for lattice points; :func:`walk_sides`
-    asks it once per stretch of a walk.  It keeps no answers: after the
-    curve's side record, a query is one set lookup, one dict lookup and
-    one binary search, and few points are asked about twice.  The cache
-    also offers the half-step query for chords, unit steps whose two ends
-    lie on the curve while the step itself does not.
+    Building the cache checks the side-query preconditions (both rays, a
+    simple curve) and builds the curve's side record.  :meth:`side` is the
+    one query for lattice points, and :func:`walk_sides` asks it once per
+    walk.  It keeps no answers: after the side record, a query is one set
+    lookup, one dict lookup and one binary search, and few points are
+    asked about twice.
     """
 
-    __slots__ = ("curve", "_scaled")
+    __slots__ = ("curve",)
 
     def __init__(self, curve: PolyCurve):
         curve.side_record()
         self.curve = curve
-        self._scaled: Optional[PolyCurve] = None
 
     def side(self, p: Point) -> Side:
         return classify_side(self.curve, p)
 
-    def side_half(self, p2: Point) -> Side:
-        """Side of a half-lattice point given in *quadrupled* coordinates.
 
-        The half-resolution curve is the doubled lattice walk of the curve:
-        one vertex per lattice point, so every segment is a whole step with
-        its midpoint as its only inner point.  It is the same point set as
-        the doubled curve, with the same rays, simplicity and diagonal
-        crossings.  It is built, with its own side record, on the first
-        half-step query.  Its diagonals of odd ``d`` have no counterpart
-        among the curve's own, and this query only runs for chords and for
-        the route search's goal test, so sharing one table would buy little.
-        """
-        if self._scaled is None:
-            curve = self.curve
-            self._scaled = PolyCurve(
-                [(2 * x, 2 * y) for x, y in curve.lattice_points()],
-                curve.south_ray, curve.north_ray)
-        return classify_side(self._scaled, p2)
+# Unit directions in clockwise order, from north.
+_CLOCKWISE = {(0, 1): 0, (1, 0): 1, (0, -1): 2, (-1, 0): 3}
 
 
-def _step_on_curve(curve: PolyCurve, a: Point, b: Point) -> bool:
-    """Whether the unit step ``a``-``b``, both ends on the simple curve, lies on it."""
-    index = curve.lattice_index()
-    ia, ib = index.get(a), index.get(b)
-    if ia is not None and ib is not None:
-        return abs(ia - ib) == 1
-    # One end lies on a ray.  Past its start, a ray's column holds no other
-    # point of a simple curve, so the step lies on the curve exactly when
-    # both ends lie on that ray, start included.
-    sx, sy = curve.points[0]
-    nx, ny = curve.points[-1]
-    return (a[0] == b[0] == sx and max(a[1], b[1]) <= sy
-            or a[0] == b[0] == nx and min(a[1], b[1]) >= ny)
+def step_side(curve: PolyCurve, a: Point, b: Point) -> Side:
+    """Side of the open unit step from the curve point ``a`` to ``b``.
+
+    ``curve`` is simple with both rays (a :class:`SideCache` checked it)
+    and ``a`` lies on it, finite part or ray.  The curve's two arms through
+    ``a`` go to its neighbours in :meth:`PolyCurve.lattice_index`; on a ray,
+    or at an end of the finite part, an arm is vertical.  The step lies on
+    the curve when ``b`` is one of those neighbours.  Otherwise its open
+    interior is off the curve, since a unit step with one end on a simple
+    lattice curve meets the curve's other points only at its far end, and
+    the arms tell its side: the curve runs north, so the right side is
+    the sector clockwise after the outgoing arm and before the incoming
+    one.
+    """
+    ax, ay = a
+    n = curve.lattice_index().get(a)
+    if n is None:  # on a ray, past its start
+        back, ahead = (ax, ay - 1), (ax, ay + 1)
+    else:
+        lat = curve.lattice_points()
+        back = lat[n - 1] if n else (ax, ay - 1)
+        ahead = lat[n + 1] if n + 1 < len(lat) else (ax, ay + 1)
+    if b == back or b == ahead:
+        return _ON
+    out = _CLOCKWISE[(ahead[0] - ax, ahead[1] - ay)]
+    inc = (_CLOCKWISE[(back[0] - ax, back[1] - ay)] - out) & 3
+    return _RIGHT if (_CLOCKWISE[(b[0] - ax, b[1] - ay)] - out) & 3 < inc else _LEFT
 
 
 def walk_sides(cache: SideCache, walk: Sequence[Point],
                steps: bool = False) -> list[Side]:
-    """Side of every point of a unit-step lattice walk, one query per stretch.
+    """Side of every point of a unit-step lattice walk, one query per walk.
 
     Two exact facts about the simple almost-vertical curve ``cache.curve``
     (on it means :meth:`PolyCurve.contains`, which covers the finite part
@@ -441,22 +440,22 @@ def walk_sides(cache: SideCache, walk: Sequence[Point],
       are both off the curve cannot cross it: the curve runs along lattice
       lines between lattice points, so it could only meet the step's open
       interior along the whole step, ends included.  So along a walk the
-      side is constant between two consecutive curve points, and one
-      :meth:`SideCache.side` query on the first point of each such stretch
-      classifies all of it.  The open interior of a step with one end off
-      the curve lies on that end's side.
-    - *Steps with both ends on the curve.*  Such a step lies on the curve
-      exactly when its two ends are consecutive lattice points of the
-      curve, or of one of its rays (start included).  Every other such
-      step is a chord: its open interior is off the curve and gets one
-      :meth:`SideCache.side_half` query at its midpoint.
+      side is constant between two consecutive curve points.  The open
+      interior of a step with one end off the curve lies on that end's
+      side.
+    - *Steps from the curve.*  :func:`step_side` decides a step with one
+      end on the curve from the curve's two arms at that end.  So the
+      step after every contact, and the stretch it starts, needs no
+      query, and neither does a step with both ends on the curve, which
+      runs along it or is a chord whose open interior is off it.
 
+    Only a first point off the curve costs a :meth:`SideCache.side` query.
     The on-curve test of every walk point reads the lattice set and the
     two ray starts, unpacked once from the curve's flat side record.
 
     Returns one side per walk point; with ``steps``, the sides of the walk
     points and of the step interiors alternate (``2n - 1`` entries for
-    ``n`` points), and a chord is the only step that costs a query.
+    ``n`` points).
     """
     ON = Side.ON
     curve = cache.curve
@@ -466,8 +465,10 @@ def walk_sides(cache: SideCache, walk: Sequence[Point],
     for q in walk:
         if q in on or q[0] == sx and q[1] < sy or q[0] == nx and q[1] > ny:
             side = ON
-        elif last is None or last is ON:
-            side = cache.side(q)  # the first point of a stretch
+        elif last is None:
+            side = cache.side(q)  # the walk's first point
+        elif last is ON:
+            side = step_side(curve, prev, q)  # a stretch leaving the curve
         else:
             side = last
         if steps and prev is not None:
@@ -475,10 +476,8 @@ def walk_sides(cache: SideCache, walk: Sequence[Point],
                 out.append(last)
             elif side is not ON:
                 out.append(side)
-            elif _step_on_curve(curve, prev, q):
-                out.append(ON)
             else:
-                out.append(cache.side_half((prev[0] + q[0], prev[1] + q[1])))
+                out.append(step_side(curve, prev, q))
         out.append(side)
         last, prev = side, q
     return out
@@ -504,9 +503,8 @@ def curve_in_closed_right(sub: PolyCurve, cache: SideCache) -> Optional[Point]:
     """First witness point of ``sub`` outside the closed right side, if any.
 
     The finite part's lattice points are one unit-step walk, classified by
-    :func:`walk_sides` with one query per stretch between contacts with the
-    boundary and one half-resolution query per chord, since a chord may
-    leave the region without touching any lattice point strictly.  The
+    :func:`walk_sides`, chords included, since a chord may leave the
+    region without touching any lattice point strictly.  The
     witness is the first LEFT lattice point in curve order; failing that,
     the south or west end of the first chord that leaves the region.
     Infinite ray tails, from their start, are walked the same way down to

@@ -52,6 +52,7 @@ from .geometry import (
     curve_in_closed_right,
     curve_intersection,
     scale,
+    step_side,
     sub,
     walk_sides,
 )
@@ -450,10 +451,10 @@ class _RouteGraph:
     workspace checked it), so all its edges are admitted without a query.
     The west copy is one unit-step walk (tile, glue midpoint, tile, ...),
     the workspace's glue walk over tiles ``j+1..k`` moved west by the
-    vector, classified by :func:`walk_sides` with one side query per
-    stretch between contacts with the cut and one per chord: a step with
-    both ends off the cut cannot cross it, and a half step with both ends
-    on the cut may still leave the region as a chord.
+    vector, classified by :func:`walk_sides` with one side query: a step
+    with both ends off the cut cannot cross it, and a half step with both
+    ends on the cut may still leave the region as a chord, which the
+    cut's two arms at the step's first end decide.
 
     Edges go straight into the adjacency lists, each once: the segment is
     a simple path and so is its translate, so the only repeat is a west
@@ -494,9 +495,9 @@ def _goal_test(ws: Workspace):
 
     The link runs from the vertex to the exit ray, which is part of the
     cut.  When the vertex lies on the cut too, the link leaves the region
-    only as a chord, so :func:`walk_sides` asks a midpoint query for chords
-    alone.  It keeps no answers: few vertices pass the cheap column and
-    height filter, and fewer of those are asked about twice.
+    only as a chord, which :func:`step_side` decides from the cut's two
+    arms at the vertex.  It keeps no answers: few vertices pass the cheap
+    column and height filter, and fewer of those are asked about twice.
     """
     lkx, lky = ws.exit2
     cache = ws.cache
@@ -505,7 +506,7 @@ def _goal_test(ws: Workspace):
         if abs(u[0] - lkx) != 1 or u[1] < lky:
             return False
         return (cache.side(u) is not Side.ON
-                or walk_sides(cache, [u, (lkx, u[1])], steps=True)[1] is not Side.LEFT)
+                or step_side(cache.curve, u, (lkx, u[1])) is not Side.LEFT)
 
     return is_goal
 

@@ -48,7 +48,12 @@ def path_of(sys_, *steps):
 
 
 def doubled(curve):
-    """The curve with every coordinate doubled, for half-resolution references."""
+    """The curve with every coordinate doubled, for references that classify steps.
+
+    A unit step ``a``-``b`` of ``curve``'s lattice has its midpoint at the
+    lattice point ``a + b`` of the doubled curve, so its open interior is
+    classified there.
+    """
     return PolyCurve([(2 * x, 2 * y) for x, y in curve.points],
                      curve.south_ray, curve.north_ray)
 
@@ -222,8 +227,7 @@ def engine_record(request):
     curve of the group.  In call order: the ``curves`` ``shield`` builds, the
     curves of its side caches (``boundaries``), the ``checked`` (sub-curve,
     boundary) containment pairs, the intersected curve ``pairs`` and the
-    ``workspaces``; ``halves`` pairs each half-resolution curve built during
-    the pass with its cache's curve.  Session-scoped and parametrized, so
+    ``workspaces``.  Session-scoped and parametrized, so
     pytest runs each part's tests together: one pass, one live record.
     """
     calls = {name: [] for name in RECORDED}
@@ -238,12 +242,10 @@ def engine_record(request):
                 if shield.pump_or_block(sys_, p, sh, budget).kind == "pumpable":
                     pumped += 1
                     break
-    caches = [cache for _, cache in calls["SideCache"]]
     return SimpleNamespace(
         groups=len(groups), pumped=pumped,
         curves=[curve for _, curve in calls["PolyCurve"]],
-        boundaries=[cache.curve for cache in caches],
-        halves=[(cache._scaled, cache.curve) for cache in caches if cache._scaled is not None],
+        boundaries=[cache.curve for _, cache in calls["SideCache"]],
         checked=[(sub, cache.curve) for (sub, cache), _ in calls["curve_in_closed_right"]],
         pairs=[args for args, _ in calls["curve_intersection"]],
         workspaces=[ws for _, ws in calls["build_workspace"]])

@@ -1,4 +1,8 @@
-"""Every demo script runs to completion from a clean working directory."""
+"""Every demo script runs to completion from a clean working directory.
+
+A demo exits nonzero when a check it prints fails, so the exit code covers
+the checks too.
+"""
 
 import glob
 import os

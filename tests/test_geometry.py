@@ -191,8 +191,8 @@ def test_table_parity_matches_walk_hand_made(pts):
 
 
 def test_table_parity_matches_walk_scaled():
-    # SideCache.side_half classifies quadrupled half-lattice points against
-    # the doubled curve, whose table is built separately.
+    # The step references classify quadrupled step midpoints against the
+    # doubled curve, whose table is built separately.
     rng = random.Random(17)
     curves = [PolyCurve(pts, south_ray=True, north_ray=True) for pts in HAND_MADE]
     curves += [random_curve(rng, corners=5) for _ in range(10)]

@@ -4,8 +4,7 @@
 pass over the segments, and ``diagonal_table`` takes one pass over the
 lattice walk.  Inline copies of both as they read before, with a range per
 segment, give the tuples and tables they must reproduce exactly: on seeded
-random curves that mix half, whole and long steps, on the half-resolution
-curves ``SideCache.side_half`` classifies against, and on every curve the
+random curves that mix half, whole and long steps, and on every curve the
 engine builds for the j < k shields of criterion 9's corpus.
 """
 
@@ -14,9 +13,7 @@ import time
 from collections import defaultdict
 from itertools import repeat
 
-from pumpkit.geometry import PolyCurve, SideCache, classify_side
-
-from conftest import doubled
+from pumpkit.geometry import PolyCurve
 
 REFERENCE_SECONDS = 5.0  # per test case; each takes under 2 s on a 2-core machine
 
@@ -102,42 +99,15 @@ def test_lattice_walk_matches_reference_on_random_curves():
     assert elapsed < REFERENCE_SECONDS, elapsed
 
 
-def test_half_resolution_curve_matches_scaled_curve():
-    # side_half classifies against the doubled lattice walk of the curve;
-    # it must be the doubled curve's point set with its walk, table and sides.
-    start = time.perf_counter()
-    rng = random.Random(89)
-    for _ in range(120):
-        curve = random_mixed_staircase(rng, rng.randrange(1, 10))
-        cache = SideCache(curve)
-        x0, y0, x1, y1 = doubled(curve).bbox()
-        probes = [(rng.randrange(x0 - 3, x1 + 4), rng.randrange(y0 - 3, y1 + 4))
-                  for _ in range(30)]
-        sides = [cache.side_half(q) for q in probes]
-        half, scaled = cache._scaled, doubled(curve)
-        assert (half.south_ray, half.north_ray) == (True, True)
-        assert half.is_simple()
-        assert half.lattice_points() == reference_lattice(scaled.points)
-        assert half.diagonal_table() == reference_diagonals(scaled.points)
-        assert sides == [classify_side(scaled, q) for q in probes]
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
-
-
 def test_lattice_walk_matches_reference_on_engine_curves(engine_record):
     # Every curve the engine builds (the cut, the anchor's segment and
     # rays, the split, the inner cut, the moved route and stretches, the
-    # progress loop's frontiers and extensions) and the half-resolution
-    # curves of every side cache, over one part of criterion 9's groups.
+    # progress loop's frontiers and extensions), over one part of
+    # criterion 9's groups.
     start = time.perf_counter()
     groups = engine_record.groups
     assert groups > 900 and len(engine_record.curves) > 10 * groups
     for curve in engine_record.curves:
         assert_matches_reference(curve)
-    halves = [(half, doubled(curve)) for half, curve in engine_record.halves]
-    assert len(halves) > 50
-    for half, scaled in halves:
-        assert half.lattice_points() == reference_lattice(scaled.points)
-        assert half.diagonal_table() == reference_diagonals(scaled.points)
     elapsed = time.perf_counter() - start
     assert elapsed < REFERENCE_SECONDS, elapsed

@@ -1,16 +1,20 @@
-"""Stretch-wise walk classification against per-point references.
+"""Walk classification and the step rule against per-point references.
 
-``geometry.walk_sides`` asks one side query per stretch of a walk between
-contacts with the boundary, and one half-resolution query per chord.
-Inline copies of the per-point ``curve_in_closed_right``, of the route
-graph's per-edge filter and of the route search's goal test, as they read
-before the walk routine, give the witnesses, the adjacency and the goals
-it must reproduce exactly: on the curves the engine checks over criterion
-9's corpus, and on seeded random curves with walks that run along the
-boundary, touch it, cross it and jump across it by chords.  The route
-graph and the goals are also checked on the workspaces ``analyze`` builds
-for seeded 40-150-tile walks, where the route search does its longest
-work, together with every lattice walk a workspace hands out.
+``geometry.walk_sides`` asks one side query per walk, at its first point,
+and decides the step after every contact with the boundary by
+``geometry.step_side``, from the boundary's two arms at the contact.  The
+references share no side rule with that code: they classify every point
+with ``classify_side`` and every step's open interior at its midpoint,
+with ``classify_side`` against the doubled boundary.  Inline copies of the
+per-point ``curve_in_closed_right``, of the route graph's per-edge filter
+and of the route search's goal test, built on them, give the witnesses,
+the adjacency and the goals the engine must reproduce exactly: on the
+curves the engine checks over criterion 9's corpus, and on seeded random
+curves with walks that run along the boundary, touch it, cross it and
+jump across it by chords.  The route graph and the goals are also checked
+on the workspaces ``analyze`` builds for seeded 40-150-tile walks, where
+the route search does its longest work, together with every lattice walk
+a workspace hands out.
 """
 
 import random
@@ -19,7 +23,8 @@ import time
 import pytest
 
 from pumpkit import driver, formats, geometry, shield
-from pumpkit.geometry import PolyCurve, Side, SideCache, classify_side, walk_sides
+from pumpkit.geometry import (PolyCurve, Side, SideCache, classify_side, step_side,
+                              walk_sides)
 
 from conftest import HAND_MADE, _producible_walks, _recorded, doubled, random_curve
 
@@ -29,44 +34,48 @@ LONG_WALKS = 1000  # seeded producible walks of 40-150 tiles; 52 reach a workspa
 _UNIT = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 
-def reference_walk_witness(cache, pts):
-    """First LEFT point of a walk, else the south or west end of the first chord leaving."""
+def reference_walk_witness(curve, scaled, pts):
+    """First LEFT point of a walk, else the south or west end of the first chord leaving.
+
+    ``scaled`` is ``doubled(curve)``, against which step midpoints are
+    classified in quadrupled coordinates.
+    """
     for q in pts:
-        if cache.side(q) is Side.LEFT:
+        if classify_side(curve, q) is Side.LEFT:
             return q
     for a, b in zip(pts, pts[1:]):
-        if cache.side(a) is Side.ON and cache.side(b) is Side.ON:
-            mid2 = (a[0] + b[0], a[1] + b[1])
-            if cache.side_half(mid2) is Side.LEFT:
-                return ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+        if classify_side(scaled, (a[0] + b[0], a[1] + b[1])) is Side.LEFT:
+            return ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
     return None
 
 
-def reference_curve_in_closed_right(sub, cache):
-    """``curve_in_closed_right`` with one side query per point and per chord.
+def reference_curve_in_closed_right(sub, curve):
+    """``curve_in_closed_right`` with one side query per point and per step.
 
     The finite part, then each ray tail from its start to two past the
-    boundary's finite part, is checked point by point and chord by chord;
+    boundary's finite part, is checked point by point and step by step;
     past that, a ray west of the boundary's own ray leaves the region.
     """
-    witness = reference_walk_witness(cache, sub.lattice_points())
+    scaled = doubled(curve)
+    witness = reference_walk_witness(curve, scaled, sub.lattice_points())
     if witness is not None:
         return witness
-    boundary = cache.curve
     if sub.south_ray:
         sx, sy = sub.points[0]
-        bx, by = boundary.points[0]
-        floor = min(sy, boundary.bbox()[1]) - 2
-        witness = reference_walk_witness(cache, [(sx, y) for y in range(floor, sy + 1)])
+        bx, by = curve.points[0]
+        floor = min(sy, curve.bbox()[1]) - 2
+        witness = reference_walk_witness(curve, scaled,
+                                         [(sx, y) for y in range(floor, sy + 1)])
         if witness is not None:
             return witness
         if sx < bx:
             return (sx, floor - 2)
     if sub.north_ray:
         nx, ny = sub.points[-1]
-        bx, by = boundary.points[-1]
-        ceil_ = max(ny, boundary.bbox()[3]) + 2
-        witness = reference_walk_witness(cache, [(nx, y) for y in range(ny, ceil_ + 1)])
+        bx, by = curve.points[-1]
+        ceil_ = max(ny, curve.bbox()[3]) + 2
+        witness = reference_walk_witness(curve, scaled,
+                                         [(nx, y) for y in range(ny, ceil_ + 1)])
         if witness is not None:
             return witness
         if nx < bx:
@@ -77,12 +86,12 @@ def reference_curve_in_closed_right(sub, cache):
 def reference_route_adjacency(ws):
     """The route graph's adjacency with five side queries per edge.
 
-    The two tiles and the glue midpoint are classified as lattice points,
-    and the two half steps between them at their midpoints, in quadrupled
-    coordinates.
+    The two tiles and the glue midpoint are classified as lattice points
+    of the cut, and the two half steps between them at their midpoints,
+    as lattice points of the doubled cut.
     """
-    sh, pos2 = ws.shield, ws.pos2
-    cache = SideCache(ws.cut)
+    sh, pos2, cut = ws.shield, ws.pos2, ws.cut
+    scaled = doubled(cut)
     adj = {u: [] for u in set(ws.fam1) | set(ws.fam2)}
     edges = set()
     for lo, shift in ((sh.i + 1, (0, 0)), (sh.j + 1, ws.vector)):
@@ -93,8 +102,8 @@ def reference_route_adjacency(ws):
         u, w = tuple(e)
         mid = ((u[0] + w[0]) // 2, (u[1] + w[1]) // 2)
         halves = [(a[0] + b[0], a[1] + b[1]) for a, b in ((u, mid), (mid, w))]
-        if (all(cache.side(q) is not Side.LEFT for q in (u, mid, w))
-                and all(cache.side_half(q2) is not Side.LEFT for q2 in halves)):
+        if (all(classify_side(cut, q) is not Side.LEFT for q in (u, mid, w))
+                and all(classify_side(scaled, q2) is not Side.LEFT for q2 in halves)):
             adj[u].append(w)
             adj[w].append(u)
     for lst in adj.values():
@@ -105,16 +114,14 @@ def reference_route_adjacency(ws):
 def reference_goal_test(ws):
     """The route search's goal test with a midpoint query for every link on the cut."""
     lkx, lky = ws.exit2
-    cache = SideCache(ws.cut)
+    cut = ws.cut
+    scaled = doubled(cut)
 
     def is_goal(u):
         if abs(u[0] - lkx) != 1 or u[1] < lky:
             return False
-        w = (lkx, u[1])
-        if cache.side(u) is Side.ON:
-            if cache.side_half((u[0] + w[0], u[1] + w[1])) is Side.LEFT:
-                return False
-        return True
+        return (classify_side(cut, u) is not Side.ON
+                or classify_side(scaled, (u[0] + lkx, 2 * u[1])) is not Side.LEFT)
 
     return is_goal
 
@@ -174,7 +181,7 @@ def assert_walks_match(curve, walks):
 
 
 def assert_witness_matches(sub, curve):
-    want = reference_curve_in_closed_right(sub, SideCache(curve))
+    want = reference_curve_in_closed_right(sub, curve)
     assert geometry.curve_in_closed_right(sub, SideCache(curve)) == want, (
         curve.points, sub.points, sub.south_ray, sub.north_ray)
     return want
@@ -346,3 +353,102 @@ def test_route_graph_drops_an_edge_that_leaves_through_a_chord():
     assert shield.build_r(ws) == ((42, 4), (42, 2), (42, 0), (44, 0), (46, 0), (48, 0),
                                   (48, 2), (46, 2), (46, 4), (46, 6), (44, 6), (44, 8),
                                   (44, 10))
+
+
+def _points_on(curve):
+    """The curve's finite lattice points, and its ray points to two past its box."""
+    (sx, sy), (nx, ny) = curve.points[0], curve.points[-1]
+    _, y0, _, y1 = curve.bbox()
+    return (list(curve.lattice_points())
+            + [(sx, y) for y in range(y0 - 2, sy)]
+            + [(nx, y) for y in range(ny + 1, y1 + 3)])
+
+
+def assert_step_rule(curve):
+    """``step_side`` on every unit step from a point of ``curve``, against the doubled curve.
+
+    A step with both ends on the curve is asked from each end.  Returns
+    the number of chords and of chords with an end on a ray past its start.
+    """
+    scaled = doubled(curve)
+    on = _points_on(curve)
+    index = curve.lattice_index()
+    chords = ray_chords = 0
+    for a in on:
+        for dx, dy in _UNIT:
+            b = (a[0] + dx, a[1] + dy)
+            want = classify_side(scaled, (2 * a[0] + dx, 2 * a[1] + dy))
+            assert step_side(curve, a, b) is want, (curve.points, a, b)
+            if curve.contains(b) and want is not Side.ON:
+                assert step_side(curve, b, a) is want, (curve.points, b, a)
+                chords += 1
+                ray_chords += a not in index or b not in index
+    return chords, ray_chords
+
+
+def test_step_side_matches_doubled_curve():
+    # Hand-made curves, curves beside their own rays, seeded staircases
+    # and the doubled copies of all of them; every step from the finite
+    # part, both of its ends and both ray columns.
+    start = time.perf_counter()
+    rng = random.Random(73)
+    curves = [PolyCurve(pts, south_ray=True, north_ray=True)
+              for pts in HAND_MADE + BESIDE_RAYS]
+    curves += [random_curve(rng, corners=rng.randrange(1, 9)) for _ in range(40)]
+    curves += [doubled(c) for c in curves]
+    chords = ray_chords = 0
+    for curve in curves:
+        c, r = assert_step_rule(curve)
+        chords += c
+        ray_chords += r
+    assert chords > 80 and ray_chords > 10, (chords, ray_chords)
+    elapsed = time.perf_counter() - start
+    assert elapsed < REFERENCE_SECONDS, elapsed
+
+
+def test_step_side_matches_doubled_curve_on_engine_curves(engine_record):
+    # Every distinct boundary a side cache is built on, over one part of
+    # the recorded engine pass.
+    start = time.perf_counter()
+    curves = set(engine_record.boundaries)
+    chords = sum(assert_step_rule(curve)[0] for curve in curves)
+    assert len(curves) > 500 and chords > 100, (len(curves), chords)
+    elapsed = time.perf_counter() - start
+    assert elapsed < REFERENCE_SECONDS, elapsed
+
+
+def test_walk_sides_asks_one_side_query_per_walk(monkeypatch):
+    # A straight walk across HAND_MADE's first curve at y = -2 meets it at
+    # x = 1, 5 and 9: four stretches off the curve, one side query.
+    asked = []
+    monkeypatch.setattr(SideCache, "side", _recorded(SideCache.side, asked))
+    curve = PolyCurve(HAND_MADE[0], south_ray=True, north_ray=True)
+    walk = [(x, -2) for x in range(-3, 13)]
+    for steps in (False, True):
+        asked.clear()
+        sides = walk_sides(SideCache(curve), walk, steps)
+        assert len(asked) == 1
+        assert sides[::1 + steps] == [classify_side(curve, q) for q in walk]
+        assert sides[::1 + steps].count(Side.ON) >= 3
+    # A walk that starts on the curve asks none.
+    asked.clear()
+    walk_sides(SideCache(curve), walk[4:], steps=True)
+    assert asked == []
+
+
+def test_goal_test_decides_links_without_walks(monkeypatch):
+    # The CHORD_EDGE_SYSTEM workspace has graph vertices on the cut beside
+    # the exit ray; their links are decided by the step rule alone.
+    sys_, p = formats.parse_system(CHORD_EDGE_SYSTEM)
+    ws = shield.build_workspace(sys_, p, shield.Shield(51, 54, 68))
+    walks = []
+    monkeypatch.setattr(shield, "walk_sides", _recorded(shield.walk_sides, walks))
+    lkx, lky = ws.exit2
+    vertices = shield._RouteGraph(ws).vertices
+    walks.clear()
+    on_cut = [u for u in vertices if abs(u[0] - lkx) == 1 and u[1] >= lky
+              and ws.cache.side(u) is Side.ON]
+    assert on_cut
+    is_goal, want = shield._goal_test(ws), reference_goal_test(ws)
+    assert all(is_goal(u) is want(u) for u in vertices)
+    assert walks == []
