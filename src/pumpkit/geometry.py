@@ -21,7 +21,10 @@ point location).  A curve's first side query checks its two preconditions
 (both rays, simple) and builds its side record, one flat tuple of the
 lattice set, the two ray starts, their diagonals and the diagonal table,
 in O(|curve|); every later query is one set lookup, one dict lookup and
-one binary search.
+one binary search.  The table pays only for a curve that gets many
+queries, so the shield engine asks through a :class:`SideCache`, which
+answers a point outside the finite part's bounding box from the two rays
+alone and builds the record only for a query inside the box.
 
 A vertical ray is a curve's ``south_ray`` or ``north_ray``: a visibility
 ray of a glue is the one-point curve at its midpoint with that ray, and a
@@ -279,10 +282,7 @@ class PolyCurve:
         no record, so every later query raises again.
         """
         if self._sides is None:
-            if not (self.south_ray and self.north_ray):
-                raise NotAlmostVertical("side classification needs both infinite rays")
-            if not self.is_simple():
-                raise NonSimpleCurve("side classification needs a simple curve")
+            _check_side_query(self)
             (sx, sy), (nx, ny) = self.points[0], self.points[-1]
             self._sides = (self.lattice_set(), sx, sy, nx, ny, sy - sx, ny - nx,
                            self.diagonal_table())
@@ -309,6 +309,14 @@ class PolyCurve:
 
 # -- side classification ----------------------------------------------------
 
+def _check_side_query(curve: PolyCurve) -> None:
+    """Raise unless ``curve`` has both rays, then unless it is simple."""
+    if not (curve.south_ray and curve.north_ray):
+        raise NotAlmostVertical("side classification needs both infinite rays")
+    if not curve.is_simple():
+        raise NonSimpleCurve("side classification needs a simple curve")
+
+
 def classify_side(curve: PolyCurve, p: Point) -> Side:
     """Which side of a simple almost-vertical curve a lattice point is on.
 
@@ -325,7 +333,10 @@ def classify_side(curve: PolyCurve, p: Point) -> Side:
     The first query checks the preconditions and builds the curve's
     :meth:`~PolyCurve.side_record` in O(|curve|); each later query unpacks
     that flat record once, with both ray-start diagonals in it, and is one
-    set lookup, one dict lookup and one binary search.
+    set lookup, one dict lookup and one binary search.  The shield engine
+    reaches this function through :meth:`SideCache.side` only for points
+    inside the curve's bounding box, so its first such point pays for the
+    record; points outside the box never come here.
     """
     record = curve._sides
     if record is None:
@@ -375,24 +386,43 @@ def crossing_parity(curve: PolyCurve, p: Point, toward_ne: bool) -> int:
 
 
 class SideCache:
-    """Side classification against one fixed curve.
+    """Side classification against one fixed curve, for the shield engine.
 
     Building the cache checks the side-query preconditions (both rays, a
-    simple curve) and builds the curve's side record.  :meth:`side` is the
-    one query for lattice points, and :func:`walk_sides` asks it once per
-    walk.  It keeps no answers: after the side record, a query is one set
-    lookup, one dict lookup and one binary search, and few points are
-    asked about twice.
+    simple curve) and keeps the two ray starts and the finite part's
+    bounding box; it builds no side record.  :meth:`side` is the one query
+    for lattice points, and :func:`walk_sides` asks it once per walk.
+
+    Outside the box the rays alone decide: below it the curve is its south
+    ray, which a row crosses once, at the first vertex's x, and the far
+    east is RIGHT; above it, the north ray at the last vertex's x; east of
+    it is RIGHT and west of it LEFT.  A point inside the box goes to
+    :func:`classify_side`, whose first query builds the curve's side
+    record and diagonal table.  So a curve the engine asks only about
+    points outside its box, or none at all, never builds the O(|curve|)
+    table.  It keeps no answers: few points are asked about twice.
     """
 
-    __slots__ = ("curve",)
+    __slots__ = ("curve", "_extent")
 
     def __init__(self, curve: PolyCurve):
-        curve.side_record()
+        _check_side_query(curve)
+        (sx, sy), (nx, ny) = curve.points[0], curve.points[-1]
         self.curve = curve
+        self._extent = (sx, sy, nx, ny) + curve.bbox()
 
     def side(self, p: Point) -> Side:
-        return classify_side(self.curve, p)
+        px, py = p
+        sx, sy, nx, ny, x0, y0, x1, y1 = self._extent
+        if py < y0:
+            x = sx
+        elif py > y1:
+            x = nx
+        elif x0 <= px <= x1:
+            return classify_side(self.curve, p)
+        else:
+            return _RIGHT if px > x1 else _LEFT
+        return _RIGHT if px > x else _LEFT if px < x else _ON
 
 
 # Unit directions in clockwise order, from north.
@@ -450,8 +480,13 @@ def walk_sides(cache: SideCache, walk: Sequence[Point],
       runs along it or is a chord whose open interior is off it.
 
     Only a first point off the curve costs a :meth:`SideCache.side` query.
-    The on-curve test of every walk point reads the lattice set and the
-    two ray starts, unpacked once from the curve's flat side record.
+    The on-curve test of every walk point reads the curve's
+    :meth:`~PolyCurve.lattice_index` and the cache's two ray starts.  The
+    index also decides a step between two points of the finite part that
+    are next to each other in it: the step runs along the curve, so it is
+    ON, which is :func:`step_side`'s own first test, made without the call.
+    A walk along the curve thus makes no :func:`step_side` call; a chord,
+    a step on a ray and a step leaving the curve make one each.
 
     Returns one side per walk point; with ``steps``, the sides of the walk
     points and of the step interiors alternate (``2n - 1`` entries for
@@ -459,11 +494,13 @@ def walk_sides(cache: SideCache, walk: Sequence[Point],
     """
     ON = Side.ON
     curve = cache.curve
-    on, sx, sy, nx, ny, _, _, _ = curve._sides  # built by SideCache
+    index = curve.lattice_index().get
+    sx, sy, nx, ny = cache._extent[:4]
     out = []
-    last = prev = None  # side of the previous point, and that point
+    last = prev = at = None  # side of the previous point, that point, its index
     for q in walk:
-        if q in on or q[0] == sx and q[1] < sy or q[0] == nx and q[1] > ny:
+        n = index(q)
+        if n is not None or q[0] == sx and q[1] < sy or q[0] == nx and q[1] > ny:
             side = ON
         elif last is None:
             side = cache.side(q)  # the walk's first point
@@ -476,10 +513,12 @@ def walk_sides(cache: SideCache, walk: Sequence[Point],
                 out.append(last)
             elif side is not ON:
                 out.append(side)
+            elif n is not None and at is not None and (n - at == 1 or at - n == 1):
+                out.append(ON)  # a step along the finite part
             else:
                 out.append(step_side(curve, prev, q))
         out.append(side)
-        last, prev = side, q
+        last, prev, at = side, q, n
     return out
 
 

@@ -556,21 +556,17 @@ def build_r(ws: Workspace, budget: Optional[EnumBudget] = None) -> tuple[Point, 
     prefix_marks = [0]  # how many goal-prefix heights were pushed at each depth
     nodes = 0
 
-    def try_candidate() -> bool:
-        cur = path[-1]
-        if not is_goal(cur):
-            return False
+    def selected(cur: Point) -> bool:
+        """Whether the path, ending at the goal ``cur``, passes the height filter."""
         y = cur[1]
         if any(py >= y for py in goal_prefix_ys):
             return False
-        if extension_reaches(onpath, cur, y):
-            return False
-        return True
+        return not extension_reaches(onpath, cur, y)
 
-    if try_candidate():
-        return tuple(path[1:])
-    if is_goal(path[-1]):
-        goal_prefix_ys.append(path[-1][1])
+    if is_goal(start1):
+        if selected(start1):
+            return tuple(path[1:])
+        goal_prefix_ys.append(start1[1])
         prefix_marks[-1] += 1
 
     while iters:
@@ -594,9 +590,9 @@ def build_r(ws: Workspace, budget: Optional[EnumBudget] = None) -> tuple[Point, 
         path.append(nxt)
         onpath.add(nxt)
         prefix_marks.append(0)
-        if try_candidate():
-            return tuple(path[1:])
         if is_goal(nxt):
+            if selected(nxt):
+                return tuple(path[1:])
             goal_prefix_ys.append(nxt[1])
             prefix_marks[-1] += 1
     raise EmptyRouteSet("no admissible route survives the endpoint-height filter")

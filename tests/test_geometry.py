@@ -59,6 +59,9 @@ def assert_side_check_fails(curve, error):
 def test_classify_needs_rays():
     assert_side_check_fails(PolyCurve([(0, 0), (2, 0)]), NotAlmostVertical)
     assert_side_check_fails(PolyCurve([(0, 0), (2, 0)], south_ray=True), NotAlmostVertical)
+    # The rays are checked first: a curve that also crosses itself says so.
+    assert_side_check_fails(PolyCurve([(0, 0), (2, 0), (2, 2), (0, 2), (0, -2)]),
+                            NotAlmostVertical)
 
 
 def test_classify_rejects_non_simple():

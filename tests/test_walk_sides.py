@@ -14,7 +14,11 @@ curves with walks that run along the boundary, touch it, cross it and
 jump across it by chords.  The route graph and the goals are also checked
 on the workspaces ``analyze`` builds for seeded 40-150-tile walks, where
 the route search does its longest work, together with every lattice walk
-a workspace hands out.
+a workspace hands out.  ``SideCache.side``, which answers points outside a
+curve's box from its rays, is checked against ``classify_side`` on windows
+around the same curves, and two guards count the work the cut family
+skips: diagonal tables for curves asked nothing inside their box, and
+``step_side`` calls for steps along the curve.
 """
 
 import random
@@ -415,6 +419,72 @@ def test_step_side_matches_doubled_curve_on_engine_curves(engine_record):
     assert len(curves) > 500 and chords > 100, (len(curves), chords)
     elapsed = time.perf_counter() - start
     assert elapsed < REFERENCE_SECONDS, elapsed
+
+
+def assert_cache_matches_classify(curve, margin=3):
+    """``SideCache.side`` equals ``classify_side`` on the box grown by ``margin``.
+
+    The window holds both ray columns below and above the box, and points
+    beside the box on every side, which the cache answers from the rays.
+    """
+    cache = SideCache(curve)
+    x0, y0, x1, y1 = curve.bbox()
+    window = [(x, y) for x in range(x0 - margin, x1 + margin + 1)
+              for y in range(y0 - margin, y1 + margin + 1)]
+    got = [cache.side(q) for q in window]
+    want = [classify_side(curve, q) for q in window]
+    if got != want:
+        n = next(n for n, (a, b) in enumerate(zip(got, want)) if a is not b)
+        raise AssertionError((curve.points, window[n], got[n], want[n]))
+
+
+def test_side_cache_matches_classify_side():
+    start = time.perf_counter()
+    for curve in _random_curves(random.Random(79)):
+        assert_cache_matches_classify(curve)
+    elapsed = time.perf_counter() - start
+    assert elapsed < REFERENCE_SECONDS, elapsed
+
+
+def test_side_cache_matches_classify_side_on_engine_curves(engine_record):
+    start = time.perf_counter()
+    for curve in set(engine_record.boundaries):
+        assert_cache_matches_classify(curve)
+    elapsed = time.perf_counter() - start
+    assert elapsed < REFERENCE_SECONDS, elapsed
+
+
+def test_cut_family_builds_a_table_only_for_a_query_inside_the_box(monkeypatch):
+    # The CHORD_EDGE_SYSTEM workspace: the anchor split is asked only about
+    # points its rays decide, and the inner cut only about walks that start
+    # on it, so neither builds a diagonal table.  Every table built is for
+    # a curve classify_side was asked about.
+    tables, asked = [], []
+    monkeypatch.setattr(PolyCurve, "diagonal_table",
+                        _recorded(PolyCurve.diagonal_table, tables))
+    monkeypatch.setattr(geometry, "classify_side", _recorded(classify_side, asked))
+    sys_, p = formats.parse_system(CHORD_EDGE_SYSTEM)
+    ws = shield.build_workspace(sys_, p, shield.Shield(51, 54, 68))
+    shield.dominant(ws)
+    assert tables == [] and asked == []
+    route = shield.build_r(ws)
+    assert len(tables) == 1 and tables[0][0][0] is ws.cut
+    assert {id(args[0]) for args, _ in asked} == {id(ws.cut)}
+    tables.clear()
+    shield._assert_route_claims(ws, route)
+    assert tables == []
+
+
+def test_walk_along_a_curve_makes_no_step_side_call(monkeypatch):
+    # Every step of a curve's own lattice walk runs along the curve, which
+    # the lattice index decides without the step rule.
+    steps = []
+    monkeypatch.setattr(geometry, "step_side", _recorded(step_side, steps))
+    for curve in _random_curves(random.Random(83)):
+        walk = curve.lattice_points()
+        got = walk_sides(SideCache(curve), walk, steps=True)
+        assert steps == [], curve.points
+        assert got == reference_walk_sides(curve, doubled(curve), walk)
 
 
 def test_walk_sides_asks_one_side_query_per_walk(monkeypatch):
