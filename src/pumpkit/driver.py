@@ -196,12 +196,15 @@ class Frame:
         if isinstance(obj, TileSystem):
             return transform(obj, self)
         if isinstance(obj, Path):
-            return Path._of(self._placed(obj.entries))
+            return self._path(obj)
         if isinstance(obj, PumpingSpec):
             return PumpingSpec(self.apply(obj.path), obj.i, obj.j)
         if isinstance(obj, FragilityCert):
-            return FragilityCert(self._placed(obj.attachments),
-                                 self._point(obj.conflict))
+            att = obj.attachments
+            return FragilityCert(
+                tuple(zip(self._points([pos for pos, _ in att]),
+                          self._types([t for _, t in att]))),
+                self._point(obj.conflict))
         raise TypeError(f"cannot move a {type(obj).__name__}")
 
     def move(self, sys: TileSystem, p: Path) -> tuple[TileSystem, Path]:
@@ -214,7 +217,7 @@ class Frame:
             return sys, p
         msys = transform(sys, self)
         known = {t: msys.by_name[t.name] for t in sys.tiles}
-        return msys, Path._of(self._placed(p.entries, known))
+        return msys, self._path(p, known)
 
     def _point(self, p: Pos) -> Pos:
         a, b, c, d = self.m
@@ -230,25 +233,27 @@ class Frame:
         n, e, s, w = _source_sides(self.m)
         return TileType(t.name, getattr(t, n), getattr(t, e), getattr(t, s), getattr(t, w))
 
-    def _placed(self, entries, known: Optional[dict[TileType, TileType]] = None
-                ) -> tuple[tuple[Pos, TileType], ...]:
-        """Move placed tiles; ``known`` maps source types to moved types already built.
+    def _path(self, p: Path, known: Optional[dict[TileType, TileType]] = None) -> Path:
+        """Move a path: its moved points, and its types mapped by :meth:`_types`."""
+        return Path._of(tuple(self._points(p.positions)), self._types(p.types, known))
 
-        Moved types are cached by the source type's identity, not its name:
-        two different types may share a name, and each moves on its own.
-        ``id`` is a cheap key, where a ``TileType`` key would call its
-        generated ``__hash__`` on every entry; the entries hold every
-        source type alive while the cache is in use.
+    def _types(self, types, known: Optional[dict[TileType, TileType]] = None
+               ) -> tuple[TileType, ...]:
+        """Move a sequence of types; ``known`` maps source types to moved types already built.
+
+        Each distinct type moves once.  Moved types are keyed by the source
+        type's identity, not its name: two different types may share a
+        name, and each moves on its own.  ``id`` is a cheap key, where a
+        ``TileType`` key would call its generated ``__hash__`` on every
+        tile; ``types`` holds every source type alive while the keys are in
+        use.  Only the distinct types make a Python call.
         """
         known = known or {}
-        moved: dict[int, TileType] = {}
-        types = []
-        for _, t in entries:
-            mt = moved.get(id(t))
-            if mt is None:
-                mt = moved[id(t)] = known.get(t) or self._tile(t)
-            types.append(mt)
-        return tuple(zip(self._points([pos for pos, _ in entries]), types))
+        ids = list(map(id, types))
+        moved = dict(zip(ids, types))
+        for key, t in moved.items():
+            moved[key] = known.get(t) or self._tile(t)
+        return tuple(map(moved.__getitem__, ids))
 
 
 IDENTITY = Frame()
@@ -326,14 +331,14 @@ def canonicalize(sys: TileSystem, p: Path,
     # The path takes unit steps from the square's center, so its first
     # tile on a side line of the square is its first tile on the square.
     east, west, north, south = x0 + half, x0 - half, y0 + half, y0 - half
-    b = next((s for s, ((x, y), _) in enumerate(p.entries)
+    b = next((s for s, (x, y) in enumerate(p.positions)
               if x == east or y == north or x == west or y == south), None)
     if b is None:
         raise TooShort("path never reaches the canonical square")
     bx, by = p.pos(b)[0] - x0, p.pos(b)[1] - y0
     turns = 0 if bx == half else 3 if by == half else 2 if bx == -half else 1
     trunc = p.prefix(b)
-    xs, ys = zip(*chain(sys.seed.tiles, (q for q, _ in trunc.entries)))
+    xs, ys = zip(*chain(sys.seed.tiles, trunc.positions))
     frame = _margined(Frame.rotation(turns).compose(Frame.translation((-x0, -y0))),
                       (min(xs), min(ys)), (max(xs), max(ys)))
     csys, cpath = frame.move(sys, trunc)
@@ -359,7 +364,7 @@ def _orient_east(sys: TileSystem, p: Path,
     that order.  The result also moves the margins to zero, read off the
     one bounding box of path plus seed.
     """
-    pts = chain(sys.seed.tiles, (q for q, _ in p.entries))
+    pts = chain(sys.seed.tiles, p.positions)
     xs, ys = zip(*(pts if frame == IDENTITY else frame._points(pts)))
     lo, hi = (min(xs), min(ys)), (max(xs), max(ys))
     lx, ly = xs[-1], ys[-1]
@@ -539,7 +544,7 @@ def _case_tall_prefix(sys: TileSystem, q: Path, frame: Frame, span_c: Span,
         # Only after narrow-prefix-fallthrough: a taller span leaves the rows needed.
         trail.append("tall-prefix-too-flat")
         return
-    b = next((s for s, (pos, _) in enumerate(q.entries) if pos[1] == target), None)
+    b = next((s for s, (_, y) in enumerate(q.positions) if y == target), None)
     if b is None:
         raise ClaimViolation("tall-prefix-row",
                              "no tile on the target row despite the extent")

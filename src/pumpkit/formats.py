@@ -37,7 +37,10 @@ def parse_system(text: str):
     tiles: dict[str, TileType] = {}
     tile_order: list[TileType] = []
     seed_entries: dict[tuple[int, int], TileType] = {}
-    path_entries = None
+    path_positions = path_types = None
+    # One int per coordinate token: CPython caches only -5..256, and a long
+    # path names each coordinate many times.
+    coords: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -47,6 +50,9 @@ def parse_system(text: str):
             if len(words) != 6:
                 raise ParseError(lineno, "tile line needs a name and four sides")
             name = words[1]
+            if ";" in name:
+                # A path line splits its tiles at ';', so no path could name it.
+                raise ParseError(lineno, f"tile name {name!r} contains ';'")
             if name in tiles:
                 raise DuplicateTile(lineno, f"tile {name!r} declared twice")
             glues = {}
@@ -75,21 +81,25 @@ def parse_system(text: str):
                 raise ParseError(lineno, f"seed position {(x, y)} repeated")
             seed_entries[(x, y)] = t
         elif words[0] == "path":
-            if path_entries is not None:
+            if path_positions is not None:
                 raise ParseError(lineno, "more than one path line")
-            path_entries = []
+            path_positions, path_types = [], []
             for part in line[len("path"):].split(";"):
                 fields = part.split()
                 if len(fields) != 3:
                     raise ParseError(lineno, "path entries are: <x> <y> <name>")
-                try:
-                    x, y = int(fields[0]), int(fields[1])
-                except ValueError:
-                    raise ParseError(lineno, "path coordinates must be integers")
-                t = tiles.get(fields[2])
+                xw, yw, name = fields
+                x, y = coords.get(xw), coords.get(yw)
+                if x is None or y is None:
+                    try:
+                        x, y = coords.setdefault(xw, int(xw)), coords.setdefault(yw, int(yw))
+                    except ValueError:
+                        raise ParseError(lineno, "path coordinates must be integers")
+                t = tiles.get(name)
                 if t is None:
-                    raise ParseError(lineno, f"unknown tile {fields[2]!r}")
-                path_entries.append(((x, y), t))
+                    raise ParseError(lineno, f"unknown tile {name!r}")
+                path_positions.append((x, y))
+                path_types.append(t)
         else:
             raise ParseError(lineno, f"unknown directive {words[0]!r}")
     if not seed_entries:
@@ -99,8 +109,8 @@ def parse_system(text: str):
     except BadSystem as e:
         raise DisconnectedSeed(str(e))
     system = TileSystem(tile_order, seed)
-    # The entries are ``((x, y), type)`` tuples already.
-    path = Path._of(tuple(path_entries)) if path_entries is not None else None
+    path = None if path_positions is None else \
+        Path._of(tuple(path_positions), tuple(path_types))
     return system, path
 
 

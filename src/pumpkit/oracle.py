@@ -95,11 +95,11 @@ def brute_fragile(sys: TileSystem, p: Path,
     if not rep:
         raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
     budget = budget or EnumBudget.from_env()
-    want = {pos: t for pos, t in p.entries}
+    want = dict(zip(p.positions, p.types))
     max_len = max(1, budget.max_assembly_size - len(sys.seed))
     enum = PathEnumeration(sys, budget, max_len=max_len)
     for q in enum:
-        pos, t = q.entries[-1]
+        pos, t = q.positions[-1], q.types[-1]
         target = want.get(pos)
         if target is not None and target != t:
             return FragilityCert(q.entries, pos)
@@ -138,7 +138,7 @@ def brute_pumpable(sys: TileSystem, p: Path,
 
 def _simulate_pumping(sys: TileSystem, spec: PumpingSpec, depth: int) -> bool:
     p, i, j = spec.path, spec.i, spec.j
-    if not tam.seed_contacts(sys, p.entries[0]):
+    if not tam.seed_contacts(sys, (p.positions[0], p.types[0])):
         return False  # a path that floats free of the seed grows from nothing
     seen = {}
     limit = i + 1 + (j - i) * depth

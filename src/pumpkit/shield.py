@@ -186,7 +186,7 @@ def check_shield(sys: TileSystem, p: Path, i: int, j: int, k: int,
         raise NotAShield("glue k must be visible from the north")
     sx, sy = add(gk.midpoint, sub(_dbl(p.pos(i)), _dbl(p.pos(j))))
     # Glue s of the segment has midpoint pos_s + pos_{s+1} (doubled).
-    pos = [q for q, _ in p.entries[i:k + 1]]
+    pos = p.positions[i:k + 1]
     hits = {(x0 + x1, y0 + y1) for (x0, y0), (x1, y1) in zip(pos, pos[1:])
             if x0 + x1 == sx and y0 + y1 >= sy}
     if not hits <= {(sx, sy)}:
@@ -215,12 +215,12 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
     gives the order without a sort.
 
     It reads only the view's visible banks (glue indices) and the path's
-    entries, and builds no glue record: glue ``s`` has the doubled
-    midpoint ``pos_s + pos_(s+1)``, and an east-pointing glue's label is
-    its first tile's east glue.
+    positions and types, and builds no glue record: glue ``s`` has the
+    doubled midpoint ``pos_s + pos_(s+1)``, and an east-pointing glue's
+    label is its first tile's east glue.
     """
-    entries = p.entries
-    east = [t.east for ((x, y), t), ((nx, ny), _) in zip(entries, entries[1:])
+    positions, types = p.positions, p.types
+    east = [t.east for (x, y), (nx, ny), t in zip(positions, positions[1:], types)
             if nx == x + 1 and ny == y]
     if len(set(east)) == len(east):
         return []
@@ -229,9 +229,9 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
     # East-pointing glue i: label t_i.east, doubled midpoint (2 x_i + 1, 2 y_i).
     south_east = []
     for i in south:
-        (x, y), t = entries[i]
-        if entries[i + 1][0][0] > x:
-            south_east.append((i, t.east, 2 * x + 1, 2 * y))
+        x, y = positions[i]
+        if positions[i + 1][0] > x:
+            south_east.append((i, types[i].east, 2 * x + 1, 2 * y))
     found = []
     for a, (i, label, ix, iy) in enumerate(south_east):
         # Both glues point east, so their midpoints differ by the doubled
@@ -246,16 +246,16 @@ def enumerate_shields(sys: TileSystem, p: Path) -> list[Shield]:
             if k < partners[0][0]:
                 continue
             # Glues s..k-1: a horizontal one joins tiles on one row y, at doubled 2y.
-            (x0, y0), _ = entries[s]
-            for (x1, y1), _ in entries[s + 1:k + 1]:
+            x0, y0 = positions[s]
+            for x1, y1 in positions[s + 1:k + 1]:
                 if y0 == y1:
                     h = top.get(x0 + x1)
                     if h is None or 2 * y0 > h:
                         top[x0 + x1] = 2 * y0
                 x0, y0 = x1, y1
             s = k
-            (x0, y0), _ = entries[k]
-            kx, ky = x0 + entries[k + 1][0][0], 2 * y0
+            x0, y0 = positions[k]
+            kx, ky = x0 + positions[k + 1][0], 2 * y0
             for j, dx, dy, ks in partners:
                 if j > k:
                     break
@@ -633,27 +633,27 @@ def build_R(ws: Workspace, route: tuple[Point, ...]):
     fully tiled route grows in both translations.
     """
     p, i, j = ws.path, ws.shield.i, ws.shield.j
+    positions, types = p.positions, p.types
     v_tiles = (ws.vector[0] // 2, ws.vector[1] // 2)
     fam1, fam2 = ws.fam1, ws.fam2
 
     s0 = len(route)
     for s, u in enumerate(route):
         a, b = fam1.get(u), fam2.get(u)
-        if a is not None and b is not None and p.type(a) != p.type(b):
+        if a is not None and b is not None and types[a] != types[b]:
             s0 = s
             break
 
-    entries = []
-    for s in range(s0):
-        u = route[s]
+    tiled_types = []
+    for u in route[:s0]:
         a = fam1.get(u)
-        idx = a if a is not None else fam2[u]
-        entries.append((_tile(u), p.type(idx)))
-    tiled = Path(entries)
+        tiled_types.append(types[a if a is not None else fam2[u]])
+    tiled = Path._of(tuple(map(_tile, route[:s0])), tuple(tiled_types))
 
     if s0 == len(route):
         for prefix_end, piece in ((i, tiled), (j, tiled.translate(v_tiles))):
-            grown = Path(p.entries[: prefix_end + 1] + piece.entries)
+            grown = Path._of(positions[: prefix_end + 1] + piece.positions,
+                             types[: prefix_end + 1] + piece.types)
             rep = tam.validate_producible_path(ws.sys, grown)
             if not rep:
                 raise ClaimViolation(
@@ -670,27 +670,27 @@ def build_R(ws: Workspace, route: tuple[Point, ...]):
         if b_conf != j + 1:
             raise ClaimViolation("blocker-edge",
                                  "conflict at route start is not beside tile j")
-        blocker_pos = p.pos(b_conf)
-        attachments = list(p.entries[: j + 1]) + [(blocker_pos, p.type(a_conf))]
-        cert = FragilityCert(tuple(attachments), blocker_pos)
+        blocker_pos = positions[b_conf]
+        cert = FragilityCert((*zip(positions[: j + 1], types), (blocker_pos, types[a_conf])),
+                             blocker_pos)
         return tiled, (cert, "east-copy")
 
     prev = route[s0 - 1]
     b_prev = fam2.get(prev)
     if b_prev is not None and abs(fam2.get(conflict2, 10 ** 9) - b_prev) == 1:
         # Grow prefix..i plus the tiled route, then place the west copy's tile.
-        attachments = list(p.entries[: i + 1]) + list(tiled.entries)
-        attachments.append((_tile(conflict2), p.type(b_conf)))
-        cert = FragilityCert(tuple(attachments), _tile(conflict2))
+        cert = FragilityCert((*zip(positions[: i + 1], types),
+                              *zip(tiled.positions, tiled.types),
+                              (_tile(conflict2), types[b_conf])), _tile(conflict2))
         return tiled, (cert, "west-copy")
     a_prev = fam1.get(prev)
     if a_prev is not None and abs(a_conf - a_prev) == 1:
         # Grow prefix..j plus the east-shifted route, then the east copy's tile.
-        attachments = list(p.entries[: j + 1])
-        attachments += list(tiled.translate(v_tiles).entries)
+        east = tiled.translate(v_tiles)
         east_pos = add(_tile(conflict2), v_tiles)
-        attachments.append((east_pos, p.type(a_conf)))
-        cert = FragilityCert(tuple(attachments), east_pos)
+        cert = FragilityCert((*zip(positions[: j + 1], types),
+                              *zip(east.positions, east.types),
+                              (east_pos, types[a_conf])), east_pos)
         return tiled, (cert, "east-copy")
     raise ClaimViolation("blocker-edge",
                          "conflict is reachable by neither translated copy")

@@ -1,10 +1,13 @@
 """Noncooperative (temperature 1) tile assembly: systems, paths, verifiers.
 
-Positions here are plain tile coordinates on Z^2.  The module imports
-nothing of the package but its errors, so the verifiers share no code
-with the engine.  A tile binds when at least one abutting pair of sides
-carries the same non-null glue label, so glue strengths never appear
-explicitly: a present label has strength 1, an absent one strength 0.
+Positions here are plain tile coordinates on Z^2.  A :class:`Path` is
+two parallel tuples, the positions of its tiles and their types; its
+``entries`` pairs are built on each read, for code off the hot path.
+The module imports nothing of the package but its errors, so the
+verifiers share no code with the engine.  A tile binds when at least
+one abutting pair of sides carries the same non-null glue label, so glue
+strengths never appear explicitly: a present label has strength 1, an
+absent one strength 0.
 """
 
 from __future__ import annotations
@@ -107,43 +110,60 @@ class TileSystem:
 class Path:
     """A sequence of placed tiles; validity is checked by the functions below.
 
+    A path stores two tuples of equal length: ``positions``, the ``(x, y)``
+    of each tile, and ``types``, its :class:`TileType`.  Tile ``i`` is
+    ``(positions[i], types[i])``.  Two flat tuples hold no record per tile,
+    and a moved or translated path can share ``types`` with its source.
+
+    ``entries``, the ``((x, y), type)`` pairs, is built on each read and
+    not kept: it is for printing and other code off the decision's path,
+    and hot code reads ``positions`` and ``types``.
+
     Storing possibly-invalid sequences is deliberate: the validator has to
     be able to point at the first broken entry of a candidate path.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("positions", "types")
 
-    def __init__(self, entries: Sequence[tuple[Position, TileType]]):
-        self.entries = tuple((tuple(p), t) for p, t in entries)
+    def __init__(self, entries: Iterable[tuple[Position, TileType]]):
+        positions, types = [], []
+        for p, t in entries:
+            positions.append(tuple(p))
+            types.append(t)
+        self.positions = tuple(positions)
+        self.types = tuple(types)
 
     @classmethod
-    def _of(cls, entries: tuple[tuple[Position, TileType], ...]) -> "Path":
-        """A path on entries that are already a tuple of ``((x, y), type)``."""
+    def _of(cls, positions: tuple[Position, ...], types: tuple[TileType, ...]) -> "Path":
+        """A path on two tuples of equal length, taken as they are."""
         p = cls.__new__(cls)
-        p.entries = entries
+        p.positions = positions
+        p.types = types
         return p
 
+    @property
+    def entries(self) -> tuple[tuple[Position, TileType], ...]:
+        """The ``((x, y), type)`` pairs, built on each read; not for hot code."""
+        return tuple(zip(self.positions, self.types))
+
     def __len__(self):
-        return len(self.entries)
+        return len(self.positions)
 
     def __eq__(self, other):
-        return isinstance(other, Path) and self.entries == other.entries
+        return (isinstance(other, Path) and self.positions == other.positions
+                and self.types == other.types)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.positions, self.types))
 
     def __repr__(self):
-        return f"Path({len(self.entries)} tiles)"
-
-    @property
-    def positions(self) -> tuple[Position, ...]:
-        return tuple(p for p, _ in self.entries)
+        return f"Path({len(self.positions)} tiles)"
 
     def pos(self, i: int) -> Position:
-        return self.entries[i][0]
+        return self.positions[i]
 
     def type(self, i: int) -> TileType:
-        return self.entries[i][1]
+        return self.types[i]
 
     def index_of(self, pos: Position) -> Optional[int]:
         """Index of the tile at ``pos``, or ``None``.
@@ -151,17 +171,19 @@ class Path:
         A scan: callers ask about one position of a path, so an index of
         every position would not pay for itself.
         """
-        for i, (p, _) in enumerate(self.entries):
-            if p == pos:
-                return i
-        return None
+        try:
+            return self.positions.index(pos)
+        except ValueError:
+            return None
 
     def prefix(self, end: int) -> "Path":
-        """Entries 0..end inclusive, shared with this path."""
-        return Path._of(self.entries[: end + 1])
+        """Tiles 0..end inclusive, on this path's position tuples and types."""
+        return Path._of(self.positions[: end + 1], self.types[: end + 1])
 
     def translate(self, v: Position) -> "Path":
-        return Path([((p[0] + v[0], p[1] + v[1]), t) for p, t in self.entries])
+        """The path moved by ``v``; it shares ``types`` with this one."""
+        vx, vy = v
+        return Path._of(tuple([(x + vx, y + vy) for x, y in self.positions]), self.types)
 
 
 def seed_contacts(sys: TileSystem, tile: tuple[Position, TileType]) -> int:
@@ -198,15 +220,15 @@ def validate_producible_path(sys: TileSystem, p: Path) -> ValidationReport:
     One pass checks every tile.  Only a tile on a position next to the
     seed can touch it, so only those tiles are tested for seed contact.
     """
-    entries = p.entries
-    if not entries:
+    positions, types = p.positions, p.types
+    if not positions:
         return ValidationReport(False, "EmptyPath", 0)
     seed = sys.seed.tiles
     near_seed = {(x + dx, y + dy) for x, y in seed for dx, dy in STEP.values()}
     seen: set[Position] = set()
     notes: list[str] = []
     prev_x = prev_y = prev_t = None
-    for i, (pos, t) in enumerate(entries):
+    for i, (pos, t) in enumerate(zip(positions, types)):
         if pos in seed:
             return ValidationReport(False, "OverlapsSeed", i)
         if pos in seen:
@@ -223,7 +245,7 @@ def validate_producible_path(sys: TileSystem, p: Path) -> ValidationReport:
             if pos in near_seed and seed_contacts(sys, (pos, t)):
                 notes.append(f"tile {i} also touches the seed")
         prev_x, prev_y, prev_t = x, y, t
-    if not seed_contacts(sys, entries[0]):
+    if not seed_contacts(sys, (positions[0], types[0])):
         return ValidationReport(False, "SeedDetached", 0)
     return ValidationReport(True, notes=notes)
 
@@ -327,11 +349,12 @@ def pumping_term(spec: PumpingSpec, k: int) -> tuple[Position, TileType]:
         raise ValueError("term index must be >= 0")
     p, i, j = spec.path, spec.i, spec.j
     if k <= i:
-        return p.entries[k]
+        return (p.positions[k], p.types[k])
     period = j - i
     r = (k - i - 1) % period + 1
     m = (k - i - r) // period
-    (x, y), t = p.entries[i + r]
+    x, y = p.positions[i + r]
+    t = p.types[i + r]
     vx, vy = spec.vector
     return ((x + m * vx, y + m * vy), t)
 
@@ -370,11 +393,11 @@ def verify_pumpable_cert(sys: TileSystem, spec: PumpingSpec) -> VerifyResult:
     if not rep:
         return VerifyResult(False, f"path prefix 0..{j} is not producible: "
                                    f"{rep.code} at index {rep.index}")
-    entries = p.entries
+    positions, types = p.positions, p.types
     v = spec.vector
     # (a) seam interaction
-    seam_from, seam_type = entries[j]
-    (rx, ry), repeat_type = entries[i + 1]
+    seam_from, seam_type = positions[j], types[j]
+    (rx, ry), repeat_type = positions[i + 1], types[i + 1]
     seam_to = (rx + v[0], ry + v[1])
     step = (seam_to[0] - seam_from[0], seam_to[1] - seam_from[1])
     # Cannot fail: pos(i+1) + v - pos(j) = pos(i+1) - pos(i), a step of the checked prefix.
@@ -383,7 +406,7 @@ def verify_pumpable_cert(sys: TileSystem, spec: PumpingSpec) -> VerifyResult:
     if not seam_type.interacts(repeat_type, step):
         return VerifyResult(False, "(a) seam glue does not bind")
     # (b) no two period copies overlap
-    period_pos = [pos for pos, _ in entries[i + 1:j + 1]]
+    period_pos = positions[i + 1:j + 1]
     px0, py0, px1, py1 = _bbox(period_pos)
     a = 0 if abs(v[0]) >= abs(v[1]) else 1
     period = set(period_pos)
@@ -392,7 +415,7 @@ def verify_pumpable_cert(sys: TileSystem, spec: PumpingSpec) -> VerifyResult:
             return VerifyResult(False, "(b) period overlaps its translate")
     # (c) enough periods clear all finite geometry
     obstacles = set(sys.seed.tiles)
-    obstacles.update(pos for pos, _ in entries[:i + 1])
+    obstacles.update(positions[:i + 1])
     ox0, oy0, ox1, oy1 = _bbox(obstacles)
     step_len = max(abs(v[0]), abs(v[1]))
     span = max(ox1, px1) - min(ox0, px0) + max(oy1, py1) - min(oy0, py0)

@@ -12,9 +12,9 @@ Only a column's lowest glue can be seen from the south and only its
 highest from the north, so a :class:`GlueView` keeps just those: one pass
 over the path's positions gives each glue column its two extremal glue
 indices and their heights, with no glue record and no label lookup.
-Labels and pointing are read off the path entries when a rule needs
-them, and a glue's :class:`GlueRef` is built only when a caller names
-that glue.  The visible banks are lists of glue indices.
+Labels and pointing are read off the path's positions and types when a
+rule needs them, and a glue's :class:`GlueRef` is built only when a caller
+names that glue.  The visible banks are lists of glue indices.
 
 A span joins the lowest and the highest glue of one glue column.  The
 span rule is one pass over the column extremes,
@@ -90,7 +90,7 @@ class GlueView:
     ``(lo index, lo y, hi index, hi y)`` (doubled ``y``), ``pair_cols`` and
     ``seed_glue_cols``.  Everything else is read off these and the path's
     positions on request.  A glue's :class:`GlueRef` is built from path
-    entries ``i`` and ``i + 1`` each time a caller names it (:meth:`glue`):
+    tiles ``i`` and ``i + 1`` each time a caller names it (:meth:`glue`):
     a record costs under a microsecond, and callers name few glues twice.
     The full list (:attr:`glues`) is built on first read, and the decision
     never reads it.
@@ -118,11 +118,11 @@ class GlueView:
         # them.  Ties keep the first glue as the lowest and the last as the
         # highest, as a stable sort of the glues in path order would.
         cols: dict[int, tuple[int, int, int, int]] = {}
-        entries = p.entries
-        if entries:
-            (x0, y0), _ = entries[0]
+        positions = p.positions
+        if positions:
+            x0, y0 = positions[0]
             # Glue i joins tiles i and i + 1; it is horizontal when they share a row.
-            for i, ((x1, y1), _) in enumerate(entries[1:]):
+            for i, (x1, y1) in enumerate(positions[1:]):
                 if y1 == y0:
                     gx, gy = x0 + x1, y0 + y1
                     old = cols.get(gx)
@@ -137,7 +137,7 @@ class GlueView:
         # Lowest and highest midpoint of the adjacent tile pairs of seed +
         # path straddling each glue column; only these two can block.
         tiles = set(sys.seed.tiles)
-        tiles.update(pos for pos, _ in entries)
+        tiles.update(positions)
         pair_cols: dict[int, tuple[int, int]] = {}
         for (x, y) in tiles:
             if (x + 1, y) in tiles:
@@ -161,15 +161,16 @@ class GlueView:
     # -- glue records, on request ------------------------------------------------
 
     def glue(self, i: int) -> GlueRef:
-        """A fresh record of glue ``i``, built from path entries ``i`` and ``i + 1``."""
-        entries = self.path.entries
-        if not 0 <= i < len(entries) - 1:
-            raise IndexError(f"no glue {i} on a path of {len(entries)} tiles")
-        (x0, y0), t0 = entries[i]
-        x1, y1 = entries[i + 1][0]
+        """A fresh record of glue ``i``, built from path tiles ``i`` and ``i + 1``."""
+        positions = self.path.positions
+        if not 0 <= i < len(positions) - 1:
+            raise IndexError(f"no glue {i} on a path of {len(positions)} tiles")
+        x0, y0 = positions[i]
+        x1, y1 = positions[i + 1]
         # The glue sits on the side of tile i it points out of.
         side = POINTING[(x1 - x0, y1 - y0)]
-        return GlueRef(i, getattr(t0, side), side, (x0 + x1, y0 + y1), y0 == y1)
+        return GlueRef(i, getattr(self.path.types[i], side), side, (x0 + x1, y0 + y1),
+                       y0 == y1)
 
     @cached_property
     def glues(self) -> list[GlueRef]:
@@ -178,13 +179,13 @@ class GlueView:
 
     def east_pointing(self, indices: Iterable[int]) -> list[int]:
         """The east-pointing glues among the horizontal glues ``indices``."""
-        entries = self.path.entries
-        return [i for i in indices if entries[i + 1][0][0] > entries[i][0][0]]
+        positions = self.path.positions
+        return [i for i in indices if positions[i + 1][0] > positions[i][0]]
 
     def west_pointing(self, indices: Iterable[int]) -> list[int]:
         """The west-pointing glues among the horizontal glues ``indices``."""
-        entries = self.path.entries
-        return [i for i in indices if entries[i + 1][0][0] < entries[i][0][0]]
+        positions = self.path.positions
+        return [i for i in indices if positions[i + 1][0] < positions[i][0]]
 
     # -- visibility ---------------------------------------------------------
 
@@ -192,11 +193,11 @@ class GlueView:
         """Whether glue ``i`` is visible from the ``"south"`` or ``"north"``."""
         if direction not in ("south", "north"):
             raise ValueError(f"unknown direction {direction!r}")
-        entries = self.path.entries
-        if not 0 <= i < len(entries) - 1:
-            raise IndexError(f"no glue {i} on a path of {len(entries)} tiles")
-        (x0, y0), _ = entries[i]
-        (x1, y1), _ = entries[i + 1]
+        positions = self.path.positions
+        if not 0 <= i < len(positions) - 1:
+            raise IndexError(f"no glue {i} on a path of {len(positions)} tiles")
+        x0, y0 = positions[i]
+        x1, y1 = positions[i + 1]
         if y0 != y1:
             raise OrientationMismatch(
                 f"glue {i} points {self.glue(i).pointing}; no {direction} ray from it")
@@ -240,10 +241,10 @@ class GlueView:
         column's extremal glues really are visible.  A glue's midpoint x
         (doubled) is the sum of its two tiles' x, so this reads positions.
         """
-        entries = self.path.entries
-        if len(entries) < 2:
+        positions = self.path.positions
+        if len(positions) < 2:
             raise NotCanonical("path has no glues")
-        xs = [q[0] for q, _ in entries]
+        xs = [q[0] for q in positions]
         last_x = xs[-2] + xs[-1]
         if (max(map(add, xs[:-2], xs[1:-1]), default=last_x - 1) < last_x
                 and all(x < last_x for x, _ in self.seed_glue_midpoints())):
@@ -264,13 +265,13 @@ class GlueView:
         records are built from it (:meth:`Span.of`) only where a caller
         needs them.  It does not check :meth:`check_spans_defined`.
 
-        Labels and pointing come from the path entries: a glue on doubled
+        Labels and pointing come from the path's tiles: a glue on doubled
         column ``key`` points east exactly when its first tile's doubled x
         is below ``key``, so the two extremes point alike exactly when
         their first tiles share an x.
         """
         cols, pair_cols, seed_glue = self.cols, self.pair_cols, self.seed_glue_cols
-        entries = self.path.entries
+        positions, types = self.path.positions, self.path.types
         out = {}
         for key, (s, lo_y, n, hi_y) in sorted(cols.items()):
             if key in seed_glue:
@@ -279,12 +280,12 @@ class GlueView:
             if low_pair < lo_y or high_pair > hi_y:
                 continue  # a straddling tile pair blocks an extremal ray
             first, other = (s, n) if s <= n else (n, s)
-            (x, _), t = entries[first]
+            x = positions[first][0]
             if 2 * x < key:
-                label, pointing = t.east, "east"
+                label, pointing = types[first].east, "east"
             else:
-                label, pointing = t.west, "west"
-            if other != first and entries[other][0][0] != x:
+                label, pointing = types[first].west, "west"
+            if other != first and positions[other][0] != x:
                 pointing = None
             # Both extremal glues lie on the column, so their midpoints differ
             # along it by twice the tile distance of tiles s and n.

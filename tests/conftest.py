@@ -47,6 +47,22 @@ def path_of(sys_, *steps):
     return Path([((x, y), sys_.by_name[name]) for x, y, name in steps])
 
 
+def count_entries_reads(monkeypatch):
+    """Count reads of ``Path.entries``, which the decision never makes.
+
+    Returns the list of the lengths of the paths read, one per read.
+    """
+    reads = []
+    entries = Path.entries
+
+    def counting(self):
+        reads.append(len(self))
+        return entries.fget(self)
+
+    monkeypatch.setattr(Path, "entries", property(counting))
+    return reads
+
+
 def doubled(curve):
     """The curve with every coordinate doubled, for references that classify steps.
 

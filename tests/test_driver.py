@@ -30,8 +30,8 @@ from pumpkit.formats import emit_certificate, parse_system
 from pumpkit.tam import SIDE_OF_STEP, STEP, FragilityCert, TileType, validate_producible_path
 from pumpkit.visibility import GlueView, Span, spans
 
-from conftest import (TALL_BRANCH_CASES, TOWER_TEXT, _climb, _producible_walks, path_of,
-                      system_of)
+from conftest import (TALL_BRANCH_CASES, TOWER_TEXT, _climb, _producible_walks,
+                      count_entries_reads, path_of, system_of)
 
 
 def test_bound_values():
@@ -665,10 +665,22 @@ def test_analyze_builds_glue_records_on_request(request, monkeypatch, instance, 
     assert 1 <= counts["checks"] and counts["engine"] <= ENGINE_GLUE_RECORDS
 
 
+@pytest.mark.parametrize("instance, override", [c[:2] for c in FRAME_CASES])
+def test_analyze_reads_no_path_entries(request, monkeypatch, instance, override):
+    # Every reader on the decision's path reads positions and types;
+    # ``entries`` builds a pair per tile on each read.
+    sys_, p = request.getfixturevalue(instance)
+    reads = count_entries_reads(monkeypatch)
+    assert analyze(sys_, p, bound_override=override).kind != "no_shield"
+    assert reads == []
+
+
 def test_analyze_builds_glue_records_on_request_on_walks(monkeypatch):
     # Seeded producible walks of 40-150 tiles, and the tall-span towers,
     # whose narrow-prefix case reads records off its south-visible bank.
+    # The tall-span cases read no ``Path.entries`` either.
     counts = _count_glue_records(monkeypatch)
+    reads = count_entries_reads(monkeypatch)
     kinds = Counter()
     for sys_, p in _producible_walks(random.Random(31), 200):
         kinds[analyze(sys_, p, bound_override=2).kind] += 1
@@ -676,7 +688,7 @@ def test_analyze_builds_glue_records_on_request_on_walks(monkeypatch):
     for runs, override, _ in TALL_BRANCH_CASES:
         p = Path([(c, sys_.by_name["A"]) for c in _climb(runs)])
         kinds[analyze(sys_, p, bound_override=override).kind] += 1
-    assert counts["lists"] == counts["stray"] == 0
+    assert counts["lists"] == counts["stray"] == 0 and reads == []
     assert counts["engine"] <= ENGINE_GLUE_RECORDS
     assert counts["checks"] > 100 and counts["driver"] > 10
     assert kinds["pumpable"] > 100 and kinds["fragile"] > 3

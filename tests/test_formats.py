@@ -1,8 +1,10 @@
 """Text formats, SVG rendering, and the command line."""
 
+import gc
 import os
 import subprocess
 import sys as _pysys
+import tracemalloc
 
 import pytest
 
@@ -489,6 +491,10 @@ MALFORMED = [
      "bad or repeated side 'up'"),
     ("tile A north=- north=g south=- west=g\nseed 0 0 A\n", None, 1,
      "bad or repeated side 'north'"),
+    # A path line splits its tiles at ';', so no path line could name this
+    # tile: its tile line is the error.
+    ("tile A north=- east=g south=- west=g\ntile a;b north=- east=g south=- west=g\n"
+     "seed 0 0 A\n", None, 2, "tile name 'a;b' contains ';'"),
     (TILE_LINE + "\nseed 0 0\n", None, 2, "seed line is: seed <x> <y> <name>"),
     (TILE_LINE + "\nseed 0 y A\n", None, 2, "seed coordinates must be integers"),
     (TILE_LINE + "\nseed 0 0 Q\n", None, 2, "unknown tile 'Q'"),
@@ -533,6 +539,32 @@ def test_malformed_input_is_a_parse_error(tmp_path, _run, system, cert, line, me
     r = _run(args, tmp_path)
     assert (r.returncode, r.stdout) == (4, "")
     assert r.stderr == f"error: ParseError: line {line}: {message}\n"
+
+
+# Bytes a parsed path keeps per tile: a position tuple and one slot in each
+# of the two tuples take 72, and the file's equal coordinates share one int.
+# A pair per tile and a fresh int per coordinate took 176.
+PARSED_BYTES_PER_TILE = 120
+
+
+def test_parsed_path_keeps_few_bytes_per_tile():
+    # 10,000 tiles snaking through rows and columns 1000..1099, where
+    # CPython caches no int.
+    cells = [(1000 + (c if r % 2 == 0 else 99 - c), 1000 + r)
+             for r in range(100) for c in range(100)]
+    text = ("tile A north=g east=g south=g west=g\nseed 999 1000 A\npath "
+            + " ; ".join(f"{x} {y} A" for x, y in cells) + "\n")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, path = parse_system(text)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert path.positions == tuple(cells)
+    assert kept / len(cells) < PARSED_BYTES_PER_TILE
 
 
 def test_cli_bound_past_the_digit_limit_is_not_built(tmp_path, _run, monkeypatch):

@@ -193,10 +193,10 @@ def _timed():
 
 def test_banks_from_columns_match_per_glue_scan():
     # The view keeps only column extremes and builds glue records on
-    # request; its banks, span records and span precondition must equal
-    # what the records of a separate pass give.
+    # request; its banks, their pointing filters, span records and span
+    # precondition must equal what the records of a separate pass give.
     within = _timed()
-    n_paths = n_visible = n_spans = n_defined = 0
+    n_paths = n_visible = n_west = n_spans = n_defined = 0
     for sys_, p in chain(corpus_paths(), _producible_walks(random.Random(17), 300)):
         view = GlueView(sys_, p)
         refs = reference_glue_refs(p)
@@ -207,6 +207,12 @@ def test_banks_from_columns_match_per_glue_scan():
         assert view.south_visible() == south
         assert view.north_visible() == north
         assert view.banks == ([g.index for g in south], [g.index for g in north])
+        for bank, bank_refs in zip(view.banks, (south, north)):
+            west = [g.index for g in bank_refs if g.pointing == "west"]
+            assert view.west_pointing(bank) == west
+            assert view.east_pointing(bank) == [g.index for g in bank_refs
+                                                if g.pointing == "east"]
+            n_west += bool(west)
         records = reference_column_spans(view, refs)
         assert view.column_spans() == records
         defined = reference_spans_defined(view, refs)
@@ -219,7 +225,7 @@ def test_banks_from_columns_match_per_glue_scan():
         n_visible += len(south) + len(north)
         n_spans += len(records)
         n_defined += defined
-    assert n_paths > 5000 and n_visible > 20000
+    assert n_paths > 5000 and n_visible > 20000 and n_west > 1000
     assert n_spans > 20000 and 1000 < n_defined < n_paths
     assert within()
 

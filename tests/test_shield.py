@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,7 @@ from pumpkit.shield import (
 )
 from pumpkit.visibility import GlueView
 
-from conftest import corpus_shields, path_of, system_of
+from conftest import corpus_paths, corpus_shields, count_entries_reads, path_of, system_of
 
 
 def test_unit_shield_list(unit, unit_path):
@@ -378,6 +379,26 @@ def test_engine_certificates_verify_on_corpus(rng):
                 assert oracle.brute_fragile(sys_, p, budget) is not None
             n += 1
     assert n > 80 and "pumpable" in kinds
+
+
+def test_shield_search_and_engine_read_no_path_entries(monkeypatch):
+    # A shield search and the engine on its first shield and its first
+    # j < k shield, over a slice of criterion 9's corpus: every reader
+    # reads positions and types; ``entries`` builds a pair per tile.
+    reads = count_entries_reads(monkeypatch)
+    budget = EnumBudget()
+    branches = Counter()
+    for sys_, p in corpus_paths()[::3]:
+        found = enumerate_shields(sys_, p)
+        chosen = found[:1]
+        deeper = next((sh for sh in found if sh.j < sh.k), None)
+        if deeper is not None and deeper not in chosen:
+            chosen.append(deeper)
+        for sh in chosen:
+            branches[pump_or_block(sys_, p, sh, budget).branch] += 1
+    assert reads == []
+    assert len(branches) >= 3 and branches["anchor-stall"] > 0
+    assert any(b.startswith("route-conflict") for b in branches)
 
 
 def test_certificates_survive_transforms(blocker, unit, unit_path):
