@@ -16,14 +16,16 @@ Layers, bottom up:
 ``visibility``
     glue visibility and spans on glue columns, right-priority selection;
     glue rows are read in the transposed frame.
+``oracle``
+    brute-force ground truth used by the differential test suite; it
+    builds the route search's problem from the definitions and sits below
+    the engine it checks.
 ``shield``
     the engine: from a shield triple to a verified certificate.
 ``driver``
     ``Frame`` (every rotation, mirror and translation of an instance),
     canonicalization, the explicit bounds, the span case analysis, and
     the reduction from the seedless two-handed model.
-``oracle``
-    brute-force ground truth used by the differential test suite.
 ``formats`` / ``svgout`` / ``cli``
     text formats, figures, command line.
 """

@@ -1,4 +1,4 @@
-"""Search and enumeration budgets, overridable via PUMPKIT_BUDGET_* env vars."""
+"""Search and enumeration budgets; the CLI reads overrides from PUMPKIT_BUDGET_* env vars."""
 
 from __future__ import annotations
 
@@ -15,8 +15,9 @@ class EnumBudget:
     """Caps for the brute-force oracles and the engine's searches.
 
     Defaults are sized so the whole differential suite stays at
-    minutes-scale.  Each field can be overridden by the environment
-    variable ``PUMPKIT_BUDGET_<FIELD_NAME_UPPERCASED>``.
+    minutes-scale.  :meth:`from_env` overrides each field from the
+    environment variable ``PUMPKIT_BUDGET_<FIELD_NAME_UPPERCASED>``; only
+    the CLI calls it, and the library reads no environment.
     """
 
     max_path_len: int = 14

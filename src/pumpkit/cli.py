@@ -173,7 +173,7 @@ def cmd_oracle(args) -> int:
     system, path = _load(args.file, need_path=args.mode != "enumerate")
     budget = EnumBudget.from_env()
     if args.mode == "enumerate":
-        enum = oracle.enumerate_paths(system, budget)
+        enum = oracle.PathEnumeration(system, budget)
         n = 0
         for q in enum:
             n += 1
@@ -206,7 +206,7 @@ def cmd_oracle(args) -> int:
     engine.check_shield(system, path, i, j, k)
     ws = engine.build_workspace(system, path, sh)
     fast = engine.build_r(ws, budget)
-    slow = oracle.brute_right_priority(ws, budget)
+    slow = oracle.brute_right_priority(system, path, sh, budget)
     print("engine route: " + " ".join(f"{x},{y}" for x, y in fast))
     print("oracle route: " + " ".join(f"{x},{y}" for x, y in slow))
     if fast != slow:

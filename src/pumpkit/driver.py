@@ -53,10 +53,12 @@ Each frame builds one :class:`~pumpkit.visibility.GlueView`, shared by
 its cases and the engine's shield check; the prefix below a tall span
 gets its own.
 
-The theorem-scale distance bounds are far beyond desk scale even for one
-tile type, so ``analyze`` accepts an explicit override; without one it
-computes the true bound with exact integers, for a path long enough that
-:func:`bound_log2_lower` cannot rule it out.
+The true distance bound is within desk reach for one tile type: 10,240
+with one seed tile, and ``analyze`` runs on a path that long in well under
+a second.  But it is ``(4|T|)^(4|T|+1) * (4|seed|+6)``, already
+1,342,177,280 for two tile types, so ``analyze`` accepts an explicit
+override; without one it computes the true bound with exact integers, for
+a path long enough that :func:`bound_log2_lower` cannot rule it out.
 """
 
 from __future__ import annotations
@@ -616,19 +618,21 @@ def _spans_pipeline(sys: TileSystem, p: Path, frame: Frame, trail: list[str],
 
 
 def analyze(sys: TileSystem, p: Path, bound_override: Optional[int] = None,
-            budget: Optional[EnumBudget] = None) -> AnalysisResult:
+            budget: EnumBudget = EnumBudget()) -> AnalysisResult:
     """Full pipeline: canonicalize, decide the tree's proposals, verify, report.
 
     The first proposal the engine decides gives the certificate,
-    re-verified in the caller's coordinates; ``no_shield`` with the
-    decision trail when the path is below the effective bound and no case
-    fires.  Without ``budget``, the engine reads ``EnumBudget.from_env()``
-    only when a shield needs its route search, so a decision by the
-    ``j == k`` shortcut never reads the environment.
+    re-verified in the caller's coordinates.  When no proposal decides,
+    a path below the bound, or one cut under ``bound_override``, gives
+    ``no_shield`` with the decision trail.  Past the true bound every path
+    is pumpable or blockable, so a canonical path with no override raises
+    ``ClaimViolation("bound-decides")`` instead.
     """
     trail: list[str] = []
+    past_bound = False
     try:
         canon = canonicalize(sys, p, bound_override)
+        past_bound = bound_override is None
         trail.append(f"canonical(rot={canon.frame.turns},cut={canon.truncated_at})")
         frame, csys, cpath = canon.frame, canon.sys, canon.path
     except TooShort:
@@ -660,6 +664,10 @@ def analyze(sys: TileSystem, p: Path, bound_override: Optional[int] = None,
             raise ClaimViolation("certificate-verifies",
                                  f"restored blocking cert rejected: {check.reason}")
         return AnalysisResult("fragile", trail, fragile=cert)
+    if past_bound:
+        raise ClaimViolation("bound-decides",
+                             "no proposal decides a path past the true bound "
+                             f"(trail ends {trail[-1]})")
     return AnalysisResult("no_shield", trail)
 
 

@@ -6,19 +6,22 @@ by trying every index pair against a depth-bounded simulation, plane
 sides by flood fill, and route selection by enumerating the whole
 candidate set and applying the definition literally.  The test suite
 plays these against the fast implementations.
+
+The route search's problem is built from the definitions
+(:func:`route_problem`), and the module imports nothing from ``shield``
+or ``driver``: the route oracle shares no code with the engine it checks.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import tam, visibility
 from .budgets import EnumBudget
 from .errors import BadSystem, EmptyRouteSet, WindowTooSmall
-from .geometry import Point, PolyCurve, Side, add, sub
-from .shield import Workspace, _goal_test, _RouteGraph
+from .geometry import Point, PolyCurve, Side, add, classify_side, sub
 from .tam import Assembly, FragilityCert, Path, PumpingSpec, TileSystem, TileType
 
 
@@ -30,12 +33,11 @@ class PathEnumeration:
     so callers can tell a complete enumeration from a capped one.
     """
 
-    def __init__(self, sys: TileSystem, budget: Optional[EnumBudget] = None,
+    def __init__(self, sys: TileSystem, budget: EnumBudget = EnumBudget(),
                  max_len: Optional[int] = None, max_paths: Optional[int] = None):
         self.sys = sys
-        self.budget = budget or EnumBudget.from_env()
-        self.max_len = max_len if max_len is not None else self.budget.max_path_len
-        self.max_paths = max_paths if max_paths is not None else self.budget.max_nodes
+        self.max_len = max_len if max_len is not None else budget.max_path_len
+        self.max_paths = max_paths if max_paths is not None else budget.max_nodes
         self.truncated = False
 
     def __iter__(self) -> Iterator[Path]:
@@ -76,13 +78,8 @@ class PathEnumeration:
                         frontier.append(entries + ((pos, t),))
 
 
-def enumerate_paths(sys: TileSystem,
-                    budget: Optional[EnumBudget] = None) -> PathEnumeration:
-    return PathEnumeration(sys, budget)
-
-
 def brute_fragile(sys: TileSystem, p: Path,
-                  budget: Optional[EnumBudget] = None) -> Optional[FragilityCert]:
+                  budget: EnumBudget = EnumBudget()) -> Optional[FragilityCert]:
     """Search for any producible assembly that conflicts with the path.
 
     Every conflicting assembly contains a producible path ending at the
@@ -94,7 +91,6 @@ def brute_fragile(sys: TileSystem, p: Path,
     rep = tam.validate_producible_path(sys, p)
     if not rep:
         raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
-    budget = budget or EnumBudget.from_env()
     want = dict(zip(p.positions, p.types))
     max_len = max(1, budget.max_assembly_size - len(sys.seed))
     enum = PathEnumeration(sys, budget, max_len=max_len)
@@ -107,7 +103,7 @@ def brute_fragile(sys: TileSystem, p: Path,
 
 
 def confirm_pumpable(sys: TileSystem, p: Path, i: int, j: int,
-                     budget: Optional[EnumBudget] = None) -> bool:
+                     budget: EnumBudget = EnumBudget()) -> bool:
     """Check one index pair by disjointness scan plus explicit simulation.
 
     Accepts when the period avoids its own translate (set intersection,
@@ -116,7 +112,6 @@ def confirm_pumpable(sys: TileSystem, p: Path, i: int, j: int,
     tile binds the seed, and it stays self-avoiding, seed-free and
     glue-connected.
     """
-    budget = budget or EnumBudget.from_env()
     spec = PumpingSpec(p, i, j)
     v = spec.vector
     period = {p.pos(s) for s in range(i + 1, j + 1)}
@@ -126,9 +121,8 @@ def confirm_pumpable(sys: TileSystem, p: Path, i: int, j: int,
 
 
 def brute_pumpable(sys: TileSystem, p: Path,
-                   budget: Optional[EnumBudget] = None) -> Optional[PumpingSpec]:
+                   budget: EnumBudget = EnumBudget()) -> Optional[PumpingSpec]:
     """First index pair (lexicographic) that :func:`confirm_pumpable` accepts."""
-    budget = budget or EnumBudget.from_env()
     for i in range(len(p) - 1):
         for j in range(i + 1, len(p)):
             if confirm_pumpable(sys, p, i, j, budget):
@@ -221,15 +215,89 @@ class FloodFill:
         raise RuntimeError(f"point {p} escaped both components")
 
 
-# -- exhaustive route selection ---------------------------------------------------
+# -- the route problem and exhaustive route selection ---------------------------
 
 
-def brute_right_priority(ws: Workspace,
-                         budget: Optional[EnumBudget] = None) -> tuple[Point, ...]:
+def doubled(curve: PolyCurve) -> PolyCurve:
+    """The curve with every coordinate doubled, for references that classify steps.
+
+    A unit step ``a``-``b`` of ``curve``'s lattice has its midpoint at the
+    lattice point ``a + b`` of the doubled curve, so its open interior is
+    classified there.
+    """
+    return PolyCurve([(2 * x, 2 * y) for x, y in curve.points],
+                     curve.south_ray, curve.north_ray)
+
+
+def walk_sides_by_point(curve: PolyCurve, scaled: PolyCurve,
+                        walk: Sequence[Point]) -> list[Side]:
+    """Per-element sides of a walk: each point, then the open interior of each step.
+
+    A point is classified on ``curve``, and a step ``a``-``b`` at ``a + b``
+    on ``scaled``, which is ``doubled(curve)``.
+    """
+    out = []
+    for n, q in enumerate(walk):
+        if n:
+            out.append(classify_side(scaled, add(walk[n - 1], q)))
+        out.append(classify_side(curve, q))
+    return out
+
+
+def route_problem(sys: TileSystem, p: Path, sh: tuple[int, int, int]):
+    """Shield ``(i, j, k)``'s route search, built from the definitions.
+
+    Returns the cut, the start pair, the adjacency and the goal test, on
+    the doubled lattice, where glue ``g``'s midpoint is ``pos_g + pos_(g+1)``.
+    The cut runs up the entry ray to glue ``i``, along tiles ``i+1..k`` and
+    out of glue ``k`` up the exit ray.  The route starts with tiles ``i``
+    and ``i+1``.  The vertices are tiles ``i+1..k`` and tiles ``j+1..k``
+    moved west by the pumping vector; consecutive tiles of one copy are
+    joined when none of the edge's five points is LEFT: the two tiles and
+    their glue on the cut, the two half steps at their midpoints on the
+    doubled cut.  A goal is a vertex half a tile beside the exit ray, not
+    below the ray's start, whose link to the ray stays in the closed right
+    side.  Every side is one ``classify_side`` query.  A path that is not
+    producible raises :class:`BadSystem`.
+    """
+    rep = tam.validate_producible_path(sys, p)
+    if not rep:
+        raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
+    i, j, k = sh
+    pos = p.positions
+    pos2 = [(2 * x, 2 * y) for x, y in pos[:k + 2]]
+    entry, exit2 = add(pos[i], pos[i + 1]), add(pos[k], pos[k + 1])
+    cut = PolyCurve([entry] + pos2[i + 1:k + 1] + [exit2], south_ray=True, north_ray=True)
+    scaled = doubled(cut)
+    dx, dy = sub(pos2[i], pos2[j])
+    copies = (pos2[i + 1:k + 1], [(x + dx, y + dy) for x, y in pos2[j + 1:k + 1]])
+    adj: dict[Point, list[Point]] = {u: [] for copy in copies for u in copy}
+    for copy in copies:
+        for u, w in zip(copy, copy[1:]):
+            mid = ((u[0] + w[0]) // 2, (u[1] + w[1]) // 2)
+            sides = walk_sides_by_point(cut, scaled, (u, mid, w))
+            if Side.LEFT not in sides and w not in adj[u]:  # an edge both copies share
+                adj[u].append(w)
+                adj[w].append(u)
+    for lst in adj.values():
+        lst.sort()
+    lkx, lky = exit2
+
+    def is_goal(u: Point) -> bool:
+        if abs(u[0] - lkx) != 1 or u[1] < lky:
+            return False
+        return (classify_side(cut, u) is not Side.ON
+                or classify_side(scaled, (u[0] + lkx, 2 * u[1])) is not Side.LEFT)
+
+    return cut, (pos2[i], pos2[i + 1]), adj, is_goal
+
+
+def brute_right_priority(sys: TileSystem, p: Path, sh: tuple[int, int, int],
+                         budget: EnumBudget = EnumBudget()) -> tuple[Point, ...]:
     """The selected route, by enumerating the whole candidate set.
 
-    Enumerates every admissible simple route from the entry pair to a
-    vertex beside the exit ray, filters by the literal endpoint-height
+    Enumerates every simple route of :func:`route_problem`'s graph from
+    the start pair to a goal, filters by the literal endpoint-height
     rule (all strict prefixes within the candidate set must end strictly
     lower, and no strict extension within it may end strictly higher),
     and takes the pairwise right-priority maximum.  Exponential by
@@ -239,21 +307,18 @@ def brute_right_priority(ws: Workspace,
     one height sit on either side of the exit ray and link to the same
     point of it, so the extension reaches no higher point of the ray.
     """
-    budget = budget or EnumBudget.from_env()
-    graph = _RouteGraph(ws)
-    if len(graph.vertices) > budget.max_graph_vertices:
+    _, (start0, start1), adj, is_goal = route_problem(sys, p, sh)
+    if len(adj) > budget.max_graph_vertices:
         raise WindowTooSmall(
-            f"route graph has {len(graph.vertices)} vertices; "
+            f"route graph has {len(adj)} vertices; "
             f"budget allows {budget.max_graph_vertices}")
-    start0, start1 = ws.pos2[ws.shield.i], ws.pos2[ws.shield.i + 1]
-    is_goal = _goal_test(ws)
     candidates: list[tuple[Point, ...]] = []
 
     def expand(prefix: list[Point], onpath: set[Point]):
         cur = prefix[-1]
         if is_goal(cur) and len(prefix) >= 2:
             candidates.append(tuple(prefix))
-        for w in graph.adj.get(cur, ()):
+        for w in adj.get(cur, ()):
             if w in onpath:
                 continue
             prefix.append(w)
@@ -263,23 +328,17 @@ def brute_right_priority(ws: Workspace,
             prefix.pop()
 
     expand([start0, start1], {start0, start1})
-    chosen = []
-    for q in candidates:
-        ok = True
-        for other in candidates:
-            if other is q or len(other) == len(q):
-                continue
-            shorter, longer = (other, q) if len(other) < len(q) else (q, other)
-            if longer[: len(shorter)] == shorter:
-                oy, qy = other[-1][1], q[-1][1]
-                if oy > qy or (other is shorter and oy == qy):
-                    ok = False
-                    break
-        if ok:
-            chosen.append(q)
+
+    def rejects(o: tuple[Point, ...], q: tuple[Point, ...]) -> bool:
+        """Whether ``o`` is a prefix of ``q`` ending no lower, or an extension ending higher."""
+        if len(o) < len(q):
+            return q[:len(o)] == o and o[-1][1] >= q[-1][1]
+        return len(o) > len(q) and o[:len(q)] == q and o[-1][1] > q[-1][1]
+
+    chosen = [q for q in candidates if not any(rejects(o, q) for o in candidates)]
     if not chosen:
         raise EmptyRouteSet("no candidate survives the endpoint-height rule")
-    best = visibility.right_priority([tuple(c) for c in chosen])
+    best = visibility.right_priority(chosen)
     return tuple(best[1:])
 
 

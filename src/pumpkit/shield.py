@@ -441,8 +441,8 @@ def dominant(ws: Workspace) -> DominantInfo:
 # -- the binding route ----------------------------------------------------------
 
 
-class _RouteGraph:
-    """Positions of the segment and its west translate, edges within each copy.
+def _route_adjacency(ws: Workspace) -> dict[Point, list[Point]]:
+    """The route graph: the segment and its west translate, edges within each copy.
 
     Only edges that lie in the closed right side of the cut are
     admissible: the two tiles, the glue midpoint between them and the two
@@ -460,34 +460,30 @@ class _RouteGraph:
     a simple path and so is its translate, so the only repeat is a west
     copy edge that is also a segment edge, which a membership test in the
     short list of its end (at most four neighbours) skips.  Every list is
-    sorted at the end; the search and the route oracle read them in that
-    order.
+    sorted at the end, the order the search reads them in.
     """
-
-    def __init__(self, ws: Workspace):
-        sh, pos2 = ws.shield, ws.pos2
-        self.vertices = set(ws.fam1) | set(ws.fam2)
-        self.adj: dict[Point, list[Point]] = {u: [] for u in self.vertices}
-        adj = self.adj
-        seg = pos2[sh.i + 1:sh.k + 1]
-        for u, w in zip(seg, seg[1:]):
-            adj[u].append(w)
-            adj[w].append(u)
-        if sh.j + 1 < sh.k:  # a west copy of one tile has no edges
-            dx, dy = ws.vector
-            west = [(x - dx, y - dy) for x, y in ws.walk[2 * sh.j + 2:2 * sh.k + 1]]
-            # Points and step interiors alternate: edge west[n]-west[n + 2]
-            # is the five entries from sides[2n].
-            sides = walk_sides(ws.cache, west, steps=True)
-            for n in range(0, len(west) - 1, 2):
-                if Side.LEFT not in sides[2 * n:2 * n + 5]:
-                    u, w = west[n], west[n + 2]
-                    nbrs = adj[u]
-                    if w not in nbrs:
-                        nbrs.append(w)
-                        adj[w].append(u)
-        for lst in adj.values():
-            lst.sort()
+    sh, pos2 = ws.shield, ws.pos2
+    adj: dict[Point, list[Point]] = {u: [] for u in (*ws.fam1, *ws.fam2)}
+    seg = pos2[sh.i + 1:sh.k + 1]
+    for u, w in zip(seg, seg[1:]):
+        adj[u].append(w)
+        adj[w].append(u)
+    if sh.j + 1 < sh.k:  # a west copy of one tile has no edges
+        dx, dy = ws.vector
+        west = [(x - dx, y - dy) for x, y in ws.walk[2 * sh.j + 2:2 * sh.k + 1]]
+        # Points and step interiors alternate: edge west[n]-west[n + 2]
+        # is the five entries from sides[2n].
+        sides = walk_sides(ws.cache, west, steps=True)
+        for n in range(0, len(west) - 1, 2):
+            if Side.LEFT not in sides[2 * n:2 * n + 5]:
+                u, w = west[n], west[n + 2]
+                nbrs = adj[u]
+                if w not in nbrs:
+                    nbrs.append(w)
+                    adj[w].append(u)
+    for lst in adj.values():
+        lst.sort()
+    return adj
 
 
 def _goal_test(ws: Workspace):
@@ -511,7 +507,7 @@ def _goal_test(ws: Workspace):
     return is_goal
 
 
-def build_r(ws: Workspace, budget: Optional[EnumBudget] = None) -> tuple[Point, ...]:
+def build_r(ws: Workspace, budget: EnumBudget = EnumBudget()) -> tuple[Point, ...]:
     """The most right-priority admissible route to the exit ray.
 
     Explores the route graph depth first, most-right-turning successor
@@ -530,8 +526,7 @@ def build_r(ws: Workspace, budget: Optional[EnumBudget] = None) -> tuple[Point, 
     :func:`clockwise_successors`' three points, written out in the loop,
     filtered lazily by membership in the vertex's adjacency list.
     """
-    budget = budget or EnumBudget.from_env()
-    adj = _RouteGraph(ws).adj
+    adj = _route_adjacency(ws)
     start0, start1 = ws.pos2[ws.shield.i], ws.pos2[ws.shield.i + 1]
     is_goal = _goal_test(ws)
 
@@ -845,7 +840,7 @@ def _find_next_anchor(ws: Workspace, u: int, m: int):
 
 
 def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
-                  budget: Optional[EnumBudget] = None,
+                  budget: EnumBudget = EnumBudget(),
                   view: Optional[GlueView] = None) -> ShieldOutcome:
     """Decide a shield: produce a verified pumping or blocking certificate.
 
@@ -857,9 +852,7 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
     certificate kinds are passed through the matching independent
     verifier before being returned, together with the construction's
     :class:`ShieldTrace`.  ``view``, when given, is a prebuilt
-    :class:`GlueView` of ``(sys, p)`` for the shield check.  Without
-    ``budget``, ``EnumBudget.from_env()`` is read after the ``j == k``
-    return, where the first search starts.
+    :class:`GlueView` of ``(sys, p)`` for the shield check.
     """
     check_shield(sys, p, sh.i, sh.j, sh.k, view)
     trace = ShieldTrace(sh)
@@ -876,7 +869,6 @@ def pump_or_block(sys: TileSystem, p: Path, sh: Shield,
     if j == k:
         return pumpable(i, j, "repeat-at-exit")
 
-    budget = budget or EnumBudget.from_env()
     ws = build_workspace(sys, p, sh)
     dom = dominant(ws)
     trace.m0 = dom.m0

@@ -63,17 +63,6 @@ def count_entries_reads(monkeypatch):
     return reads
 
 
-def doubled(curve):
-    """The curve with every coordinate doubled, for references that classify steps.
-
-    A unit step ``a``-``b`` of ``curve``'s lattice has its midpoint at the
-    lattice point ``a + b`` of the doubled curve, so its open interior is
-    classified there.
-    """
-    return PolyCurve([(2 * x, 2 * y) for x, y in curve.points],
-                     curve.south_ray, curve.north_ray)
-
-
 @pytest.fixture
 def unit():
     """One tile, matching east/west glue, single seed tile."""

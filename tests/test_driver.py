@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pumpkit import (
     Path,
+    PumpingSpec,
     analyze,
     bound,
     bound_theorem1_extent,
@@ -21,12 +22,12 @@ from pumpkit import (
     verify_fragile_cert,
     verify_pumpable_cert,
 )
-from pumpkit import driver
+from pumpkit import cli, driver
 from pumpkit import shield as engine
 from pumpkit.budgets import EnumBudget
 from pumpkit.driver import FLIP_H, FLIP_V, IDENTITY, ROT90, Frame
-from pumpkit.errors import BadBudget, BadCounts, BadSystem, NotCanonical, TooShort
-from pumpkit.formats import emit_certificate, parse_system
+from pumpkit.errors import BadCounts, BadSystem, ClaimViolation, NotCanonical, TooShort
+from pumpkit.formats import emit_certificate, parse_system, print_system
 from pumpkit.tam import SIDE_OF_STEP, STEP, FragilityCert, TileType, validate_producible_path
 from pumpkit.visibility import GlueView, Span, spans
 
@@ -289,19 +290,16 @@ def test_analyze_fragile_instance(analyze_fragile):
     assert any("west-pigeonhole" in t for t in res.trail)
 
 
-def test_analyze_reads_budget_env_only_for_a_route_search(unit, unit_path,
-                                                          analyze_fragile, monkeypatch):
-    # Without a budget argument, the environment is read where the engine
-    # starts its first search, after the j == k shortcut.
+def test_analyze_reads_no_budget_env(unit, unit_path, analyze_fragile, monkeypatch):
+    # Only the CLI reads PUMPKIT_BUDGET_*; the library runs under the
+    # budget it is given, or the defaults, whatever the environment says.
     monkeypatch.setenv("PUMPKIT_BUDGET_MAX_NODES", "x")
     res = analyze(unit, unit_path, bound_override=2)
     assert res.kind == "pumpable" and "engine:repeat-at-exit" in res.trail
     assert verify_pumpable_cert(unit, res.pumpable).ok
     sys_, p = analyze_fragile
-    with pytest.raises(BadBudget, match="PUMPKIT_BUDGET_MAX_NODES"):
-        analyze(sys_, p, bound_override=2)
-    monkeypatch.delenv("PUMPKIT_BUDGET_MAX_NODES")
-    assert analyze(sys_, p, bound_override=2).kind == "fragile"
+    res = analyze(sys_, p, bound_override=2)
+    assert res.kind == "fragile" and verify_fragile_cert(sys_, p, res.fragile).ok
 
 
 def test_analyze_battlements_couple_use(battlements):
@@ -383,6 +381,25 @@ def test_analyze_fragile_through_tall_prefix():
     assert res.kind == "fragile"
     assert verify_fragile_cert(sys_, p, res.fragile).ok
 
+
+def test_analyze_past_the_true_bound_fails_loudly(tmp_path, capsys):
+    # One tile type, east past bound(1, 1) = 10,240 with a hook at the end:
+    # (0, 1) pumps, yet the tree ends at no-span-pair.  Past the true bound
+    # analyze raises where an override gives no_shield, and the CLI exits 4.
+    # Once the tree decides this path, assert a verified certificate instead.
+    sys_, _ = parse_system(TOWER_TEXT)
+    p = Path([(c, sys_.by_name["A"]) for c in _climb("E10239 N1 E1 S1 E1")])
+    assert len(p) == 10244 and verify_pumpable_cert(sys_, PumpingSpec(p, 0, 1)).ok
+    with pytest.raises(ClaimViolation, match="^bound-decides: "):
+        analyze(sys_, p)
+    res = analyze(sys_, p, bound_override=bound(1, 1))
+    assert res.kind == "no_shield" and res.trail[-1] == "no-span-pair"
+    f = tmp_path / "hook.tiles"
+    f.write_text(print_system(sys_, p))
+    capsys.readouterr()
+    assert cli.main(["analyze", str(f)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ClaimViolation: bound-decides") and err.count("\n") == 1
 
 
 # Pool walks of the benchmark's walk generator (``walk_instance(n)`` of

@@ -419,8 +419,8 @@ def test_cli_budget_env(unit_file, tmp_path, _run, monkeypatch):
 
 def test_cli_analyze_bad_budget_env_is_usage_error(unit_file, tmp_path, _run,
                                                    monkeypatch):
-    # The library reads the environment only when a route search starts;
-    # the CLI reads it up front, so every analyze run checks it.
+    # The library reads no environment; the CLI reads it up front, so
+    # every analyze run checks it.
     monkeypatch.setenv("PUMPKIT_BUDGET_MAX_NODES", "x")
     r = _run(["analyze", str(unit_file), "--bound-override", "2"], tmp_path)
     assert r.returncode == 3

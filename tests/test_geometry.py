@@ -27,9 +27,9 @@ from pumpkit.geometry import (
     walk_sides,
     SideCache,
 )
-from pumpkit.oracle import FloodFill
+from pumpkit.oracle import FloodFill, doubled
 
-from conftest import HAND_MADE, _recorded, doubled, random_curve
+from conftest import HAND_MADE, _recorded, random_curve
 
 
 def vertical_line(x=1):

@@ -1,9 +1,10 @@
 """Import layers: each package module imports only modules below it.
 
 The order is the one of the package docstring, bottom up.  ``tam`` holds
-the verifiers, which share no code with the engine, so it imports only
-``errors``.  ``visibility`` sits below ``driver``, so it reads rows in the
-transposed frame without knowing ``Frame``.
+the verifiers and ``oracle`` the references, which share no code with the
+engine: ``tam`` imports only ``errors``, and ``oracle`` sits below ``shield``.
+``visibility`` sits below ``driver``, so it reads rows in the transposed
+frame without knowing ``Frame``.
 
 Test modules import no other test module: inputs that more than one of
 them reads live in ``conftest.py``.
@@ -21,8 +22,8 @@ import weakref
 
 from conftest import REPO
 
-LAYERS = ("errors", "budgets", "geometry", "tam", "visibility", "shield",
-          "driver", "oracle", "formats", "svgout", "cli")
+LAYERS = ("errors", "budgets", "geometry", "tam", "visibility", "oracle", "shield",
+          "driver", "formats", "svgout", "cli")
 PACKAGE = os.path.join(REPO, "src", "pumpkit")
 TESTS = os.path.join(REPO, "tests")
 

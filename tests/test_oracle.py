@@ -6,9 +6,9 @@ from pumpkit import Path, PolyCurve, Side, classify_side, oracle, validate_produ
 from pumpkit.budgets import EnumBudget
 from pumpkit.errors import BadSystem, WindowTooSmall
 from pumpkit.oracle import FloodFill
-from pumpkit.shield import Shield, build_workspace
+from pumpkit.shield import Shield, enumerate_shields
 
-from conftest import path_of, random_curve, system_of
+from conftest import _climb, path_of, random_curve, system_of
 
 
 def test_enumerate_unit(unit):
@@ -141,26 +141,15 @@ def test_floodfill_agrees_with_classifier(rng):
 def test_brute_right_priority_single_route(staircase):
     sys_, p = staircase
     sh = Shield(0, 2, 4)
-    pt = p.prefix(5)
-    ws = build_workspace(sys_, pt, sh)
-    route = oracle.brute_right_priority(ws)
-    assert route[0] == (4, 0) and abs(route[-1][0] - ws.exit2[0]) == 1
+    cut = oracle.route_problem(sys_, p, sh)[0]
+    route = oracle.brute_right_priority(sys_, p, sh)
+    assert route[0] == (4, 0) and abs(route[-1][0] - cut.points[-1][0]) == 1
 
 
 def test_brute_right_priority_budget():
     sys_ = system_of([("S", "b", "a", "b", "a")], {(0, 0): "S"})
-    cells = [(1, 0), (2, 0)]
-    x, y = 2, 0
-    for _ in range(30):
-        y += 1
-        cells.append((x, y))
-        x += 1
-        cells.append((x, y))
-    p = Path([(pos, sys_.by_name["S"]) for pos in cells])
-    shields = [sh for sh in __import__("pumpkit").enumerate_shields(sys_, p)
-               if sh.j < sh.k]
+    p = Path([(pos, sys_.by_name["S"]) for pos in _climb("E1" + " N1 E1" * 30)])
+    shields = [sh for sh in enumerate_shields(sys_, p) if sh.j < sh.k]
     sh = max(shields, key=lambda s: 2 * s.k - s.i - s.j)
-    pt = p.prefix(sh.k + 1)
-    ws = build_workspace(sys_, pt, sh)
     with pytest.raises(WindowTooSmall):
-        oracle.brute_right_priority(ws, EnumBudget(max_graph_vertices=10))
+        oracle.brute_right_priority(sys_, p, sh, EnumBudget(max_graph_vertices=10))

@@ -323,7 +323,7 @@ def test_equal_height_goals_decide():
     # route ends at the goal east of the exit ray.
     ws = build_workspace(sys_, p.prefix(sh.k + 1), sh)
     route = build_r(ws)
-    assert route == oracle.brute_right_priority(ws)
+    assert route == oracle.brute_right_priority(sys_, p, sh)
     assert route[-1] == (ws.exit2[0] + 1, ws.exit2[1])
 
 
@@ -340,11 +340,10 @@ def test_route_matches_exhaustive_choice(rng):
             for sh in enumerate_shields(sys_, p):
                 if sh.j == sh.k:
                     continue
-                pt = p.prefix(sh.k + 1)
                 try:
-                    ws = build_workspace(sys_, pt, sh)
+                    ws = build_workspace(sys_, p, sh)
                     fast = build_r(ws, budget)
-                    slow = oracle.brute_right_priority(ws, budget)
+                    slow = oracle.brute_right_priority(sys_, p, sh, budget)
                 except WindowTooSmall:
                     continue
                 assert fast == slow

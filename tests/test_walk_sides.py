@@ -3,19 +3,20 @@
 ``geometry.walk_sides`` asks one side query per walk, at its first point,
 and decides the step after every contact with the boundary by
 ``geometry.step_side``, from the boundary's two arms at the contact.  The
-references share no side rule with that code: they classify every point
-with ``classify_side`` and every step's open interior at its midpoint,
-with ``classify_side`` against the doubled boundary.  Inline copies of the
-per-point ``curve_in_closed_right``, of the route graph's per-edge filter
-and of the route search's goal test, built on them, give the witnesses,
-the adjacency and the goals the engine must reproduce exactly: on the
-curves the engine checks over criterion 9's corpus, and on seeded random
-curves with walks that run along the boundary, touch it, cross it and
-jump across it by chords.  The route graph and the goals are also checked
-on the workspaces ``analyze`` builds for seeded 40-150-tile walks, where
-the route search does its longest work, together with every lattice walk
-a workspace hands out.  ``SideCache.side``, which answers points outside a
-curve's box from its rays, is checked against ``classify_side`` on windows
+references share no side rule with that code: ``oracle.walk_sides_by_point``
+classifies every point with ``classify_side`` and every step's open
+interior at its midpoint, with ``classify_side`` against the doubled
+boundary.  An inline per-point ``curve_in_closed_right`` gives the
+witnesses the engine must reproduce exactly, on the curves the engine
+checks over criterion 9's corpus and on seeded random curves with walks
+that run along the boundary, touch it, cross it and jump across it by
+chords.  The oracle's ``route_problem``, built from the definitions the
+same way, gives the cut, the route graph and the goals each shield's
+workspace must equal: on the recorded engine pass, and on the workspaces
+``analyze`` builds for seeded 40-150-tile walks, where the route search
+does its longest work, together with every lattice walk a workspace
+hands out.  ``SideCache.side``, which answers points outside a curve's
+box from its rays, is checked against ``classify_side`` on windows
 around the same curves, and two guards count the work the cut family
 skips: diagonal tables for curves asked nothing inside their box, and
 ``step_side`` calls for steps along the curve.
@@ -26,11 +27,12 @@ import time
 
 import pytest
 
-from pumpkit import driver, formats, geometry, shield
+from pumpkit import driver, formats, geometry, oracle, shield
 from pumpkit.geometry import (PolyCurve, Side, SideCache, classify_side, step_side,
                               walk_sides)
+from pumpkit.oracle import doubled, walk_sides_by_point
 
-from conftest import HAND_MADE, _producible_walks, _recorded, doubled, random_curve
+from conftest import HAND_MADE, _producible_walks, _recorded, random_curve
 
 REFERENCE_SECONDS = 5.0  # per test case; each takes 0.3 to 2.5 s on a 2-core machine
 LONG_WALKS = 1000  # seeded producible walks of 40-150 tiles; 52 reach a workspace
@@ -87,55 +89,13 @@ def reference_curve_in_closed_right(sub, curve):
     return None
 
 
-def reference_route_adjacency(ws):
-    """The route graph's adjacency with five side queries per edge.
-
-    The two tiles and the glue midpoint are classified as lattice points
-    of the cut, and the two half steps between them at their midpoints,
-    as lattice points of the doubled cut.
-    """
-    sh, pos2, cut = ws.shield, ws.pos2, ws.cut
-    scaled = doubled(cut)
-    adj = {u: [] for u in set(ws.fam1) | set(ws.fam2)}
-    edges = set()
-    for lo, shift in ((sh.i + 1, (0, 0)), (sh.j + 1, ws.vector)):
-        for n in range(lo, sh.k):
-            edges.add(frozenset((geometry.sub(pos2[n], shift),
-                                 geometry.sub(pos2[n + 1], shift))))
-    for e in edges:
-        u, w = tuple(e)
-        mid = ((u[0] + w[0]) // 2, (u[1] + w[1]) // 2)
-        halves = [(a[0] + b[0], a[1] + b[1]) for a, b in ((u, mid), (mid, w))]
-        if (all(classify_side(cut, q) is not Side.LEFT for q in (u, mid, w))
-                and all(classify_side(scaled, q2) is not Side.LEFT for q2 in halves)):
-            adj[u].append(w)
-            adj[w].append(u)
-    for lst in adj.values():
-        lst.sort()
-    return adj
-
-
-def reference_goal_test(ws):
-    """The route search's goal test with a midpoint query for every link on the cut."""
-    lkx, lky = ws.exit2
-    cut = ws.cut
-    scaled = doubled(cut)
-
-    def is_goal(u):
-        if abs(u[0] - lkx) != 1 or u[1] < lky:
-            return False
-        return (classify_side(cut, u) is not Side.ON
-                or classify_side(scaled, (u[0] + lkx, 2 * u[1])) is not Side.LEFT)
-
-    return is_goal
-
-
 def assert_route_inputs_match(ws):
-    """The route graph and the goal test of ``ws`` equal their per-edge references."""
-    graph = shield._RouteGraph(ws)
-    assert graph.adj == reference_route_adjacency(ws)
-    is_goal, want = shield._goal_test(ws), reference_goal_test(ws)
-    assert all(is_goal(u) is want(u) for u in graph.vertices)
+    """The cut, the route graph and the goals of ``ws`` equal the oracle's."""
+    cut, _, adj, want = oracle.route_problem(ws.sys, ws.path, ws.shield)
+    assert cut == ws.cut and cut.lattice_points() == ws.cut.lattice_points()
+    assert shield._route_adjacency(ws) == adj
+    is_goal = shield._goal_test(ws)
+    assert all(is_goal(u) is want(u) for u in adj)
 
 
 def fresh_lattice(curve):
@@ -154,33 +114,16 @@ def assert_workspace_lattices(ws):
     i, _, k = ws.shield
     assert ws.walk == PolyCurve(ws.pos2).lattice_points()
     assert ws.walk[:2 * i + 1] == PolyCurve(ws.pos2[:i + 1]).lattice_points()
-    assert ws.cut == shield._cut_from(ws.pos2, ws.walk, 2 * i + 1)
-    assert ws.cut.lattice_points() == fresh_lattice(ws.cut)
     for start in range(2 * i + 1, 2 * k + 1):
         cut = shield._cut_from(ws.pos2, ws.walk, start)
         assert cut.lattice_points() == fresh_lattice(cut), (ws.shield, start)
-
-
-def reference_walk_sides(curve, scaled, walk):
-    """Per-element sides: each point, then the midpoint of each step.
-
-    ``scaled`` is ``doubled(curve)``, against which step midpoints are
-    classified in quadrupled coordinates.
-    """
-    out = []
-    for n, q in enumerate(walk):
-        if n:
-            a = walk[n - 1]
-            out.append(classify_side(scaled, (a[0] + q[0], a[1] + q[1])))
-        out.append(classify_side(curve, q))
-    return out
 
 
 def assert_walks_match(curve, walks):
     scaled = doubled(curve)
     for walk in walks:
         got = walk_sides(SideCache(curve), walk, steps=True)
-        assert got == reference_walk_sides(curve, scaled, walk), (curve.points, walk)
+        assert got == walk_sides_by_point(curve, scaled, walk), (curve.points, walk)
         assert walk_sides(SideCache(curve), walk) == got[::2]
 
 
@@ -349,10 +292,9 @@ def test_route_graph_drops_an_edge_that_leaves_through_a_chord():
     u, glue, w = (44, 10), (43, 10), (42, 10)
     sides = walk_sides(ws.cache, [u, glue, w], steps=True)
     assert sides == [Side.RIGHT, Side.RIGHT, Side.ON, Side.LEFT, Side.ON]
-    graph = shield._RouteGraph(ws)
-    assert {u, w} <= graph.vertices
-    assert w not in graph.adj[u] and u not in graph.adj[w]
-    assert graph.adj == reference_route_adjacency(ws)
+    adj = shield._route_adjacency(ws)
+    assert w not in adj[u] and u not in adj[w]
+    assert_route_inputs_match(ws)
     # The edge was never on the selected route.
     assert shield.build_r(ws) == ((42, 4), (42, 2), (42, 0), (44, 0), (46, 0), (48, 0),
                                   (48, 2), (46, 2), (46, 4), (46, 6), (44, 6), (44, 8),
@@ -484,7 +426,7 @@ def test_walk_along_a_curve_makes_no_step_side_call(monkeypatch):
         walk = curve.lattice_points()
         got = walk_sides(SideCache(curve), walk, steps=True)
         assert steps == [], curve.points
-        assert got == reference_walk_sides(curve, doubled(curve), walk)
+        assert got == walk_sides_by_point(curve, doubled(curve), walk)
 
 
 def test_walk_sides_asks_one_side_query_per_walk(monkeypatch):
@@ -514,11 +456,10 @@ def test_goal_test_decides_links_without_walks(monkeypatch):
     walks = []
     monkeypatch.setattr(shield, "walk_sides", _recorded(shield.walk_sides, walks))
     lkx, lky = ws.exit2
-    vertices = shield._RouteGraph(ws).vertices
-    walks.clear()
-    on_cut = [u for u in vertices if abs(u[0] - lkx) == 1 and u[1] >= lky
+    _, _, adj, want = oracle.route_problem(sys_, p, ws.shield)
+    on_cut = [u for u in adj if abs(u[0] - lkx) == 1 and u[1] >= lky
               and ws.cache.side(u) is Side.ON]
     assert on_cut
-    is_goal, want = shield._goal_test(ws), reference_goal_test(ws)
-    assert all(is_goal(u) is want(u) for u in vertices)
+    is_goal = shield._goal_test(ws)
+    assert all(is_goal(u) is want(u) for u in adj)
     assert walks == []

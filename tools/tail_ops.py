@@ -31,7 +31,7 @@ import gen  # noqa: E402
 from pumpkit import driver, formats, shield  # noqa: E402
 
 STAGES = {"build_workspace": ("build_workspace",), "dominant": ("dominant",),
-          "_RouteGraph": ("_RouteGraph",), "build_r": ("build_r",),
+          "_route_adjacency": ("_route_adjacency",), "build_r": ("build_r",),
           "_assert_route_claims": ("_assert_route_claims",), "build_R": ("build_R",),
           "progress loop": ("initial_uv", "_check_step", "_find_next_anchor", "_anchor_pair")}
 TAIL = 0.02
