@@ -21,13 +21,15 @@ from pumpkit.formats import (
 from pumpkit.shield import Shield
 from pumpkit.svgout import render_svg
 
-from conftest import GOLDEN_DIR, _golden_cases, path_of, src_env, system_of
+from conftest import GOLDEN_DIR, _golden_cases, corpus_paths, path_of, src_env, system_of
 
 UNIT_TEXT = """\
 tile A north=- east=g south=- west=g
 seed 0 0 A
 path 1 0 A ; 2 0 A ; 3 0 A
 """
+NO_PATH_TEXT = "tile A north=- east=g south=- west=g\nseed 0 0 A\n"
+TILE_LINE = NO_PATH_TEXT.splitlines()[0]
 
 
 def test_parse_unit():
@@ -65,7 +67,7 @@ def test_parse_unknown_directive():
     assert e.value.line == 3
 
 
-@pytest.mark.parametrize("path_lines, line, message", [
+PATH_LINE_ERRORS = [
     (["path 1 0 A ; 2 0"], 3, "path entries are: <x> <y> <name>"),
     (["path 1 0 A 2 0 A"], 3, "path entries are: <x> <y> <name>"),
     (["path"], 3, "path entries are: <x> <y> <name>"),
@@ -74,13 +76,185 @@ def test_parse_unknown_directive():
     (["path 1.5 0 A"], 3, "path coordinates must be integers"),
     (["path 1 0 A ; 2 0 Q"], 3, "unknown tile 'Q'"),
     (["path 1 0 A", "# a comment", "path 2 0 A"], 5, "more than one path line"),
-])
-def test_parse_path_line_errors(path_lines, line, message):
-    text = "tile A north=- east=g south=- west=g\nseed 0 0 A\n" + "\n".join(path_lines)
+    (["path 1 0 A A 2 0 A"], 3, "path entries are: <x> <y> <name>"),
+    (["path 1 0 A A"], 3, "path entries are: <x> <y> <name>"),
+    (["path ; 1 x A"], 3, "path entries are: <x> <y> <name>"),
+    (["path 1 0 A ;; 2 0 A"], 3, "path entries are: <x> <y> <name>"),
+    # Two bad entries: the first one's error.
+    (["path 1 x A ; 2 0 Q"], 3, "path coordinates must be integers"),
+    (["path 1 0 Q ; 2 x A"], 3, "unknown tile 'Q'"),
+    (["path 1 0 ; 2 x A"], 3, "path entries are: <x> <y> <name>"),
+    (["path 1 0 A ; 2 x Q ; 3 0"], 3, "path coordinates must be integers"),
+    (["path 1 0 A ; 2 0 A 4 ; 3 0 Q"], 3, "path entries are: <x> <y> <name>"),
+    (["path 1 0 Q ;"], 3, "unknown tile 'Q'"),
+]
+
+
+def _assert_path_line_error(path_lines, line, message):
+    text = NO_PATH_TEXT + "\n".join(path_lines)
     with pytest.raises(ParseError) as e:
         parse_system(text)
     assert e.value.line == line
     assert str(e.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("path_lines, line, message", PATH_LINE_ERRORS)
+def test_parse_path_line_errors(path_lines, line, message):
+    _assert_path_line_error(path_lines, line, message)
+
+
+@pytest.mark.parametrize("path_lines, line, message", PATH_LINE_ERRORS)
+def test_parse_long_path_line_errors(path_lines, line, message):
+    # With 20 good entries in front, the first path line is long: it is
+    # read in one pass before it is read entry by entry.
+    good = "".join(f" {x} 9 A ;" for x in range(20))
+    long_lines = [path_lines[0].replace("path", "path" + good, 1), *path_lines[1:]]
+    _assert_path_line_error(long_lines, line, message)
+
+
+def reference_path_line(rest, tiles, lineno):
+    """A path line's entries ``rest`` read entry by entry: the reference for
+    ``parse_system``'s one-pass reader.  Returns ``(positions, types)`` or
+    raises the first bad entry's ``ParseError``."""
+    coords = {}
+    positions, types = [], []
+    for part in rest.split(";"):
+        fields = part.split()
+        if len(fields) != 3:
+            raise ParseError(lineno, "path entries are: <x> <y> <name>")
+        xw, yw, name = fields
+        try:
+            x, y = coords.setdefault(xw, int(xw)), coords.setdefault(yw, int(yw))
+        except ValueError:
+            raise ParseError(lineno, "path coordinates must be integers")
+        t = tiles.get(name)
+        if t is None:
+            raise ParseError(lineno, f"unknown tile {name!r}")
+        positions.append((x, y))
+        types.append(t)
+    return tuple(positions), tuple(types)
+
+
+def _split_path_line(text):
+    """``(header, lineno, rest)``: the text before the path line, the path
+    line's number and its entries, without a comment."""
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if line.split()[:1] == ["path"]:
+            rest = line.split("#", 1)[0].strip()[4:]
+            return "\n".join(lines[:lineno - 1]) + "\n", lineno, rest
+    raise AssertionError("no path line")
+
+
+def _distinct_ints(positions):
+    return len({id(v) for pos in positions for v in pos})
+
+
+def _assert_reads_as_reference(text):
+    header, lineno, rest = _split_path_line(text)
+    tiles = parse_system(header)[0].by_name
+    try:
+        expected = reference_path_line(rest, tiles, lineno)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            parse_system(text)
+        assert (got.value.line, str(got.value)) == (e.line, str(e))
+        return None
+    _, path = parse_system(text)
+    assert path.positions == expected[0] and path.types == expected[1]
+    assert _distinct_ints(path.positions) == _distinct_ints(expected[0])
+    return path
+
+
+def test_path_line_reads_as_reference_on_the_corpus():
+    # Criterion 9's corpus as print_system writes it.
+    for sys_, p in corpus_paths():
+        path = _assert_reads_as_reference(print_system(sys_, p))
+        assert path == p
+
+
+def _seeded_path_text(rng, n):
+    """A system of three tiles and a seeded path line of ``n`` entries, with
+    negative and large coordinates, tabs, and ``;`` with and without spaces;
+    also the entries as ``(x, y, name)`` triples."""
+    entries = [(rng.randint(-1500, 1500), rng.randint(-300, 3000), rng.choice("ABC"))
+               for _ in range(n)]
+    gaps = (" ", "\t", "  ", " \t ")
+    seps = (" ; ", ";", "\t;", "; ", " ;\t", "\t ; ")
+    line = "path" + rng.choice(gaps) + "".join(
+        (rng.choice(seps) if k else "") + f"{x}{rng.choice(gaps)}{y}{rng.choice(gaps)}{t}"
+        for k, (x, y, t) in enumerate(entries))
+    header = "".join(f"tile {t} north=a east=a south=a west=a\n" for t in "ABC")
+    return header + "seed 0 0 A\n" + line + rng.choice(("", " ", "\t# end")) + "\n", entries
+
+
+def test_path_line_reads_as_reference_on_long_seeded_lines(rng):
+    # Short lines are read entry by entry and long ones in one pass; 15,
+    # 16 and 17 entries straddle the switch.
+    for n in (1, 2, 3, 15, 16, 17, 50, 2000, 5000):
+        text, entries = _seeded_path_text(rng, n)
+        path = _assert_reads_as_reference(text)
+        assert path.positions == tuple((x, y) for x, y, _ in entries)
+        assert [t.name for t in path.types] == [t for _, _, t in entries]
+        # One int object per distinct coordinate token.
+        tokens = {str(v) for x, y, _ in entries for v in (x, y)}
+        assert _distinct_ints(path.positions) == len(tokens)
+
+
+def test_long_path_line_is_read_in_one_pass(rng):
+    # The reader makes a few C calls per line, not several per tile: 5,000
+    # entries read entry by entry make about 40,000.
+    text, _ = _seeded_path_text(rng, 5000)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "c_call"
+
+    _pysys.setprofile(count)
+    try:
+        parse_system(text)
+    finally:
+        _pysys.setprofile(None)
+    assert calls < 200
+
+
+def test_path_line_reads_tokens_as_int_does():
+    # Tokens int() reads, written unlike print_system: each token keeps its
+    # own int, as in the reference, on a short line and on a long one.
+    rest = "+300 0300 A ; 300 3_00 A ; \uff13 -0 A"
+    for good in ("", "".join(f"{x} 9 A ; " for x in range(20))):
+        text = NO_PATH_TEXT + "path " + good + rest + "\n"
+        path = _assert_reads_as_reference(text)
+        assert path.positions[-3:] == ((300, 300), (300, 300), (3, 0))
+        with pytest.raises(ParseError, match="path coordinates must be integers"):
+            parse_system(text[:-1] + " ; 0x1 0 A\n")
+    # Six tokens: four spellings of 300, and 3 and 0, which CPython caches.
+    assert _distinct_ints(parse_system(NO_PATH_TEXT + "path " + rest)[1].positions) == 6
+
+
+# Ways to break one entry ``x y name`` of a path line: the fields as written.
+_BREAKS = (
+    lambda x, y, t: "",                      # an empty entry
+    lambda x, y, t: f"{x} {y}",              # two fields
+    lambda x, y, t: f"{x} {y} {t} {t}",      # four fields
+    lambda x, y, t: f"{x} y{y} {t}",         # a coordinate that is not an integer
+    lambda x, y, t: f"{x}.5 {y} {t}",
+    lambda x, y, t: f"{x} {y} Q",            # an unknown tile
+    lambda x, y, t: f"{x} {y} {t.lower()}",
+)
+
+
+def test_path_line_errors_match_reference(rng):
+    for _ in range(300):
+        text, entries = _seeded_path_text(rng, rng.choice((1, 2, 5, 15, 16, 40, 200)))
+        header = text[:text.index("path")]
+        parts = [f"{x} {y} {t}" for x, y, t in entries]
+        for k in rng.sample(range(len(parts)), min(len(parts), rng.choice((1, 2)))):
+            parts[k] = rng.choice(_BREAKS)(*entries[k])
+        lead, tail = rng.choice((("", ""), ("; ", ""), ("", " ;"), ("; ", " ;")))
+        line = f"path {lead}{' ; '.join(parts)}{tail}"
+        assert _assert_reads_as_reference(header + line + "\n") is None, line
 
 
 def test_roundtrip_random_systems(rng):
@@ -472,9 +646,6 @@ def test_cli_verify_malformed_certificate(unit_file, tmp_path, _run, cert, line)
     assert f"line {line}:" in r.stderr
 
 
-NO_PATH_TEXT = "tile A north=- east=g south=- west=g\nseed 0 0 A\n"
-TILE_LINE = NO_PATH_TEXT.splitlines()[0]
-
 # Malformed files: a system text, the certificate read against it (None when
 # the system text is the malformed one), the line the error names and its
 # message.  Line 0 names the whole file.
@@ -483,6 +654,8 @@ MALFORMED = [
      "bad glue label 'a=b'"),
     ("tile A north=\u00e9 east=g south=- west=g\nseed 0 0 A\n", None, 1,
      "bad glue label '\u00e9'"),
+    # An empty label would bind to every other empty label.
+    ("tile A north= east= south=- west=\nseed 0 0 A\n", None, 1, "bad glue label ''"),
     ("tile A north=- east=g south=-\nseed 0 0 A\n", None, 1,
      "tile line needs a name and four sides"),
     ("tile A north=- east=g south=- westg\nseed 0 0 A\n", None, 1,

@@ -353,6 +353,78 @@ def test_route_matches_exhaustive_choice(rng):
     assert n >= 60
 
 
+# Shields whose selected route passes through the west copy of the segment,
+# which no route of the random systems above reaches.  Each is a prefix of a
+# seed-1 walk-analyze walk (``perfbench/gen.py``), in the frame the driver
+# decides it in, where the engine answers ``route-conflict-west-copy``:
+# the system text and the shield.
+WEST_COPY_ROUTES = [
+    ("tile A north=c east=c south=- west=b\n"
+     "tile B north=c east=c south=- west=b\n"
+     "tile C north=- east=b south=c west=c\n"
+     "seed -4 1 C\n"
+     "seed -3 1 B\n"
+     "path -4 0 A ; -3 0 C ; -2 0 B ; -1 0 C ; 0 0 B ; 0 1 C ; -1 1 B ; -1 2 C"
+     " ; -2 2 A ; -3 2 C ; -4 2 A ; -5 2 C ; -6 2 B ; -7 2 C ; -7 1 B ; -8 1 C"
+     " ; -9 1 A ; -10 1 C ; -11 1 A ; -11 2 C ; -12 2 B\n",
+     Shield(1, 3, 19)),
+    ("tile A north=b east=b south=a west=b\n"
+     "tile B north=c east=- south=c west=c\n"
+     "tile C north=a east=a south=- west=b\n"
+     "seed -7 0 C\n"
+     "seed -7 1 A\n"
+     "path -6 1 A ; -5 1 C ; -5 2 A ; -4 2 C ; -4 3 A ; -3 3 A ; -2 3 A ; -1 3 C"
+     " ; -1 4 A ; 0 4 C ; 0 5 A ; -1 5 A ; -2 5 A ; -2 4 C ; -3 4 A ; -4 4 A"
+     " ; -5 4 A ; -6 4 A ; -7 4 A ; -8 4 A ; -9 4 A ; -9 3 C ; -10 3 A ; -11 3 A"
+     " ; -11 2 C ; -12 2 A ; -13 2 A ; -14 2 A ; -14 1 C ; -15 1 A ; -16 1 A"
+     " ; -17 1 A ; -17 0 C ; -18 0 A ; -19 0 A ; -20 0 A\n",
+     Shield(0, 2, 34)),
+    ("tile A north=c east=b south=b west=c\n"
+     "tile B north=b east=c south=- west=c\n"
+     "tile C north=c east=- south=a west=-\n"
+     "seed -5 2 B\n"
+     "path -4 2 B ; -3 2 A ; -3 1 B ; -2 1 A ; -2 0 B ; -1 0 B ; 0 0 B ; 0 1 A"
+     " ; -1 1 B ; -1 2 A ; -2 2 B ; -2 3 A ; -3 3 B ; -4 3 B ; -5 3 B ; -6 3 B"
+     " ; -7 3 B ; -7 4 A ; -8 4 B ; -8 5 A ; -9 5 B ; -9 6 A ; -10 6 B ; -11 6 B"
+     " ; -12 6 B ; -13 6 B ; -14 6 B ; -14 7 A ; -15 7 B ; -15 8 A ; -16 8 B"
+     " ; -17 8 B ; -18 8 B ; -19 8 B ; -20 8 B ; -21 8 B ; -22 8 B ; -23 8 B"
+     " ; -23 9 A ; -24 9 B ; -25 9 B ; -26 9 B ; -27 9 B\n",
+     Shield(0, 2, 41)),
+    ("tile A north=a east=a south=- west=b\n"
+     "tile B north=- east=a south=a west=b\n"
+     "tile C north=b east=b south=c west=c\n"
+     "tile D north=a east=c south=c west=c\n"
+     "tile E north=c east=a south=b west=a\n"
+     "seed -5 -3 D\n"
+     "seed -5 -2 A\n"
+     "path -4 -3 C ; -4 -4 E ; -4 -5 C ; -4 -6 E ; -4 -7 C ; -3 -7 A ; -3 -6 B"
+     " ; -2 -6 E ; -2 -7 C ; -1 -7 A ; 0 -7 E ; 0 -6 C ; 0 -5 E ; -1 -5 E"
+     " ; -2 -5 E ; -3 -5 A ; -3 -4 B ; -2 -4 E ; -2 -3 C ; -2 -2 E ; -3 -2 A"
+     " ; -3 -1 B ; -4 -1 C ; -5 -1 D ; -5 0 B ; -6 0 C ; -6 -1 E ; -7 -1 A"
+     " ; -8 -1 C ; -8 -2 E ; -8 -3 C ; -8 -4 E ; -8 -5 C ; -7 -5 B ; -7 -6 A"
+     " ; -8 -6 C ; -8 -7 E ; -9 -7 B ; -9 -8 D ; -10 -8 D ; -10 -9 E ; -11 -9 E"
+     " ; -12 -9 B ; -13 -9 C ; -13 -8 E ; -13 -7 C ; -12 -7 B ; -12 -8 A"
+     " ; -11 -8 E ; -11 -7 D ; -11 -6 B ; -12 -6 C ; -12 -5 E ; -13 -5 B"
+     " ; -13 -6 D ; -14 -6 D ; -15 -6 D ; -15 -5 B ; -14 -5 E ; -14 -4 D"
+     " ; -14 -3 B ; -15 -3 C ; -16 -3 D ; -17 -3 D ; -17 -2 B ; -18 -2 C"
+     " ; -18 -3 E ; -19 -3 B ; -20 -3 C\n",
+     Shield(4, 8, 67)),
+]
+
+
+@pytest.mark.parametrize("text, sh", WEST_COPY_ROUTES,
+                         ids=[f"{sh.i}-{sh.j}-{sh.k}" for _, sh in WEST_COPY_ROUTES])
+def test_route_through_west_copy_matches_exhaustive_choice(text, sh):
+    sys_, p = formats.parse_system(text)
+    ws = build_workspace(sys_, p, sh)
+    route = build_r(ws)
+    # The route graphs have 25-97 vertices, past the default budget's 40.
+    assert route == oracle.brute_right_priority(sys_, p, sh,
+                                                EnumBudget(max_graph_vertices=100))
+    assert any(u in ws.fam2 and u not in ws.fam1 for u in route)
+    assert pump_or_block(sys_, p, sh).branch == "route-conflict-west-copy"
+
+
 def test_engine_certificates_verify_on_corpus(rng):
     budget = EnumBudget(max_path_len=11, max_nodes=6000)
     kinds = set()
