@@ -20,8 +20,8 @@ the trail tag each case writes:
   while the span is short against the prefix's width, else
   ``tall-prefix(north|south,rows)``, the prefix turned on its side and
   run through this tree again; ``narrow-prefix-fallthrough``,
-  ``tall-prefix-too-flat``, ``tall-prefix-not-orientable`` and
-  ``tall-span-fallthrough`` mark a case that found nothing;
+  ``tall-prefix-too-flat`` and ``tall-span-fallthrough`` mark a case that
+  found nothing;
 - ``equal-span-pair(cols a,b)``: the westernmost repeated span pair,
   upright (``flip-vertical(down spans)``), or ``no-span-pair``.
 
@@ -530,7 +530,17 @@ def _case_narrow_prefix(viewq: GlueView, frame: Frame, span_c: Span,
 
 def _case_tall_prefix(sys: TileSystem, q: Path, frame: Frame, span_c: Span,
                       x_prime: int, trail: list[str], depth: int) -> Proposals:
-    """Tall prefix: turn it sideways and recurse on the repeated-span machinery."""
+    """Tall prefix: turn it sideways and recurse on the repeated-span machinery.
+
+    ``turn`` faces the target row east.  That row lies ``needed`` rows past
+    the seed's outermost row on the tall side, and ``needed >= 4``: every
+    tile here has ``x >= 0``, so ``x_prime >= -1``.  Tile 0 binds the seed,
+    so it lies at most one row past that outermost row, and a path moves
+    one row per step: tile ``b``, the first on the target row, is the only
+    tile of ``q.prefix(b)`` and the seed on that row or past it.  After
+    ``turn`` it is the unique easternmost, and :func:`_orient_east` returns
+    at its first quarter turn.
+    """
     tiles, seed_n = len(sys.tiles), len(sys.seed)
     needed = 2 * tiles * (x_prime + 2) + seed_n + 1
     seed_ys = [y for _, y in sys.seed.tiles]
@@ -553,9 +563,8 @@ def _case_tall_prefix(sys: TileSystem, q: Path, frame: Frame, span_c: Span,
     qq = q.prefix(b)
     orient = _orient_east(sys, qq, turn)
     if orient is None:
-        # A guard for _orient_east: tile b alone holds the row that ``turn`` faces east.
-        trail.append("tall-prefix-not-orientable")
-        return
+        raise ClaimViolation("tall-prefix-orients",
+                             "tile b is not the unique easternmost after the turn")
     yield from _spans_pipeline(*orient.move(sys, qq), orient.compose(frame), trail,
                                depth + 1)
 

@@ -199,6 +199,9 @@ def parse_certificate(text: str, sys: TileSystem,
 
     Pumping certificates reference path indices, so ``path`` is required
     for them; blocking certificates only need the system's tile names.
+    The kind line is exactly ``kind pumpable i=<int> j=<int>`` or
+    ``kind fragile``, and a pumping certificate has at most one ``vector``
+    line.
     """
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     lines = [(no, l) for no, l in enumerate(lines, start=1) if l]
@@ -209,10 +212,14 @@ def parse_certificate(text: str, sys: TileSystem,
     if words[0] != "kind" or len(words) < 2:
         raise ParseError(no, "certificate must start with a kind line")
     if words[1] == "pumpable":
-        fields = dict(w.partition("=")[::2] for w in words[2:])
+        if len(words) > 4:
+            raise ParseError(no, f"unexpected {words[4]!r} after the index pair")
         try:
-            i, j = int(fields["i"]), int(fields["j"])
-        except (KeyError, ValueError):
+            (ki, i), (kj, j) = (w.split("=", 1) for w in words[2:])
+            if (ki, kj) != ("i", "j"):
+                raise ValueError
+            i, j = int(i), int(j)
+        except ValueError:
             raise ParseError(no, "pumpable line needs i=<int> j=<int>")
         if path is None:
             raise ParseError(no, "pumping certificate needs the path")
@@ -220,14 +227,18 @@ def parse_certificate(text: str, sys: TileSystem,
             spec = PumpingSpec(path, i, j)
         except ValueError as e:
             raise ParseError(no, str(e))
-        for no2, l in lines[1:]:
+        for n, (no2, l) in enumerate(lines[1:]):
             words = l.split()
             if words[0] != "vector" or len(words) != 3:
                 raise ParseError(no2, f"unexpected line {l!r}")
+            if n:
+                raise ParseError(no2, "two vector lines")
             if _ints(no2, words[1:], "vector components") != spec.vector:
                 raise ParseError(no2, "vector does not match the index pair")
         return spec
     if words[1] == "fragile":
+        if len(words) > 2:
+            raise ParseError(no, f"unexpected {words[2]!r} after kind fragile")
         attachments = []
         conflict = None
         for no2, l in lines[1:]:

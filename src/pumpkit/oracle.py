@@ -342,15 +342,18 @@ def brute_right_priority(sys: TileSystem, p: Path, sh: tuple[int, int, int],
     return tuple(best[1:])
 
 
-# -- seeded corpus generator -------------------------------------------------------
+# -- seeded generators -------------------------------------------------------------
 
 
 def random_system(rng: random.Random, max_tiles: int = 3, max_seed: int = 2,
                   alphabet: str = "abcd", null_bias: float = 0.45) -> TileSystem:
-    """One seeded-random system for the differential corpus.
+    """One seeded-random system: up to ``max_tiles`` types and ``max_seed`` seed tiles.
 
-    Tile count, glue labels, and seed layout all come from ``rng``; the
-    parameters are part of every test artifact so runs are reproducible.
+    Tile count, glue labels and seed layout all come from ``rng``.  Each
+    glue is null with probability ``null_bias``, else a letter of
+    ``alphabet``.  The seed is a connected set grown from ``(0, 0)``.
+    Criterion 9's corpus enumerates its paths; :func:`random_walk` draws
+    long ones.
     """
     n = rng.randint(1, max_tiles)
     tiles = []
@@ -368,3 +371,36 @@ def random_system(rng: random.Random, max_tiles: int = 3, max_seed: int = 2,
             seed_positions.append(q)
     seed = Assembly({pos: rng.choice(tiles) for pos in seed_positions})
     return TileSystem(tiles, seed)
+
+
+def random_walk(rng: random.Random, sys: TileSystem, length: int) -> Path:
+    """A seeded random producible path of at most ``length`` tiles.
+
+    The walk starts at a seed tile drawn by ``rng``.  Each step draws
+    uniformly among the free ``(position, type)`` moves whose type binds
+    the current tile, so every tile binds its predecessor and the first
+    binds the seed.  The walk stops at ``length`` tiles or where no move is
+    left, so it may come out shorter, or empty.
+    """
+    seed = sys.seed.tiles
+    # For each type, each step with the types that bind it there, in order.
+    binders = {u: [(step, [t for t in sys.tiles if u.interacts(t, step)])
+                   for step in sorted(tam.STEP.values())]
+               for u in {*sys.tiles, *seed.values()}}
+    taken = set(seed)
+    here = rng.choice(sorted(seed))
+    last = seed[here]
+    positions, types = [], []
+    while len(positions) < length:
+        moves = []
+        for (dx, dy), bound in binders[last]:
+            q = (here[0] + dx, here[1] + dy)
+            if bound and q not in taken:
+                moves += [(q, t) for t in bound]
+        if not moves:
+            break
+        here, last = rng.choice(moves)
+        taken.add(here)
+        positions.append(here)
+        types.append(last)
+    return Path._of(tuple(positions), tuple(types))

@@ -14,10 +14,13 @@ import pytest
 
 from pumpkit import Assembly, Path, TileSystem, TileType, oracle, shield, tam
 from pumpkit.budgets import EnumBudget
+from pumpkit.driver import ROT90
+from pumpkit.errors import NotEasternmost
 from pumpkit.formats import parse_system
 from pumpkit.geometry import PolyCurve
 from pumpkit.shield import Shield
 from pumpkit.svgout import render_svg
+from pumpkit.visibility import GlueView, check_glue_east, check_glue_side
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,6 +48,29 @@ def system_of(tile_specs, seed_cells):
 
 def path_of(sys_, *steps):
     return Path([((x, y), sys_.by_name[name]) for x, y, name in steps])
+
+
+def check_orderings(sys_, p):
+    """Run both glue-order checkers on ``p`` in each of its four quarter turns.
+
+    ``check_glue_east`` runs where the last glue is horizontal and visible
+    from the north, ``check_glue_side`` where the last tile is easternmost;
+    each must find nothing.  Returns how many times each ran.
+    """
+    east = side = 0
+    for _ in range(4):
+        view = GlueView(sys_, p)
+        last = view.glues[-1]
+        if last.horizontal and view.visible(last.index, "north"):
+            assert check_glue_east(sys_, p) is None
+            east += 1
+        try:
+            assert check_glue_side(sys_, p) is None
+            side += 1
+        except NotEasternmost:
+            pass
+        sys_, p = ROT90.apply(sys_), ROT90.apply(p)
+    return east, side
 
 
 def count_entries_reads(monkeypatch):
@@ -286,66 +312,53 @@ HAND_MADE = [
 ]
 
 
-def _producible_walks(rng, count):
-    """Seeded random producible walks of 40-150 tiles.
+def _short_walks(rng, count, length=9):
+    """Seeded random producible walks of 1 to ``length`` tiles, one per random system.
 
-    Each step goes to a free neighbour with a tile type whose facing glue
-    matches the current tile's, so every tile binds to its predecessor;
-    the first binds to a seed tile.  Walks that stall early are dropped.
+    The length is drawn first; walks that stall at once are dropped.
     """
+    made = 0
+    while made < count:
+        sys_ = oracle.random_system(rng)
+        p = oracle.random_walk(rng, sys_, rng.randint(1, length))
+        if len(p):
+            made += 1
+            yield sys_, p
+
+
+def _producible_walks(rng, count):
+    """Seeded random producible walks of 40-150 tiles; walks that stall early are dropped."""
     made = 0
     while made < count:
         sys_ = oracle.random_system(rng, max_tiles=4, max_seed=3, alphabet="ab",
                                     null_bias=0.2)
-        taken = set(sys_.seed.tiles)
-        here = rng.choice(sorted(taken))
-        tile = sys_.seed.tiles[here]
-        entries = []
-        for _ in range(rng.randint(40, 150)):
-            moves = []
-            for side, (dx, dy) in tam.STEP.items():
-                q = (here[0] + dx, here[1] + dy)
-                glue = tile.glue(side)
-                if q in taken or glue is None:
-                    continue
-                back = tam.SIDE_OF_STEP[(-dx, -dy)]
-                moves.extend((q, t) for t in sys_.tiles if t.glue(back) == glue)
-            if not moves:
-                break
-            here, tile = rng.choice(moves)
-            taken.add(here)
-            entries.append((here, tile))
-        p = Path(entries)
-        if len(p) < 40 or not tam.validate_producible_path(sys_, p):
+        p = oracle.random_walk(rng, sys_, rng.randint(40, 150))
+        if len(p) < 40:
             continue
+        assert tam.validate_producible_path(sys_, p)
         made += 1
         yield sys_, p
+
+
+ANY_SIDE = TileType("W", "w", "w", "w", "w")
 
 
 def _long_walks(rng, count):
     """Random self-avoiding walks of 40-150 tiles beside a small random seed.
 
-    Tile types are drawn per tile, so glue labels vary; visibility and
-    spans do not depend on the path binding.
+    The walk is drawn on one type that binds on every side, then each tile
+    gets a type of the drawn system, so glue labels vary and the path need
+    not bind; visibility and spans do not depend on the path binding.
     """
     made = 0
     while made < count:
         sys_ = oracle.random_system(rng, max_tiles=4, max_seed=3)
-        taken = set(sys_.seed.tiles)
-        x, y = rng.choice(sorted(taken))
-        cells = []
-        for _ in range(rng.randint(40, 150)):
-            free = [(x + dx, y + dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-                    if (x + dx, y + dy) not in taken]
-            if not free:
-                break
-            x, y = rng.choice(free)
-            taken.add((x, y))
-            cells.append((x, y))
-        if len(cells) < 40:
+        free = TileSystem([ANY_SIDE], Assembly(dict.fromkeys(sys_.seed.tiles, ANY_SIDE)))
+        walk = oracle.random_walk(rng, free, rng.randint(40, 150))
+        if len(walk) < 40:
             continue
         made += 1
-        yield sys_, Path([(c, rng.choice(sys_.tiles)) for c in cells])
+        yield sys_, Path([(pos, rng.choice(sys_.tiles)) for pos in walk.positions])
 
 
 # -- tower fixtures ----------------------------------------------------------------
@@ -366,33 +379,29 @@ def _climb(runs):
     return cells
 
 
+def tower_path(runs):
+    """The tower system and its path along ``_climb(runs)``."""
+    sys_, _ = parse_system(TOWER_TEXT)
+    return sys_, Path([(c, sys_.by_name["A"]) for c in _climb(runs)])
+
+
 def _tower_walks(rng, count):
-    """Seeded self-avoiding tower walks from (1, 0), cut at their first easternmost tile.
+    """Seeded tower walks from the seed, cut at their first easternmost tile.
 
     The tower has one tile type with the same glue on every side, so every
-    self-avoiding walk that misses the seed is producible.  The walk moves
-    in straight runs of 1-12 tiles, which folds it over itself into many
-    down spans; the cut makes its last tile the unique easternmost.
+    self-avoiding walk that misses the seed is producible; the cut makes
+    its last tile the unique easternmost.
     """
     sys_, _ = parse_system(TOWER_TEXT)
-    tile = sys_.by_name["A"]
     made = 0
     while made < count:
-        cells, taken = [(1, 0)], {(0, 0), (1, 0)}
-        for _ in range(rng.randint(5, 30)):
-            dx, dy = rng.choice(sorted(tam.STEP.values()))
-            for _ in range(rng.randint(1, 12)):
-                q = (cells[-1][0] + dx, cells[-1][1] + dy)
-                if q in taken:
-                    break
-                taken.add(q)
-                cells.append(q)
-        east = max(x for x, _ in cells)
-        cut = next(s for s, (x, _) in enumerate(cells) if x == east)
+        p = oracle.random_walk(rng, sys_, 150)
+        east = max(x for x, _ in p.positions)
+        cut = next(s for s, (x, _) in enumerate(p.positions) if x == east)
         if cut < 2:
             continue
         made += 1
-        yield sys_, Path([(c, tile) for c in cells[:cut + 1]])
+        yield sys_, p.prefix(cut)
 
 
 # Tower paths (one tile type, from (1, 0)) through the tall-span case, with

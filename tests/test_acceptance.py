@@ -12,7 +12,7 @@ import hashlib
 import os
 import random
 import time
-from itertools import chain
+from itertools import chain, islice
 
 from pumpkit import (
     PumpingSpec,
@@ -27,17 +27,16 @@ from pumpkit import (
 )
 from pumpkit import oracle, tam
 from pumpkit.budgets import EnumBudget
-from pumpkit.driver import ROT90
-from pumpkit.errors import ClaimViolation, NotEasternmost
+from pumpkit.errors import ClaimViolation
 from pumpkit.formats import emit_certificate, parse_certificate, parse_system, print_system
 from pumpkit.geometry import Side
 from pumpkit.oracle import FloodFill
 from pumpkit.shield import Shield, build_workspace
-from pumpkit.visibility import GlueView, check_glue_east, check_glue_side
 
 from conftest import (CORPUS_BUDGET, CORPUS_MAX_SEED, CORPUS_MAX_TILES, CORPUS_SEED,
-                      CORPUS_SYSTEMS, GOLDEN_DIR, _corpus, _golden_cases, corpus_paths,
-                      corpus_rng, corpus_shields, path_of, random_curve, system_of)
+                      CORPUS_SYSTEMS, GOLDEN_DIR, _corpus, _golden_cases, check_orderings,
+                      corpus_paths, corpus_rng, corpus_shields, path_of, random_curve,
+                      system_of)
 
 DIFFERENTIAL_SYSTEMS = 500  # criterion 4's corpus: criterion 9's, then 300 more
 
@@ -159,50 +158,23 @@ def test_criterion_5_lemma_property_suites():
     done = _timed(120.0)
     rng = random.Random(CORPUS_SEED + 1)
     budget = EnumBudget(max_path_len=10, max_nodes=10 ** 6)
-    east_checked = side_checked = 0
-    for sys_, paths in _corpus(150, rng, budget, cap=400):
-        for p in paths:
-            if len(p) < 2:
-                continue
-            csys, cpath = sys_, p
-            for _ in range(4):
-                view = GlueView(csys, cpath)
-                lg = view.glues[-1]
-                if lg.horizontal and view.visible(lg.index, "north"):
-                    assert check_glue_east(csys, cpath) is None
-                    east_checked += 1
-                try:
-                    assert check_glue_side(csys, cpath) is None
-                    side_checked += 1
-                except NotEasternmost:
-                    pass
-                csys, cpath = ROT90.apply(csys), ROT90.apply(cpath)
+    checked = [check_orderings(sys_, p) for sys_, paths in _corpus(150, rng, budget, cap=400)
+               for p in paths if len(p) > 1]
+    east_checked, side_checked = map(sum, zip(*checked))
     assert east_checked > 500 and side_checked > 500
 
     # Shift identity to depth 200 on corpus-drawn pumping specs.
     rng2 = random.Random(CORPUS_SEED + 2)
+    specs = (PumpingSpec(p, i, j) for _, paths in _corpus(40, rng2, budget, cap=200)
+             for p in paths[:20] for i in range(len(p) - 1) for j in range(i + 1, len(p)))
     specs_checked = 0
-    for sys_, paths in _corpus(40, rng2, budget, cap=200):
-        for p in paths[: 20]:
-            if len(p) < 2:
-                continue
-            for i in range(len(p) - 1):
-                for j in range(i + 1, len(p)):
-                    spec = PumpingSpec(p, i, j)
-                    v = spec.vector
-                    for k in range(i, i + 201):
-                        (x, y), _ = pumping_term(spec, k)
-                        (x2, y2), _ = pumping_term(spec, k + (j - i))
-                        assert (x2, y2) == (x + v[0], y + v[1])
-                    specs_checked += 1
-                    if specs_checked >= 300:
-                        break
-                if specs_checked >= 300:
-                    break
-            if specs_checked >= 300:
-                break
-        if specs_checked >= 300:
-            break
+    for spec in islice(specs, 300):
+        i, j, v = spec.i, spec.j, spec.vector
+        for k in range(i, i + 201):
+            (x, y), _ = pumping_term(spec, k)
+            (x2, y2), _ = pumping_term(spec, k + (j - i))
+            assert (x2, y2) == (x + v[0], y + v[1])
+        specs_checked += 1
     assert specs_checked >= 300
 
     # Translate disjointness: 1000 random triples with the premise true.

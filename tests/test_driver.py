@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -31,8 +32,8 @@ from pumpkit.formats import emit_certificate, parse_system, print_system
 from pumpkit.tam import SIDE_OF_STEP, STEP, FragilityCert, TileType, validate_producible_path
 from pumpkit.visibility import GlueView, Span, spans
 
-from conftest import (TALL_BRANCH_CASES, TOWER_TEXT, _climb, _producible_walks,
-                      count_entries_reads, path_of, system_of)
+from conftest import (TALL_BRANCH_CASES, TOWER_TEXT, _climb, _producible_walks, _short_walks,
+                      count_entries_reads, path_of, system_of, tower_path)
 
 
 def test_bound_values():
@@ -182,17 +183,8 @@ def test_frame_inverse_and_compose(m1, m2, d1, d2, q):
         assert f.apply(t).glue(SIDE_OF_STEP[Frame(f.m).apply(step)]) == t.glue(side)
 
 
-def _random_paths(rng, n):
-    budget = EnumBudget(max_path_len=9, max_nodes=300)
-    out = []
-    while len(out) < n:
-        sys_ = oracle.random_system(rng)
-        out.extend(oracle.PathEnumeration(sys_, budget, max_paths=4))
-    return out
-
-
 def test_frame_moves_paths_and_certificates_entrywise(rng):
-    paths = _random_paths(rng, 40)
+    paths = [p for _, p in _short_walks(rng, 40)]
     for m in D4:
         for _ in range(3):
             f = Frame.translation((rng.randint(-40, 40), rng.randint(-40, 40))).compose(m)
@@ -206,11 +198,7 @@ def test_frame_moves_paths_and_certificates_entrywise(rng):
 
 
 def test_frame_move_reuses_the_moved_system_types(rng):
-    budget = EnumBudget(max_path_len=9, max_nodes=300)
-    instances = []
-    while len(instances) < 40:
-        sys_ = oracle.random_system(rng)
-        instances.extend((sys_, p) for p in oracle.PathEnumeration(sys_, budget, max_paths=4))
+    instances = list(_short_walks(rng, 40))
     # A path type that only shares its name with a system type moves on its own.
     sys_, p = instances[0]
     odd = TileType(p.type(0).name, "x", "x", "x", "x")
@@ -245,23 +233,18 @@ def test_frame_moves_same_named_types_apart():
 
 
 def test_canonicalize_random_corpus(rng):
-    budget = EnumBudget(max_path_len=9, max_nodes=300)
     checked = 0
-    while checked < 120:
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=60):
-            if len(p) < 4:
-                continue
-            try:
-                canon = canonicalize(sys_, p, bound_override=3)
-            except TooShort:
-                continue
-            assert validate_producible_path(canon.sys, canon.path).ok
-            xs = [x for x, _ in canon.path.positions] + \
-                 [x for x, _ in canon.sys.seed.tiles]
-            last_x = canon.path.pos(len(canon.path) - 1)[0]
-            assert xs.count(last_x) == 1 and last_x == max(xs)
-            checked += 1
+    for sys_, p in _short_walks(rng, 600):
+        try:
+            canon = canonicalize(sys_, p, bound_override=3)
+        except TooShort:
+            continue
+        assert validate_producible_path(canon.sys, canon.path).ok
+        xs = [x for x, _ in canon.path.positions] + [x for x, _ in canon.sys.seed.tiles]
+        last_x = canon.path.pos(len(canon.path) - 1)[0]
+        assert xs.count(last_x) == 1 and last_x == max(xs)
+        checked += 1
+    assert checked >= 120
 
 
 def test_analyze_unit(unit, unit_path):
@@ -335,31 +318,47 @@ def test_analyze_resumes_after_a_rejected_proposal(staircase, monkeypatch):
 def test_analyze_corpus_certificates(rng):
     budget = EnumBudget(max_path_len=10, max_nodes=4000)
     kinds = {"pumpable": 0, "fragile": 0, "no_shield": 0}
-    for _ in range(80):
-        sys_ = oracle.random_system(rng)
-        enum = oracle.PathEnumeration(sys_, budget, max_paths=200)
-        paths = list(enum)
-        if enum.truncated:
-            continue
-        for p in paths:
-            if len(p) < 3:
-                continue
-            res = analyze(sys_, p, bound_override=2, budget=budget)
+    for sys_, p in _short_walks(rng, 300, 10):
+        res = analyze(sys_, p, bound_override=2, budget=budget)
+        kinds[res.kind] += 1
+        if res.kind == "pumpable":
+            assert verify_pumpable_cert(sys_, res.pumpable).ok
+        elif res.kind == "fragile":
+            assert verify_fragile_cert(sys_, p, res.fragile).ok
+    assert kinds["pumpable"] > 90
+
+
+SAMPLED_WALKS_SECONDS = 15.0  # about 4 s on a 2-core machine
+
+
+def test_analyze_decides_or_gives_up_on_sampled_walks():
+    # On seeded producible walks of 40-150 tiles over 1-4 tile types, with
+    # no override and with one in 2..30, analyze returns no_shield or a
+    # certificate on the given path that the verifiers accept, and raises
+    # nothing.
+    start = time.perf_counter()
+    rng = random.Random(53)
+    kinds = Counter()
+    for sys_, p in _producible_walks(rng, 3000):
+        for override in (None, rng.randint(2, 30)):
+            res = analyze(sys_, p, bound_override=override)
             kinds[res.kind] += 1
             if res.kind == "pumpable":
-                assert verify_pumpable_cert(sys_, res.pumpable).ok
+                assert res.pumpable.path == p and verify_pumpable_cert(sys_, res.pumpable).ok
             elif res.kind == "fragile":
                 assert verify_fragile_cert(sys_, p, res.fragile).ok
-    assert kinds["pumpable"] > 90
+            else:
+                assert res.kind == "no_shield"
+    assert kinds["pumpable"] > 3000 and kinds["fragile"] > 200 and kinds["no_shield"] > 1000
+    assert time.perf_counter() - start < SAMPLED_WALKS_SECONDS
 
 
 TWIN_TOWER_TEXT = TOWER_TEXT + "tile B north=a east=a south=a west=a\n"
 
 
 def test_analyze_reaches_tall_branches():
-    sys_, _ = parse_system(TOWER_TEXT)
     for runs, override, tags in TALL_BRANCH_CASES:
-        p = Path([(c, sys_.by_name["A"]) for c in _climb(runs)])
+        sys_, p = tower_path(runs)
         res = analyze(sys_, p, bound_override=override)
         assert [t for t in res.trail if t in tags] == tags, (runs, res.trail)
         assert ("flip-vertical(down span)" in res.trail) == ("flip-vertical(down span)" in tags)
@@ -387,8 +386,7 @@ def test_analyze_past_the_true_bound_fails_loudly(tmp_path, capsys):
     # (0, 1) pumps, yet the tree ends at no-span-pair.  Past the true bound
     # analyze raises where an override gives no_shield, and the CLI exits 4.
     # Once the tree decides this path, assert a verified certificate instead.
-    sys_, _ = parse_system(TOWER_TEXT)
-    p = Path([(c, sys_.by_name["A"]) for c in _climb("E10239 N1 E1 S1 E1")])
+    sys_, p = tower_path("E10239 N1 E1 S1 E1")
     assert len(p) == 10244 and verify_pumpable_cert(sys_, PumpingSpec(p, 0, 1)).ok
     with pytest.raises(ClaimViolation, match="^bound-decides: "):
         analyze(sys_, p)
@@ -536,12 +534,11 @@ def test_analyze_moves_only_a_blocking_certificate_back(request, monkeypatch):
 
     monkeypatch.setattr(Frame, "apply", counting_apply)
     monkeypatch.setattr(engine, "pump_or_block", counting_decide)
-    towers, twins = parse_system(TOWER_TEXT)[0], parse_system(TWIN_TOWER_TEXT)[0]
+    twins = parse_system(TWIN_TOWER_TEXT)[0]
     instances = [(*request.getfixturevalue(name), override) for name, override in
                  [("analyze_fragile", 2), ("bank_flip", None), ("down_spans", None)]]
     instances += [(*parse_system(text), override) for text, override, *_ in DOWN_SPAN_WALKS]
-    instances += [(towers, Path([(c, towers.by_name["A"]) for c in _climb(runs)]), override)
-                  for runs, override, _ in TALL_BRANCH_CASES]
+    instances += [(*tower_path(runs), override) for runs, override, _ in TALL_BRANCH_CASES]
     cells = _climb("S2 E1 N175 W1 N10 E5")
     instances.append((twins, Path([(c, twins.by_name["B" if n == 2 else "A"])
                                    for n, c in enumerate(cells)]), None))
@@ -701,10 +698,8 @@ def test_analyze_builds_glue_records_on_request_on_walks(monkeypatch):
     kinds = Counter()
     for sys_, p in _producible_walks(random.Random(31), 200):
         kinds[analyze(sys_, p, bound_override=2).kind] += 1
-    sys_, _ = parse_system(TOWER_TEXT)
     for runs, override, _ in TALL_BRANCH_CASES:
-        p = Path([(c, sys_.by_name["A"]) for c in _climb(runs)])
-        kinds[analyze(sys_, p, bound_override=override).kind] += 1
+        kinds[analyze(*tower_path(runs), bound_override=override).kind] += 1
     assert counts["lists"] == counts["stray"] == 0 and reads == []
     assert counts["engine"] <= ENGINE_GLUE_RECORDS
     assert counts["checks"] > 100 and counts["driver"] > 10
@@ -714,29 +709,25 @@ def test_analyze_builds_glue_records_on_request_on_walks(monkeypatch):
 def test_view_spans_match_fresh_spans(rng):
     # Spans read off a shared view's column records equal fresh spans, and
     # the view's precondition fails exactly where fresh spans fail.
-    budget = EnumBudget(max_path_len=9, max_nodes=400)
     checked = 0
-    while checked < 200:
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=60):
-            if len(p) < 2:
-                continue
-            view = GlueView(sys_, p)
-            try:
-                want = spans(sys_, p)
-            except NotCanonical:
-                with pytest.raises(NotCanonical):
-                    view.check_spans_defined()
-                with pytest.raises(NotCanonical):
-                    spans(sys_, p, view)
-                continue
-            view.check_spans_defined()
-            records = view.column_spans()
-            assert list(records) == sorted(records)
-            assert [Span.of(col, rec) for col, rec in records.items()] == want
-            assert spans(sys_, p, view) == want
-            assert view.column_spans() == records
-            checked += 1
+    for sys_, p in _short_walks(rng, 1500):
+        view = GlueView(sys_, p)
+        try:
+            want = spans(sys_, p)
+        except NotCanonical:
+            with pytest.raises(NotCanonical):
+                view.check_spans_defined()
+            with pytest.raises(NotCanonical):
+                spans(sys_, p, view)
+            continue
+        view.check_spans_defined()
+        records = view.column_spans()
+        assert list(records) == sorted(records)
+        assert [Span.of(col, rec) for col, rec in records.items()] == want
+        assert spans(sys_, p, view) == want
+        assert view.column_spans() == records
+        checked += 1
+    assert checked >= 200
 
 
 def test_view_spans_not_canonical():
@@ -783,21 +774,10 @@ def test_reduce_tiebreak_reports():
 
 def test_reduce_random_snakes(rng):
     # Random glue-matched snakes re-seed and validate.
-    sys_ = system_of([("T", "t", "t", "t", "t")], {(99, 99): "T"})
+    sys_ = system_of([("T", "t", "t", "t", "t")], {(0, 0): "T"})
     T = sys_.by_name["T"]
     for _ in range(100):
-        walk = [(0, 0)]
-        seen = {(0, 0)}
-        for _ in range(rng.randrange(2, 12)):
-            x, y = walk[-1]
-            nxt = rng.choice([(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)])
-            if nxt in seen:
-                break
-            walk.append(nxt)
-            seen.add(nxt)
-        if len(walk) < 3:
-            continue
-        red = reduce_2ham([T], Path([(pos, T) for pos in walk]))
+        red = reduce_2ham([T], oracle.random_walk(rng, sys_, rng.randrange(3, 13)))
         assert validate_producible_path(red.sys, red.path).ok
 
 

@@ -21,7 +21,8 @@ from pumpkit.formats import (
 from pumpkit.shield import Shield
 from pumpkit.svgout import render_svg
 
-from conftest import GOLDEN_DIR, _golden_cases, corpus_paths, path_of, src_env, system_of
+from conftest import (GOLDEN_DIR, _golden_cases, _short_walks, corpus_paths, path_of, src_env,
+                      system_of)
 
 UNIT_TEXT = """\
 tile A north=- east=g south=- west=g
@@ -260,9 +261,7 @@ def test_path_line_errors_match_reference(rng):
 def test_roundtrip_random_systems(rng):
     for _ in range(50):
         sys_ = oracle.random_system(rng)
-        budget = EnumBudget(max_path_len=6, max_nodes=100)
-        paths = list(oracle.PathEnumeration(sys_, budget, max_paths=5))
-        path = paths[-1] if paths else None
+        path = oracle.random_walk(rng, sys_, rng.randint(1, 6)) or None
         text = print_system(sys_, path)
         sys2, path2 = parse_system(text)
         assert sys2.tiles == sys_.tiles and sys2.seed.tiles == sys_.seed.tiles
@@ -292,27 +291,21 @@ def test_fragile_cert_roundtrip(blocker):
 def test_cert_roundtrip_corpus(rng):
     budget = EnumBudget(max_path_len=9, max_nodes=1500)
     n = 0
-    for _ in range(250):
-        sys_ = oracle.random_system(rng)
-        enum = oracle.PathEnumeration(sys_, budget, max_paths=400)
-        paths = list(enum)
-        if enum.truncated:
+    for sys_, p in _short_walks(rng, 1700, 9):
+        shields = enumerate_shields(sys_, p)
+        if not shields:
             continue
-        for p in paths:
-            shields = enumerate_shields(sys_, p)
-            if not shields:
-                continue
-            out = pump_or_block(sys_, p, shields[0], budget)
-            text = emit_certificate(out)
-            back = parse_certificate(text, sys_, p)
-            if out.kind == "pumpable":
-                assert back == out.pumpable
-                assert verify_pumpable_cert(sys_, back).ok
-            else:
-                assert back == out.fragile
-                assert verify_fragile_cert(sys_, p, back).ok
-            assert emit_certificate(back) == text
-            n += 1
+        out = pump_or_block(sys_, p, shields[0], budget)
+        text = emit_certificate(out)
+        back = parse_certificate(text, sys_, p)
+        if out.kind == "pumpable":
+            assert back == out.pumpable
+            assert verify_pumpable_cert(sys_, back).ok
+        else:
+            assert back == out.fragile
+            assert verify_fragile_cert(sys_, p, back).ok
+        assert emit_certificate(back) == text
+        n += 1
     assert n > 60
 
 
@@ -690,6 +683,15 @@ MALFORMED = [
     (UNIT_TEXT, "kind fragile\nattach 1 0 A\n", 1,
      "fragile certificate has no conflict line"),
     (UNIT_TEXT, "kind maybe\n", 1, "unknown certificate kind 'maybe'"),
+    # The kind line is exactly `kind pumpable i=<int> j=<int>` or `kind
+    # fragile`: keys repeated or out of order, or a word after them, are errors.
+    (UNIT_TEXT, "kind pumpable i=5 j=1 i=0\n", 1, "unexpected 'i=0' after the index pair"),
+    (UNIT_TEXT, "kind pumpable i=0 j=1 bogus\n", 1,
+     "unexpected 'bogus' after the index pair"),
+    (UNIT_TEXT, "kind pumpable j=1 i=0\n", 1, "pumpable line needs i=<int> j=<int>"),
+    (UNIT_TEXT, "kind fragile nonsense\nconflict 1 0\n", 1,
+     "unexpected 'nonsense' after kind fragile"),
+    (UNIT_TEXT, "kind pumpable i=0 j=1\nvector 1 0\nvector 1 0\n", 3, "two vector lines"),
 ]
 
 

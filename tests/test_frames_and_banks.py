@@ -29,11 +29,10 @@ from pumpkit import driver, tam
 from pumpkit.driver import FLIP_V, IDENTITY, Frame, canonicalize
 from pumpkit.errors import ClaimViolation, NotCanonical, TooShort
 from pumpkit.formats import parse_system
-from pumpkit.tam import Path
 from pumpkit.visibility import POINTING, GlueRef, GlueView, Span, spans
 
-from conftest import (TALL_BRANCH_CASES, TOWER_TEXT, _climb, _producible_walks, _tower_walks,
-                      corpus_paths, path_of, system_of)
+from conftest import (TALL_BRANCH_CASES, _producible_walks, _tower_walks, corpus_paths, path_of,
+                      system_of, tower_path)
 
 REFERENCE_SECONDS = 5.0  # per test; each takes well under 2 s on a 2-core machine
 
@@ -299,11 +298,9 @@ def test_flipped_span_matches_rebuilt_flip_view():
     # Every span of the mirrored frame is the span on the same column with
     # its two glues swapped; on a down span that is ``driver._flipped``.
     within = _timed()
-    sys_, _ = parse_system(TOWER_TEXT)
-    fixtures = [(sys_, Path([(c, sys_.by_name["A"]) for c in _climb(runs)]))
-                for runs, _, _ in TALL_BRANCH_CASES]
+    fixtures = [tower_path(runs) for runs, _, _ in TALL_BRANCH_CASES]
     n_spans = n_flips = 0
-    for sys_, p in chain(corpus_paths(), fixtures, _tower_walks(random.Random(31), 1000)):
+    for sys_, p in chain(corpus_paths(), fixtures, _tower_walks(random.Random(31), 2500)):
         try:
             found = spans(sys_, p)
         except NotCanonical:
@@ -351,9 +348,7 @@ def test_ledger_matches_all_spans_reference():
     # each path as given and, where it orients, in its east-facing frame,
     # where the driver builds its ledgers.
     within = _timed()
-    sys_, _ = parse_system(TOWER_TEXT)
-    fixtures = [(sys_, Path([(c, sys_.by_name["A"]) for c in _climb(runs)]))
-                for runs, _, _ in TALL_BRANCH_CASES]
+    fixtures = [tower_path(runs) for runs, _, _ in TALL_BRANCH_CASES]
     fixtures.append(parse_system(MIXED_SPAN_TEXT))
     n_ledgers = n_unavailable = n_pairs = n_stretch = 0
     for sys_, p in chain(corpus_paths(), fixtures,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pumpkit import oracle, shield
+from pumpkit import shield
 from pumpkit.budgets import EnumBudget
 from pumpkit.errors import (
     NonSimpleCurve,
@@ -29,7 +29,7 @@ from pumpkit.geometry import (
 )
 from pumpkit.oracle import FloodFill, doubled
 
-from conftest import HAND_MADE, _recorded, random_curve
+from conftest import HAND_MADE, _recorded, _short_walks, random_curve
 
 
 def vertical_line(x=1):
@@ -204,20 +204,14 @@ def test_table_parity_matches_walk_scaled():
 
 
 def test_table_parity_matches_walk_on_engine_curves(monkeypatch):
-    # The curves pump_or_block cuts regions with, captured on corpus paths.
+    # The curves pump_or_block cuts regions with, captured on short sampled walks.
     captured = []
     monkeypatch.setattr(shield, "SideCache", _recorded(shield.SideCache, captured))
-    rng = random.Random(29)
     budget = EnumBudget(max_path_len=10, max_nodes=600)
-    decided = 0
-    while decided < 25:
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=40):
-            late = [s for s in shield.enumerate_shields(sys_, p) if s.j < s.k]
-            if late:
-                shield.pump_or_block(sys_, p, late[0], budget)
-                decided += 1
-                break
+    for sys_, p in _short_walks(random.Random(29), 400, 10):
+        late = [s for s in shield.enumerate_shields(sys_, p) if s.j < s.k]
+        if late:
+            shield.pump_or_block(sys_, p, late[0], budget)
     assert len(captured) >= 25
     for curve in {cache.curve for _, cache in captured}:
         assert_parity_matches_walk(curve)

@@ -28,8 +28,8 @@ PACKAGE = os.path.join(REPO, "src", "pumpkit")
 TESTS = os.path.join(REPO, "tests")
 
 
-def _package_imports(module):
-    """Names of the package modules that ``module`` imports."""
+def _imports(module):
+    """Dotted names that ``module`` imports, its relative imports under ``pumpkit``."""
     with open(os.path.join(PACKAGE, f"{module}.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     dotted = []
@@ -42,7 +42,12 @@ def _package_imports(module):
                 dotted.append(f"pumpkit.{node.module}")
             else:  # from . import a, b  /  from pumpkit import a, b
                 dotted += [f"{base}.{a.name}" for a in node.names]
-    return {name.split(".")[1] for name in dotted if name.startswith("pumpkit.")}
+    return dotted
+
+
+def _package_imports(module):
+    """Names of the package modules that ``module`` imports."""
+    return {name.split(".")[1] for name in _imports(module) if name.startswith("pumpkit.")}
 
 
 def test_every_module_is_layered():
@@ -55,6 +60,8 @@ def test_modules_import_only_lower_layers():
     for rank, module in enumerate(LAYERS):
         upward = _package_imports(module) - set(LAYERS[:rank])
         assert not upward, f"{module} imports {sorted(upward)} from its own layer or above"
+        # The sampler and the references stand apart from the benchmark's generators.
+        assert not [n for n in _imports(module) if n.split(".")[0] == "perfbench"], module
 
 
 def test_tam_imports_only_errors():

@@ -1,5 +1,9 @@
 """The brute-force layer itself: enumeration counts, searches, flood fill."""
 
+import random
+import subprocess
+import sys
+
 import pytest
 
 from pumpkit import Path, PolyCurve, Side, classify_side, oracle, validate_producible_path
@@ -8,7 +12,7 @@ from pumpkit.errors import BadSystem, WindowTooSmall
 from pumpkit.oracle import FloodFill
 from pumpkit.shield import Shield, enumerate_shields
 
-from conftest import _climb, path_of, random_curve, system_of
+from conftest import _climb, path_of, random_curve, src_env, system_of
 
 
 def test_enumerate_unit(unit):
@@ -153,3 +157,38 @@ def test_brute_right_priority_budget():
     sh = max(shields, key=lambda s: 2 * s.k - s.i - s.j)
     with pytest.raises(WindowTooSmall):
         oracle.brute_right_priority(sys_, p, sh, EnumBudget(max_graph_vertices=10))
+
+
+# The first 200 walks of seed 2026 on the producible-walk systems, hashed
+# by position and type name.  Every sampled test input rests on these.
+WALK_DIGEST_CODE = """\
+import hashlib, random
+from pumpkit import oracle
+rng, digest = random.Random(2026), hashlib.sha256()
+for _ in range(200):
+    sys_ = oracle.random_system(rng, max_tiles=4, max_seed=3, alphabet="ab", null_bias=0.2)
+    p = oracle.random_walk(rng, sys_, rng.randint(40, 150))
+    digest.update(repr((p.positions, [t.name for t in p.types])).encode())
+print(digest.hexdigest())
+"""
+WALK_DIGEST = "5e392289e33bd390fa572c2603bd4bac910f218f1488d7a42a4df99a1c18b422"
+
+
+def test_random_walk_is_pinned(capsys):
+    # In this process and in two fresh ones with other string hash seeds.
+    exec(WALK_DIGEST_CODE, {})
+    outs = [capsys.readouterr().out]
+    for hash_seed in ("0", "12345"):
+        env = dict(src_env(), PYTHONHASHSEED=hash_seed)
+        outs.append(subprocess.run([sys.executable, "-c", WALK_DIGEST_CODE], env=env,
+                                   capture_output=True, text=True, timeout=60).stdout)
+    assert outs == [WALK_DIGEST + "\n"] * 3
+
+
+def test_random_walk_stops_at_its_length_or_a_dead_end(unit):
+    # The unit tile binds east and west only: a walk runs straight.
+    p = oracle.random_walk(random.Random(5), unit, 7)
+    assert len(p) == 7 and {y for _, y in p.positions} == {0}
+    assert validate_producible_path(unit, p).ok
+    sealed = system_of([("A", None, None, None, None)], {(0, 0): "A"})
+    assert oracle.random_walk(random.Random(5), sealed, 7) == Path([])

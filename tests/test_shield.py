@@ -25,7 +25,8 @@ from pumpkit.shield import (
 )
 from pumpkit.visibility import GlueView
 
-from conftest import corpus_paths, corpus_shields, count_entries_reads, path_of, system_of
+from conftest import (_short_walks, corpus_paths, corpus_shields, count_entries_reads, path_of,
+                      system_of)
 
 
 def test_unit_shield_list(unit, unit_path):
@@ -156,14 +157,9 @@ RAY_HIT_WALKS = [
 
 def test_shields_revalidate(rng):
     # check_shield gives the segment-curve reference's verdict and message
-    # on every triple of random corpus paths and of walks whose exit rays
+    # on every triple of short sampled walks and of walks whose exit rays
     # meet the segment.
-    budget = EnumBudget(max_path_len=9, max_nodes=400)
-    n = 0
-    for _ in range(60):
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=60):
-            n += _revalidate(sys_, p)[0]
+    n = sum(_revalidate(sys_, p)[0] for sys_, p in _short_walks(rng, 100))
     assert n > 50
     one_type = system_of([("A", "a", "a", "a", "a")], {(0, 0): "A"})
     for walk in RAY_HIT_WALKS:
@@ -330,26 +326,18 @@ def test_equal_height_goals_decide():
 def test_route_matches_exhaustive_choice(rng):
     budget = EnumBudget(max_path_len=10, max_nodes=6000)
     n = 0
-    for _ in range(120):
-        sys_ = oracle.random_system(rng)
-        enum = oracle.PathEnumeration(sys_, budget, max_paths=200)
-        paths = list(enum)
-        if enum.truncated:
-            continue
-        for p in paths:
-            for sh in enumerate_shields(sys_, p):
-                if sh.j == sh.k:
-                    continue
-                try:
-                    ws = build_workspace(sys_, p, sh)
-                    fast = build_r(ws, budget)
-                    slow = oracle.brute_right_priority(sys_, p, sh, budget)
-                except WindowTooSmall:
-                    continue
-                assert fast == slow
-                n += 1
-        if n >= 150:
-            break
+    for sys_, p in _short_walks(rng, 60, 10):
+        for sh in enumerate_shields(sys_, p):
+            if sh.j == sh.k:
+                continue
+            try:
+                ws = build_workspace(sys_, p, sh)
+                fast = build_r(ws, budget)
+                slow = oracle.brute_right_priority(sys_, p, sh, budget)
+            except WindowTooSmall:
+                continue
+            assert fast == slow
+            n += 1
     assert n >= 60
 
 
@@ -429,26 +417,19 @@ def test_engine_certificates_verify_on_corpus(rng):
     budget = EnumBudget(max_path_len=11, max_nodes=6000)
     kinds = set()
     n = 0
-    for _ in range(150):
-        sys_ = oracle.random_system(rng)
-        enum = oracle.PathEnumeration(sys_, budget, max_paths=300)
-        paths = list(enum)
-        if enum.truncated:
+    for sys_, p in _short_walks(rng, 900, 11):
+        shields = enumerate_shields(sys_, p)
+        if not shields:
             continue
-        for p in paths:
-            shields = enumerate_shields(sys_, p)
-            if not shields:
-                continue
-            out = pump_or_block(sys_, p, shields[0], budget)
-            kinds.add(out.kind)
-            if out.kind == "pumpable":
-                assert verify_pumpable_cert(sys_, out.pumpable).ok
-                assert oracle.confirm_pumpable(
-                    sys_, p, out.pumpable.i, out.pumpable.j, budget)
-            else:
-                assert verify_fragile_cert(sys_, p, out.fragile).ok
-                assert oracle.brute_fragile(sys_, p, budget) is not None
-            n += 1
+        out = pump_or_block(sys_, p, shields[0], budget)
+        kinds.add(out.kind)
+        if out.kind == "pumpable":
+            assert verify_pumpable_cert(sys_, out.pumpable).ok
+            assert oracle.confirm_pumpable(sys_, p, out.pumpable.i, out.pumpable.j, budget)
+        else:
+            assert verify_fragile_cert(sys_, p, out.fragile).ok
+            assert oracle.brute_fragile(sys_, p, budget) is not None
+        n += 1
     assert n > 80 and "pumpable" in kinds
 
 

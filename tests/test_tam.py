@@ -31,7 +31,7 @@ from pumpkit.tam import (
     seed_contacts,
 )
 
-from conftest import corpus_paths, path_of, system_of
+from conftest import _short_walks, corpus_paths, path_of, system_of
 
 
 def test_validate_ok(unit, unit_path):
@@ -200,45 +200,34 @@ def test_extract_path_bad_target(unit):
 def test_replay_of_valid_path_reproduces_union(rng):
     # A validated path, replayed in its own order, grows exactly the
     # union of seed and path assembly.
-    budget = EnumBudget(max_path_len=8, max_nodes=400)
     checked = 0
-    for _ in range(40):
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=40):
-            assert validate_producible_path(sys_, p).ok
-            final = replay_assembly_sequence(sys_, p.entries)
-            want = dict(sys_.seed.tiles)
-            want.update(dict(p.entries))
-            assert final.tiles == want
-            checked += 1
+    for sys_, p in _short_walks(rng, 300, 8):
+        assert validate_producible_path(sys_, p).ok
+        final = replay_assembly_sequence(sys_, p.entries)
+        want = dict(sys_.seed.tiles)
+        want.update(dict(p.entries))
+        assert final.tiles == want
+        checked += 1
     assert checked > 100
 
 
 def test_extract_path_branching_validates(rng):
-    budget = EnumBudget(max_path_len=7, max_nodes=500)
-    for _ in range(30):
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=40):
-            alpha = Assembly(dict(list(sys_.seed.tiles.items()) + list(p.entries)),
-                             require_connected=False)
-            q = extract_path(sys_, alpha, p.positions[-1])
-            assert validate_producible_path(sys_, q).ok
+    for sys_, p in _short_walks(rng, 300, 7):
+        alpha = Assembly(dict(list(sys_.seed.tiles.items()) + list(p.entries)),
+                         require_connected=False)
+        q = extract_path(sys_, alpha, p.positions[-1])
+        assert validate_producible_path(sys_, q).ok
 
 
 def test_prefix_equals_sliced_path(rng):
-    budget = EnumBudget(max_path_len=9, max_nodes=300)
-    checked = 0
-    while checked < 60:
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=5):
-            assert p.index_of(p.pos(0)) == 0  # the whole path's index exists first
-            for e in range(len(p)):
-                q = p.prefix(e)
-                assert q == Path(p.entries[:e + 1])
-                assert hash(q) == hash(Path(p.entries[:e + 1]))
-                for i, (pos, _) in enumerate(p.entries):
-                    assert q.index_of(pos) == (i if i <= e else None)
-            checked += 1
+    for _, p in _short_walks(rng, 60):
+        assert p.index_of(p.pos(0)) == 0  # the whole path's index exists first
+        for e in range(len(p)):
+            q = p.prefix(e)
+            assert q == Path(p.entries[:e + 1])
+            assert hash(q) == hash(Path(p.entries[:e + 1]))
+            for i, (pos, _) in enumerate(p.entries):
+                assert q.index_of(pos) == (i if i <= e else None)
 
 
 # -- pumping ------------------------------------------------------------------
@@ -255,27 +244,21 @@ def test_pumping_term_examples(unit, unit_path):
 
 def test_pumping_shift_identity(rng):
     # term(k + period) == term(k) + vector, for random paths and pairs.
-    budget = EnumBudget(max_path_len=9, max_nodes=400)
-    checked = 0
-    while checked < 50:
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=30):
-            if len(p) < 2:
-                continue
-            i = rng.randrange(len(p) - 1)
-            j = rng.randrange(i + 1, len(p))
-            spec = PumpingSpec(p, i, j)
-            v = spec.vector
-            # The shift identity starts at the pumping base index; right at
-            # the base only the positions coincide (the base tile keeps the
-            # path's type, the shifted one the period's).
-            for k in range(i, i + 201):
-                (x, y), t = pumping_term(spec, k)
-                (x2, y2), t2 = pumping_term(spec, k + (j - i))
-                assert (x2, y2) == (x + v[0], y + v[1])
-                assert k == i or t2 == t
-            checked += 1
-            break
+    for _, p in _short_walks(rng, 100):
+        if len(p) < 2:
+            continue
+        i = rng.randrange(len(p) - 1)
+        j = rng.randrange(i + 1, len(p))
+        spec = PumpingSpec(p, i, j)
+        v = spec.vector
+        # The shift identity starts at the pumping base index; right at
+        # the base only the positions coincide (the base tile keeps the
+        # path's type, the shifted one the period's).
+        for k in range(i, i + 201):
+            (x, y), t = pumping_term(spec, k)
+            (x2, y2), t2 = pumping_term(spec, k + (j - i))
+            assert (x2, y2) == (x + v[0], y + v[1])
+            assert k == i or t2 == t
 
 
 def test_verify_pumpable_unit(unit, unit_path):
@@ -318,19 +301,15 @@ def test_verify_pumpable_rejects_path_collision():
 def test_verify_pumpable_matches_simulation(rng):
     # Verifier verdict equals disjointness scan plus explicit simulation
     # deep enough to cover the verifier's own sweep.
-    budget = EnumBudget(max_path_len=8, max_nodes=300, max_pump_depth=64)
-    checked = 0
-    while checked < 200:
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=40):
-            if len(p) < 2:
-                continue
-            i = rng.randrange(len(p) - 1)
-            j = rng.randrange(i + 1, len(p))
-            verdict = bool(verify_pumpable_cert(sys_, PumpingSpec(p, i, j)))
-            sim = oracle.confirm_pumpable(sys_, p, i, j, budget)
-            assert verdict == sim, (p.entries, i, j)
-            checked += 1
+    budget = EnumBudget(max_pump_depth=64)
+    for sys_, p in _short_walks(rng, 400, 8):
+        if len(p) < 2:
+            continue
+        i = rng.randrange(len(p) - 1)
+        j = rng.randrange(i + 1, len(p))
+        verdict = bool(verify_pumpable_cert(sys_, PumpingSpec(p, i, j)))
+        sim = oracle.confirm_pumpable(sys_, p, i, j, budget)
+        assert verdict == sim, (p.entries, i, j)
 
 
 def test_verify_fragile(blocker):
@@ -384,17 +363,12 @@ def test_transform_identities(unit):
 
 
 def test_verifier_verdicts_transform_invariant(rng):
-    budget = EnumBudget(max_path_len=8, max_nodes=300)
-    checked = 0
-    while checked < 100:
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=30):
-            if len(p) < 2:
-                continue
-            i = rng.randrange(len(p) - 1)
-            j = rng.randrange(i + 1, len(p))
-            base = bool(verify_pumpable_cert(sys_, PumpingSpec(p, i, j)))
-            for frame in (ROT90, FLIP_H, FLIP_V):
-                tsys, tpath = frame.apply(sys_), frame.apply(p)
-                assert bool(verify_pumpable_cert(tsys, PumpingSpec(tpath, i, j))) == base
-            checked += 1
+    for sys_, p in _short_walks(rng, 240, 8):
+        if len(p) < 2:
+            continue
+        i = rng.randrange(len(p) - 1)
+        j = rng.randrange(i + 1, len(p))
+        base = bool(verify_pumpable_cert(sys_, PumpingSpec(p, i, j)))
+        for frame in (ROT90, FLIP_H, FLIP_V):
+            tsys, tpath = frame.apply(sys_), frame.apply(p)
+            assert bool(verify_pumpable_cert(tsys, PumpingSpec(tpath, i, j))) == base

@@ -8,8 +8,7 @@ from itertools import chain
 
 import pytest
 
-from pumpkit import GlueView, Path, oracle, right_priority, spans, visible
-from pumpkit.budgets import EnumBudget
+from pumpkit import GlueView, Path, right_priority, spans, visible
 from pumpkit.driver import ROT90, TRANSPOSE
 from pumpkit.errors import (
     LastGlueNotVisible,
@@ -22,7 +21,7 @@ from pumpkit.errors import (
 from pumpkit.shield import Shield, check_shield, enumerate_shields
 from pumpkit.visibility import Span, _beats, check_glue_east, check_glue_side
 
-from conftest import _long_walks, corpus_paths, path_of, system_of
+from conftest import _long_walks, _short_walks, check_orderings, corpus_paths, path_of, system_of
 
 
 def test_unit_glue_visible_both_ways(unit):
@@ -120,20 +119,16 @@ def test_horizontal_spans_by_rotation_equivariance(battlements):
 
 
 def test_span_per_column_unique(rng):
-    budget = EnumBudget(max_path_len=9, max_nodes=400)
     checked = 0
-    while checked < 200:
-        sys_ = oracle.random_system(rng)
-        for p in oracle.PathEnumeration(sys_, budget, max_paths=60):
-            if len(p) < 2:
-                continue
-            try:
-                got = spans(sys_, p)
-            except NotCanonical:
-                continue
-            cols = [s.coordinate for s in got]
-            assert len(cols) == len(set(cols))
-            checked += 1
+    for sys_, p in _short_walks(rng, 1500):
+        try:
+            got = spans(sys_, p)
+        except NotCanonical:
+            continue
+        cols = [s.coordinate for s in got]
+        assert len(cols) == len(set(cols))
+        checked += 1
+    assert checked >= 200
 
 
 # -- O(1) queries against the scanning definition --------------------------------
@@ -383,27 +378,8 @@ def test_staircase_side_disjunct(staircase):
 
 
 def test_checkers_hold_on_corpus(rng):
-    budget = EnumBudget(max_path_len=9, max_nodes=400)
-    checked_east = checked_side = 0
-    for _ in range(120):
-        sys_ = oracle.random_system(rng)
-        enum = oracle.PathEnumeration(sys_, budget, max_paths=80)
-        for p in enum:
-            if len(p) < 2:
-                continue
-            csys, cpath = sys_, p
-            for _ in range(4):
-                view = GlueView(csys, cpath)
-                lg = view.glues[-1]
-                if lg.horizontal and view.visible(lg.index, "north"):
-                    assert check_glue_east(csys, cpath) is None
-                    checked_east += 1
-                try:
-                    assert check_glue_side(csys, cpath) is None
-                    checked_side += 1
-                except NotEasternmost:
-                    pass
-                csys, cpath = ROT90.apply(csys), ROT90.apply(cpath)
+    checked = [check_orderings(sys_, p) for sys_, p in _short_walks(rng, 500) if len(p) > 1]
+    checked_east, checked_side = map(sum, zip(*checked))
     assert checked_east > 200 and checked_side > 200
 
 
