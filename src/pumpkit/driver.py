@@ -272,17 +272,6 @@ def transform(sys: TileSystem, frame: Frame) -> TileSystem:
     return TileSystem(list(tiles.values()), seed)
 
 
-def _margined(frame: Frame, lo: Pos, hi: Pos) -> Frame:
-    """``frame``, then the translation putting the moved box ``lo``..``hi`` on both axes.
-
-    ``lo`` and ``hi`` are opposite corners of a bounding box before the
-    motion.  A D4 motion maps each new axis to plus or minus an old one,
-    so the moved box's least coordinates are read off those two corners.
-    """
-    (ax, ay), (bx, by) = frame._points((lo, hi))
-    return Frame.translation((-min(ax, bx), -min(ay, by))).compose(frame)
-
-
 # -- canonical form --------------------------------------------------------------
 
 
@@ -301,16 +290,22 @@ def canonicalize(sys: TileSystem, p: Path,
     """Truncate at the centered square, rotate east, translate to margins.
 
     The square's half side is the distance bound plus the seed size; the
-    path is cut at its first tile on the square, rotated so that tile is
-    the unique easternmost of path plus seed, and translated so the
-    westernmost/southernmost coordinates are zero.  The rotation is read
-    off the side of the square the cut tile lies on, the east side first,
-    then north, west and south; the translation is read off the bounding
-    box of seed plus cut path.  Raises :class:`TooShort` when the path
-    never reaches the square, at once when it has at most ``half`` tiles,
-    or fewer than ``2^bound_log2_lower`` without an override.  The message
-    leaves ``half`` out: the true bound can have more digits than the
-    interpreter converts to decimal.
+    path is cut at its first tile on the square, tile ``b``, and moved by
+    the frame :func:`_orient_east` gives the cut path.  Tiles ``0..b-1``
+    lie strictly inside the square, and so does the seed: tile 0 binds
+    the connected seed, so each seed tile is at most ``|seed|`` steps from
+    it.  The step onto ``b`` keeps the other coordinate of tile ``b-1``,
+    so ``b`` is on no corner, ties with ``b-1`` on the two sides beside
+    its own, and tile 0 passes it on the opposite side.  So ``b`` is the
+    unique extreme on exactly one side, and ``_orient_east`` takes the
+    turn that faces that side east; its margin shift is read off the
+    turned bounding box alone.
+
+    Raises :class:`TooShort` when the path never reaches the square, at
+    once when it has at most ``half`` tiles, or fewer than
+    ``2^bound_log2_lower`` without an override.  The message leaves
+    ``half`` out: the true bound can have more digits than the interpreter
+    converts to decimal.
     """
     rep = tam.validate_producible_path(sys, p)
     if not rep:
@@ -337,12 +332,11 @@ def canonicalize(sys: TileSystem, p: Path,
               if x == east or y == north or x == west or y == south), None)
     if b is None:
         raise TooShort("path never reaches the canonical square")
-    bx, by = p.pos(b)[0] - x0, p.pos(b)[1] - y0
-    turns = 0 if bx == half else 3 if by == half else 2 if bx == -half else 1
     trunc = p.prefix(b)
-    xs, ys = zip(*chain(sys.seed.tiles, trunc.positions))
-    frame = _margined(Frame.rotation(turns).compose(Frame.translation((-x0, -y0))),
-                      (min(xs), min(ys)), (max(xs), max(ys)))
+    frame = _orient_east(sys, trunc)
+    if frame is None:
+        raise ClaimViolation("canonical-orients",
+                             "the cut tile is not the unique extreme on one side")
     csys, cpath = frame.move(sys, trunc)
     rep = tam.validate_producible_path(csys, cpath)
     if not rep:
@@ -357,14 +351,16 @@ def canonicalize(sys: TileSystem, p: Path,
 
 def _orient_east(sys: TileSystem, p: Path,
                  frame: Frame = IDENTITY) -> Optional[Frame]:
-    """Best-effort orientation for paths below the bound.
+    """The frame making the last tile of ``p`` the unique easternmost, or ``None``.
 
     After ``frame``, keep the first quarter turn that makes the last tile
     of ``p`` the unique easternmost of path plus seed.  Turns 0 to 3 move
     the greatest x, the least y, the least x and the greatest y east, so
     the last tile must hold the unique one of these extremes, tried in
     that order.  The result also moves the margins to zero, read off the
-    one bounding box of path plus seed.
+    one bounding box of path plus seed: a D4 motion maps each new axis to
+    plus or minus an old one, so the turned box's least coordinates are
+    read off two opposite corners of the box.
     """
     pts = chain(sys.seed.tiles, p.positions)
     xs, ys = zip(*(pts if frame == IDENTITY else frame._points(pts)))
@@ -373,7 +369,9 @@ def _orient_east(sys: TileSystem, p: Path,
     for k, (vals, last, end) in enumerate(((xs, lx, hi[0]), (ys, ly, lo[1]),
                                            (xs, lx, lo[0]), (ys, ly, hi[1]))):
         if last == end and vals.count(end) == 1:
-            return _margined(Frame.rotation(k), lo, hi).compose(frame)
+            turn = Frame.rotation(k)
+            (ax, ay), (bx, by) = turn._points((lo, hi))
+            return Frame.translation((-min(ax, bx), -min(ay, by))).compose(turn).compose(frame)
     return None
 
 

@@ -48,7 +48,6 @@ from .geometry import (
     Side,
     SideCache,
     add,
-    clockwise_successors,
     curve_in_closed_right,
     curve_intersection,
     scale,
@@ -510,21 +509,32 @@ def _goal_test(ws: Workspace):
 def build_r(ws: Workspace, budget: EnumBudget = EnumBudget()) -> tuple[Point, ...]:
     """The most right-priority admissible route to the exit ray.
 
-    Explores the route graph depth first, most-right-turning successor
-    first, which emits candidate routes in right-priority order; the
-    first candidate that survives the endpoint-height filter (every
+    Explores the route graph depth first from tile ``i``, most-right-turning
+    successor first, which emits candidate routes in right-priority order;
+    the first candidate that survives the endpoint-height filter (every
     strict prefix ending beside the exit ray ends strictly lower, and no
     possible strict extension ending beside it ends strictly higher) is
     the selected route.  Returned positions are doubled and omit the
-    entry tile ``i``.
+    entry tile ``i``.  The bottom frame holds tile ``i`` with tile ``i+1``
+    its one successor, so the start pair takes the same goal test and
+    filter as every vertex.  Each frame also keeps the highest goal on
+    the route up to its vertex; all were rejected, so the prefix filter
+    is one comparison.
 
     An extension to a goal of equal height does not reject: the two goals
     at one height sit on either side of the exit ray and link to the same
     point of it, so such an extension reaches no higher point of the ray.
 
+    ``route-set-nonempty`` cannot fire.  The segment route along the path
+    reaches tile ``k``, a goal: it is on the cut, beside the exit glue,
+    and its link runs along the cut.  So some goal is reachable, and a
+    shortest route to the highest reachable goal passes both height
+    filters; the search tries every simple route before it gives up.
+
     A step of the search makes no Python call for its successors: they are
-    :func:`clockwise_successors`' three points, written out in the loop,
-    filtered lazily by membership in the vertex's adjacency list.
+    :func:`~pumpkit.geometry.clockwise_successors`' three points, written
+    out in the loop, filtered lazily by membership in the vertex's
+    adjacency list.
     """
     adj = _route_adjacency(ws)
     start0, start1 = ws.pos2[ws.shield.i], ws.pos2[ws.shield.i + 1]
@@ -544,52 +554,35 @@ def build_r(ws: Workspace, budget: EnumBudget = EnumBudget()) -> tuple[Point, ..
                 frontier.append(w)
         return False
 
-    path = [start0, start1]
-    onpath = {start0, start1}
-    goal_prefix_ys: list[int] = []
-    iters = [filter(adj[start1].__contains__, clockwise_successors(start0, start1))]
-    prefix_marks = [0]  # how many goal-prefix heights were pushed at each depth
-    nodes = 0
-
-    def selected(cur: Point) -> bool:
-        """Whether the path, ending at the goal ``cur``, passes the height filter."""
-        y = cur[1]
-        if any(py >= y for py in goal_prefix_ys):
-            return False
-        return not extension_reaches(onpath, cur, y)
-
-    if is_goal(start1):
-        if selected(start1):
-            return tuple(path[1:])
-        goal_prefix_ys.append(start1[1])
-        prefix_marks[-1] += 1
-
-    while iters:
+    path = [start0]
+    onpath = {start0}
+    # Every goal lies at or above the exit ray's point.
+    frames = [(iter((start1,)), ws.exit2[1] - 1)]
+    nodes = -1  # the start pair's step is not counted
+    while frames:
         nodes += 1
         if nodes > budget.max_nodes:
             raise BudgetExceeded(f"route search exceeded {budget.max_nodes} nodes")
-        nxt = next(iters[-1], None)
+        successors, high = frames[-1]
+        nxt = next(successors, None)
         if nxt is None:
-            for _ in range(prefix_marks.pop()):
-                goal_prefix_ys.pop()
             onpath.discard(path.pop())
-            iters.pop()
+            frames.pop()
             continue
         if nxt in onpath:
             continue
         # clockwise_successors(path[-1], nxt), most-right-turning first.
         cx, cy = nxt
         bx, by = path[-1][0] - cx, path[-1][1] - cy
-        iters.append(filter(adj[nxt].__contains__,
-                            ((cx - by, cy + bx), (cx - bx, cy - by), (cx + by, cy - bx))))
         path.append(nxt)
         onpath.add(nxt)
-        prefix_marks.append(0)
         if is_goal(nxt):
-            if selected(nxt):
+            if high < cy and not extension_reaches(onpath, nxt, cy):
                 return tuple(path[1:])
-            goal_prefix_ys.append(nxt[1])
-            prefix_marks[-1] += 1
+            high = max(high, cy)
+        frames.append((filter(adj[nxt].__contains__,
+                              ((cx - by, cy + bx), (cx - bx, cy - by), (cx + by, cy - bx))),
+                       high))
     raise EmptyRouteSet("no admissible route survives the endpoint-height filter")
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from pumpkit import Assembly, Path, TileSystem, TileType, oracle, shield, tam
 from pumpkit.budgets import EnumBudget
-from pumpkit.driver import ROT90
+from pumpkit.driver import ROT90, _orient_east
 from pumpkit.errors import NotEasternmost
 from pumpkit.formats import parse_system
 from pumpkit.geometry import PolyCurve
@@ -312,14 +312,15 @@ HAND_MADE = [
 ]
 
 
-def _short_walks(rng, count, length=9):
+def _short_walks(rng, count, length=9, **system):
     """Seeded random producible walks of 1 to ``length`` tiles, one per random system.
 
-    The length is drawn first; walks that stall at once are dropped.
+    ``system`` goes to :func:`~pumpkit.oracle.random_system`.  The length is
+    drawn first; walks that stall at once are dropped.
     """
     made = 0
     while made < count:
-        sys_ = oracle.random_system(rng)
+        sys_ = oracle.random_system(rng, **system)
         p = oracle.random_walk(rng, sys_, rng.randint(1, length))
         if len(p):
             made += 1
@@ -338,6 +339,18 @@ def _producible_walks(rng, count):
         assert tam.validate_producible_path(sys_, p)
         made += 1
         yield sys_, p
+
+
+def and_east_facing(instances):
+    """Each ``(system, path)`` as given, then moved east where ``driver._orient_east`` orients it.
+
+    The driver reads spans and builds its ledgers in that frame.
+    """
+    for sys_, p in instances:
+        yield sys_, p
+        frame = _orient_east(sys_, p)
+        if frame is not None:
+            yield frame.move(sys_, p)
 
 
 ANY_SIDE = TileType("W", "w", "w", "w", "w")

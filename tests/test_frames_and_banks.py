@@ -1,8 +1,8 @@
 """One pass per frame: orientation, margins, early ``TooShort``, visible banks, flips.
 
 ``driver._orient_east`` reads its quarter turn off the last tile's
-extremes and its margins off one bounding box; ``canonicalize`` reads its
-margins the same way and stops at once on a path with no more than
+extremes and its margins off one bounding box; ``canonicalize`` orients
+its cut path through it and stops at once on a path with no more than
 ``half`` tiles; ``GlueView`` keeps only the column extremes, builds a
 glue record when one is named, and reads the visible banks, the span
 records and the span precondition off the extremes and the positions;
@@ -10,16 +10,17 @@ the driver reads a down span's upright form in the ``FLIP_V`` frame off
 the span itself (``driver._flipped``); the span ledger reads the view's
 span records over its stretch only.  Inline copies of the code as it
 read before (per-turn point lists, the per-point margin translation, the
-separate glue pass, the per-glue visibility scan, the span rule over
-glue records, the rebuilt ``FLIP_V`` view and the ledger over an
-all-spans dict) are the references they must
-reproduce exactly: on criterion 9's corpus and on seeded random
-producible walks of 40-150 tiles (one-type tower walks for the flips,
-the tall-span towers and one hand-built path for the ledger).
+turn read off the side of the square, the separate glue pass, the
+per-glue visibility scan, the span rule over glue records, the rebuilt
+``FLIP_V`` view and the ledger over an all-spans dict) are the
+references they must reproduce exactly: on criterion 9's corpus and on
+seeded random producible walks of 40-150 tiles (one-type tower walks for
+the flips, the tall-span towers and one hand-built path for the ledger).
 """
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from itertools import chain
 
@@ -31,8 +32,8 @@ from pumpkit.errors import ClaimViolation, NotCanonical, TooShort
 from pumpkit.formats import parse_system
 from pumpkit.visibility import POINTING, GlueRef, GlueView, Span, spans
 
-from conftest import (TALL_BRANCH_CASES, _producible_walks, _tower_walks, corpus_paths, path_of,
-                      system_of, tower_path)
+from conftest import (TALL_BRANCH_CASES, _producible_walks, _tower_walks, and_east_facing,
+                      corpus_paths, path_of, system_of, tower_path)
 
 REFERENCE_SECONDS = 5.0  # per test; each takes well under 2 s on a 2-core machine
 
@@ -257,8 +258,11 @@ def test_orient_east_matches_per_turn_point_lists():
 
 
 def test_canonical_frame_matches_per_point_margins():
+    # ``canonicalize`` orients through ``driver._orient_east``; the
+    # reference reads the turn off the side of the square the cut tile is
+    # on.  Each of the four sides is taken.
     within = _timed()
-    checked = 0
+    turns = Counter()
     for sys_, p in _producible_walks(random.Random(29), 200):
         for dist in (3, 8, 20):
             want = reference_canonical_frame(sys_, p, dist)
@@ -268,8 +272,8 @@ def test_canonical_frame_matches_per_point_margins():
                 assert want is None
                 continue
             assert got == want
-            checked += 1
-    assert checked > 300
+            turns[got.turns] += 1
+    assert sorted(turns) == [0, 1, 2, 3] and min(turns.values()) >= 100
     assert within()
 
 
@@ -351,29 +355,25 @@ def test_ledger_matches_all_spans_reference():
     fixtures = [tower_path(runs) for runs, _, _ in TALL_BRANCH_CASES]
     fixtures.append(parse_system(MIXED_SPAN_TEXT))
     n_ledgers = n_unavailable = n_pairs = n_stretch = 0
-    for sys_, p in chain(corpus_paths(), fixtures,
-                         _producible_walks(random.Random(23), 300)):
-        frame = driver._orient_east(sys_, p)
-        views = [GlueView(sys_, p)]
-        if frame is not None:
-            views.append(GlueView(*frame.move(sys_, p)))
-        for view in views:
-            want_trail, want = _ledger_outcome(reference_build_ledger, view)
-            got_trail, got = _ledger_outcome(driver._build_ledger, view)
-            assert got_trail == want_trail
-            if not isinstance(want, tuple):
-                assert got == want  # ``None``, or the same claim violation
-                n_unavailable += want is None
-                continue
-            stretch, columns = want
-            x_last = got.columns[-1]
-            assert list(stretch) == list(range(got.x0, x_last + 1))
-            assert [Span.of(col, got.spans[col]) for col in stretch] == list(stretch.values())
-            assert got.columns == columns
-            pair = driver._find_couple_pair(got)
-            assert pair == reference_couple_pair(stretch)
-            n_ledgers += 1
-            n_pairs += pair is not None
-            n_stretch += len(stretch)
+    for sys_, p in and_east_facing(chain(corpus_paths(), fixtures,
+                                         _producible_walks(random.Random(23), 300))):
+        view = GlueView(sys_, p)
+        want_trail, want = _ledger_outcome(reference_build_ledger, view)
+        got_trail, got = _ledger_outcome(driver._build_ledger, view)
+        assert got_trail == want_trail
+        if not isinstance(want, tuple):
+            assert got == want  # ``None``, or the same claim violation
+            n_unavailable += want is None
+            continue
+        stretch, columns = want
+        x_last = got.columns[-1]
+        assert list(stretch) == list(range(got.x0, x_last + 1))
+        assert [Span.of(col, got.spans[col]) for col in stretch] == list(stretch.values())
+        assert got.columns == columns
+        pair = driver._find_couple_pair(got)
+        assert pair == reference_couple_pair(stretch)
+        n_ledgers += 1
+        n_pairs += pair is not None
+        n_stretch += len(stretch)
     assert n_ledgers > 5000 and n_unavailable > 3000 and n_pairs > 4000 and n_stretch > 40000
     assert within()

@@ -3,6 +3,7 @@
 import math
 import time
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -417,7 +418,12 @@ def test_engine_certificates_verify_on_corpus(rng):
     budget = EnumBudget(max_path_len=11, max_nodes=6000)
     kinds = set()
     n = 0
-    for sys_, p in _short_walks(rng, 900, 11):
+    # The second walks' tile types compete for sites, which the fragile
+    # branch needs.
+    walks = chain(_short_walks(rng, 900, 11),
+                  _short_walks(rng, 900, 11, max_tiles=4, max_seed=3, alphabet="ab",
+                               null_bias=0.2))
+    for sys_, p in walks:
         shields = enumerate_shields(sys_, p)
         if not shields:
             continue
@@ -430,7 +436,7 @@ def test_engine_certificates_verify_on_corpus(rng):
             assert verify_fragile_cert(sys_, p, out.fragile).ok
             assert oracle.brute_fragile(sys_, p, budget) is not None
         n += 1
-    assert n > 80 and "pumpable" in kinds
+    assert n > 80 and "pumpable" in kinds and "fragile" in kinds
 
 
 def test_shield_search_and_engine_read_no_path_entries(monkeypatch):

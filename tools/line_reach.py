@@ -3,11 +3,13 @@
 Runs pytest in this process under a ``sys.settrace`` tracer that records
 line events in the package's own files only, then prints every executable
 line that no test reached, grouped into runs of consecutive lines per
-file.  Statements that raise ``ClaimViolation`` or ``NotAShield`` are left
-out: on producible inputs those checks cannot fire, so they are expected
-to stay unreached.  Each file's executable lines are read before pytest
-starts, so an edit made during the run does not shift the report.  It
-needs only the standard library and pytest.
+file.  Statements that raise ``NotAShield``, ``ClaimViolation`` or a
+subclass of it declared in ``errors.py`` are left out: on producible
+inputs those checks cannot fire, so they are expected to stay unreached.
+The subclasses are read off the module's syntax tree, without importing
+the package before the tracer starts.  Each file's executable lines are
+read before pytest starts, so an edit made during the run does not shift
+the report.  It needs only the standard library and pytest.
 
     python tools/line_reach.py                 # the Tier-1 suite
     python tools/line_reach.py -- tests/test_geometry.py -k sides
@@ -28,7 +30,6 @@ import threading
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(REPO, "src", "pumpkit")
-EXPECTED_RAISES = {"ClaimViolation", "NotAShield"}
 DEFAULT_ARGS = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -44,8 +45,27 @@ def executable_lines(path: str) -> set[int]:
     return lines
 
 
+def claim_violations() -> set[str]:
+    """``ClaimViolation`` and the names of its subclasses in ``errors.py``.
+
+    A class statement follows those of its bases, so one pass in order
+    finds subclasses of subclasses too.
+    """
+    with open(os.path.join(PACKAGE, "errors.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = {"ClaimViolation"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in names for b in node.bases):
+            names.add(node.name)
+    return names
+
+
+EXPECTED_RAISES = claim_violations() | {"NotAShield"}
+
+
 def expected_raise_lines(path: str) -> set[int]:
-    """Every line of a ``raise ClaimViolation(...)``/``raise NotAShield(...)`` statement."""
+    """Every line of a ``raise`` statement of one of the ``EXPECTED_RAISES``."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), path)
     out = set()
