@@ -17,7 +17,7 @@ from pumpkit import (
     enumerate_shields,
     spans,
 )
-from pumpkit.shield import Shield, build_workspace
+from pumpkit.shield import Shield
 from pumpkit.svgout import render_svg
 
 Z = TileType("Z", north="z", east="z", south="z", west="z")
@@ -44,9 +44,7 @@ print(f"pumping vector: {result.pumpable.vector}")
 
 sh = Shield(result.pumpable.i, result.pumpable.j,
             next(s for s in shields if s.i == result.pumpable.i).k)
-ws = build_workspace(system, path.prefix(sh.k + 1), sh)
-svg = render_svg(system, path, overlays={"rays", "cut", "regions"}, shield=sh,
-                 workspace=ws)
+svg = render_svg(system, path, overlays={"rays", "cut", "regions"}, shield=sh)
 with open("battlements_workspace.svg", "w", encoding="utf-8") as fh:
     fh.write(svg)
 print("wrote battlements_workspace.svg")

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import driver, formats, oracle, shield as engine, svgout, tam, visibility
 from .budgets import EnumBudget
-from .errors import BadBudget, BadSystem, NotCanonical, PumpkitError
+from .errors import BadBudget, NotCanonical, PumpkitError
 from .tam import PumpingSpec
 
 EXIT_PUMPABLE = 0
@@ -42,16 +42,10 @@ def _load(path_arg: str, need_path=False):
     return system, path
 
 
-def _check_producible(system, path):
-    rep = tam.validate_producible_path(system, path)
-    if not rep:
-        raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
-
-
 def _load_producible(path_arg: str):
     """The system and path of a file whose path must be producible."""
     system, path = _load(path_arg, need_path=True)
-    _check_producible(system, path)
+    tam.check_producible(system, path)
     return system, path
 
 
@@ -191,7 +185,7 @@ def cmd_oracle(args) -> int:
         _emit(formats.emit_certificate(cert), args.output)
         return EXIT_FRAGILE
     if args.mode == "pumpable":
-        _check_producible(system, path)
+        tam.check_producible(system, path)
         spec = oracle.brute_pumpable(system, path, budget)
         if spec is None:
             print("no pumpable pair within budget")
@@ -202,7 +196,7 @@ def cmd_oracle(args) -> int:
     # mode == "rp": compare the engine's route against the exhaustive one.
     i, j, k = args.shield
     sh = engine.Shield(i, j, k)
-    _check_producible(system, path)
+    tam.check_producible(system, path)
     engine.check_shield(system, path, i, j, k)
     ws = engine.build_workspace(system, path, sh)
     fast = engine.build_r(ws, budget)

@@ -307,9 +307,7 @@ def canonicalize(sys: TileSystem, p: Path,
     ``half`` out: the true bound can have more digits than the interpreter
     converts to decimal.
     """
-    rep = tam.validate_producible_path(sys, p)
-    if not rep:
-        raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
+    tam.check_producible(sys, p)
     if bound_override is None:
         _check_counts(len(sys.tiles), len(sys.seed))
         if bound_log2_lower(len(sys.tiles)) >= len(p).bit_length():
@@ -475,7 +473,19 @@ def _find_couple_pair(ledger: _Ledger) -> Optional[tuple[Span, Span]]:
 
 def _couple_use(view: GlueView, frame: Frame, sa: Span, sb: Span,
                 trail: list[str]) -> Proposals:
-    """Propose the shield of a repeated-span pair (mirrored upright if needed)."""
+    """Propose the shield of a repeated-span pair (mirrored upright if needed).
+
+    The upright shield ``(s_a, s_b, n_b)`` of columns ``a < b`` always
+    passes :func:`~pumpkit.shield.check_shield`, so the engine decides it:
+    no ``span-pair-invalid`` tag is written, and ``analyze`` never resumes
+    this generator past its proposal.  ``s_a < s_b`` by the east-order
+    lemma that :func:`~pumpkit.visibility.check_glue_east` executes, and
+    ``s_b <= n_b``.  Both glues point east, since the stretch does, and
+    share a label.  Both extremes are visible, since each column is
+    eligible.  The translated exit ray starts on column ``a`` at
+    ``y(s_a) + 2 h_b >= y(n_a)`` (doubled), and ``n_a`` is the column's
+    highest glue, so it meets the segment at most at its start.
+    """
     trail.append(f"equal-span-pair(cols {sa.coordinate},{sb.coordinate})")
     if sa.orientation == "up":
         yield view, frame, Shield(sa.s, sb.s, sb.n), "span-pair"

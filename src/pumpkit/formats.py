@@ -14,10 +14,9 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from .driver import AnalysisResult
 from .errors import BadSystem, DisconnectedSeed, DuplicateTile, ParseError
 from .shield import ShieldOutcome
-from .tam import Assembly, FragilityCert, Path, PumpingSpec, TileSystem, TileType
+from .tam import SIDES, Assembly, FragilityCert, Path, PumpingSpec, TileSystem, TileType
 
 NULL_GLUE = "-"
-_SIDES = ("north", "east", "south", "west")
 
 
 def _glue_out(label: Optional[str]) -> str:
@@ -115,7 +114,7 @@ def parse_system(text: str):
                 if "=" not in token:
                     raise ParseError(lineno, f"expected side=glue, got {token!r}")
                 side, _, label = token.partition("=")
-                if side not in _SIDES or side in glues:
+                if side not in SIDES or side in glues:
                     raise ParseError(lineno, f"bad or repeated side {side!r}")
                 glues[side] = _glue_in(label, lineno)
             t = TileType(name, **glues)
@@ -152,7 +151,7 @@ def parse_system(text: str):
 def print_system(sys: TileSystem, path: Optional[Path] = None) -> str:
     lines = []
     for t in sys.tiles:
-        sides = " ".join(f"{s}={_glue_out(t.glue(s))}" for s in _SIDES)
+        sides = " ".join(f"{s}={_glue_out(t.glue(s))}" for s in SIDES)
         lines.append(f"tile {t.name} {sides}")
     for (x, y), t in sorted(sys.seed.tiles.items()):
         lines.append(f"seed {x} {y} {t.name}")

@@ -90,11 +90,6 @@ def scale(v: Displacement, c: int) -> Displacement:
     return (c * v[0], c * v[1])
 
 
-def rot_cw(v: Displacement) -> Displacement:
-    """Quarter turn clockwise (y axis pointing north)."""
-    return (v[1], -v[0])
-
-
 class PolyCurve:
     """Axis-aligned polyline on the doubled lattice, with optional rays.
 
@@ -617,9 +612,9 @@ def turn_right_of_path(prev: Point, cur: Point, taken: Point,
     """Order two candidate continuations of a path at ``cur`` clockwise.
 
     ``prev`` is the point the path arrived from.  The three possible
-    steps out of ``cur`` (everything but going back) are ranked clockwise
-    starting just after the back direction; ``candidate`` is RIGHT of
-    ``taken`` when it comes later in that ranking.
+    steps out of ``cur`` (everything but going back) are ranked as
+    :func:`clockwise_successors` lists them, most right turn first;
+    ``candidate`` is RIGHT of ``taken`` when it comes earlier in that list.
     """
     back = sub(prev, cur)
     step_taken = sub(taken, cur)
@@ -633,8 +628,8 @@ def turn_right_of_path(prev: Point, cur: Point, taken: Point,
         raise NotAdjacent("taken/candidate may not double back to prev")
     if step_cand == step_taken:
         return Turn.SAME
-    order = (rot_cw(back), rot_cw(rot_cw(back)), rot_cw(rot_cw(rot_cw(back))))
-    return Turn.RIGHT if order.index(step_cand) > order.index(step_taken) else Turn.LEFT
+    order = clockwise_successors(prev, cur)
+    return Turn.RIGHT if order.index(candidate) < order.index(taken) else Turn.LEFT
 
 
 def clockwise_successors(prev: Point, cur: Point) -> list[Point]:
@@ -643,10 +638,11 @@ def clockwise_successors(prev: Point, cur: Point) -> list[Point]:
     Step length matches the incoming step ``prev -> cur``.  With the back
     step ``(bx, by) = prev - cur``, the three steps that do not go back are
     its quarter turns clockwise, ``(by, -bx)``, ``(-bx, -by)`` and
-    ``(-by, bx)``, and :func:`turn_right_of_path` ranks a later turn as more
-    to the right; so the list is the third, the second, then the first,
-    each written out as arithmetic.  :func:`~pumpkit.shield.build_r` inlines
-    the same three expressions in its search loop.
+    ``(-by, bx)``, and a later turn is more to the right; so the list is
+    the third, the second, then the first, each written out as arithmetic.
+    :func:`turn_right_of_path` ranks two steps by this list, and
+    :func:`~pumpkit.shield.build_r` inlines the same three expressions in
+    its search loop.
     """
     cx, cy = cur
     bx, by = prev[0] - cx, prev[1] - cy

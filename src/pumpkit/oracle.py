@@ -20,9 +20,20 @@ from typing import Iterator, Optional, Sequence
 
 from . import tam, visibility
 from .budgets import EnumBudget
-from .errors import BadSystem, EmptyRouteSet, WindowTooSmall
+from .errors import EmptyRouteSet, WindowTooSmall
 from .geometry import Point, PolyCurve, Side, add, classify_side, sub
 from .tam import Assembly, FragilityCert, Path, PumpingSpec, TileSystem, TileType
+
+
+def _binders(sys: TileSystem) -> dict[TileType, list[tuple[Point, list[TileType]]]]:
+    """For each type, each step in sorted order with the types that bind it there.
+
+    The binding types keep the system's order.  Seed tiles are of declared
+    types, so the table covers them too.
+    """
+    steps = sorted(tam.STEP.values())
+    return {u: [(step, [t for t in sys.tiles if u.interacts(t, step)]) for step in steps]
+            for u in sys.tiles}
 
 
 class PathEnumeration:
@@ -41,17 +52,14 @@ class PathEnumeration:
         self.truncated = False
 
     def __iter__(self) -> Iterator[Path]:
-        sys = self.sys
-        seed = sys.seed.tiles
+        seed = self.sys.seed.tiles
+        binders = _binders(self.sys)
         starts = []
         for (sx, sy), st in sorted(seed.items()):
-            for step in sorted(tam.STEP.values()):
-                pos = (sx + step[0], sy + step[1])
-                if pos in seed:
-                    continue
-                for t in sys.tiles:
-                    if st.interacts(t, step):
-                        starts.append((pos, t))
+            for (dx, dy), bound in binders[st]:
+                pos = (sx + dx, sy + dy)
+                if pos not in seed:
+                    starts += [(pos, t) for t in bound]
         # A position may be reachable from several seed tiles; each start
         # tile is still one length-1 path, so deduplicate.
         frontier = deque()
@@ -69,13 +77,12 @@ class PathEnumeration:
                 continue
             (lx, ly), last = entries[-1]
             occupied = {pos for pos, _ in entries}
-            for step in sorted(tam.STEP.values()):
-                pos = (lx + step[0], ly + step[1])
+            for (dx, dy), bound in binders[last]:
+                pos = (lx + dx, ly + dy)
                 if pos in seed or pos in occupied:
                     continue
-                for t in sys.tiles:
-                    if last.interacts(t, step):
-                        frontier.append(entries + ((pos, t),))
+                for t in bound:
+                    frontier.append(entries + ((pos, t),))
 
 
 def brute_fragile(sys: TileSystem, p: Path,
@@ -88,9 +95,7 @@ def brute_fragile(sys: TileSystem, p: Path,
     or ``None`` within budget.  A path that is not producible raises
     :class:`BadSystem`: no assembly can block what never grows.
     """
-    rep = tam.validate_producible_path(sys, p)
-    if not rep:
-        raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
+    tam.check_producible(sys, p)
     want = dict(zip(p.positions, p.types))
     max_len = max(1, budget.max_assembly_size - len(sys.seed))
     enum = PathEnumeration(sys, budget, max_len=max_len)
@@ -260,9 +265,7 @@ def route_problem(sys: TileSystem, p: Path, sh: tuple[int, int, int]):
     side.  Every side is one ``classify_side`` query.  A path that is not
     producible raises :class:`BadSystem`.
     """
-    rep = tam.validate_producible_path(sys, p)
-    if not rep:
-        raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
+    tam.check_producible(sys, p)
     i, j, k = sh
     pos = p.positions
     pos2 = [(2 * x, 2 * y) for x, y in pos[:k + 2]]
@@ -383,10 +386,7 @@ def random_walk(rng: random.Random, sys: TileSystem, length: int) -> Path:
     left, so it may come out shorter, or empty.
     """
     seed = sys.seed.tiles
-    # For each type, each step with the types that bind it there, in order.
-    binders = {u: [(step, [t for t in sys.tiles if u.interacts(t, step)])
-                   for step in sorted(tam.STEP.values())]
-               for u in {*sys.tiles, *seed.values()}}
+    binders = _binders(sys)
     taken = set(seed)
     here = rng.choice(sorted(seed))
     last = seed[here]

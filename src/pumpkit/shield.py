@@ -615,13 +615,24 @@ def build_R(ws: Workspace, route: tuple[Point, ...]):
     """Tile the route, or construct the blocking certificate.
 
     Walking the route, the first position where the two translated path
-    copies disagree on tile type yields a conflict; growing the prefix
-    and the tiled route in the appropriate translation and then placing
-    the other copy's tile there blocks the path.  Without a conflict the
+    copies disagree on tile type yields a conflict.  The route reached it
+    from its predecessor along one copy, and the certificate grows that
+    copy's side and then places the other copy's tile there:
+
+    - along the west copy (tiles ``j+1..k`` moved west by the vector):
+      prefix ``0..i``, the tiled route unshifted, then the west copy's type;
+    - along the segment (tiles ``i+1..k``): prefix ``0..j``, the tiled route
+      shifted east by the vector, then the segment's type.
+
+    The route's first position is tile ``i+1``, so a conflict there has
+    tile ``i`` for its predecessor, counted as segment index ``i``, and
+    grows prefix ``0..j`` alone.  Its west-copy tile is tile ``j+1``
+    (``blocker-edge``): glues ``i`` and ``j`` both point east, so tile
+    ``i+1`` moved by the vector is tile ``j+1``.  Without a conflict the
     fully tiled route grows in both translations.
     """
-    p, i, j = ws.path, ws.shield.i, ws.shield.j
-    positions, types = p.positions, p.types
+    i, j = ws.shield.i, ws.shield.j
+    positions, types = ws.path.positions, ws.path.types
     v_tiles = (ws.vector[0] // 2, ws.vector[1] // 2)
     fam1, fam2 = ws.fam1, ws.fam2
 
@@ -652,36 +663,22 @@ def build_R(ws: Workspace, route: tuple[Point, ...]):
 
     conflict2 = route[s0]
     a_conf, b_conf = fam1[conflict2], fam2[conflict2]
-    if s0 == 0:
-        # The very first route position already conflicts; the east copy of
-        # the first segment tile blocks the path right after tile j.
-        if b_conf != j + 1:
-            raise ClaimViolation("blocker-edge",
-                                 "conflict at route start is not beside tile j")
-        blocker_pos = positions[b_conf]
-        cert = FragilityCert((*zip(positions[: j + 1], types), (blocker_pos, types[a_conf])),
-                             blocker_pos)
-        return tiled, (cert, "east-copy")
-
-    prev = route[s0 - 1]
-    b_prev = fam2.get(prev)
-    if b_prev is not None and abs(fam2.get(conflict2, 10 ** 9) - b_prev) == 1:
-        # Grow prefix..i plus the tiled route, then place the west copy's tile.
-        cert = FragilityCert((*zip(positions[: i + 1], types),
-                              *zip(tiled.positions, tiled.types),
-                              (_tile(conflict2), types[b_conf])), _tile(conflict2))
-        return tiled, (cert, "west-copy")
-    a_prev = fam1.get(prev)
-    if a_prev is not None and abs(a_conf - a_prev) == 1:
-        # Grow prefix..j plus the east-shifted route, then the east copy's tile.
-        east = tiled.translate(v_tiles)
-        east_pos = add(_tile(conflict2), v_tiles)
-        cert = FragilityCert((*zip(positions[: j + 1], types),
-                              *zip(east.positions, east.types),
-                              (east_pos, types[a_conf])), east_pos)
-        return tiled, (cert, "east-copy")
-    raise ClaimViolation("blocker-edge",
-                         "conflict is reachable by neither translated copy")
+    if s0 == 0 and b_conf != j + 1:
+        raise ClaimViolation("blocker-edge", "conflict at route start is not beside tile j")
+    prev = route[s0 - 1] if s0 else ws.pos2[i]
+    a_prev, b_prev = fam1.get(prev) if s0 else i, fam2.get(prev)
+    if b_prev is not None and abs(b_conf - b_prev) == 1:
+        prefix_end, shift, placed, tag = i, (0, 0), types[b_conf], "west-copy"
+    elif a_prev is not None and abs(a_conf - a_prev) == 1:
+        prefix_end, shift, placed, tag = j, v_tiles, types[a_conf], "east-copy"
+    else:
+        raise ClaimViolation("blocker-edge",
+                             "conflict is reachable by neither translated copy")
+    grown = tiled.translate(shift)
+    at = add(_tile(conflict2), shift)
+    cert = FragilityCert((*zip(positions[: prefix_end + 1], types),
+                          *zip(grown.positions, grown.types), (at, placed)), at)
+    return tiled, (cert, tag)
 
 
 def _anchor_pair(ws: Workspace, tiled: Path, m: int) -> tuple[int, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .geometry import PolyCurve
-from .shield import Shield, ShieldTrace, Workspace, build_workspace, check_shield
+from .shield import Shield, ShieldTrace, build_workspace, check_shield
 from .tam import Path, TileSystem
 from .visibility import GlueView
 
@@ -51,26 +51,24 @@ def _curve_points(curve: PolyCurve, top: int, window) -> str:
 
 def render_svg(sys: TileSystem, path: Optional[Path] = None,
                overlays: Iterable[str] = (), shield: Optional[Shield] = None,
-               workspace: Optional[Workspace] = None,
                trace: Optional[ShieldTrace] = None) -> str:
     """Render to an SVG 1.1 string; identical inputs give identical bytes.
 
     A ``shield`` is checked against ``path`` first, so a triple that is
     not a shield raises :class:`NotAShield` before any overlay is drawn.
     An overlay whose input is missing raises :class:`ValueError`: ``rays``
-    needs a shield on the path, ``cut`` and ``regions`` need that or a
-    workspace, and ``trace`` needs a trace.
+    needs a shield on the path, and so do ``cut`` and ``regions``, which
+    draw that shield's workspace; ``trace`` needs a trace.
     """
     overlays = set(overlays)
-    view = None
+    view = workspace = None
     if shield is not None and path is not None:
         view = GlueView(sys, path)
         check_shield(sys, path, shield.i, shield.j, shield.k, view)
-        if workspace is None:
-            workspace = build_workspace(sys, path, shield)
+        workspace = build_workspace(sys, path, shield)
     needs = {"rays": (view, "a shield and a path"),
-             "cut": (workspace, "a shield and a path, or a workspace"),
-             "regions": (workspace, "a shield and a path, or a workspace"),
+             "cut": (workspace, "a shield and a path"),
+             "regions": (workspace, "a shield and a path"),
              "trace": (trace, "a trace")}
     for name in sorted(overlays & needs.keys()):
         given, what = needs[name]

@@ -250,6 +250,13 @@ def validate_producible_path(sys: TileSystem, p: Path) -> ValidationReport:
     return ValidationReport(True, notes=notes)
 
 
+def check_producible(sys: TileSystem, p: Path) -> None:
+    """Raise :class:`BadSystem` naming the first violation unless ``p`` is producible."""
+    rep = validate_producible_path(sys, p)
+    if not rep:
+        raise BadSystem(f"path is not producible: {rep.code}@{rep.index}")
+
+
 def replay_assembly_sequence(sys: TileSystem,
                              seq: Sequence[tuple[Position, TileType]]) -> Assembly:
     """Grow the seed by the given attachments, checking each one binds.

@@ -43,9 +43,7 @@ from .errors import (
     PrefixAmbiguity,
 )
 from .geometry import Point, Turn, turn_right_of_path
-from .tam import Path, TileSystem
-
-POINTING = {(1, 0): "east", (-1, 0): "west", (0, 1): "north", (0, -1): "south"}
+from .tam import SIDE_OF_STEP, Path, TileSystem
 
 # A column's span as ``(s, n, label, pointing, height)``: see GlueView.column_spans.
 SpanRecord = tuple[int, int, str, Optional[str], int]
@@ -168,7 +166,7 @@ class GlueView:
         x0, y0 = positions[i]
         x1, y1 = positions[i + 1]
         # The glue sits on the side of tile i it points out of.
-        side = POINTING[(x1 - x0, y1 - y0)]
+        side = SIDE_OF_STEP[(x1 - x0, y1 - y0)]
         return GlueRef(i, getattr(self.path.types[i], side), side, (x0 + x1, y0 + y1),
                        y0 == y1)
 
@@ -341,19 +339,17 @@ class Span:
         return cls(s, n, column, "up" if s <= n else "down", pointing, label, height)
 
 
-def spans(sys: TileSystem, p: Path, view: Optional[GlueView] = None) -> list[Span]:
+def spans(sys: TileSystem, p: Path) -> list[Span]:
     """One span per eligible glue column, sorted by column.
 
     Raises :class:`NotCanonical` when the spans are undefined
     (:meth:`GlueView.check_spans_defined`).  Columns carrying labelled
     seed glues are skipped, as are columns where an unlabelled seed edge
-    blocks the extremal ray (:meth:`GlueView.column_spans`).  ``view``,
-    when given, is a prebuilt :class:`GlueView` of ``(sys, p)``.  Each
+    blocks the extremal ray (:meth:`GlueView.column_spans`).  Each
     :class:`Span` is a fresh slotted record, compared by value and not
     hashable.
     """
-    if view is None:
-        view = GlueView(sys, p)
+    view = GlueView(sys, p)
     view.check_spans_defined()
     return [Span.of(col, rec) for col, rec in view.column_spans().items()]
 

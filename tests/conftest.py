@@ -8,6 +8,7 @@ session; seeded generators, tower paths and golden figures.
 import functools
 import os
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +38,29 @@ def src_env():
     inherited = os.environ.get("PYTHONPATH")
     return dict(os.environ,
                 PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
+
+
+class time_budget:
+    """A ``with`` block that must end within ``seconds`` of wall time.
+
+    When the block ends normally its ``elapsed`` seconds are kept and
+    asserted below ``seconds``; a block that raises keeps its own error.
+    """
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+        self.elapsed = None
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.elapsed = time.perf_counter() - self._start
+        if exc_type is None:
+            assert self.elapsed < self.seconds, \
+                f"took {self.elapsed:.2f}s, over the {self.seconds}s budget"
+        return False
 
 
 def system_of(tile_specs, seed_cells):

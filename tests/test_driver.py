@@ -2,8 +2,8 @@
 
 import random
 import sys
-import time
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +33,8 @@ from pumpkit.tam import SIDE_OF_STEP, STEP, FragilityCert, TileType, validate_pr
 from pumpkit.visibility import GlueView, Span, spans
 
 from conftest import (TALL_BRANCH_CASES, TOWER_TEXT, _climb, _producible_walks, _short_walks,
-                      and_east_facing, count_entries_reads, path_of, system_of, tower_path)
+                      and_east_facing, count_entries_reads, path_of, system_of, time_budget,
+                      tower_path)
 
 
 def test_bound_values():
@@ -316,16 +317,21 @@ def test_analyze_resumes_after_a_rejected_proposal(staircase, monkeypatch):
 
 
 def test_analyze_corpus_certificates(rng):
+    # The default systems rarely have two types that compete for a
+    # position, so none of their walks is fragile; walks of up to 20 tiles
+    # over two labels and few null glues are, now and then.
     budget = EnumBudget(max_path_len=10, max_nodes=4000)
     kinds = {"pumpable": 0, "fragile": 0, "no_shield": 0}
-    for sys_, p in _short_walks(rng, 300, 10):
+    competing = _short_walks(random.Random(0xC0FFEE), 1000, 20, max_tiles=4, max_seed=3,
+                             alphabet="ab", null_bias=0.2)
+    for sys_, p in chain(_short_walks(rng, 300, 10), competing):
         res = analyze(sys_, p, bound_override=2, budget=budget)
         kinds[res.kind] += 1
         if res.kind == "pumpable":
             assert verify_pumpable_cert(sys_, res.pumpable).ok
         elif res.kind == "fragile":
             assert verify_fragile_cert(sys_, p, res.fragile).ok
-    assert kinds["pumpable"] > 90
+    assert kinds["pumpable"] > 90 and kinds["fragile"] > 0
 
 
 SAMPLED_WALKS_SECONDS = 15.0  # about 4 s on a 2-core machine
@@ -336,21 +342,20 @@ def test_analyze_decides_or_gives_up_on_sampled_walks():
     # no override and with one in 2..30, analyze returns no_shield or a
     # certificate on the given path that the verifiers accept, and raises
     # nothing.
-    start = time.perf_counter()
-    rng = random.Random(53)
-    kinds = Counter()
-    for sys_, p in _producible_walks(rng, 3000):
-        for override in (None, rng.randint(2, 30)):
-            res = analyze(sys_, p, bound_override=override)
-            kinds[res.kind] += 1
-            if res.kind == "pumpable":
-                assert res.pumpable.path == p and verify_pumpable_cert(sys_, res.pumpable).ok
-            elif res.kind == "fragile":
-                assert verify_fragile_cert(sys_, p, res.fragile).ok
-            else:
-                assert res.kind == "no_shield"
-    assert kinds["pumpable"] > 3000 and kinds["fragile"] > 200 and kinds["no_shield"] > 1000
-    assert time.perf_counter() - start < SAMPLED_WALKS_SECONDS
+    with time_budget(SAMPLED_WALKS_SECONDS):
+        rng = random.Random(53)
+        kinds = Counter()
+        for sys_, p in _producible_walks(rng, 3000):
+            for override in (None, rng.randint(2, 30)):
+                res = analyze(sys_, p, bound_override=override)
+                kinds[res.kind] += 1
+                if res.kind == "pumpable":
+                    assert res.pumpable.path == p and verify_pumpable_cert(sys_, res.pumpable).ok
+                elif res.kind == "fragile":
+                    assert verify_fragile_cert(sys_, p, res.fragile).ok
+                else:
+                    assert res.kind == "no_shield"
+        assert kinds["pumpable"] > 3000 and kinds["fragile"] > 200 and kinds["no_shield"] > 1000
 
 
 TWIN_TOWER_TEXT = TOWER_TEXT + "tile B north=a east=a south=a west=a\n"
@@ -717,14 +722,11 @@ def test_view_spans_match_fresh_spans(rng):
         except NotCanonical:
             with pytest.raises(NotCanonical):
                 view.check_spans_defined()
-            with pytest.raises(NotCanonical):
-                spans(sys_, p, view)
             continue
         view.check_spans_defined()
         records = view.column_spans()
         assert list(records) == sorted(records)
         assert [Span.of(col, rec) for col, rec in records.items()] == want
-        assert spans(sys_, p, view) == want
         assert view.column_spans() == records
         checked += 1
     assert checked >= 200
@@ -739,7 +741,7 @@ def test_view_spans_not_canonical():
         with pytest.raises(NotCanonical, match="not the unique extremal glue"):
             view.check_spans_defined()
         with pytest.raises(NotCanonical, match="not the unique extremal glue"):
-            spans(sys_, p, view)
+            spans(sys_, p)
 
 
 # -- two-handed reduction -------------------------------------------------------

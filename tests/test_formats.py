@@ -335,7 +335,7 @@ def test_svg_deterministic(unit, unit_path):
                          ids=["rays", "cut", "regions", "trace"])
 def test_svg_overlay_without_its_input_raises(unit, unit_path, overlay, shield):
     # An overlay is never dropped without a word: rays need a shield, the
-    # cut and the regions a shield or a workspace, the trace a trace.
+    # cut and the regions a shield's workspace, the trace a trace.
     with pytest.raises(ValueError, match=f"overlay '{overlay}' needs"):
         render_svg(unit, unit_path, overlays={overlay}, shield=shield)
 

@@ -19,7 +19,6 @@ the flips, the tall-span towers and one hand-built path for the ledger).
 """
 
 import random
-import time
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
@@ -30,10 +29,10 @@ from pumpkit import driver, tam
 from pumpkit.driver import FLIP_V, IDENTITY, Frame, canonicalize
 from pumpkit.errors import ClaimViolation, NotCanonical, TooShort
 from pumpkit.formats import parse_system
-from pumpkit.visibility import POINTING, GlueRef, GlueView, Span, spans
+from pumpkit.visibility import GlueRef, GlueView, Span, spans
 
 from conftest import (TALL_BRANCH_CASES, _producible_walks, _tower_walks, and_east_facing,
-                      corpus_paths, path_of, system_of, tower_path)
+                      corpus_paths, path_of, system_of, time_budget, tower_path)
 
 REFERENCE_SECONDS = 5.0  # per test; each takes well under 2 s on a 2-core machine
 
@@ -82,10 +81,9 @@ def reference_glue_refs(p):
     for i in range(len(entries) - 1):
         (x0, y0), t0 = entries[i]
         x1, y1 = entries[i + 1][0]
-        step = (x1 - x0, y1 - y0)
+        side = tam.SIDE_OF_STEP[(x1 - x0, y1 - y0)]
         mx = x0 + x1
-        refs.append(GlueRef(i, getattr(t0, tam.SIDE_OF_STEP[step]), POINTING[step],
-                            (mx, y0 + y1), mx % 2 == 1))
+        refs.append(GlueRef(i, getattr(t0, side), side, (mx, y0 + y1), mx % 2 == 1))
     return refs
 
 
@@ -186,48 +184,42 @@ def reference_couple_pair(stretch):
     return None
 
 
-def _timed():
-    start = time.time()
-    return lambda: time.time() - start < REFERENCE_SECONDS
-
-
 def test_banks_from_columns_match_per_glue_scan():
     # The view keeps only column extremes and builds glue records on
     # request; its banks, their pointing filters, span records and span
     # precondition must equal what the records of a separate pass give.
-    within = _timed()
-    n_paths = n_visible = n_west = n_spans = n_defined = 0
-    for sys_, p in chain(corpus_paths(), _producible_walks(random.Random(17), 300)):
-        view = GlueView(sys_, p)
-        refs = reference_glue_refs(p)
-        assert view.cols == {key: (lo.index, lo.midpoint[1], hi.index, hi.midpoint[1])
-                             for key, (lo, hi) in reference_columns(refs).items()}
-        assert view.glues == reference_glue_refs(p)
-        south, north = reference_banks(view)
-        assert view.south_visible() == south
-        assert view.north_visible() == north
-        assert view.banks == ([g.index for g in south], [g.index for g in north])
-        for bank, bank_refs in zip(view.banks, (south, north)):
-            west = [g.index for g in bank_refs if g.pointing == "west"]
-            assert view.west_pointing(bank) == west
-            assert view.east_pointing(bank) == [g.index for g in bank_refs
-                                                if g.pointing == "east"]
-            n_west += bool(west)
-        records = reference_column_spans(view, refs)
-        assert view.column_spans() == records
-        defined = reference_spans_defined(view, refs)
-        if defined:
-            view.check_spans_defined()
-        else:
-            with pytest.raises(NotCanonical):
+    with time_budget(REFERENCE_SECONDS):
+        n_paths = n_visible = n_west = n_spans = n_defined = 0
+        for sys_, p in chain(corpus_paths(), _producible_walks(random.Random(17), 300)):
+            view = GlueView(sys_, p)
+            refs = reference_glue_refs(p)
+            assert view.cols == {key: (lo.index, lo.midpoint[1], hi.index, hi.midpoint[1])
+                                 for key, (lo, hi) in reference_columns(refs).items()}
+            assert view.glues == reference_glue_refs(p)
+            south, north = reference_banks(view)
+            assert view.south_visible() == south
+            assert view.north_visible() == north
+            assert view.banks == ([g.index for g in south], [g.index for g in north])
+            for bank, bank_refs in zip(view.banks, (south, north)):
+                west = [g.index for g in bank_refs if g.pointing == "west"]
+                assert view.west_pointing(bank) == west
+                assert view.east_pointing(bank) == [g.index for g in bank_refs
+                                                    if g.pointing == "east"]
+                n_west += bool(west)
+            records = reference_column_spans(view, refs)
+            assert view.column_spans() == records
+            defined = reference_spans_defined(view, refs)
+            if defined:
                 view.check_spans_defined()
-        n_paths += 1
-        n_visible += len(south) + len(north)
-        n_spans += len(records)
-        n_defined += defined
-    assert n_paths > 5000 and n_visible > 20000 and n_west > 1000
-    assert n_spans > 20000 and 1000 < n_defined < n_paths
-    assert within()
+            else:
+                with pytest.raises(NotCanonical):
+                    view.check_spans_defined()
+            n_paths += 1
+            n_visible += len(south) + len(north)
+            n_spans += len(records)
+            n_defined += defined
+        assert n_paths > 5000 and n_visible > 20000 and n_west > 1000
+        assert n_spans > 20000 and 1000 < n_defined < n_paths
 
 
 def test_banks_are_fresh_lists_of_one_view():
@@ -242,39 +234,37 @@ def test_banks_are_fresh_lists_of_one_view():
 
 
 def test_orient_east_matches_per_turn_point_lists():
-    within = _timed()
-    counts = {"oriented": 0, "none": 0}
-    instances = chain(_producible_walks(random.Random(23), 200),
-                      (inst for n, inst in enumerate(corpus_paths()) if n % 4 == 0))
-    for sys_, p in instances:
-        for frame in (IDENTITY,) + TALL_PREFIX_TURNS:
-            for cut in (len(p), len(p) // 2 + 1):
-                q = p.prefix(cut - 1)
-                want = reference_orient_east(sys_, q, frame)
-                assert driver._orient_east(sys_, q, frame) == want
-                counts["oriented" if want is not None else "none"] += 1
-    assert counts["oriented"] > 2000 and counts["none"] > 200
-    assert within()
+    with time_budget(REFERENCE_SECONDS):
+        counts = {"oriented": 0, "none": 0}
+        instances = chain(_producible_walks(random.Random(23), 200),
+                          (inst for n, inst in enumerate(corpus_paths()) if n % 4 == 0))
+        for sys_, p in instances:
+            for frame in (IDENTITY,) + TALL_PREFIX_TURNS:
+                for cut in (len(p), len(p) // 2 + 1):
+                    q = p.prefix(cut - 1)
+                    want = reference_orient_east(sys_, q, frame)
+                    assert driver._orient_east(sys_, q, frame) == want
+                    counts["oriented" if want is not None else "none"] += 1
+        assert counts["oriented"] > 2000 and counts["none"] > 200
 
 
 def test_canonical_frame_matches_per_point_margins():
     # ``canonicalize`` orients through ``driver._orient_east``; the
     # reference reads the turn off the side of the square the cut tile is
     # on.  Each of the four sides is taken.
-    within = _timed()
-    turns = Counter()
-    for sys_, p in _producible_walks(random.Random(29), 200):
-        for dist in (3, 8, 20):
-            want = reference_canonical_frame(sys_, p, dist)
-            try:
-                got = canonicalize(sys_, p, bound_override=dist).frame
-            except TooShort:
-                assert want is None
-                continue
-            assert got == want
-            turns[got.turns] += 1
-    assert sorted(turns) == [0, 1, 2, 3] and min(turns.values()) >= 100
-    assert within()
+    with time_budget(REFERENCE_SECONDS):
+        turns = Counter()
+        for sys_, p in _producible_walks(random.Random(29), 200):
+            for dist in (3, 8, 20):
+                want = reference_canonical_frame(sys_, p, dist)
+                try:
+                    got = canonicalize(sys_, p, bound_override=dist).frame
+                except TooShort:
+                    assert want is None
+                    continue
+                assert got == want
+                turns[got.turns] += 1
+        assert sorted(turns) == [0, 1, 2, 3] and min(turns.values()) >= 100
 
 
 @pytest.mark.parametrize("step", sorted(tam.STEP.values()))
@@ -301,25 +291,24 @@ def test_too_short_boundary_on_straight_paths(step, dist):
 def test_flipped_span_matches_rebuilt_flip_view():
     # Every span of the mirrored frame is the span on the same column with
     # its two glues swapped; on a down span that is ``driver._flipped``.
-    within = _timed()
-    fixtures = [tower_path(runs) for runs, _, _ in TALL_BRANCH_CASES]
-    n_spans = n_flips = 0
-    for sys_, p in chain(corpus_paths(), fixtures, _tower_walks(random.Random(31), 2500)):
-        try:
-            found = spans(sys_, p)
-        except NotCanonical:
-            continue
-        rebuilt = reference_flipped_spans(sys_, p)
-        assert list(rebuilt) == [s.coordinate for s in found]
-        for s in found:
-            mirrored = replace(s, s=s.n, n=s.s, orientation="up" if s.n <= s.s else "down")
-            assert rebuilt[s.coordinate] == mirrored
-            if s.orientation == "down":
-                assert driver._flipped(s) == mirrored
-                n_flips += 1
-        n_spans += len(found)
-    assert n_spans > 20000 and n_flips > 800
-    assert within()
+    with time_budget(REFERENCE_SECONDS):
+        fixtures = [tower_path(runs) for runs, _, _ in TALL_BRANCH_CASES]
+        n_spans = n_flips = 0
+        for sys_, p in chain(corpus_paths(), fixtures, _tower_walks(random.Random(31), 2500)):
+            try:
+                found = spans(sys_, p)
+            except NotCanonical:
+                continue
+            rebuilt = reference_flipped_spans(sys_, p)
+            assert list(rebuilt) == [s.coordinate for s in found]
+            for s in found:
+                mirrored = replace(s, s=s.n, n=s.s, orientation="up" if s.n <= s.s else "down")
+                assert rebuilt[s.coordinate] == mirrored
+                if s.orientation == "down":
+                    assert driver._flipped(s) == mirrored
+                    n_flips += 1
+            n_spans += len(found)
+        assert n_spans > 20000 and n_flips > 800
 
 
 # The lowest glues of columns -1 and 0 point west and the highest east, so
@@ -351,29 +340,28 @@ def test_ledger_matches_all_spans_reference():
     # built every span, an all-spans dict and a stretch dict.  Both run on
     # each path as given and, where it orients, in its east-facing frame,
     # where the driver builds its ledgers.
-    within = _timed()
-    fixtures = [tower_path(runs) for runs, _, _ in TALL_BRANCH_CASES]
-    fixtures.append(parse_system(MIXED_SPAN_TEXT))
-    n_ledgers = n_unavailable = n_pairs = n_stretch = 0
-    for sys_, p in and_east_facing(chain(corpus_paths(), fixtures,
-                                         _producible_walks(random.Random(23), 300))):
-        view = GlueView(sys_, p)
-        want_trail, want = _ledger_outcome(reference_build_ledger, view)
-        got_trail, got = _ledger_outcome(driver._build_ledger, view)
-        assert got_trail == want_trail
-        if not isinstance(want, tuple):
-            assert got == want  # ``None``, or the same claim violation
-            n_unavailable += want is None
-            continue
-        stretch, columns = want
-        x_last = got.columns[-1]
-        assert list(stretch) == list(range(got.x0, x_last + 1))
-        assert [Span.of(col, got.spans[col]) for col in stretch] == list(stretch.values())
-        assert got.columns == columns
-        pair = driver._find_couple_pair(got)
-        assert pair == reference_couple_pair(stretch)
-        n_ledgers += 1
-        n_pairs += pair is not None
-        n_stretch += len(stretch)
-    assert n_ledgers > 5000 and n_unavailable > 3000 and n_pairs > 4000 and n_stretch > 40000
-    assert within()
+    with time_budget(REFERENCE_SECONDS):
+        fixtures = [tower_path(runs) for runs, _, _ in TALL_BRANCH_CASES]
+        fixtures.append(parse_system(MIXED_SPAN_TEXT))
+        n_ledgers = n_unavailable = n_pairs = n_stretch = 0
+        for sys_, p in and_east_facing(chain(corpus_paths(), fixtures,
+                                             _producible_walks(random.Random(23), 300))):
+            view = GlueView(sys_, p)
+            want_trail, want = _ledger_outcome(reference_build_ledger, view)
+            got_trail, got = _ledger_outcome(driver._build_ledger, view)
+            assert got_trail == want_trail
+            if not isinstance(want, tuple):
+                assert got == want  # ``None``, or the same claim violation
+                n_unavailable += want is None
+                continue
+            stretch, columns = want
+            x_last = got.columns[-1]
+            assert list(stretch) == list(range(got.x0, x_last + 1))
+            assert [Span.of(col, got.spans[col]) for col in stretch] == list(stretch.values())
+            assert got.columns == columns
+            pair = driver._find_couple_pair(got)
+            assert pair == reference_couple_pair(stretch)
+            n_ledgers += 1
+            n_pairs += pair is not None
+            n_stretch += len(stretch)
+        assert n_ledgers > 5000 and n_unavailable > 3000 and n_pairs > 4000 and n_stretch > 40000

@@ -1,7 +1,6 @@
 """Exact-geometry layer: plane sides, turns, lattice walks."""
 
 import random
-import time
 from typing import Optional
 
 import pytest
@@ -29,7 +28,7 @@ from pumpkit.geometry import (
 )
 from pumpkit.oracle import FloodFill, doubled
 
-from conftest import HAND_MADE, _recorded, _short_walks, random_curve
+from conftest import HAND_MADE, _recorded, _short_walks, random_curve, time_budget
 
 
 def vertical_line(x=1):
@@ -230,10 +229,8 @@ def test_long_curve_window_cost():
     assert len(curve.points) > 5000
     cx, cy = curve.points[len(curve.points) // 2]
     window = [(x, y) for x in range(cx - 20, cx + 21) for y in range(cy - 20, cy + 21)]
-    start = time.perf_counter()
-    sides = {q: classify_side(curve, q) for q in window}
-    elapsed = time.perf_counter() - start
-    assert elapsed < LONG_CURVE_SECONDS, elapsed
+    with time_budget(LONG_CURVE_SECONDS):
+        sides = {q: classify_side(curve, q) for q in window}
     assert {Side.LEFT, Side.RIGHT} <= set(sides.values())
     for q in rng.sample(window, 60):
         if sides[q] is not Side.ON:
@@ -368,8 +365,8 @@ def test_turn_total_order(back, candidates):
 
 
 def test_clockwise_successors_follow_the_turn_order():
-    # turn_right_of_path is the independent definition of the order the
-    # route search tries successors in: most-right-turning first.
+    # The order the route search tries successors in, written out from the
+    # incoming step: the right turn, straight on, then the left turn.
     for length in (1, 2):
         for ux, uy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             cur = (5, -3)
@@ -380,8 +377,9 @@ def test_clockwise_successors_follow_the_turn_order():
             assert len(got) == 3 and set(got) == steps - {prev}, (prev, cur, got)
             for right, left in zip(got, got[1:]):
                 assert turn_right_of_path(prev, cur, taken=left, candidate=right) is Turn.RIGHT
-            # The first is a right turn off the incoming step.
-            assert got[0] == (cur[0] + length * uy, cur[1] - length * ux)
+            right, straight, left = ((cur[0] + length * dx, cur[1] + length * dy)
+                                     for dx, dy in ((uy, -ux), (ux, uy), (-uy, ux)))
+            assert got == [right, straight, left], (prev, cur, got)
 
 
 # -- departures ------------------------------------------------------------------

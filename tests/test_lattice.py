@@ -9,11 +9,12 @@ engine builds for the j < k shields of criterion 9's corpus.
 """
 
 import random
-import time
 from collections import defaultdict
 from itertools import repeat
 
 from pumpkit.geometry import PolyCurve
+
+from conftest import time_budget
 
 REFERENCE_SECONDS = 5.0  # per test case; each takes under 2 s on a 2-core machine
 
@@ -83,20 +84,18 @@ def random_mixed_staircase(rng, n):
 
 
 def test_lattice_walk_matches_reference_on_random_curves():
-    start = time.perf_counter()
-    rng = random.Random(83)
-    kinds = {"half": (1,), "whole": (2,), "path": (1, 2), "mixed": (1, 2, 3, 5, 8)}
-    n = 0
-    for lengths in kinds.values():
-        for _ in range(150):
-            assert_matches_reference(random_mixed_curve(rng, rng.randrange(0, 30), lengths))
+    with time_budget(REFERENCE_SECONDS):
+        rng = random.Random(83)
+        kinds = {"half": (1,), "whole": (2,), "path": (1, 2), "mixed": (1, 2, 3, 5, 8)}
+        n = 0
+        for lengths in kinds.values():
+            for _ in range(150):
+                assert_matches_reference(random_mixed_curve(rng, rng.randrange(0, 30), lengths))
+                n += 1
+        for _ in range(200):
+            assert_matches_reference(random_mixed_staircase(rng, rng.randrange(1, 12)))
             n += 1
-    for _ in range(200):
-        assert_matches_reference(random_mixed_staircase(rng, rng.randrange(1, 12)))
-        n += 1
-    assert n == 800
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+        assert n == 800
 
 
 def test_lattice_walk_matches_reference_on_engine_curves(engine_record):
@@ -104,10 +103,8 @@ def test_lattice_walk_matches_reference_on_engine_curves(engine_record):
     # rays, the split, the inner cut, the moved route and stretches, the
     # progress loop's frontiers and extensions), over one part of
     # criterion 9's groups.
-    start = time.perf_counter()
-    groups = engine_record.groups
-    assert groups > 900 and len(engine_record.curves) > 10 * groups
-    for curve in engine_record.curves:
-        assert_matches_reference(curve)
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+    with time_budget(REFERENCE_SECONDS):
+        groups = engine_record.groups
+        assert groups > 900 and len(engine_record.curves) > 10 * groups
+        for curve in engine_record.curves:
+            assert_matches_reference(curve)

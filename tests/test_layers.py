@@ -11,6 +11,9 @@ them reads live in ``conftest.py``.
 
 A fresh import of the package leaves nothing of the last one alive: no
 module-level object outside the package holds its classes.
+
+Every name a package or tool module imports is read in that module.  The
+package's ``__init__.py`` is exempt: its imports are its ``__all__``.
 """
 
 import ast
@@ -26,6 +29,7 @@ LAYERS = ("errors", "budgets", "geometry", "tam", "visibility", "oracle", "shiel
           "driver", "formats", "svgout", "cli")
 PACKAGE = os.path.join(REPO, "src", "pumpkit")
 TESTS = os.path.join(REPO, "tests")
+TOOLS = os.path.join(REPO, "tools")
 
 
 def _imports(module):
@@ -84,6 +88,39 @@ def test_test_modules_import_no_test_module():
             with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
                 found = _test_module_imports(fh.read())
             assert not found, f"{name} imports {sorted(found)}; shared inputs go in conftest.py"
+
+
+def _unread_imports(source):
+    """Names that ``source`` imports and never reads, ``__future__`` features aside.
+
+    A name counts as read where it is loaded, and inside a string annotation.
+    """
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    notes = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    notes += [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    trees = [tree] + [ast.parse(c.value, mode="eval") for note in notes if note is not None
+                      for c in ast.walk(note)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    read = {n.id for t in trees for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_every_import_is_read():
+    assert _unread_imports("from __future__ import annotations\nimport os.path\n"
+                           "from a import b as c, d\nx: 'd' = 1\n") == ["c", "os"]
+    files = [os.path.join(PACKAGE, f"{m}.py") for m in LAYERS]
+    files += [os.path.join(TOOLS, n) for n in sorted(os.listdir(TOOLS)) if n.endswith(".py")]
+    for name in files:
+        with open(name, encoding="utf-8") as fh:
+            unread = _unread_imports(fh.read())
+        assert not unread, f"{os.path.relpath(name, REPO)} never reads {unread}"
 
 
 def _drop_package():

@@ -11,11 +11,10 @@ random lattice walks whose rays run into their own finite part.
 """
 
 import random
-import time
 
 from pumpkit.geometry import INFINITE_OVERLAP, PolyCurve, curve_intersection
 
-from conftest import HAND_MADE, random_curve
+from conftest import HAND_MADE, random_curve, time_budget
 
 REFERENCE_SECONDS = 5.0  # per test case; each takes well under 2 s on a 2-core machine
 
@@ -137,93 +136,85 @@ def _shapes(rng):
 
 
 def test_ray_hits_matches_column_walk():
-    start = time.perf_counter()
-    rng = random.Random(13)
-    curves = _shapes(rng) + [_random_walk_curve(rng, 30, avoid=True) for _ in range(40)]
-    on_start = off_start = nonempty_off = 0
-    for curve in curves:
-        x0, y0, x1, y1 = curve.bbox()
-        starts = list(curve.lattice_points())
-        starts += [(rng.randrange(x0 - 2, x1 + 3), rng.randrange(y0 - 3, y1 + 4))
-                   for _ in range(20)]
-        for q in starts:
-            for north in (False, True):
-                got = curve.ray_hits(q, north)
-                assert got == brute_ray_hits(curve, q, north), (curve.points, q, north)
-                if q in curve.lattice_set():
-                    on_start += 1
-                    assert q in got
-                else:
-                    off_start += 1
-                    nonempty_off += bool(got)
-    assert on_start > 2000 and off_start > 2000 and nonempty_off > 500
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+    with time_budget(REFERENCE_SECONDS):
+        rng = random.Random(13)
+        curves = _shapes(rng) + [_random_walk_curve(rng, 30, avoid=True) for _ in range(40)]
+        on_start = off_start = nonempty_off = 0
+        for curve in curves:
+            x0, y0, x1, y1 = curve.bbox()
+            starts = list(curve.lattice_points())
+            starts += [(rng.randrange(x0 - 2, x1 + 3), rng.randrange(y0 - 3, y1 + 4))
+                       for _ in range(20)]
+            for q in starts:
+                for north in (False, True):
+                    got = curve.ray_hits(q, north)
+                    assert got == brute_ray_hits(curve, q, north), (curve.points, q, north)
+                    if q in curve.lattice_set():
+                        on_start += 1
+                        assert q in got
+                    else:
+                        off_start += 1
+                        nonempty_off += bool(got)
+        assert on_start > 2000 and off_start > 2000 and nonempty_off > 500
 
 
 def test_is_simple_matches_per_point_scans():
-    start = time.perf_counter()
-    rng = random.Random(17)
-    curves = _shapes(rng) + [_random_walk_curve(rng, rng.randrange(1, 30), avoid)
-                             for avoid in (False, True) for _ in range(200)]
-    repeats = ray_only = 0  # not simple by a repeated point, by a ray alone
-    for curve in curves:
-        want = reference_is_simple(curve)
-        assert curve.is_simple() is want, (curve.points, curve.south_ray, curve.north_ray)
-        if len(curve.lattice_set()) != len(curve.lattice_points()):
-            repeats += 1
-        else:
-            ray_only += not want
-    assert repeats > 50 and ray_only > 50 and sum(c.is_simple() for c in curves) > 100
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+    with time_budget(REFERENCE_SECONDS):
+        rng = random.Random(17)
+        curves = _shapes(rng) + [_random_walk_curve(rng, rng.randrange(1, 30), avoid)
+                                 for avoid in (False, True) for _ in range(200)]
+        repeats = ray_only = 0  # not simple by a repeated point, by a ray alone
+        for curve in curves:
+            want = reference_is_simple(curve)
+            assert curve.is_simple() is want, (curve.points, curve.south_ray, curve.north_ray)
+            if len(curve.lattice_set()) != len(curve.lattice_points()):
+                repeats += 1
+            else:
+                ray_only += not want
+        assert repeats > 50 and ray_only > 50 and sum(c.is_simple() for c in curves) > 100
 
 
 def test_curve_intersection_matches_reference_on_shared_columns():
     # Each curve against translates that put one of its rays on the column
     # of one of the translate's rays: same headings overlap infinitely,
     # opposite headings in a stretch from empty to three or more points.
-    start = time.perf_counter()
-    rng = random.Random(19)
-    pairs = []
-    for curve in _shapes(rng):
-        (sx, sy), (nx, ny) = curve.points[0], curve.points[-1]
-        for dy in range(-4, 5):
-            pairs.append((curve, curve.translate((0, dy))))
-            # The curve's north ray on the column of the translate's south
-            # ray, and the other way round.
-            pairs.append((curve, curve.translate((nx - sx, ny - sy + dy))))
-            pairs.append((curve.translate((sx - nx, sy - ny + dy)), curve))
-            pairs.append((curve, curve.translate((rng.randrange(-4, 5), dy))))
-    results = assert_intersections_match(pairs)
-    overlaps = {}  # opposite-heading ray pairs on one column, by shared points
-    from_a = from_b = 0  # finite results that one curve's rays add to
-    for (a, b), want in zip(pairs, results):
-        if want is not INFINITE_OVERLAP:
-            from_a += bool(_ray_only_hits(a, b))
-            from_b += bool(_ray_only_hits(b, a))
-        for sa, ha in _reference_rays(a):
-            for sb, hb in _reference_rays(b):
-                if sa[0] == sb[0] and ha != hb:
-                    north_y, south_y = (sa[1], sb[1]) if ha == "north" else (sb[1], sa[1])
-                    n = max(0, south_y - north_y + 1)
-                    overlaps[min(n, 3)] = overlaps.get(min(n, 3), 0) + 1
-    assert all(overlaps.get(n, 0) > 50 for n in range(4)), overlaps
-    assert from_a > 500 and from_b > 500, (from_a, from_b)
-    assert sum(r is INFINITE_OVERLAP for r in results) > 1000
-    assert sum(r is not INFINITE_OVERLAP and len(r) > 0 for r in results) > 500
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+    with time_budget(REFERENCE_SECONDS):
+        rng = random.Random(19)
+        pairs = []
+        for curve in _shapes(rng):
+            (sx, sy), (nx, ny) = curve.points[0], curve.points[-1]
+            for dy in range(-4, 5):
+                pairs.append((curve, curve.translate((0, dy))))
+                # The curve's north ray on the column of the translate's south
+                # ray, and the other way round.
+                pairs.append((curve, curve.translate((nx - sx, ny - sy + dy))))
+                pairs.append((curve.translate((sx - nx, sy - ny + dy)), curve))
+                pairs.append((curve, curve.translate((rng.randrange(-4, 5), dy))))
+        results = assert_intersections_match(pairs)
+        overlaps = {}  # opposite-heading ray pairs on one column, by shared points
+        from_a = from_b = 0  # finite results that one curve's rays add to
+        for (a, b), want in zip(pairs, results):
+            if want is not INFINITE_OVERLAP:
+                from_a += bool(_ray_only_hits(a, b))
+                from_b += bool(_ray_only_hits(b, a))
+            for sa, ha in _reference_rays(a):
+                for sb, hb in _reference_rays(b):
+                    if sa[0] == sb[0] and ha != hb:
+                        north_y, south_y = (sa[1], sb[1]) if ha == "north" else (sb[1], sa[1])
+                        n = max(0, south_y - north_y + 1)
+                        overlaps[min(n, 3)] = overlaps.get(min(n, 3), 0) + 1
+        assert all(overlaps.get(n, 0) > 50 for n in range(4)), overlaps
+        assert from_a > 500 and from_b > 500, (from_a, from_b)
+        assert sum(r is INFINITE_OVERLAP for r in results) > 1000
+        assert sum(r is not INFINITE_OVERLAP and len(r) > 0 for r in results) > 500
 
 
 def test_curve_intersection_matches_reference_on_engine_pairs(engine_record):
     # Every curve pair the progress loop intersects, for one part of
     # the recorded engine pass over _engine_groups' groups.
-    start = time.perf_counter()
-    pairs = engine_record.pairs
-    results = assert_intersections_match(set(pairs))
-    assert len(pairs) > 5000 and sum(bool(r) for r in results) > 1500
-    for curve in {c for pair in pairs for c in pair}:
-        assert curve.is_simple() is reference_is_simple(curve)
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+    with time_budget(REFERENCE_SECONDS):
+        pairs = engine_record.pairs
+        results = assert_intersections_match(set(pairs))
+        assert len(pairs) > 5000 and sum(bool(r) for r in results) > 1500
+        for curve in {c for pair in pairs for c in pair}:
+            assert curve.is_simple() is reference_is_simple(curve)

@@ -1,7 +1,6 @@
 """Tile-assembly core: validation, replay, extraction, pumping, verifiers."""
 
 import random
-import time
 
 import pytest
 
@@ -31,7 +30,7 @@ from pumpkit.tam import (
     seed_contacts,
 )
 
-from conftest import _short_walks, corpus_paths, path_of, system_of
+from conftest import _short_walks, corpus_paths, path_of, system_of, time_budget
 
 
 def test_validate_ok(unit, unit_path):
@@ -143,23 +142,21 @@ VALIDATOR_DIFF_SECONDS = 20.0  # about 2 s on a 2-core machine
 
 
 def test_validator_matches_reference_on_corpus_and_mutants():
-    start = time.time()
-    rng = random.Random(7)
-    codes = {}
-    with_notes = 0
-    for sys_, p in corpus_paths():
-        for s, q in [(sys_, p), *_mutants(sys_, p, rng)]:
-            want = _reference_validate(s, q)
-            got = validate_producible_path(s, q)
-            assert (got.ok, got.code, got.index, got.notes) == \
-                (want.ok, want.code, want.index, want.notes), q.entries
-            codes[want.code] = codes.get(want.code, 0) + 1
-            with_notes += bool(want.notes)
-    assert set(codes) == {None, "EmptyPath", "OverlapsSeed", "NotSimple",
-                          "GlueMismatch", "SeedDetached"}
-    assert with_notes > 0
-    elapsed = time.time() - start
-    assert elapsed < VALIDATOR_DIFF_SECONDS, f"took {elapsed:.1f}s"
+    with time_budget(VALIDATOR_DIFF_SECONDS):
+        rng = random.Random(7)
+        codes = {}
+        with_notes = 0
+        for sys_, p in corpus_paths():
+            for s, q in [(sys_, p), *_mutants(sys_, p, rng)]:
+                want = _reference_validate(s, q)
+                got = validate_producible_path(s, q)
+                assert (got.ok, got.code, got.index, got.notes) == \
+                    (want.ok, want.code, want.index, want.notes), q.entries
+                codes[want.code] = codes.get(want.code, 0) + 1
+                with_notes += bool(want.notes)
+        assert set(codes) == {None, "EmptyPath", "OverlapsSeed", "NotSimple",
+                              "GlueMismatch", "SeedDetached"}
+        assert with_notes > 0
 
 
 def test_seed_must_be_connected():

@@ -2,7 +2,6 @@
 
 
 import random
-import time
 from dataclasses import replace
 from itertools import chain
 
@@ -22,7 +21,7 @@ from pumpkit.shield import Shield, check_shield, enumerate_shields
 from pumpkit.visibility import Span, _beats, check_glue_east, check_glue_side
 
 from conftest import (_long_walks, _short_walks, and_east_facing, check_orderings, corpus_paths,
-                      path_of, system_of)
+                      path_of, system_of, time_budget)
 
 
 def test_unit_glue_visible_both_ways(unit):
@@ -261,29 +260,28 @@ def test_enumerate_shields_matches_check_shield_on_long_walks():
     # tests glues i and j (label, pointing, south visibility) before it
     # reads k, so a pair that fails there fails for every k, and its one
     # check at k = j stands for all of them.
-    start = time.perf_counter()
-    n_paths = n_shields = n_checks = n_ray = 0
-    for sys_, p in _long_walks(random.Random(11), 40):
-        view = GlueView(sys_, p)
-        m = len(p) - 1
-        want = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                for k in range(j, m):
-                    n_checks += 1
-                    try:
-                        check_shield(sys_, p, i, j, k, view)
-                    except NotAShield as e:
-                        if str(e).startswith("glues i and j"):
-                            break
-                        n_ray += str(e).startswith("translated")
-                        continue
-                    want.append(Shield(i, j, k))
-        assert enumerate_shields(sys_, p) == want
-        n_paths += 1
-        n_shields += len(want)
-    assert n_paths == 40 and n_shields > 2000 and n_checks > 100000 and n_ray > 500
-    assert time.perf_counter() - start < ENUMERATE_SECONDS
+    with time_budget(ENUMERATE_SECONDS):
+        n_paths = n_shields = n_checks = n_ray = 0
+        for sys_, p in _long_walks(random.Random(11), 40):
+            view = GlueView(sys_, p)
+            m = len(p) - 1
+            want = []
+            for i in range(m):
+                for j in range(i + 1, m):
+                    for k in range(j, m):
+                        n_checks += 1
+                        try:
+                            check_shield(sys_, p, i, j, k, view)
+                        except NotAShield as e:
+                            if str(e).startswith("glues i and j"):
+                                break
+                            n_ray += str(e).startswith("translated")
+                            continue
+                        want.append(Shield(i, j, k))
+            assert enumerate_shields(sys_, p) == want
+            n_paths += 1
+            n_shields += len(want)
+        assert n_paths == 40 and n_shields > 2000 and n_checks > 100000 and n_ray > 500
 
 
 # -- right priority -----------------------------------------------------------

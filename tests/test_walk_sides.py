@@ -23,7 +23,6 @@ skips: diagonal tables for curves asked nothing inside their box, and
 """
 
 import random
-import time
 
 import pytest
 
@@ -32,7 +31,7 @@ from pumpkit.geometry import (PolyCurve, Side, SideCache, classify_side, step_si
                               walk_sides)
 from pumpkit.oracle import doubled, walk_sides_by_point
 
-from conftest import HAND_MADE, _producible_walks, _recorded, random_curve
+from conftest import HAND_MADE, _producible_walks, _recorded, random_curve, time_budget
 
 REFERENCE_SECONDS = 5.0  # per test case; each takes 0.3 to 2.5 s on a 2-core machine
 LONG_WALKS = 1000  # seeded producible walks of 40-150 tiles; 52 reach a workspace
@@ -190,59 +189,55 @@ def _random_curves(rng):
 
 
 def test_walk_sides_matches_per_point_reference_on_random_walks():
-    start = time.perf_counter()
-    rng = random.Random(71)
-    chords = left_chord_witnesses = tail_witnesses = 0
-    for curve in _random_curves(rng):
-        x0, y0, x1, y1 = curve.bbox()
-        walks = _chord_walks(curve)
-        chords += len(walks)
-        walks += [_along(rng, curve) for _ in range(4)]
-        walks += [_random_walk(rng, (rng.randrange(x0 - 2, x1 + 3),
-                                     rng.randrange(y0 - 2, y1 + 3)), 40)
-                  for _ in range(4)]
-        # Straight walks across the whole curve cross it and touch it.
-        y = rng.randrange(y0, y1 + 1)
-        walks.append([(x, y) for x in range(x0 - 3, x1 + 4)])
-        x = rng.randrange(x0, x1 + 1)
-        walks.append([(x, y) for y in range(y0 - 3, y1 + 4)])
-        assert_walks_match(curve, walks)
-        for walk in walks:
-            witness = assert_witness_matches(PolyCurve(walk), curve)
-            left_chord_witnesses += len(walk) == 2 and witness is not None
-            # Ray tails: the walk's ends extended down and up to infinity.
-            for south, north in ((True, False), (False, True), (True, True)):
-                got = assert_witness_matches(PolyCurve(walk, south, north), curve)
-                tail_witnesses += witness is None and got is not None
-    # The walks reach chords, chords that leave the region, and tails that do.
-    assert chords > 200 and left_chord_witnesses > 40 and tail_witnesses > 100
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+    with time_budget(REFERENCE_SECONDS):
+        rng = random.Random(71)
+        chords = left_chord_witnesses = tail_witnesses = 0
+        for curve in _random_curves(rng):
+            x0, y0, x1, y1 = curve.bbox()
+            walks = _chord_walks(curve)
+            chords += len(walks)
+            walks += [_along(rng, curve) for _ in range(4)]
+            walks += [_random_walk(rng, (rng.randrange(x0 - 2, x1 + 3),
+                                         rng.randrange(y0 - 2, y1 + 3)), 40)
+                      for _ in range(4)]
+            # Straight walks across the whole curve cross it and touch it.
+            y = rng.randrange(y0, y1 + 1)
+            walks.append([(x, y) for x in range(x0 - 3, x1 + 4)])
+            x = rng.randrange(x0, x1 + 1)
+            walks.append([(x, y) for y in range(y0 - 3, y1 + 4)])
+            assert_walks_match(curve, walks)
+            for walk in walks:
+                witness = assert_witness_matches(PolyCurve(walk), curve)
+                left_chord_witnesses += len(walk) == 2 and witness is not None
+                # Ray tails: the walk's ends extended down and up to infinity.
+                for south, north in ((True, False), (False, True), (True, True)):
+                    got = assert_witness_matches(PolyCurve(walk, south, north), curve)
+                    tail_witnesses += witness is None and got is not None
+        # The walks reach chords, chords that leave the region, and tails that do.
+        assert chords > 200 and left_chord_witnesses > 40 and tail_witnesses > 100
 
 
 def test_walk_sides_matches_per_point_reference_on_engine_curves(engine_record):
     # Every curve a SideCache is built on, every sub-curve checked for
     # closed-right containment and every route graph, for one part of
     # the recorded engine pass over _engine_groups' groups.
-    start = time.perf_counter()
-    groups, workspaces = engine_record.groups, engine_record.workspaces
-    assert groups > 900 and engine_record.pumped > 750 and len(workspaces) > groups
+    with time_budget(REFERENCE_SECONDS):
+        groups, workspaces = engine_record.groups, engine_record.workspaces
+        assert groups > 900 and engine_record.pumped > 750 and len(workspaces) > groups
 
-    witnesses = set()
-    for sub, curve in set(engine_record.checked):
-        witnesses.add(assert_witness_matches(sub, curve))
-    assert witnesses == {None}  # no claim fires on producible paths
-    for curve in set(engine_record.boundaries):
-        # Copies one step east and north run along the curve, touch it and
-        # jump across it by chords.
-        pts = curve.lattice_points()
-        assert_walks_match(curve, [[(x + dx, y + dy) for x, y in pts]
-                                   for dx, dy in ((1, 0), (0, 1))])
-    for ws in workspaces:
-        assert_route_inputs_match(ws)
-        assert_workspace_lattices(ws)
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+        witnesses = set()
+        for sub, curve in set(engine_record.checked):
+            witnesses.add(assert_witness_matches(sub, curve))
+        assert witnesses == {None}  # no claim fires on producible paths
+        for curve in set(engine_record.boundaries):
+            # Copies one step east and north run along the curve, touch it and
+            # jump across it by chords.
+            pts = curve.lattice_points()
+            assert_walks_match(curve, [[(x + dx, y + dy) for x, y in pts]
+                                       for dx, dy in ((1, 0), (0, 1))])
+        for ws in workspaces:
+            assert_route_inputs_match(ws)
+            assert_workspace_lattices(ws)
 
 
 def test_route_inputs_and_lattices_on_long_walks():
@@ -336,31 +331,27 @@ def test_step_side_matches_doubled_curve():
     # Hand-made curves, curves beside their own rays, seeded staircases
     # and the doubled copies of all of them; every step from the finite
     # part, both of its ends and both ray columns.
-    start = time.perf_counter()
-    rng = random.Random(73)
-    curves = [PolyCurve(pts, south_ray=True, north_ray=True)
-              for pts in HAND_MADE + BESIDE_RAYS]
-    curves += [random_curve(rng, corners=rng.randrange(1, 9)) for _ in range(40)]
-    curves += [doubled(c) for c in curves]
-    chords = ray_chords = 0
-    for curve in curves:
-        c, r = assert_step_rule(curve)
-        chords += c
-        ray_chords += r
-    assert chords > 80 and ray_chords > 10, (chords, ray_chords)
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+    with time_budget(REFERENCE_SECONDS):
+        rng = random.Random(73)
+        curves = [PolyCurve(pts, south_ray=True, north_ray=True)
+                  for pts in HAND_MADE + BESIDE_RAYS]
+        curves += [random_curve(rng, corners=rng.randrange(1, 9)) for _ in range(40)]
+        curves += [doubled(c) for c in curves]
+        chords = ray_chords = 0
+        for curve in curves:
+            c, r = assert_step_rule(curve)
+            chords += c
+            ray_chords += r
+        assert chords > 80 and ray_chords > 10, (chords, ray_chords)
 
 
 def test_step_side_matches_doubled_curve_on_engine_curves(engine_record):
     # Every distinct boundary a side cache is built on, over one part of
     # the recorded engine pass.
-    start = time.perf_counter()
-    curves = set(engine_record.boundaries)
-    chords = sum(assert_step_rule(curve)[0] for curve in curves)
-    assert len(curves) > 500 and chords > 100, (len(curves), chords)
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+    with time_budget(REFERENCE_SECONDS):
+        curves = set(engine_record.boundaries)
+        chords = sum(assert_step_rule(curve)[0] for curve in curves)
+        assert len(curves) > 500 and chords > 100, (len(curves), chords)
 
 
 def assert_cache_matches_classify(curve, margin=3):
@@ -381,19 +372,15 @@ def assert_cache_matches_classify(curve, margin=3):
 
 
 def test_side_cache_matches_classify_side():
-    start = time.perf_counter()
-    for curve in _random_curves(random.Random(79)):
-        assert_cache_matches_classify(curve)
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+    with time_budget(REFERENCE_SECONDS):
+        for curve in _random_curves(random.Random(79)):
+            assert_cache_matches_classify(curve)
 
 
 def test_side_cache_matches_classify_side_on_engine_curves(engine_record):
-    start = time.perf_counter()
-    for curve in set(engine_record.boundaries):
-        assert_cache_matches_classify(curve)
-    elapsed = time.perf_counter() - start
-    assert elapsed < REFERENCE_SECONDS, elapsed
+    with time_budget(REFERENCE_SECONDS):
+        for curve in set(engine_record.boundaries):
+            assert_cache_matches_classify(curve)
 
 
 def test_cut_family_builds_a_table_only_for_a_query_inside_the_box(monkeypatch):
